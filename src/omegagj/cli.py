@@ -260,7 +260,13 @@ def resolve_rhs(arg: str):
 
 
 def _dense_line(field: Field, row: Row, width: int) -> str:
-    return "\t".join(field.format(v) for v in row.dense(width))
+    """Tab-separated columns 0..width-1; only the support is formatted."""
+    cells = ["0"] * width
+    fmt = field.format
+    for c, v in row.support:
+        if c < width:
+            cells[c] = fmt(v)
+    return "\t".join(cells)
 
 
 def _emit_rows(out, label: str, field: Field, rows: List[Row]) -> None:
@@ -280,8 +286,8 @@ def cmd_reduce(args, out) -> int:
         )
     state = run_to(matrix, args.stages, args.strategy)
     sections = [s.strip() for s in args.emit.split(",") if s.strip()]
-    snap = snapshot(state)
     if args.format == "json":
+        snap = snapshot(state)
         keep = {"rows", "passage", "pivots", "pivot_history", "last_changed"}
         alias = {"history": "pivot_history"}
         doc = {"stage": snap["stage"], "strategy": snap["strategy"]}

@@ -9,12 +9,19 @@ original input rows.
 
 With the rightmost strategy the pivot of a row is its rightmost support
 index; with the leftmost strategy it is the leftmost one.
+
+The state keeps a column index, column_rows: for every column, the set of
+row indices whose reduced row holds a nonzero entry there. The column clear
+of a new pivot visits only the rows the index names for that column, not
+every earlier row, and re-indexes each row it patches. Zero rows hold no
+entries and never appear in the index.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from . import rows
 from .rows import Row
 from .scalars import Field
 
@@ -45,12 +52,13 @@ class PivotFloor:
 
     The promise is validated online: each observed nonzero pivot is checked
     against the largest floor promised by the completed stages before it.
-    Zero rows produce no pivot and are exempt.
+    Zero rows produce no pivot and are exempt. How far a run has validated
+    the promise is recorded on its EliminationState, so one floor can serve
+    any number of runs.
     """
 
     def __init__(self, promise: Callable[[int], int]):
         self.promise = promise
-        self.validated_through = -1
 
     @classmethod
     def affine(cls, slope: int, intercept: int) -> "PivotFloor":
@@ -70,7 +78,9 @@ class EliminationState:
         self.pivots: Dict[int, int] = {}
         self.pivot_history: List[Optional[int]] = []
         self.last_changed: List[int] = []
+        self.column_rows: Dict[int, Set[int]] = {}
         self.certificate = certificate
+        self.validated_through = -1
         self._floor_max: Optional[int] = None
 
     @property
@@ -109,17 +119,43 @@ def _reduce_with_multipliers(
 
 
 def _sub_scaled(y: Row, lam, x: Row) -> Row:
-    from .rows import axpy_raw
+    # looked up on the module at call time, so a wrapper installed on
+    # rows.axpy_raw sees every engine call
+    return rows.axpy_raw(y.field.neg(lam), x, y)
 
-    return axpy_raw(y.field.neg(lam), x, y)
+
+def column_index(reduced: List[Row]) -> Dict[int, Set[int]]:
+    """Column -> indices of the rows with a nonzero entry in that column."""
+    index: Dict[int, Set[int]] = {}
+    for i, r in enumerate(reduced):
+        _index_row(index, i, r)
+    return index
+
+
+def _index_row(index: Dict[int, Set[int]], i: int, r: Row) -> None:
+    for c, _ in r.support:
+        index.setdefault(c, set()).add(i)
+
+
+def _reindex_row(index: Dict[int, Set[int]], i: int, old: Row, new: Row) -> None:
+    old_cols = {c for c, _ in old.support}
+    new_cols = {c for c, _ in new.support}
+    for c in new_cols - old_cols:
+        index.setdefault(c, set()).add(i)
+    for c in old_cols - new_cols:
+        holders = index[c]
+        holders.discard(i)
+        if not holders:
+            del index[c]
 
 
 def jordan_update(state: EliminationState, g: Row) -> None:
     """Clear the pivot column of the newly appended pivot row g everywhere.
 
     g must already sit at the last index of state.rows with its passage row
-    in place; earlier rows (and their passage rows) are patched in step and
-    recorded in last_changed.
+    in place; the earlier rows the column index lists for g's pivot column
+    (and their passage rows) are patched in step and recorded in
+    last_changed, and g itself is indexed last.
     """
     n = len(state.rows) - 1
     if n < 0 or state.rows[n] is not g:
@@ -131,18 +167,28 @@ def jordan_update(state: EliminationState, g: Row) -> None:
         raise PivotCollision(
             "column %d already pinned by row %d" % (col, state.pivots[col])
         )
-    g_passage = state.passage[n]
-    for i in range(n):
-        mu = state.rows[i].raw(col)
-        if mu:
-            state.rows[i] = _sub_scaled(state.rows[i], mu, g)
+    index = state.column_rows
+    holders = index.get(col)
+    if holders:
+        g_passage = state.passage[n]
+        for i in sorted(holders):
+            old = state.rows[i]
+            mu = old.raw(col)
+            new = _sub_scaled(old, mu, g)
+            state.rows[i] = new
             state.passage[i] = _sub_scaled(state.passage[i], mu, g_passage)
             state.last_changed[i] = n
+            _reindex_row(index, i, old, new)
+    _index_row(index, n, g)
     state.pivots[col] = n
 
 
 def step(state: EliminationState, c: Row) -> EliminationState:
-    """Run one full stage on the incoming row and return the state."""
+    """Run one full stage on the incoming row and return the state.
+
+    A stage that raises (a certificate violation or a pivot collision)
+    leaves the state as it was.
+    """
     n = len(state.rows)
     reduced, mults = _reduce_with_multipliers(state, c)
     p = Row.unit(state.field, n)
@@ -157,11 +203,14 @@ def step(state: EliminationState, c: Row) -> EliminationState:
         _absorb_floor(state, n)
         return state
 
-    col = state.pivot_of(reduced)
+    col, lead = reduced.support[-1] if state.strategy == "rps" else reduced.support[0]
     if state.certificate is not None and state._floor_max is not None:
         if col < state._floor_max:
             raise CertificateViolation(n, col, state._floor_max)
-    lead = reduced.raw(col)
+    if col in state.pivots:
+        raise PivotCollision(
+            "column %d already pinned by row %d" % (col, state.pivots[col])
+        )
     inv = state.field.inv(lead)
     g = reduced.scaled_raw(inv)
     state.rows.append(g)
@@ -179,7 +228,7 @@ def _absorb_floor(state: EliminationState, n: int) -> None:
     b = state.certificate.promise(n)
     if state._floor_max is None or b > state._floor_max:
         state._floor_max = b
-    state.certificate.validated_through = n
+    state.validated_through = n
 
 
 def step_lps(state: EliminationState, c: Row) -> EliminationState:
@@ -221,7 +270,7 @@ def certified_stable(state: EliminationState, k: int) -> str:
     if k > state.stage or k < 0:
         raise IndexOutOfRange("prefix %d exceeds stage %d" % (k, state.stage))
     cert = state.certificate
-    if cert is None or cert.validated_through < state.stage:
+    if cert is None or state.validated_through < state.stage:
         return "provisional"
     floor = cert.promise(state.stage)
     for r in state.rows[: k + 1]:

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
-from .rows import Row
+from .rows import Row, axpy_raw
 from .scalars import RATIONAL, Field
 
 
@@ -140,20 +140,24 @@ def builtin_fulkerson() -> RowFiniteMatrix:
 
     Row 1 is zero; row 2n+1 = (n+1) * row 2n + sum of rows 0, 2, ..., 2(n-1)
     for n >= 1, which makes every odd row a combination of earlier even rows.
+    The generator keeps the running sum of the even rows, so rows asked for
+    in order cost time linear in their length.
     """
+    summed, even_sum = 0, Row.zero(RATIONAL)  # sum of even rows 0, 2, ..., 2(summed-1)
 
     def gen(k: int) -> Row:
+        nonlocal summed, even_sum
         if k % 2 == 0:
             return _fulkerson_even(k // 2)
         n = k // 2
         if n == 0:
             return Row.zero(RATIONAL)
-        acc = _fulkerson_even(n).scaled_raw(Fraction(n + 1))
-        for i in range(n):
-            acc = Row.from_pairs(
-                RATIONAL, list(acc.support) + list(_fulkerson_even(i).support)
-            )
-        return acc
+        if summed > n:
+            summed, even_sum = 0, Row.zero(RATIONAL)
+        while summed < n:
+            even_sum = axpy_raw(RATIONAL.one(), _fulkerson_even(summed), even_sum)
+            summed += 1
+        return axpy_raw(Fraction(n + 1), _fulkerson_even(n), even_sum)
 
     return RowFiniteMatrix(RATIONAL, gen)
 

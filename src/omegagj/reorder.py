@@ -15,6 +15,7 @@ from .engine import (
     CertificateViolation,
     EliminationState,
     IndexOutOfRange,
+    column_index,
     step,
 )
 from .rows import Row, axpy_raw
@@ -172,6 +173,7 @@ def one_shot_state(matrix, n: int, strategy: str = "rps") -> EliminationState:
     state.pivots = pivots
     state.pivot_history = history
     state.last_changed = [n] * m
+    state.column_rows = column_index(work)
     _validate_seeded_floor(state, history)
     return state
 
@@ -188,7 +190,7 @@ def _validate_seeded_floor(state: EliminationState, history) -> None:
         if running is None or b > running:
             running = b
     state._floor_max = running
-    cert.validated_through = state.stage
+    state.validated_through = state.stage
 
 
 def qhf_prefix_stability(history, k: int) -> int:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .scalars import Field, Scalar, check_same_field
 
@@ -59,8 +59,13 @@ class Row:
         return self.support[0][0] if self.support else None
 
     def raw(self, col: int):
-        """Raw value at a column (field zero when absent); linear scan is fine
-        because supports stay short."""
+        """Raw value at a column (field zero when absent).
+
+        A linear scan that stops at the first column past col. Supports are
+        not always short (passage rows can be dense lower-triangular), so
+        the engine's column clear does not probe every row with this: it
+        reads only the rows its column index lists for the column.
+        """
         for c, v in self.support:
             if c == col:
                 return v
@@ -72,10 +77,12 @@ class Row:
         return Scalar(self.field, self.raw(col))
 
     def scaled_raw(self, lam) -> "Row":
+        """lam times this row; scaling by one returns the row itself."""
         if not lam:
             return Row(self.field, ())
-        F = self.field
-        return Row(F, tuple((c, F.mul(lam, v)) for c, v in self.support))
+        if lam == 1:
+            return self
+        return Row(self.field, self.field.scale_support(lam, self.support))
 
     def __eq__(self, other):
         if not isinstance(other, Row):
@@ -115,35 +122,11 @@ def get(r: Row, col: int) -> Scalar:
 
 def axpy_raw(lam, x: Row, y: Row) -> Row:
     """Return y + lam * x by merging the two sorted supports."""
-    check_same_field(x.field, y.field)
     F = x.field
+    check_same_field(F, y.field)
     if not lam:
         return y
-    out: List[Tuple[int, object]] = []
-    xs, ys = x.support, y.support
-    i = j = 0
-    nx, ny = len(xs), len(ys)
-    while i < nx and j < ny:
-        cx, vx = xs[i]
-        cy, vy = ys[j]
-        if cx < cy:
-            out.append((cx, F.mul(lam, vx)))
-            i += 1
-        elif cy < cx:
-            out.append((cy, vy))
-            j += 1
-        else:
-            v = F.add(vy, F.mul(lam, vx))
-            if v:
-                out.append((cx, v))
-            i += 1
-            j += 1
-    while i < nx:
-        cx, vx = xs[i]
-        out.append((cx, F.mul(lam, vx)))
-        i += 1
-    out.extend(ys[j:])
-    return Row(F, tuple(out))
+    return Row(F, F.axpy_support(lam, x.support, y.support))
 
 
 def axpy(lam: Scalar, x: Row, y: Row) -> Row:

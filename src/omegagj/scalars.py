@@ -34,19 +34,33 @@ def _is_prime(n: int) -> bool:
 
 
 class Field:
-    """A coefficient field: exact rationals, or integers mod a prime."""
+    """A coefficient field: exact rationals, or integers mod a prime.
 
-    __slots__ = ("kind", "p")
+    Field("rational") and Field("gf", p) build a RationalField or a
+    PrimeField. Each subclass owns its scalar operations and the sparse
+    kernels that rows are built from, so no operation dispatches on kind.
+    Raw values are Fraction for the rationals and int residues in [0, p)
+    for gf.
+    """
 
+    __slots__ = ("p",)
+
+    kind = ""
     _gf_cache: dict = {}
 
+    def __new__(cls, kind: str, p: Optional[int] = None):
+        if cls is Field:
+            if kind == "rational":
+                cls = RationalField
+            elif kind == "gf":
+                cls = PrimeField
+            else:
+                raise ValueError("unknown field kind: %r" % (kind,))
+        return object.__new__(cls)
+
     def __init__(self, kind: str, p: Optional[int] = None):
-        if kind not in ("rational", "gf"):
+        if kind != self.kind:
             raise ValueError("unknown field kind: %r" % (kind,))
-        if kind == "gf":
-            if p is None or not _is_prime(p):
-                raise ValueError("gf modulus must be prime, got %r" % (p,))
-        self.kind = kind
         self.p = p
 
     @classmethod
@@ -54,53 +68,9 @@ class Field:
         try:
             return cls._gf_cache[p]
         except KeyError:
-            f = cls("gf", p)
+            f = PrimeField("gf", p)
             cls._gf_cache[p] = f
             return f
-
-    # -- raw-value arithmetic -------------------------------------------------
-    # Raw values are Fraction for rationals and int residues in [0, p) for gf.
-
-    def zero(self):
-        return Fraction(0) if self.kind == "rational" else 0
-
-    def one(self):
-        return Fraction(1) if self.kind == "rational" else 1 % self.p
-
-    def from_int(self, n: int):
-        return Fraction(n) if self.kind == "rational" else n % self.p
-
-    def add(self, a, b):
-        return a + b if self.kind == "rational" else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.kind == "rational" else (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.kind == "rational" else (a * b) % self.p
-
-    def neg(self, a):
-        return -a if self.kind == "rational" else (-a) % self.p
-
-    def inv(self, a):
-        if not a:
-            raise DivisionByZero("inverse of zero")
-        if self.kind == "rational":
-            return 1 / a
-        return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        if not b:
-            raise DivisionByZero("division by zero")
-        if self.kind == "rational":
-            return a / b
-        return (a * pow(b, -1, self.p)) % self.p
-
-    def parse(self, text: str):
-        """Parse the canonical text form: 'p/q' or 'p' (residue for gf)."""
-        if self.kind == "rational":
-            return Fraction(text)
-        return int(text) % self.p
 
     def format(self, a) -> str:
         """Canonical text form: lowest-terms 'p/q' (or 'p'), bare residue for gf."""
@@ -116,15 +86,187 @@ class Field:
     def __hash__(self):
         return hash((self.kind, self.p))
 
+    def __reduce__(self):
+        return (Field, (self.kind, self.p))
+
+
+class RationalField(Field):
+    """The rationals, with Fraction values."""
+
+    __slots__ = ()
+
+    kind = "rational"
+    _ZERO = Fraction(0)
+    _ONE = Fraction(1)
+
+    def zero(self):
+        return self._ZERO
+
+    def one(self):
+        return self._ONE
+
+    def from_int(self, n: int):
+        return Fraction(n)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def inv(self, a):
+        if not a:
+            raise DivisionByZero("inverse of zero")
+        return 1 / a
+
+    def div(self, a, b):
+        if not b:
+            raise DivisionByZero("division by zero")
+        return a / b
+
+    def parse(self, text: str):
+        """Parse the canonical text form: 'p/q' or 'p'."""
+        return Fraction(text)
+
+    def scale_support(self, lam, xs: tuple) -> tuple:
+        """lam times a sparse support; lam is nonzero and not one."""
+        if lam == -1:
+            return tuple([(c, -v) for c, v in xs])
+        return tuple([(c, lam * v) for c, v in xs])
+
+    def axpy_support(self, lam, xs: tuple, ys: tuple) -> tuple:
+        """ys + lam * xs for two sorted zero-free supports; lam is nonzero.
+
+        lam == 1 and lam == -1 skip the multiplication, and entries of ys
+        that xs does not reach are passed through as they are.
+        """
+        out = []
+        append = out.append
+        nx, ny = len(xs), len(ys)
+        i = j = 0
+        sign = 1 if lam == 1 else -1 if lam == -1 else 0
+        while i < nx and j < ny:
+            cx, vx = xs[i]
+            cy = ys[j][0]
+            if cx < cy:
+                append(xs[i] if sign == 1 else (cx, -vx if sign else lam * vx))
+                i += 1
+            elif cy < cx:
+                append(ys[j])
+                j += 1
+            else:
+                vy = ys[j][1]
+                v = vy + vx if sign == 1 else vy - vx if sign else vy + lam * vx
+                if v:
+                    append((cx, v))
+                i += 1
+                j += 1
+        if i < nx:
+            out.extend(xs[i:] if sign == 1 else self.scale_support(lam, xs[i:]))
+        elif j < ny:
+            out.extend(ys[j:])
+        return tuple(out)
+
     def __repr__(self):
-        return "Field(rational)" if self.kind == "rational" else "Field(gf %d)" % self.p
+        return "Field(rational)"
+
+
+class PrimeField(Field):
+    """Integers modulo a prime p, with residues in [0, p)."""
+
+    __slots__ = ()
+
+    kind = "gf"
+
+    def __init__(self, kind: str, p: Optional[int] = None):
+        super().__init__(kind, p)
+        if p is None or not _is_prime(p):
+            raise ValueError("gf modulus must be prime, got %r" % (p,))
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def from_int(self, n: int):
+        return n % self.p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b):
+        return (a * b) % self.p
+
+    def neg(self, a):
+        return (-a) % self.p
+
+    def inv(self, a):
+        if not a:
+            raise DivisionByZero("inverse of zero")
+        return pow(a, -1, self.p)
+
+    def div(self, a, b):
+        if not b:
+            raise DivisionByZero("division by zero")
+        return (a * pow(b, -1, self.p)) % self.p
+
+    def parse(self, text: str):
+        """Parse a residue: any integer text, reduced mod p."""
+        return int(text) % self.p
+
+    def scale_support(self, lam, xs: tuple) -> tuple:
+        """lam times a sparse support; lam is a nonzero residue."""
+        p = self.p
+        return tuple([(c, lam * v % p) for c, v in xs])
+
+    def axpy_support(self, lam, xs: tuple, ys: tuple) -> tuple:
+        """ys + lam * xs mod p for two sorted zero-free supports; lam is a
+        nonzero residue, so lam * vx never vanishes on its own."""
+        p = self.p
+        out = []
+        append = out.append
+        nx, ny = len(xs), len(ys)
+        i = j = 0
+        while i < nx and j < ny:
+            cx, vx = xs[i]
+            cy = ys[j][0]
+            if cx < cy:
+                append((cx, lam * vx % p))
+                i += 1
+            elif cy < cx:
+                append(ys[j])
+                j += 1
+            else:
+                v = (ys[j][1] + lam * vx) % p
+                if v:
+                    append((cx, v))
+                i += 1
+                j += 1
+        if i < nx:
+            out.extend(self.scale_support(lam, xs[i:]))
+        elif j < ny:
+            out.extend(ys[j:])
+        return tuple(out)
+
+    def __repr__(self):
+        return "Field(gf %d)" % self.p
 
 
 RATIONAL = Field("rational")
 
 
 def check_same_field(a: Field, b: Field) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise FieldMismatch("%r vs %r" % (a, b))
 
 
@@ -232,6 +374,31 @@ class LinForm:
     @classmethod
     def symbol(cls, field: Field, namespace: str, index: int) -> "LinForm":
         return cls(field, terms={(namespace, index): field.one()})
+
+    @classmethod
+    def combination(cls, field: Field, pairs) -> "LinForm":
+        """Sum of lam * form over (lam, form) pairs, built in one dict.
+
+        Equal to adding the scaled forms one by one, without copying the
+        running term table at every step.
+        """
+        add, mul = field.add, field.mul
+        zero = field.zero()
+        constant = zero
+        terms: dict = {}
+        for lam, form in pairs:
+            if not lam:
+                continue
+            check_same_field(field, form.field)
+            if form.constant:
+                constant = add(constant, mul(lam, form.constant))
+            for s, c in form.terms.items():
+                v = add(terms.get(s, zero), mul(lam, c))
+                if v:
+                    terms[s] = v
+                else:
+                    terms.pop(s, None)
+        return cls(field, constant, terms)
 
     def is_zero(self) -> bool:
         return not self.constant and not self.terms

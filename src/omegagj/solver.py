@@ -86,16 +86,15 @@ def transform_rhs(
     out: List[LinForm] = []
     for prow in passage:
         F = prow.field
-        acc = LinForm.zero(F)
-        for j, v in prow.support:
-            if isinstance(rhs, str):
-                term = LinForm.symbol(F, rhs, j)
-            elif callable(rhs):
-                term = _as_form(F, rhs(j))
-            else:
-                term = _as_form(F, rhs[j]) if j < len(rhs) else LinForm.zero(F)
-            acc = acc + term.scaled_raw(v)
-        out.append(acc)
+        if isinstance(rhs, str):
+            # distinct symbols rhs_j, one per nonzero passage entry
+            out.append(LinForm(F, terms={(rhs, j): v for j, v in prow.support}))
+            continue
+        if callable(rhs):
+            pairs = ((v, _as_form(F, rhs(j))) for j, v in prow.support)
+        else:
+            pairs = ((v, _as_form(F, rhs[j])) for j, v in prow.support if j < len(rhs))
+        out.append(LinForm.combination(F, pairs))
     return out
 
 
@@ -116,7 +115,7 @@ def _provenance(state: EliminationState, column: int) -> str:
     cert = state.certificate
     if (
         cert is not None
-        and cert.validated_through >= state.stage
+        and state.validated_through >= state.stage
         and column < cert.promise(state.stage)
     ):
         return "certified"
@@ -137,11 +136,9 @@ def homogeneous_solution(state: EliminationState, horizon: int) -> SymbolicSeque
     for col, i in state.pivots.items():
         if col > horizon:
             continue
-        acc = LinForm.zero(F)
-        for c, v in state.rows[i].support:
-            if c != col:
-                acc = acc + param[c].scaled_raw(F.neg(v))
-        entries[col] = acc
+        entries[col] = LinForm.combination(
+            F, ((F.neg(v), param[c]) for c, v in state.rows[i].support if c != col)
+        )
     return SymbolicSequence(F, entries, free, provenance, horizon, state.stage)
 
 
@@ -211,9 +208,7 @@ def verify_solution(
     try:
         for i in range(horizon + 1):
             row = matrix.row_at(i)
-            acc = LinForm.zero(F)
-            for j, v in row.support:
-                acc = acc + x.entry(j).scaled_raw(v)
+            acc = LinForm.combination(F, ((v, x.entry(j)) for j, v in row.support))
             if isinstance(c, str):
                 acc = acc - LinForm.symbol(F, c, i)
             elif callable(c):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegagj import (
     BUILTINS,
@@ -13,6 +15,7 @@ from omegagj import (
     RATIONAL,
     Row,
     certified_stable,
+    extended_run,
     make_explicit,
     nullspace_basis,
     prefix_stability,
@@ -22,6 +25,7 @@ from omegagj import (
     step_lps,
 )
 from omegagj.engine import gaussian_reduce, jordan_update
+from omegagj.reorder import one_shot_state
 from omegagj.rows import parse_row
 from fixtures import (
     FULKERSON_NULLSPACE,
@@ -32,7 +36,8 @@ from fixtures import (
     bidiag_passage_row,
     bidiag_reduced_row,
 )
-from util import mk_row, mk_rows, row_dict, rows_dicts
+from oracles import one_shot_reduce
+from util import field_for, mk_row, mk_rows, row_dict, rows_dicts
 
 GF7 = Field.gf(7)
 
@@ -181,7 +186,7 @@ def bidiag_with_floor(slope, intercept):
 
 def test_floor_validates_and_certifies():
     state = run_to(bidiag_with_floor(1, 1), 8)
-    assert state.certificate.validated_through == 8
+    assert state.validated_through == 8
     assert certified_stable(state, 5) == "certified"
     assert certified_stable(state, 8) == "provisional"  # row 8 ends at the floor
 
@@ -218,7 +223,7 @@ def test_floor_ignores_zero_rows():
     m = BUILTINS["fulkerson"]()
     m.certificate = PivotFloor.affine(1, 1)
     state = run_to(m, 6)  # zero rows at 1, 3, 5 yield no pivot to check
-    assert state.certificate.validated_through == 6
+    assert state.validated_through == 6
     # floor(6) = 7 clears rows ending at 3 and 6, not the one ending at 9
     assert certified_stable(state, 2) == "certified"
     assert certified_stable(state, 4) == "provisional"
@@ -228,3 +233,106 @@ def test_certified_stable_bounds():
     state = run_to(bidiag_with_floor(1, 1), 3)
     with pytest.raises(IndexOutOfRange):
         certified_stable(state, 4)
+
+
+def test_certificate_state_is_not_shared_between_runs():
+    m = bidiag_with_floor(1, 1)
+    long_run = run_to(m, 20)
+    assert certified_stable(long_run, 5) == "certified"
+    run_to(m, 3)  # a shorter run over the same matrix and certificate
+    assert certified_stable(long_run, 5) == "certified"
+    assert long_run.validated_through == 20
+
+
+# -- atomic stages ------------------------------------------------------------
+
+
+def _state_image(state):
+    return (
+        list(state.rows),
+        list(state.passage),
+        dict(state.pivots),
+        list(state.pivot_history),
+        list(state.last_changed),
+        {c: set(ids) for c, ids in state.column_rows.items()},
+    )
+
+
+def test_pivot_collision_in_step_leaves_state_unchanged():
+    state = run_to(BUILTINS["bidiag"](), 2)
+    # a corrupted pivot table: column 5 claims row 0, which does not hold it,
+    # so the incoming e_5 still ends at column 5 after reduction
+    state.pivots[5] = 0
+    before = _state_image(state)
+    with pytest.raises(PivotCollision):
+        step(state, Row.unit(RATIONAL, 5))
+    assert _state_image(state) == before
+
+
+# -- column index and oracle agreement ----------------------------------------
+
+
+def _recomputed_index(rows):
+    index = {}
+    for i, r in enumerate(rows):
+        for c, _ in r.support:
+            index.setdefault(c, set()).add(i)
+    return index
+
+
+@st.composite
+def dict_matrices(draw):
+    """(p, rows): p is None for the rationals, else 2 or 32003; rows are
+    zero-free {column: value} dicts, empty ones included."""
+    p = draw(st.sampled_from([None, 2, 32003]))
+    if p is None:
+        values = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    else:
+        values = st.integers(0, p - 1)
+    rows = draw(
+        st.lists(
+            st.dictionaries(st.integers(0, 11), values, max_size=5),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    return p, [{c: v for c, v in r.items() if v} for r in rows]
+
+
+def _assert_matches_oracle(state, dicts, p, leftmost=False):
+    rows, passage, history = one_shot_reduce(dicts, p, leftmost)
+    assert rows_dicts(state.rows) == rows
+    assert rows_dicts(state.passage) == passage
+    assert state.pivot_history == history
+
+
+@settings(max_examples=150, deadline=None)
+@given(dict_matrices(), st.booleans())
+def test_every_step_keeps_index_exact_and_matches_oracle(case, leftmost):
+    p, dicts = case
+    F = field_for(p)
+    state = EliminationState(F, "lps" if leftmost else "rps")
+    for k, d in enumerate(dicts):
+        step(state, mk_row(F, d))
+        assert state.column_rows == _recomputed_index(state.rows)
+        _assert_matches_oracle(state, dicts[: k + 1], p, leftmost)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dict_matrices(), st.integers(0, 9))
+def test_seeded_runs_keep_index_exact_and_match_oracle(case, seed):
+    p, dicts = case
+    F = field_for(p)
+    n = len(dicts) - 1
+    seed = min(seed, n)
+    matrix = make_explicit(F, mk_rows(F, dicts))
+    state = one_shot_state(matrix, seed)
+    assert state.column_rows == _recomputed_index(state.rows)
+    for k in range(seed + 1, n + 1):
+        step(state, matrix.row_at(k))
+        assert state.column_rows == _recomputed_index(state.rows)
+    _assert_matches_oracle(state, dicts, p)
+
+    seeded = extended_run(make_explicit(F, mk_rows(F, dicts)), n, oracle_stages=seed)
+    assert seeded.base.column_rows == _recomputed_index(seeded.base.rows)
+    _assert_matches_oracle(seeded.base, dicts, p)

@@ -151,6 +151,34 @@ def test_builtin_fulkerson_matches_recurrence_oracle():
         assert row_dict(m.row_at(k)) == fulkerson_row(k)
 
 
+def _cubic_fulkerson_row(k):
+    """The odd-row recurrence as first written: rebuild (n+1) * row 2n plus
+    every earlier even row, re-sorting the running row after each one."""
+    from omegagj.matrices import _fulkerson_even
+
+    if k % 2 == 0:
+        return _fulkerson_even(k // 2)
+    n = k // 2
+    if n == 0:
+        return Row.zero(RATIONAL)
+    acc = _fulkerson_even(n).scaled_raw(Fraction(n + 1))
+    for i in range(n):
+        acc = Row.from_pairs(
+            RATIONAL, list(acc.support) + list(_fulkerson_even(i).support)
+        )
+    return acc
+
+
+def test_builtin_fulkerson_running_sum_matches_cubic_recurrence():
+    m = BUILTINS["fulkerson"]()
+    for k in range(61):
+        assert m.row_at(k) == _cubic_fulkerson_row(k)
+    # the generator also answers out of order, restarting its running sum
+    fresh = BUILTINS["fulkerson"]()
+    for k in (41, 7, 59, 59, 1, 13):
+        assert fresh.generator(k) == _cubic_fulkerson_row(k)
+
+
 def test_builtin_pde_first_rows():
     m = BUILTINS["pde"]()
     for k, expect in enumerate(PDE_INPUT):

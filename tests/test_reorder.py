@@ -137,7 +137,7 @@ def test_seeded_run_validates_floor():
     m = BUILTINS["bidiag"]()
     m.certificate = PivotFloor.affine(1, 1)
     shot = one_shot_state(m, 9)
-    assert shot.certificate.validated_through == 9
+    assert shot.validated_through == 9
 
     bad = BUILTINS["bidiag"]()
     bad.certificate = PivotFloor.affine(1, 5)

@@ -95,6 +95,45 @@ def test_axpy_matches_dict_arithmetic(dx, dy, lam):
     assert row_dict(axpy_raw(lam, x, y)) == expect
 
 
+def _field_dicts(p):
+    values = (
+        st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=6)
+        if p is None
+        else st.integers(0, p - 1)
+    )
+    return st.dictionaries(st.integers(0, 30), values, max_size=8).map(
+        lambda d: {c: v for c, v in d.items() if v}
+    )
+
+
+@pytest.mark.parametrize("p", [None, 2, 32003], ids=["rational", "gf2", "gf32003"])
+def test_field_kernels_match_dict_arithmetic(p):
+    """axpy and scaling, including the lam = 1 and lam = -1 shortcuts."""
+    field = RATIONAL if p is None else Field.gf(p)
+    lams = st.sampled_from([1, -1, 2, Fraction(-7, 3)]) if p is None else st.integers(0, p - 1)
+
+    def reduce(v):
+        return v if p is None else v % p
+
+    @settings(deadline=None)
+    @given(_field_dicts(p), _field_dicts(p), lams)
+    def check(dx, dy, lam):
+        lam = field.from_int(lam) if isinstance(lam, int) else lam
+        x, y = mk_row(field, dx), mk_row(field, dy)
+        expect = dict(dy)
+        for c, v in dx.items():
+            nv = reduce(expect.get(c, 0) + lam * v)
+            if nv:
+                expect[c] = nv
+            else:
+                expect.pop(c, None)
+        assert row_dict(axpy_raw(lam, x, y)) == expect
+        scaled = {c: reduce(lam * v) for c, v in dx.items()} if lam else {}
+        assert row_dict(x.scaled_raw(lam)) == scaled
+
+    check()
+
+
 def test_normalize_both_ends():
     r = mk_row(RATIONAL, {1: Fraction(3), 4: Fraction(-2)})
     nr = normalize_rightmost(r)

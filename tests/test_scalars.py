@@ -49,6 +49,24 @@ def test_unknown_kind_rejected():
         Field("real")
 
 
+def test_field_kinds_build_specialised_subclasses():
+    import pickle
+
+    from omegagj import PrimeField, RationalField
+
+    assert isinstance(RATIONAL, RationalField) and RATIONAL.kind == "rational"
+    assert Field("rational") == RATIONAL and RATIONAL.p is None
+    gf = Field("gf", 7)
+    assert isinstance(gf, PrimeField) and gf.kind == "gf" and gf.p == 7
+    assert gf == GF7 and hash(gf) == hash(GF7)
+    with pytest.raises(ValueError):
+        RationalField("gf", 7)
+    with pytest.raises(ValueError):
+        PrimeField("gf", 9)
+    for field in (RATIONAL, GF7):
+        assert pickle.loads(pickle.dumps(field)) == field
+
+
 @pytest.mark.parametrize("field", [RATIONAL, GF7], ids=["rational", "gf7"])
 def test_parse_format_round_trip(field):
     for raw in [field.zero(), field.one(), field.from_int(5), field.from_int(-3)]:
