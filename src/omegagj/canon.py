@@ -1,8 +1,10 @@
-"""Canonical-form predicates, the length recurrence, and equivalence checks."""
+"""Canonical-form predicates, the length recurrence, equivalence checks, and
+the dense reference reduction."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Set, Tuple
 
 from .rows import Row, axpy_raw
@@ -153,3 +155,64 @@ def verify_row_equivalence(q_rows: List[Row], matrix, out_rows: List[Row], horiz
         if acc != out_rows[i]:
             return False
     return True
+
+
+# The dense reference shares no code with the engine: plain {column: value}
+# dicts of Fractions (or ints mod p), no Row or Field, one-shot eager sweep.
+
+
+def _dict_sub_scaled(target: dict, lam, source: dict, p: Optional[int] = None) -> None:
+    """target -= lam * source, in place, dropping zeros."""
+    for c, v in source.items():
+        nv = target.get(c, 0) - lam * v
+        if p is not None:
+            nv %= p
+        if nv:
+            target[c] = nv
+        else:
+            target.pop(c, None)
+
+
+def _dict_scale(row: dict, lam, p: Optional[int] = None) -> None:
+    for c in list(row):
+        row[c] = row[c] * lam if p is None else row[c] * lam % p
+
+
+def dense_reduce(rows: List[dict], p: Optional[int] = None, leftmost: bool = False):
+    """Classic Gauss-Jordan with rightmost (or leftmost) pivots on dict rows.
+
+    rows: list of {col: value} dicts (Fractions, or ints when p is given).
+    Returns (reduced rows, passage rows, pivot history) where passage row i
+    expresses reduced row i in terms of the inputs and history holds the
+    pivot column per row (None for rows that vanished). `verify --check
+    oracle` and the tests compare the engine against it.
+    """
+    n = len(rows)
+    work = [dict(r) for r in rows]
+    passage = [{i: Fraction(1) if p is None else 1 % p} for i in range(n)]
+    pivots = {}
+    history: List[Optional[int]] = []
+    for t in range(n):
+        r, q = work[t], passage[t]
+        for col, owner in list(pivots.items()):
+            lam = r.get(col)
+            if lam:
+                _dict_sub_scaled(r, lam, work[owner], p)
+                _dict_sub_scaled(q, lam, passage[owner], p)
+        if not r:
+            history.append(None)
+            continue
+        col = min(r) if leftmost else max(r)
+        lead = Fraction(1) / r[col] if p is None else pow(r[col], -1, p)
+        _dict_scale(r, lead, p)
+        _dict_scale(q, lead, p)
+        pivots[col] = t
+        history.append(col)
+        for i in range(n):
+            if i == t:
+                continue
+            mu = work[i].get(col)
+            if mu:
+                _dict_sub_scaled(work[i], mu, r, p)
+                _dict_sub_scaled(passage[i], mu, q, p)
+    return work, passage, history

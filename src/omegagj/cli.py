@@ -9,7 +9,7 @@ import re
 import sys
 from typing import List, Optional, Tuple
 
-from .canon import is_lrrf, is_qhf, rank_nullity, verify_row_equivalence
+from .canon import dense_reduce, is_lrrf, is_qhf, verify_row_equivalence
 from .engine import (
     CertificateViolation,
     PivotFloor,
@@ -19,7 +19,7 @@ from .engine import (
     snapshot,
 )
 from .matrices import BUILTINS, RowFiniteMatrix, make_explicit, make_stencil
-from .reorder import extended_run, one_shot_state, qhf_prefix_stability
+from .reorder import extended_run, qhf_prefix_stability
 from .rows import Row, dense_width
 from .scalars import RATIONAL, Field, LinForm
 from .solver import general_solution, transform_rhs
@@ -56,11 +56,7 @@ class MatrixSpec:
         if self.kind == "stencil":
             matrix = make_stencil(self.field, self.body)
         elif self.kind == "explicit":
-            top = max(self.body) + 1 if self.body else 0
-            rows = [
-                Row.from_pairs(self.field, self.body.get(k, []))
-                for k in range(top)
-            ]
+            rows = {k: Row.from_pairs(self.field, pairs) for k, pairs in self.body.items()}
             matrix = make_explicit(self.field, rows)
         else:
             matrix = BUILTINS[self.body]()
@@ -276,7 +272,30 @@ def _emit_rows(out, label: str, field: Field, rows: List[Row]) -> None:
         print(_dense_line(field, r, width), file=out)
 
 
+def _emit_pairs(out, label: str, pairs) -> None:
+    print("# %s" % label, file=out)
+    for a, b in pairs:
+        print("%d\t%d" % (a, b), file=out)
+
+
+# --emit name -> (key of the JSON document, TSV writer)
+_REDUCE_SECTIONS = {
+    "rows": ("rows", lambda out, st: _emit_rows(out, "rows", st.field, st.rows)),
+    "passage": ("passage", lambda out, st: _emit_rows(out, "passage", st.field, st.passage)),
+    "pivots": ("pivots", lambda out, st: _emit_pairs(out, "pivots", sorted(st.pivots.items()))),
+    "history": ("pivot_history", lambda out, st: _emit_pairs(
+        out, "history", ((n, -1 if c is None else c) for n, c in enumerate(st.pivot_history)))),
+    "last_changed": ("last_changed", lambda out, st: _emit_pairs(
+        out, "last_changed", enumerate(st.last_changed))),
+}
+_REDUCE_SECTIONS["pivot_history"] = _REDUCE_SECTIONS["history"]
+
+
 def cmd_reduce(args, out) -> int:
+    sections = [s.strip() for s in args.emit.split(",") if s.strip()]
+    for s in sections:
+        if s not in _REDUCE_SECTIONS:
+            raise ParseError(0, "unknown emit section %r" % s)
     matrix = resolve_matrix(args.matrix)
     if args.strategy == "lps":
         print(
@@ -285,38 +304,16 @@ def cmd_reduce(args, out) -> int:
             file=sys.stderr,
         )
     state = run_to(matrix, args.stages, args.strategy)
-    sections = [s.strip() for s in args.emit.split(",") if s.strip()]
     if args.format == "json":
         snap = snapshot(state)
-        keep = {"rows", "passage", "pivots", "pivot_history", "last_changed"}
-        alias = {"history": "pivot_history"}
         doc = {"stage": snap["stage"], "strategy": snap["strategy"]}
         for s in sections:
-            key = alias.get(s, s)
-            if key not in keep:
-                raise ParseError(0, "unknown emit section %r" % s)
+            key = _REDUCE_SECTIONS[s][0]
             doc[key] = snap[key]
         print(json.dumps(doc), file=out)
-        return 0
-    for s in sections:
-        if s == "rows":
-            _emit_rows(out, "rows", state.field, state.rows)
-        elif s == "passage":
-            _emit_rows(out, "passage", state.field, state.passage)
-        elif s == "pivots":
-            print("# pivots", file=out)
-            for col in sorted(state.pivots):
-                print("%d\t%d" % (col, state.pivots[col]), file=out)
-        elif s == "history":
-            print("# history", file=out)
-            for n, col in enumerate(state.pivot_history):
-                print("%d\t%d" % (n, -1 if col is None else col), file=out)
-        elif s == "last_changed":
-            print("# last_changed", file=out)
-            for i, n in enumerate(state.last_changed):
-                print("%d\t%d" % (i, n), file=out)
-        else:
-            raise ParseError(0, "unknown emit section %r" % s)
+    else:
+        for s in sections:
+            _REDUCE_SECTIONS[s][1](out, state)
     return 0
 
 
@@ -413,11 +410,16 @@ def cmd_verify(args, out) -> int:
         ok = verify_row_equivalence(rs.q_passage, matrix, rs.q_rows, args.stages)
     else:
         state = run_to(matrix, args.stages, args.strategy)
-        shot = one_shot_state(matrix, args.stages, args.strategy)
+        rows, passage, history = dense_reduce(
+            [dict(r.support) for r in matrix.top_submatrix(args.stages)],
+            matrix.field.p,
+            leftmost=args.strategy == "lps",
+        )
         ok = (
-            state.rows == shot.rows
-            and state.passage == shot.passage
-            and state.pivots == shot.pivots
+            [r.support for r in state.rows + state.passage]
+            == [tuple(sorted(d.items())) for d in rows + passage]
+            and state.pivot_history == history
+            and state.pivots == {c: i for i, c in enumerate(history) if c is not None}
         )
     print("check %s: %s" % (args.check, "ok" if ok else "failed"), file=out)
     return 0 if ok else 1
@@ -469,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("qhf", "stability"):
             p.add_argument("--prefix", type=int, default=None, metavar="K")
         if name == "qhf":
-            p.add_argument("--oracle", action="store_true")
+            p.add_argument("--oracle", action="store_true",
+                           help="reorder only after stage N; stability indices then floor at N")
         if name == "solve":
             p.add_argument("--rhs", default="symbolic:c")
             p.add_argument("--horizon", type=int, default=None, metavar="H")

@@ -15,11 +15,16 @@ row indices whose reduced row holds a nonzero entry there. The column clear
 of a new pivot visits only the rows the index names for that column, not
 every earlier row, and re-indexes each row it patches. Zero rows hold no
 entries and never appear in the index.
+
+step (with jordan_update) is the package's only elimination: run_to and
+every run of reorder.extended_run, seeded or not, go through it. The dense
+dict-based canon.dense_reduce shares no code with it and serves only as the
+reference that verification compares against.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from . import rows
 from .rows import Row
@@ -92,44 +97,10 @@ class EliminationState:
         return r.maxs if self.strategy == "rps" else r.zeta
 
 
-def gaussian_reduce(state: EliminationState, c: Row) -> Row:
-    """Reduce an incoming row against the current pivot rows.
-
-    Every pivot row is one at its own pivot column and zero at all other
-    pivot columns, so the multiplier against pivot i is just the incoming
-    row's original entry there; the result is independent of pivot order.
-    """
-    reduced, _ = _reduce_with_multipliers(state, c)
-    return reduced
-
-
-def _reduce_with_multipliers(
-    state: EliminationState, c: Row
-) -> Tuple[Row, List[Tuple[int, object]]]:
-    F = state.field
-    mults = []
-    for col, val in c.support:
-        idx = state.pivots.get(col)
-        if idx is not None:
-            mults.append((idx, val))
-    reduced = c
-    for idx, val in mults:
-        reduced = _sub_scaled(reduced, val, state.rows[idx])
-    return reduced, mults
-
-
 def _sub_scaled(y: Row, lam, x: Row) -> Row:
     # looked up on the module at call time, so a wrapper installed on
     # rows.axpy_raw sees every engine call
     return rows.axpy_raw(y.field.neg(lam), x, y)
-
-
-def column_index(reduced: List[Row]) -> Dict[int, Set[int]]:
-    """Column -> indices of the rows with a nonzero entry in that column."""
-    index: Dict[int, Set[int]] = {}
-    for i, r in enumerate(reduced):
-        _index_row(index, i, r)
-    return index
 
 
 def _index_row(index: Dict[int, Set[int]], i: int, r: Row) -> None:
@@ -190,10 +161,16 @@ def step(state: EliminationState, c: Row) -> EliminationState:
     leaves the state as it was.
     """
     n = len(state.rows)
-    reduced, mults = _reduce_with_multipliers(state, c)
+    # every pivot row is one at its own pivot column and zero at all other
+    # pivot columns, so the multiplier against pivot row idx is c's original
+    # entry there and the order of the subtractions does not matter
+    reduced = c
     p = Row.unit(state.field, n)
-    for idx, val in mults:
-        p = _sub_scaled(p, val, state.passage[idx])
+    for col, val in c.support:
+        idx = state.pivots.get(col)
+        if idx is not None:
+            reduced = _sub_scaled(reduced, val, state.rows[idx])
+            p = _sub_scaled(p, val, state.passage[idx])
 
     if reduced.is_zero():
         state.rows.append(reduced)
@@ -229,13 +206,6 @@ def _absorb_floor(state: EliminationState, n: int) -> None:
     if state._floor_max is None or b > state._floor_max:
         state._floor_max = b
     state.validated_through = n
-
-
-def step_lps(state: EliminationState, c: Row) -> EliminationState:
-    """One stage under the leftmost strategy."""
-    if state.strategy != "lps":
-        raise ValueError("state strategy is %r, not lps" % (state.strategy,))
-    return step(state, c)
 
 
 def run_to(matrix, n: int, strategy: str = "rps") -> EliminationState:

@@ -67,14 +67,19 @@ def make_stencil(field: Field, offsets) -> RowFiniteMatrix:
     return RowFiniteMatrix(field, gen)
 
 
-def make_explicit(field: Field, rows: List[Row], tail: str = "zero") -> RowFiniteMatrix:
-    """Finitely many explicit rows followed by an all-zero tail."""
+def make_explicit(field: Field, rows, tail: str = "zero") -> RowFiniteMatrix:
+    """Finitely many explicit rows followed by an all-zero tail.
+
+    rows is a list, or a mapping {index: Row} whose missing indices are zero
+    rows; only the given rows are stored.
+    """
     if tail != "zero":
         raise ValueError("unsupported tail: %r" % (tail,))
-    fixed = list(rows)
+    fixed = dict(rows) if hasattr(rows, "items") else dict(enumerate(rows))
+    zero = Row.zero(field)
 
     def gen(k: int) -> Row:
-        return fixed[k] if k < len(fixed) else Row.zero(field)
+        return fixed.get(k, zero)
 
     return RowFiniteMatrix(field, gen)
 

@@ -11,14 +11,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .engine import (
-    CertificateViolation,
-    EliminationState,
-    IndexOutOfRange,
-    column_index,
-    step,
-)
-from .rows import Row, axpy_raw
+from .engine import EliminationState, IndexOutOfRange, step
+from .rows import Row
+from .rows import axpy_raw  # noqa: F401  (unused; bench/tracing.py patches reorder.axpy_raw)
 
 
 class DuplicateLength(Exception):
@@ -54,7 +49,7 @@ class ReorderState:
     prefix changed content, whether through elimination or through the
     permutation itself; m_history[s] lists, for each k <= s, the largest
     rightmost index among reordered rows 0..k at stage s (None entries mark
-    stages skipped by one-shot seeding).
+    stages before a seeded run's first record).
     """
 
     def __init__(self, base: EliminationState):
@@ -96,11 +91,10 @@ class ReorderState:
 def extended_run(matrix, n: int, strategy: str = "rps", oracle_stages=None) -> "ReorderState":
     """Run the elimination through row n, reordering after every stage.
 
-    With oracle_stages set (True meaning all n+1 rows), the first stages are
-    produced in one shot by a plain dense reduction of the top submatrix and
-    the run continues incrementally from there; the resulting rows, passage
-    and reordered prefix are identical to the purely incremental run, but
-    per-stage change history before the seed point is unavailable and is
+    Every row goes through engine.step. With oracle_stages set (True meaning
+    all n+1 rows), the reordered view is recorded only from that stage on:
+    rows, passage and the reordered prefix are those of the plain run, but
+    per-stage change history before the seed point is not kept and is
     reported conservatively as the seed stage. The returned view keeps the
     plain elimination state on its .base attribute.
     """
@@ -110,87 +104,16 @@ def extended_run(matrix, n: int, strategy: str = "rps", oracle_stages=None) -> "
         )
     if oracle_stages is True:
         oracle_stages = n
-    if oracle_stages is not None:
-        seed = min(int(oracle_stages), n)
-        state = one_shot_state(matrix, seed, strategy)
-        rs = ReorderState(state)
-        rs.record()
-        start = seed + 1
-    else:
-        state = EliminationState(
-            matrix.field, strategy, certificate=getattr(matrix, "certificate", None)
-        )
-        rs = ReorderState(state)
-        start = 0
-    for k in range(start, n + 1):
-        step(state, matrix.row_at(k))
-        rs.record()
-    return rs
-
-
-def one_shot_state(matrix, n: int, strategy: str = "rps") -> EliminationState:
-    """Reduce rows 0..n in a single dense sweep and package the result.
-
-    The sweep visits each row once, reduces it against the pivots found so
-    far, then clears the new pivot column everywhere, so the final rows and
-    passage coincide with the staged run. The change log cannot be
-    reconstructed this way and is set to the seed stage throughout.
-    """
-    F = matrix.field
+    seed = 0 if oracle_stages is None else min(int(oracle_stages), n)
     state = EliminationState(
-        F, strategy, certificate=getattr(matrix, "certificate", None)
+        matrix.field, strategy, certificate=getattr(matrix, "certificate", None)
     )
-    m = n + 1
-    work = [matrix.row_at(k) for k in range(m)]
-    passage = [Row.unit(F, i) for i in range(m)]
-    pivots = {}
-    history: List[Optional[int]] = []
-    for t in range(m):
-        r, q = work[t], passage[t]
-        for col, owner in sorted(pivots.items()):
-            lam = r.raw(col)
-            if lam:
-                r = axpy_raw(F.neg(lam), work[owner], r)
-                q = axpy_raw(F.neg(lam), passage[owner], q)
-        if r.is_zero():
-            work[t], passage[t] = r, q
-            history.append(None)
-            continue
-        col = r.maxs if strategy == "rps" else r.zeta
-        inv = F.inv(r.raw(col))
-        r, q = r.scaled_raw(inv), q.scaled_raw(inv)
-        work[t], passage[t] = r, q
-        history.append(col)
-        for i in range(m):
-            if i != t:
-                mu = work[i].raw(col)
-                if mu:
-                    work[i] = axpy_raw(F.neg(mu), r, work[i])
-                    passage[i] = axpy_raw(F.neg(mu), q, passage[i])
-        pivots[col] = t
-    state.rows = work
-    state.passage = passage
-    state.pivots = pivots
-    state.pivot_history = history
-    state.last_changed = [n] * m
-    state.column_rows = column_index(work)
-    _validate_seeded_floor(state, history)
-    return state
-
-
-def _validate_seeded_floor(state: EliminationState, history) -> None:
-    cert = state.certificate
-    if cert is None:
-        return
-    running = None
-    for t, col in enumerate(history):
-        if col is not None and running is not None and col < running:
-            raise CertificateViolation(t, col, running)
-        b = cert.promise(t)
-        if running is None or b > running:
-            running = b
-    state._floor_max = running
-    state.validated_through = state.stage
+    rs = ReorderState(state)
+    for k in range(n + 1):
+        step(state, matrix.row_at(k))
+        if k >= seed:
+            rs.record()
+    return rs
 
 
 def qhf_prefix_stability(history, k: int) -> int:

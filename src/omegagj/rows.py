@@ -108,18 +108,6 @@ class Row:
         return "Row(%s)" % (self if self.support else "0")
 
 
-def maxs(r: Row) -> Optional[int]:
-    return r.maxs
-
-
-def zeta(r: Row) -> Optional[int]:
-    return r.zeta
-
-
-def get(r: Row, col: int) -> Scalar:
-    return r.get(col)
-
-
 def axpy_raw(lam, x: Row, y: Row) -> Row:
     """Return y + lam * x by merging the two sorted supports."""
     F = x.field
@@ -140,16 +128,6 @@ def normalize_rightmost(r: Row) -> Row:
     if r.is_zero():
         return r
     lead = r.support[-1][1]
-    if lead == r.field.one():
-        return r
-    return r.scaled_raw(r.field.inv(lead))
-
-
-def normalize_leftmost(r: Row) -> Row:
-    """Scale so the leftmost coefficient is one; zero row stays zero."""
-    if r.is_zero():
-        return r
-    lead = r.support[0][1]
     if lead == r.field.one():
         return r
     return r.scaled_raw(r.field.inv(lead))

@@ -324,25 +324,6 @@ class Scalar:
         return "Scalar(%r, %s)" % (self.field, self.value)
 
 
-def scalar_arith(a: Scalar, b: Optional[Scalar], op: str):
-    """Dispatch one exact operation: add|sub|mul|div|neg|inv|eq."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inv()
-    if op == "eq":
-        return a == b
-    raise ValueError("unknown op: %r" % (op,))
-
-
 # Symbols are (namespace, index) pairs: ("t", 3) prints as t_3.
 
 
@@ -497,12 +478,6 @@ def _signed(F: Field, c, sym: Optional[str], first: bool) -> str:
     if first:
         return body if sign == "+" else "-" + body
     return (" + " if sign == "+" else " - ") + body
-
-
-def linform_axpy(lam: Scalar, x: LinForm, y: LinForm) -> LinForm:
-    """Return y + lam * x."""
-    check_same_field(lam.field, x.field)
-    return y + x.scaled_raw(lam.value)
 
 
 def linform_eval(form: LinForm, binding: dict) -> Scalar:

@@ -1,78 +1,18 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately written in a different style from the
-package: rows are plain {column: value} dicts, reduction is the classic
-one-shot dense sweep with eager column clearing, and orderings are realized
-by sorting with explicit comparison keys. Agreement between these and the
+engine: rows are plain {column: value} dicts, and orderings are realized by
+sorting with explicit comparison keys. The dense reduction itself is the
+package's omegagj.canon.dense_reduce (the classic one-shot sweep with eager
+column clearing, over dicts, sharing no code with the engine), which
+`verify --check oracle` uses too. Agreement between these and the
 incremental engine is one of the main test properties.
 """
 
 from fractions import Fraction
 
-
-def _sub_scaled(target, lam, source, p=None):
-    """target -= lam * source, in place, dropping zeros."""
-    for c, v in source.items():
-        nv = target.get(c, 0) - lam * v
-        if p is not None:
-            nv %= p
-        if nv:
-            target[c] = nv
-        else:
-            target.pop(c, None)
-
-
-def _scale(row, lam, p=None):
-    for c in list(row):
-        nv = row[c] * lam
-        if p is not None:
-            nv %= p
-        row[c] = nv
-
-
-def _inv(v, p=None):
-    if p is None:
-        return Fraction(1, 1) / v
-    return pow(v, -1, p)
-
-
-def one_shot_reduce(rows, p=None, leftmost=False):
-    """Classic Gauss-Jordan with rightmost (or leftmost) pivots.
-
-    rows: list of {col: value} dicts (Fractions, or ints when p is given).
-    Returns (reduced rows, passage rows, pivot history) where passage row i
-    expresses reduced row i in terms of the inputs and history holds the
-    pivot column per row (None for rows that vanished).
-    """
-    n = len(rows)
-    work = [dict(r) for r in rows]
-    passage = [{i: Fraction(1) if p is None else 1 % p} for i in range(n)]
-    pivots = {}
-    history = []
-    for t in range(n):
-        r, q = work[t], passage[t]
-        for col, owner in list(pivots.items()):
-            lam = r.get(col)
-            if lam:
-                _sub_scaled(r, lam, work[owner], p)
-                _sub_scaled(q, lam, passage[owner], p)
-        if not r:
-            history.append(None)
-            continue
-        col = min(r) if leftmost else max(r)
-        lead = _inv(r[col], p)
-        _scale(r, lead, p)
-        _scale(q, lead, p)
-        pivots[col] = t
-        history.append(col)
-        for i in range(n):
-            if i == t:
-                continue
-            mu = work[i].get(col)
-            if mu:
-                _sub_scaled(work[i], mu, r, p)
-                _sub_scaled(passage[i], mu, q, p)
-    return work, passage, history
+from omegagj.canon import _dict_sub_scaled as _sub_scaled
+from omegagj.canon import dense_reduce  # noqa: F401  (re-exported for the tests)
 
 
 def matmul_check(passage, inputs, outputs, p=None):

@@ -51,7 +51,7 @@ from fixtures import (
     bidiag_reduced_row,
     PDE_QHF,
 )
-from oracles import matmul_check, one_shot_reduce
+from oracles import dense_reduce, matmul_check
 from util import field_for, mk_rows, random_dict_rows, row_dict, rows_dicts
 
 F1 = Fraction(1)
@@ -181,7 +181,7 @@ def test_6_incremental_reduction_matches_dense_oracle(rng):
         for stage in range(n):
             step(state, matrix.row_at(stage))
             born_maxs.append(state.rows[stage].maxs)
-            ow, opass, ohist = one_shot_reduce(dicts[: stage + 1], p)
+            ow, opass, ohist = dense_reduce(dicts[: stage + 1], p)
             assert rows_dicts(state.rows) == ow
             assert rows_dicts(state.passage) == opass
             assert state.pivot_history == ohist

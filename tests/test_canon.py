@@ -20,11 +20,11 @@ from omegagj import (
     reorder_prefix,
     right_set,
     run_to,
-    step_lps,
+    step,
     verify_row_equivalence,
 )
 from fixtures import FULKERSON_INPUT, FULKERSON_REDUCED, PDE_QHF
-from oracles import is_lref_dict, is_lrrf_dict, one_shot_reduce
+from oracles import dense_reduce, is_lref_dict, is_lrrf_dict
 from util import mk_row, mk_rows, random_dict_rows, rows_dicts
 
 F1 = Fraction(1)
@@ -68,7 +68,7 @@ def test_upper_mirrors_on_leftmost_run():
     m = BUILTINS["bidiag"]()
     state = EliminationState(RATIONAL, "lps")
     for k in range(6):
-        step_lps(state, m.row_at(k))
+        step(state, m.row_at(k))
     assert is_urrf(state.rows)
     assert is_uref(state.rows)
     assert not is_urrf(mk_rows(RATIONAL, [{0: 2 * F1}]))
@@ -127,7 +127,7 @@ def test_form_predicates_agree_with_dict_oracles(rng):
     for trial in range(60):
         p = 7 if trial % 2 else None
         dicts = random_dict_rows(rng, rng.randint(1, 8), 12, 4, p)
-        reduced, _, _ = one_shot_reduce(dicts, p)
+        reduced, _, _ = dense_reduce(dicts, p)
         field = RATIONAL if p is None else __import__("omegagj").Field.gf(7)
         as_rows = mk_rows(field, reduced)
         assert bool(is_lrrf(as_rows)) == is_lrrf_dict(reduced, p)

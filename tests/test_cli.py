@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from omegagj import Field, RATIONAL, parse_row
+from omegagj import Field, RATIONAL, RationalField, Row, parse_row
 from omegagj.cli import (
     MatrixSpec,
     ParseError,
@@ -15,7 +15,7 @@ from omegagj.cli import (
     resolve_rhs,
 )
 from fixtures import bidiag_lps_row, bidiag_reduced_row
-from util import row_dict
+from util import gf_band_text, row_dict
 
 F1 = Fraction(1)
 
@@ -74,6 +74,21 @@ def test_parse_builtin_spec_attaches_floor():
     assert m.certificate is not None
     assert m.certificate.promise(0) == 5
     assert m.certificate.promise(3) == 8
+
+
+def test_explicit_spec_builds_only_listed_rows(monkeypatch):
+    calls = []
+    from_pairs = Row.from_pairs.__func__
+
+    def counting(cls, field, pairs):
+        calls.append(field)
+        return from_pairs(cls, field, pairs)
+
+    monkeypatch.setattr(Row, "from_pairs", classmethod(counting))
+    m = parse_spec("field rational\nkind explicit\nrow 100000 0:1\ntail zero\n").build()
+    assert len(calls) == 1
+    assert m.row_at(3).is_zero()
+    assert row_dict(m.generator(100000)) == {0: F1}
 
 
 @pytest.mark.parametrize("text", [STENCIL_TEXT, EXPLICIT_TEXT, BUILTIN_TEXT])
@@ -199,6 +214,15 @@ def test_reduce_json_matches_tsv_after_densify(capsys):
             assert [RATIONAL.format(v) for v in r.dense(width)] == line.split("\t")
 
 
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_bad_emit_section_rejected_before_any_output(fmt, capsys):
+    argv = ["reduce", "bidiag", "--stages", "2", "--emit", "rows,wat", "--format", fmt]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_reduce_leftmost_strategy_warns_about_drift(capsys):
     assert main(["reduce", "bidiag", "--stages", "2", "--strategy", "lps"]) == 0
     captured = capsys.readouterr()
@@ -317,6 +341,31 @@ def test_solve_certified_entries_with_floor(tmp_path, capsys):
 def test_verify_checks_pass(check, capsys):
     assert main(["verify", "pde", "--stages", "9", "--check", check]) == 0
     assert capsys.readouterr().out == "check %s: ok\n" % check
+
+
+@pytest.mark.parametrize(
+    "name,stages,strategy", [("gf-band", 40, "rps"), ("gf-band", 40, "lps"), ("pde", 9, "lps")]
+)
+def test_verify_oracle_passes_over_gf_and_lps(name, stages, strategy, tmp_path, capsys):
+    matrix = name
+    if name == "gf-band":
+        matrix = str(tmp_path / "band.txt")
+        (tmp_path / "band.txt").write_text(gf_band_text())
+    argv = ["verify", matrix, "--stages", str(stages), "--strategy", strategy]
+    assert main(argv + ["--check", "oracle"]) == 0
+    assert capsys.readouterr().out == "check oracle: ok\n"
+
+
+def test_verify_oracle_rejects_rows_with_explicit_zeros(monkeypatch, capsys):
+    def keeps_cancelled_zeros(self, lam, xs, ys):
+        out = dict(ys)
+        for c, v in xs:
+            out[c] = out.get(c, 0) + lam * v
+        return tuple(sorted(out.items()))
+
+    monkeypatch.setattr(RationalField, "axpy_support", keeps_cancelled_zeros)
+    assert main(["verify", "bidiag", "--stages", "12", "--check", "oracle"]) == 1
+    assert capsys.readouterr().out == "check oracle: failed\n"
 
 
 def test_verify_lrrf_fails_for_drifting_strategy(capsys):

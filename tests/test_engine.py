@@ -22,10 +22,8 @@ from omegagj import (
     run_to,
     snapshot,
     step,
-    step_lps,
 )
-from omegagj.engine import gaussian_reduce, jordan_update
-from omegagj.reorder import one_shot_state
+from omegagj.engine import jordan_update
 from omegagj.rows import parse_row
 from fixtures import (
     FULKERSON_NULLSPACE,
@@ -36,7 +34,7 @@ from fixtures import (
     bidiag_passage_row,
     bidiag_reduced_row,
 )
-from oracles import one_shot_reduce
+from oracles import dense_reduce
 from util import field_for, mk_row, mk_rows, row_dict, rows_dicts
 
 GF7 = Field.gf(7)
@@ -69,9 +67,13 @@ def test_step_zero_row_keeps_passage_combination():
 def test_gaussian_reduce_uses_original_entries():
     state = run_to(BUILTINS["bidiag"](), 2)
     incoming = mk_row(RATIONAL, {1: Fraction(2), 3: Fraction(5)})
-    reduced = gaussian_reduce(state, incoming)
-    # pivots 1, 2, 3 belong to rows 0, 1, 2; entries at 1 and 3 are removed
-    assert reduced.raw(1) == 0 and reduced.raw(3) == 0
+    step(state, incoming)
+    # pivots 1, 2, 3 belong to rows 0, 1, 2, so the incoming row loses 2 * row 0
+    # and 5 * row 2 = 2 * (e_0 + e_1) + 5 * (e_0 + e_3); -7 e_0 is left to pivot
+    assert row_dict(state.rows[3]) == {0: Fraction(1)}
+    assert row_dict(state.passage[3]) == {
+        0: Fraction(1), 1: Fraction(-5, 7), 2: Fraction(5, 7), 3: Fraction(-1, 7)
+    }
 
 
 def test_jordan_update_guards():
@@ -129,17 +131,11 @@ def test_lps_run_matches_drift_formula():
     m = BUILTINS["bidiag"]()
     state = EliminationState(RATIONAL, "lps")
     for k in range(5):
-        step_lps(state, m.row_at(k))
+        step(state, m.row_at(k))
     n = 5
     for i in range(n):
         assert row_dict(state.rows[i]) == bidiag_lps_row(i, n)
     assert state.rows[0].maxs == n
-
-
-def test_step_lps_rejects_rightmost_state():
-    state = EliminationState(RATIONAL, "rps")
-    with pytest.raises(ValueError):
-        step_lps(state, Row.unit(RATIONAL, 0))
 
 
 def test_run_to_over_gf():
@@ -300,7 +296,7 @@ def dict_matrices(draw):
 
 
 def _assert_matches_oracle(state, dicts, p, leftmost=False):
-    rows, passage, history = one_shot_reduce(dicts, p, leftmost)
+    rows, passage, history = dense_reduce(dicts, p, leftmost)
     assert rows_dicts(state.rows) == rows
     assert rows_dicts(state.passage) == passage
     assert state.pivot_history == history
@@ -325,14 +321,8 @@ def test_seeded_runs_keep_index_exact_and_match_oracle(case, seed):
     F = field_for(p)
     n = len(dicts) - 1
     seed = min(seed, n)
-    matrix = make_explicit(F, mk_rows(F, dicts))
-    state = one_shot_state(matrix, seed)
-    assert state.column_rows == _recomputed_index(state.rows)
-    for k in range(seed + 1, n + 1):
-        step(state, matrix.row_at(k))
-        assert state.column_rows == _recomputed_index(state.rows)
-    _assert_matches_oracle(state, dicts, p)
-
     seeded = extended_run(make_explicit(F, mk_rows(F, dicts)), n, oracle_stages=seed)
     assert seeded.base.column_rows == _recomputed_index(seeded.base.rows)
     _assert_matches_oracle(seeded.base, dicts, p)
+    assert seeded.m_history[:seed] == [None] * seed
+    assert None not in seeded.m_history[seed:]

@@ -12,32 +12,7 @@ import io
 import pytest
 
 from omegagj.cli import main
-
-GF_PRIME = 32003
-
-
-def _gf_band_text(n=40):
-    """A banded GF(32003) matrix with empty rows and repeated combinations,
-    so both kinds of zero reduced rows and solve constraints appear."""
-    rows = []
-    lines = ["field gf %d" % GF_PRIME, "kind explicit"]
-    for k in range(n + 1):
-        if k % 9 == 4:
-            row = {}
-        elif k % 7 == 6:
-            row = {}
-            for lam, src in ((3, rows[k - 2]), (GF_PRIME - 5, rows[k - 5])):
-                for c, v in src.items():
-                    row[c] = (row.get(c, 0) + lam * v) % GF_PRIME
-            row = {c: v for c, v in row.items() if v}
-        else:
-            row = {k + o: (7919 * k * k + 104729 * o + 1) % GF_PRIME for o in range(4)}
-            row = {c: v for c, v in row.items() if v}
-        rows.append(row)
-        if row:
-            lines.append("row %d %s" % (k, " ".join("%d:%d" % cv for cv in sorted(row.items()))))
-    lines.append("tail zero")
-    return "\n".join(lines) + "\n"
+from util import gf_band_text
 
 
 def _argv(command, matrix, n, fmt="tsv"):
@@ -75,7 +50,7 @@ def test_command_output_digest(name, command, fmt, tmp_path):
     matrix = name
     if name == "gf-band":
         path = tmp_path / "band.txt"
-        path.write_text(_gf_band_text())
+        path.write_text(gf_band_text())
         matrix = str(path)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):

@@ -46,11 +46,12 @@ def test_stencil_zero_values_dropped():
 
 def test_explicit_prefix_and_zero_tail():
     rows = mk_rows(RATIONAL, [{2: Fraction(1)}, {}, {0: Fraction(5)}])
-    m = make_explicit(RATIONAL, rows)
-    assert m.row_at(0) == rows[0]
-    assert m.row_at(1).is_zero()
-    assert m.row_at(2) == rows[2]
-    assert m.row_at(7).is_zero()
+    for given in (rows, {0: rows[0], 2: rows[2]}):
+        m = make_explicit(RATIONAL, given)
+        assert m.row_at(0) == rows[0]
+        assert m.row_at(1).is_zero()
+        assert m.row_at(2) == rows[2]
+        assert m.row_at(7).is_zero()
 
 
 def test_row_memoization_is_stable():

@@ -10,8 +10,8 @@ from omegagj import (
     PivotFloor,
     RATIONAL,
     Row,
+    dense_reduce,
     extended_run,
-    one_shot_state,
     prefix_stability,
     qhf_prefix_stability,
     reorder_prefix,
@@ -105,13 +105,16 @@ def test_qhf_prefix_stability_bounds():
 
 @pytest.mark.parametrize("name", ["bidiag", "repeated", "fulkerson", "pde"])
 def test_one_shot_state_agrees_with_staged_run(name):
+    # the one-shot dense reference against both the plain and the seeded run
+    rows, passage, history = dense_reduce(rows_dicts(BUILTINS[name]().top_submatrix(9)))
     staged = run_to(BUILTINS[name](), 9)
-    shot = one_shot_state(BUILTINS[name](), 9)
-    assert shot.rows == staged.rows
-    assert shot.passage == staged.passage
-    assert shot.pivots == staged.pivots
-    assert shot.pivot_history == staged.pivot_history
-    assert shot.stage == staged.stage
+    seeded = extended_run(BUILTINS[name](), 9, oracle_stages=True).base
+    for state in (staged, seeded):
+        assert rows_dicts(state.rows) == rows
+        assert rows_dicts(state.passage) == passage
+        assert state.pivot_history == history
+        assert state.pivots == {c: i for i, c in enumerate(history) if c is not None}
+        assert state.stage == 9
 
 
 @pytest.mark.parametrize("seed", [True, 0, 4, 9])
@@ -136,17 +139,13 @@ def test_seeded_run_reports_conservative_stability():
 def test_seeded_run_validates_floor():
     m = BUILTINS["bidiag"]()
     m.certificate = PivotFloor.affine(1, 1)
-    shot = one_shot_state(m, 9)
-    assert shot.validated_through == 9
+    assert extended_run(m, 9, oracle_stages=True).base.validated_through == 9
 
     bad = BUILTINS["bidiag"]()
     bad.certificate = PivotFloor.affine(1, 5)
-    with pytest.raises(CertificateViolation):
-        one_shot_state(bad, 9)
-    worse = BUILTINS["bidiag"]()
-    worse.certificate = PivotFloor.affine(1, 5)
-    with pytest.raises(CertificateViolation):
-        extended_run(worse, 9, oracle_stages=True)
+    with pytest.raises(CertificateViolation) as info:
+        extended_run(bad, 9, oracle_stages=True)
+    assert (info.value.stage, info.value.column, info.value.floor) == (1, 2, 5)
 
 
 def test_extended_run_rejects_leftmost_strategy():

@@ -12,7 +12,7 @@ from omegagj import (
     LinForm,
     Scalar,
 )
-from omegagj.scalars import linform_eval, scalar_arith
+from omegagj.scalars import linform_eval
 
 GF7 = Field.gf(7)
 
@@ -120,11 +120,6 @@ def test_scalar_arithmetic_and_dispatch():
     assert (a / b).value == Fraction(3, 2)
     assert (-a).value == -3
     assert b.inv().value == Fraction(1, 2)
-    assert scalar_arith(a, b, "add") == Scalar.of(RATIONAL, 5)
-    assert scalar_arith(a, None, "neg") == Scalar.of(RATIONAL, -3)
-    assert scalar_arith(a, a, "eq") is True
-    with pytest.raises(ValueError):
-        scalar_arith(a, b, "pow")
 
 
 def test_scalar_gf_wraps_modulus():

@@ -47,3 +47,31 @@ def random_dict_rows(rng, n, max_cols, max_support, p=None):
 
 def field_for(p=None) -> Field:
     return RATIONAL if p is None else Field.gf(p)
+
+
+GF_PRIME = 32003
+
+
+def gf_band_text(n=40):
+    """A banded GF(32003) matrix file with empty rows and repeated
+    combinations, so both kinds of zero reduced rows and solve constraints
+    appear."""
+    rows = []
+    lines = ["field gf %d" % GF_PRIME, "kind explicit"]
+    for k in range(n + 1):
+        if k % 9 == 4:
+            row = {}
+        elif k % 7 == 6:
+            row = {}
+            for lam, src in ((3, rows[k - 2]), (GF_PRIME - 5, rows[k - 5])):
+                for c, v in src.items():
+                    row[c] = (row.get(c, 0) + lam * v) % GF_PRIME
+            row = {c: v for c, v in row.items() if v}
+        else:
+            row = {k + o: (7919 * k * k + 104729 * o + 1) % GF_PRIME for o in range(4)}
+            row = {c: v for c, v in row.items() if v}
+        rows.append(row)
+        if row:
+            lines.append("row %d %s" % (k, " ".join("%d:%d" % cv for cv in sorted(row.items()))))
+    lines.append("tail zero")
+    return "\n".join(lines) + "\n"
