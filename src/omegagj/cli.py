@@ -13,10 +13,10 @@ from .canon import dense_reduce, is_lrrf, is_qhf, verify_row_equivalence
 from .engine import (
     CertificateViolation,
     PivotFloor,
+    SNAPSHOT_SECTIONS,
     certified_stable,
     prefix_stability,
     run_to,
-    snapshot,
 )
 from .matrices import BUILTINS, RowFiniteMatrix, make_explicit, make_stencil
 from .reorder import extended_run, qhf_prefix_stability
@@ -278,7 +278,8 @@ def _emit_pairs(out, label: str, pairs) -> None:
         print("%d\t%d" % (a, b), file=out)
 
 
-# --emit name -> (key of the JSON document, TSV writer)
+# --emit name -> (JSON key, whose value engine.SNAPSHOT_SECTIONS[key] builds,
+# TSV writer)
 _REDUCE_SECTIONS = {
     "rows": ("rows", lambda out, st: _emit_rows(out, "rows", st.field, st.rows)),
     "passage": ("passage", lambda out, st: _emit_rows(out, "passage", st.field, st.passage)),
@@ -305,11 +306,10 @@ def cmd_reduce(args, out) -> int:
         )
     state = run_to(matrix, args.stages, args.strategy)
     if args.format == "json":
-        snap = snapshot(state)
-        doc = {"stage": snap["stage"], "strategy": snap["strategy"]}
+        doc = {"stage": state.stage, "strategy": state.strategy}
         for s in sections:
             key = _REDUCE_SECTIONS[s][0]
-            doc[key] = snap[key]
+            doc[key] = SNAPSHOT_SECTIONS[key](state)
         print(json.dumps(doc), file=out)
     else:
         for s in sections:

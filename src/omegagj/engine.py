@@ -258,14 +258,19 @@ def nullspace_basis(state: EliminationState) -> List[Row]:
     ]
 
 
+# snapshot key -> builder of its JSON-ready value from the state
+SNAPSHOT_SECTIONS: Dict[str, Callable[[EliminationState], object]] = {
+    "rows": lambda st: [str(r) for r in st.rows],
+    "passage": lambda st: [str(p) for p in st.passage],
+    "pivots": lambda st: {str(col): idx for col, idx in sorted(st.pivots.items())},
+    "pivot_history": lambda st: [-1 if c is None else c for c in st.pivot_history],
+    "last_changed": lambda st: list(st.last_changed),
+}
+
+
 def snapshot(state: EliminationState) -> dict:
     """JSON-ready summary of the state, sparse rows as 'col:val' text."""
-    return {
-        "stage": state.stage,
-        "strategy": state.strategy,
-        "rows": [str(r) for r in state.rows],
-        "passage": [str(p) for p in state.passage],
-        "pivots": {str(col): idx for col, idx in sorted(state.pivots.items())},
-        "pivot_history": [-1 if c is None else c for c in state.pivot_history],
-        "last_changed": list(state.last_changed),
-    }
+    doc = {"stage": state.stage, "strategy": state.strategy}
+    for key, build in SNAPSHOT_SECTIONS.items():
+        doc[key] = build(state)
+    return doc

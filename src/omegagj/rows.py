@@ -11,7 +11,10 @@ class Row:
     """An immutable finitely supported sequence indexed by naturals.
 
     support is a tuple of (column, raw value) pairs with strictly increasing
-    columns and no zero values, so equal rows have equal supports.
+    columns and no zero values, so equal rows have equal supports. Raw
+    values are lowest-terms Fractions over the rationals and ints in
+    [1, p) over GF(p); from_pairs converts ints, and RowFiniteMatrix.row_at
+    rejects generator rows that break any of this.
     """
 
     __slots__ = ("field", "support")
@@ -30,6 +33,8 @@ class Row:
             if isinstance(val, Scalar):
                 check_same_field(field, val.field)
                 val = val.value
+            elif not field.accepts(val):
+                raise ValueError("column %d: %r is not a value of %r" % (col, val, field))
             v = field.add(acc.get(col, field.zero()), val)
             if v:
                 acc[col] = v

@@ -8,7 +8,8 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional
+from math import gcd
+from typing import Optional, Tuple
 
 
 class FieldMismatch(Exception):
@@ -31,6 +32,23 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+_new_object = object.__new__
+
+
+def _rational(n: int, d: int) -> Fraction:
+    """The Fraction n/d for coprime n and d > 0, without re-normalising.
+
+    Fraction(n, d) checks types and divides out a gcd on every call; the
+    rational kernels have already reduced their results, so they set
+    Fraction's two slots (_numerator, _denominator on Python 3.10-3.13)
+    directly on a bare instance.
+    """
+    f = _new_object(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
 
 
 class Field:
@@ -91,7 +109,12 @@ class Field:
 
 
 class RationalField(Field):
-    """The rationals, with Fraction values."""
+    """The rationals, with Fraction values.
+
+    Row values are lowest-terms Fractions. The sparse kernels work on their
+    numerator/denominator pairs in integers and build each result with
+    _rational, so they never go through Fraction's operators.
+    """
 
     __slots__ = ()
 
@@ -134,37 +157,79 @@ class RationalField(Field):
         """Parse the canonical text form: 'p/q' or 'p'."""
         return Fraction(text)
 
+    def sign_and_magnitude(self, a) -> Tuple[str, str]:
+        """'+' or '-', read from the numerator, and the text of |a|."""
+        n, d = a.numerator, a.denominator
+        sign = "+"
+        if n < 0:
+            sign, n = "-", -n
+        return sign, ("%d" % n if d == 1 else "%d/%d" % (n, d))
+
+    def accepts(self, v) -> bool:
+        """Whether Row.from_pairs takes v as a value: an int or a Fraction."""
+        return isinstance(v, (int, Fraction))
+
+    def entry_error(self, v) -> Optional[str]:
+        """Why v cannot be a stored row value, or None: it must be a
+        nonzero Fraction."""
+        if type(v) is not Fraction:
+            return "value must be a Fraction"
+        return None if v else "zero value"
+
     def scale_support(self, lam, xs: tuple) -> tuple:
         """lam times a sparse support; lam is nonzero and not one."""
-        if lam == -1:
-            return tuple([(c, -v) for c, v in xs])
-        return tuple([(c, lam * v) for c, v in xs])
+        a, b = lam.numerator, lam.denominator
+        if a == -1 and b == 1:
+            return tuple([(c, _rational(-v._numerator, v._denominator)) for c, v in xs])
+        out = []
+        append = out.append
+        for c, v in xs:
+            n = a * v._numerator
+            d = b * v._denominator
+            g = gcd(n, d)
+            append((c, _rational(n // g, d // g)))
+        return tuple(out)
 
     def axpy_support(self, lam, xs: tuple, ys: tuple) -> tuple:
         """ys + lam * xs for two sorted zero-free supports; lam is nonzero.
 
-        lam == 1 and lam == -1 skip the multiplication, and entries of ys
-        that xs does not reach are passed through as they are.
+        Each value is worked on as its numerator/denominator pair: with
+        lam = a/b, vx = p/q and vy = r/s the sum is (r*b*q + a*p*s) / (s*b*q),
+        reduced by one gcd. Where only xs holds a column, lam == 1 passes
+        its entry through and lam == -1 flips its sign without a gcd; entries
+        of ys that xs does not reach are passed through as they are.
         """
+        a, b = lam.numerator, lam.denominator
+        sign = a if b == 1 and (a == 1 or a == -1) else 0
         out = []
         append = out.append
         nx, ny = len(xs), len(ys)
         i = j = 0
-        sign = 1 if lam == 1 else -1 if lam == -1 else 0
         while i < nx and j < ny:
             cx, vx = xs[i]
             cy = ys[j][0]
             if cx < cy:
-                append(xs[i] if sign == 1 else (cx, -vx if sign else lam * vx))
+                if sign == 1:
+                    append(xs[i])
+                elif sign:
+                    append((cx, _rational(-vx._numerator, vx._denominator)))
+                else:
+                    n = a * vx._numerator
+                    d = b * vx._denominator
+                    g = gcd(n, d)
+                    append((cx, _rational(n // g, d // g)))
                 i += 1
             elif cy < cx:
                 append(ys[j])
                 j += 1
             else:
                 vy = ys[j][1]
-                v = vy + vx if sign == 1 else vy - vx if sign else vy + lam * vx
-                if v:
-                    append((cx, v))
+                q, s = vx._denominator, vy._denominator
+                n = vy._numerator * b * q + a * vx._numerator * s
+                d = s * b * q
+                if n:
+                    g = gcd(n, d)
+                    append((cx, _rational(n // g, d // g)))
                 i += 1
                 j += 1
         if i < nx:
@@ -223,6 +288,21 @@ class PrimeField(Field):
     def parse(self, text: str):
         """Parse a residue: any integer text, reduced mod p."""
         return int(text) % self.p
+
+    def sign_and_magnitude(self, a) -> Tuple[str, str]:
+        """Residues carry no sign: '+' and the bare residue."""
+        return "+", str(a)
+
+    def accepts(self, v) -> bool:
+        """Whether Row.from_pairs takes v as a value: any int (reduced mod p)."""
+        return isinstance(v, int)
+
+    def entry_error(self, v) -> Optional[str]:
+        """Why v cannot be a stored row value, or None: it must be an int
+        in [1, p)."""
+        if type(v) is not int or not 0 <= v < self.p:
+            return "value must be an int in [0, %d)" % self.p
+        return None if v else "zero value"
 
     def scale_support(self, lam, xs: tuple) -> tuple:
         """lam times a sparse support; lam is a nonzero residue."""
@@ -468,24 +548,10 @@ class LinForm:
 
 def _signed(F: Field, c, sym: Optional[str], first: bool) -> str:
     """Render one signed term; rationals show sign, gf shows bare residues."""
-    if F.kind == "rational" and c < 0:
-        sign, mag = "-", -c
-    else:
-        sign, mag = "+", c
-    body = F.format(mag)
+    sign, body = F.sign_and_magnitude(c)
     if sym is not None:
-        body = sym if mag == F.one() else "%s*%s" % (body, sym)
+        body = sym if body == "1" else "%s*%s" % (body, sym)
     if first:
         return body if sign == "+" else "-" + body
     return (" + " if sign == "+" else " - ") + body
 
-
-def linform_eval(form: LinForm, binding: dict) -> Scalar:
-    """Evaluate under a total assignment of symbols to Scalars."""
-    F = form.field
-    acc = form.constant
-    for s, c in form.terms.items():
-        v = binding[s]
-        check_same_field(F, v.field)
-        acc = F.add(acc, F.mul(c, v.value))
-    return Scalar(F, acc)

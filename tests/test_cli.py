@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -212,6 +213,37 @@ def test_reduce_json_matches_tsv_after_densify(capsys):
         for sparse, line in zip(doc[label], dense_lines):
             r = parse_row(RATIONAL, sparse)
             assert [RATIONAL.format(v) for v in r.dense(width)] == line.split("\t")
+
+
+def test_reduce_json_pivots_formats_no_row(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("a Row was rendered")
+
+    monkeypatch.setattr(Row, "__str__", refuse)
+    assert main(["reduce", "bidiag", "--stages", "30", "--format", "json", "--emit", "pivots"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"stage": 30, "strategy": "rps", "pivots": {str(k + 1): k for k in range(31)}}
+
+
+# sha256 of `reduce pde --stages 20 --format json --emit SECTIONS`, recorded
+# while every JSON section was still cut out of one full snapshot
+JSON_SECTION_DIGESTS = {
+    "rows": "60e4750d0123e805f153139bac2f5ebb94c0fad847b985b1bcf90b9e95495471",
+    "passage": "d19e74134c762aa2008c860d0ca5f48bce768309cb8e14e8d750d0108ecb7e76",
+    "pivots": "0fcae6a61d07c5deb11b6b06dd8d11ac18da3a81e4688a36643afdd3acf9ce00",
+    "history": "a5bb86725fc2fe5ec8e9041b5b238cc7f9d9bd7ab5f8dbf6aaa8fbf00d782d86",
+    "pivot_history": "a5bb86725fc2fe5ec8e9041b5b238cc7f9d9bd7ab5f8dbf6aaa8fbf00d782d86",
+    "last_changed": "14b4ef6915f241e1d2aa494157fe25dc3bd56b1297b07d34663abff1ab74a4b6",
+    "last_changed,pivots,rows": "a16bf232f11d4dc2c6a8193eb79b9782da19b6582000f2c0d10c0078ddf5b1a9",
+}
+
+
+@pytest.mark.parametrize("sections", sorted(JSON_SECTION_DIGESTS))
+def test_reduce_json_sections_unchanged(sections, capsys):
+    argv = ["reduce", "pde", "--stages", "20", "--format", "json", "--emit", sections]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == JSON_SECTION_DIGESTS[sections]
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "json"])

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,38 @@ def test_row_memoization_is_stable():
     r5b = m.row_at(5)
     assert r5a is r5b
     assert calls == [0, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "field,support,reason",
+    [
+        (RATIONAL, ((3, Fraction(1)), (1, Fraction(2))), "increasing"),
+        (RATIONAL, ((1, Fraction(1)), (1, Fraction(2))), "increasing"),
+        (RATIONAL, ((-1, Fraction(1)),), "negative"),
+        (RATIONAL, ((0, Fraction(0)),), "zero"),
+        (RATIONAL, ((0, 1),), "Fraction"),
+        (RATIONAL, ((0, 0.5),), "Fraction"),
+        (GF7, ((0, 0),), "zero"),
+        (GF7, ((0, 7),), r"\[0, 7\)"),
+        (GF7, ((0, -1),), r"\[0, 7\)"),
+        (GF7, ((0, Fraction(1)),), r"\[0, 7\)"),
+    ],
+    ids=["unsorted", "repeated", "negative", "q-zero", "q-int", "q-float",
+         "gf-zero", "gf-p", "gf-negative", "gf-fraction"],
+)
+def test_row_at_rejects_non_canonical_generator_rows(field, support, reason):
+    m = RowFiniteMatrix(field, lambda k: Row(field, support if k == 2 else ()))
+    assert m.row_at(1).is_zero()
+    with pytest.raises(ValueError, match="row 2") as info:
+        m.row_at(2)
+    assert re.search(reason, str(info.value))
+    assert repr(support[-1]) in str(info.value)
+
+
+def test_row_at_rejects_generator_output_that_is_not_a_row():
+    m = RowFiniteMatrix(RATIONAL, lambda k: ((3, 1), (1, 2)))
+    with pytest.raises(ValueError, match="row 0"):
+        m.row_at(0)
 
 
 def test_top_submatrix():

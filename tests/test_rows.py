@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,18 @@ def test_from_pairs_sorts_accumulates_and_drops_zeros():
         RATIONAL,
         [(5, Fraction(2)), (1, Fraction(3)), (5, Fraction(-2)), (0, Fraction(1))],
     )
+    assert r.support == ((0, Fraction(1)), (1, Fraction(3)))
+
+
+@pytest.mark.parametrize("val", [0.5, "1/2", Decimal("0.5"), None], ids=repr)
+def test_from_pairs_rejects_non_rational_values(val):
+    with pytest.raises(ValueError, match="column 0"):
+        Row.from_pairs(RATIONAL, [(0, val)])
+
+
+def test_from_pairs_converts_ints_to_fractions():
+    r = Row.from_pairs(RATIONAL, [(1, 3), (0, True)])
+    assert [type(v) for _, v in r.support] == [Fraction, Fraction]
     assert r.support == ((0, Fraction(1)), (1, Fraction(3)))
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from omegagj import (
     LinForm,
     Scalar,
 )
-from omegagj.scalars import linform_eval
 
 GF7 = Field.gf(7)
 
@@ -98,6 +98,60 @@ def test_field_axioms(field):
             assert field.div(a, b) == field.mul(a, field.inv(b))
 
     check()
+
+
+# numerators and denominators up to ~200 bits, plus small values whose sums
+# and products have common factors to divide out
+_BIG = 2 ** 200
+kernel_values = st.one_of(
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+    st.fractions(min_value=-12, max_value=12, max_denominator=12),
+).filter(bool)
+kernel_lams = st.one_of(
+    st.sampled_from([1, -1]),
+    st.integers(-(2 ** 70), 2 ** 70).filter(bool),
+    kernel_values,
+)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """lam and two sorted supports xs, ys: some columns only in one of them,
+    some shared, and some where ys holds -lam * xs so the sum cancels."""
+    lam = draw(kernel_lams)
+    xs = draw(st.dictionaries(st.integers(0, 40), kernel_values, max_size=10))
+    ys = draw(st.dictionaries(st.integers(0, 40), kernel_values, max_size=10))
+    for c in draw(st.sets(st.sampled_from(sorted(xs)), max_size=4) if xs else st.just(())):
+        ys[c] = -lam * xs[c]
+    return lam, tuple(sorted(xs.items())), tuple(sorted(ys.items()))
+
+
+def _assert_lowest_term_fractions(support):
+    for _, v in support:
+        n, d = v.numerator, v.denominator
+        assert type(v) is Fraction and n != 0 and d > 0 and math.gcd(n, d) == 1
+        ref = Fraction(n, d)
+        assert v == ref and hash(v) == hash(ref) and str(v) == str(ref)
+
+
+@settings(deadline=None, max_examples=150)
+@given(kernel_inputs())
+def test_rational_kernels_match_fraction_arithmetic(inputs):
+    lam, xs, ys = inputs
+    expect = dict(ys)
+    for c, v in xs:
+        nv = expect.get(c, Fraction(0)) + lam * v
+        if nv:
+            expect[c] = nv
+        else:
+            expect.pop(c, None)
+    got = RATIONAL.axpy_support(lam, xs, ys)
+    assert got == tuple(sorted(expect.items()))
+    _assert_lowest_term_fractions(got)
+    if lam != 1:
+        scaled = RATIONAL.scale_support(lam, xs)
+        assert scaled == tuple((c, lam * v) for c, v in xs)
+        _assert_lowest_term_fractions(scaled)
 
 
 @pytest.mark.parametrize("field", [RATIONAL, GF7], ids=["rational", "gf7"])
@@ -200,14 +254,6 @@ def test_linform_render_gf():
 def test_linform_namespace_ordering_in_render():
     f = sym("t", 0) + sym("s", 2)
     assert str(f) == "s_2 + t_0"
-
-
-def test_linform_eval():
-    f = sym("s", 0).scaled_raw(Fraction(2)) - sym("t", 1) + LinForm.const(
-        RATIONAL, Fraction(1)
-    )
-    binding = {("s", 0): Scalar.of(RATIONAL, 3), ("t", 1): Scalar.of(RATIONAL, 4)}
-    assert linform_eval(f, binding) == Scalar.of(RATIONAL, 3)
 
 
 def test_linform_cross_field_raises():
