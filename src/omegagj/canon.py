@@ -143,14 +143,17 @@ def fulkerson_recurrence(reps: List[Row]) -> List[Row]:
     return out
 
 
-def verify_row_equivalence(q_rows: List[Row], matrix, out_rows: List[Row], horizon: int) -> bool:
-    """Does each combination row applied to the matrix reproduce the output?
+def verify_row_equivalence(passage: List[Row], matrix, out_rows: List[Row], horizon: int) -> bool:
+    """Does each passage row applied to the matrix reproduce the output?
 
-    Checks rows 0..horizon exactly; False on the first mismatch.
+    Checks rows 0..horizon exactly; False on the first mismatch, and False
+    when either list stops before row horizon.
     """
-    for i in range(min(horizon + 1, len(q_rows), len(out_rows))):
-        acc = Row.zero(q_rows[i].field)
-        for j, v in q_rows[i].support:
+    if min(len(passage), len(out_rows)) <= horizon:
+        return False
+    for i in range(horizon + 1):
+        acc = Row.zero(passage[i].field)
+        for j, v in passage[i].support:
             acc = axpy_raw(v, matrix.row_at(j), acc)
         if acc != out_rows[i]:
             return False

@@ -321,9 +321,7 @@ def cmd_qhf(args, out) -> int:
     matrix = resolve_matrix(args.matrix)
     if args.strategy != "rps":
         raise ParseError(0, "qhf is defined for the rps strategy only")
-    rs = extended_run(
-        matrix, args.stages, args.strategy, oracle_stages=True if args.oracle else None
-    )
+    rs = extended_run(matrix, args.stages, args.strategy)
     if args.format == "json":
         doc = {
             "stage": rs.stage,
@@ -470,9 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--emit", default="rows")
         if name in ("qhf", "stability"):
             p.add_argument("--prefix", type=int, default=None, metavar="K")
-        if name == "qhf":
-            p.add_argument("--oracle", action="store_true",
-                           help="reorder only after stage N; stability indices then floor at N")
         if name == "solve":
             p.add_argument("--rhs", default="symbolic:c")
             p.add_argument("--horizon", type=int, default=None, metavar="H")

@@ -17,9 +17,9 @@ every earlier row, and re-indexes each row it patches. Zero rows hold no
 entries and never appear in the index.
 
 step (with jordan_update) is the package's only elimination: run_to and
-every run of reorder.extended_run, seeded or not, go through it. The dense
-dict-based canon.dense_reduce shares no code with it and serves only as the
-reference that verification compares against.
+reorder.extended_run both go through it. The dense dict-based
+canon.dense_reduce shares no code with it and serves only as the reference
+that verification compares against.
 """
 
 from __future__ import annotations

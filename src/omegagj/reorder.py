@@ -1,17 +1,22 @@
 """Reordering reduced prefixes into strictly increasing row-length order.
 
-After each elimination stage the nonzero rows are permuted so their
-rightmost indices increase along the prefix while zero rows keep their
-slots. Tracking the running maximum of row-lengths per prefix gives a cheap
-equivalent test for "did the displayed prefix change", which drives the
-stability candidates reported here.
+After each stage the nonzero rows are permuted so their rightmost indices
+increase along the prefix, while zero rows keep their slots.
+
+Under rightmost pivots a row's rightmost index is fixed once the row exists,
+and the Jordan clear of a new pivot column c touches only rows that end to
+the right of c. So a stage adding a row that ends at c changes exactly the
+nonzero slots from that row's rank in rightmost-index order onward, plus its
+own new slot. ReorderState.record logs this with one bisection per stage,
+and the paper's Delta_k is read from the same log.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from bisect import bisect_left
+from typing import List, Tuple
 
-from .engine import EliminationState, IndexOutOfRange, step
+from .engine import EliminationState, prefix_stability, step
 from .rows import Row
 from .rows import axpy_raw  # noqa: F401  (unused; bench/tracing.py patches reorder.axpy_raw)
 
@@ -43,99 +48,75 @@ def reorder_prefix(rows: List[Row]) -> Tuple[List[int], List[Row]]:
 
 
 class ReorderState:
-    """Reordered view of an elimination state, with its change history.
+    """Reordered view of a rightmost-pivot elimination state, with its change log.
 
     last_changed[i] is the last stage at which slot i of the reordered
-    prefix changed content, whether through elimination or through the
-    permutation itself; m_history[s] lists, for each k <= s, the largest
-    rightmost index among reordered rows 0..k at stage s (None entries mark
-    stages before a seeded run's first record).
+    prefix changed content. permutation, q_rows and q_passage are read from
+    the base state when asked.
     """
 
     def __init__(self, base: EliminationState):
+        if base.strategy != "rps":
+            raise ValueError(
+                "reordering sorts by rightmost index, which needs rightmost pivots"
+            )
         self.base = base
-        self.permutation: List[int] = []
-        self.q_rows: List[Row] = []
-        self.q_passage: List[Row] = []
-        self.m_history: List[Optional[List[int]]] = []
         self.last_changed: List[int] = []
+        self._lengths: List[int] = []  # rightmost indices of nonzero rows, sorted
+        self._slots: List[int] = []  # slots of nonzero rows, in slot order
 
     @property
     def stage(self) -> int:
         return self.base.stage
 
     def record(self) -> None:
-        """Reorder the current rows and log what moved; one call per stage."""
+        """Log the slots changed by the base state's last stage; call once per stage."""
         n = self.base.stage
-        perm, q = reorder_prefix(self.base.rows)
-        prev = self.q_rows
-        for i, r in enumerate(q):
-            if i >= len(self.last_changed):
-                self.last_changed.append(n)
-            elif prev[i] != r:
-                self.last_changed[i] = n
-        self.permutation = perm
-        self.q_rows = q
-        self.q_passage = [self.base.passage[perm[i]] for i in range(len(q))]
-        while len(self.m_history) < n:
-            self.m_history.append(None)
-        running = []
-        cur = -1
-        for r in q:
-            if not r.is_zero() and r.maxs > cur:
-                cur = r.maxs
-            running.append(cur)
-        self.m_history.append(running)
+        if len(self.last_changed) != n:
+            raise ValueError(
+                "record expects stage %d but the state is at stage %d"
+                % (len(self.last_changed), n)
+            )
+        self.last_changed.append(n)
+        g = self.base.rows[n]
+        if g.is_zero():
+            return
+        rank = bisect_left(self._lengths, g.maxs)
+        self._lengths.insert(rank, g.maxs)
+        self._slots.append(n)
+        for slot in self._slots[rank:]:
+            self.last_changed[slot] = n
+
+    @property
+    def permutation(self) -> List[int]:
+        return reorder_prefix(self.base.rows)[0]
+
+    @property
+    def q_rows(self) -> List[Row]:
+        return reorder_prefix(self.base.rows)[1]
+
+    @property
+    def q_passage(self) -> List[Row]:
+        return [self.base.passage[i] for i in self.permutation]
 
 
-def extended_run(matrix, n: int, strategy: str = "rps", oracle_stages=None) -> "ReorderState":
-    """Run the elimination through row n, reordering after every stage.
-
-    Every row goes through engine.step. With oracle_stages set (True meaning
-    all n+1 rows), the reordered view is recorded only from that stage on:
-    rows, passage and the reordered prefix are those of the plain run, but
-    per-stage change history before the seed point is not kept and is
-    reported conservatively as the seed stage. The returned view keeps the
-    plain elimination state on its .base attribute.
-    """
-    if strategy != "rps":
-        raise ValueError(
-            "reordering sorts by rightmost index, which needs rightmost pivots"
-        )
-    if oracle_stages is True:
-        oracle_stages = n
-    seed = 0 if oracle_stages is None else min(int(oracle_stages), n)
+def extended_run(matrix, n: int, strategy: str = "rps") -> ReorderState:
+    """Run engine.step on rows 0..n, recording the reordered view after each;
+    the elimination state is on the result's .base attribute."""
     state = EliminationState(
         matrix.field, strategy, certificate=getattr(matrix, "certificate", None)
     )
     rs = ReorderState(state)
     for k in range(n + 1):
         step(state, matrix.row_at(k))
-        if k >= seed:
-            rs.record()
+        rs.record()
     return rs
 
 
-def qhf_prefix_stability(history, k: int) -> int:
-    """Last stage at which the reordered prefix 0..k changed, per 𝔪 drops.
-
-    Accepts a ReorderState or a raw m_history list. The prefix changes at a
-    stage exactly when its running-maximum row-length strictly drops, so the
-    candidate is the latest such drop (at least k, and at least the seed
-    stage when early history is unavailable).
+def qhf_prefix_stability(rs: ReorderState, k: int) -> int:
+    """Delta_k: the last stage at which the largest row-length of the
+    reordered prefix 0..k dropped (at least k). A drop after stage k is
+    exactly a new row ranking among the prefix's nonzero slots, which
+    record() logs, so this is the prefix's slot-level change index.
     """
-    if hasattr(history, "m_history"):
-        if k > history.stage or k < 0:
-            raise IndexOutOfRange("prefix %d exceeds stage %d" % (k, history.stage))
-        history = history.m_history
-    if k < 0 or k >= len(history):
-        raise IndexOutOfRange("prefix %d has no recorded history" % k)
-    first = 0
-    while history[first] is None:
-        first += 1
-    delta = max(k, first)
-    for s in range(delta + 1, len(history)):
-        prev, cur = history[s - 1], history[s]
-        if prev is not None and cur is not None and cur[k] < prev[k]:
-            delta = s
-    return delta
+    return prefix_stability(rs, k)

@@ -96,3 +96,50 @@ def fulkerson_row(k):
     for i in range(n):
         _sub_scaled(acc, Fraction(-1), fulkerson_row(2 * i))
     return acc
+
+
+class ReorderReference:
+    """The reorder pass recomputed from scratch after every stage.
+
+    record() re-sorts every nonzero row by rightmost index, compares every
+    slot of the new view with the previous one, and appends the running
+    maximum of the rightmost indices over each prefix to m_history; rows are
+    {column: value} dicts. drop_stability(k) scans that history for Delta_k.
+    """
+
+    def __init__(self):
+        self.permutation = []
+        self.q_rows = []
+        self.q_passage = []
+        self.last_changed = []
+        self.m_history = []
+
+    def record(self, stage, rows, passage):
+        nonzero = [i for i, r in enumerate(rows) if r]
+        perm = list(range(len(rows)))
+        for slot, src in zip(nonzero, sorted(nonzero, key=lambda i: max(rows[i]))):
+            perm[slot] = src
+        q = [rows[i] for i in perm]
+        for i, r in enumerate(q):
+            if i >= len(self.last_changed):
+                self.last_changed.append(stage)
+            elif self.q_rows[i] != r:
+                self.last_changed[i] = stage
+        self.permutation = perm
+        self.q_rows = q
+        self.q_passage = [passage[i] for i in perm]
+        running, cur = [], -1
+        for r in q:
+            if r and max(r) > cur:
+                cur = max(r)
+            running.append(cur)
+        self.m_history.append(running)
+
+    def drop_stability(self, k):
+        """Last stage at which the running maximum of prefix 0..k strictly
+        dropped, and at least k."""
+        delta = k
+        for s in range(k + 1, len(self.m_history)):
+            if self.m_history[s][k] < self.m_history[s - 1][k]:
+                delta = s
+        return delta

@@ -123,6 +123,19 @@ def test_verify_row_equivalence_and_witnessed_failure():
     assert not verify_row_equivalence(state.passage, m, tampered, 6)
 
 
+def test_verify_row_equivalence_needs_every_row_through_horizon():
+    m = BUILTINS["pde"]()
+    state = run_to(m, 9)
+    assert verify_row_equivalence(passage=state.passage, matrix=m, out_rows=state.rows, horizon=9)
+    # missing rows are not evidence: empty or short lists must not pass
+    assert not verify_row_equivalence([], m, [], 9)
+    assert not verify_row_equivalence(state.passage[:5], m, state.rows[:5], 9)
+    assert not verify_row_equivalence(state.passage[:5], m, state.rows, 9)
+    assert not verify_row_equivalence(state.passage, m, state.rows[:9], 9)
+    assert verify_row_equivalence(state.passage, m, state.rows, 4)
+    assert not verify_row_equivalence(state.passage, m, state.rows, 10)
+
+
 def test_form_predicates_agree_with_dict_oracles(rng):
     for trial in range(60):
         p = 7 if trial % 2 else None

@@ -295,12 +295,12 @@ def test_qhf_reports_stability_indices(capsys):
     assert sorted(int(i) for i in perm) == list(range(10))
 
 
-def test_qhf_oracle_seeding_agrees(capsys):
-    argv = ["qhf", "pde", "--stages", "9", "--prefix", "6"]
-    assert main(argv) == 0
-    plain = capsys.readouterr().out
-    assert main(argv + ["--oracle"]) == 0
-    assert capsys.readouterr().out == plain
+def test_qhf_rejects_oracle_flag(capsys):
+    # the reordered view is recorded at every stage; there is nothing to seed
+    with pytest.raises(SystemExit) as err:
+        main(["qhf", "pde", "--stages", "9", "--prefix", "6", "--oracle"])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_qhf_json(capsys):

@@ -13,12 +13,14 @@ from omegagj import (
     PivotCollision,
     PivotFloor,
     RATIONAL,
+    ReorderState,
     Row,
     certified_stable,
     extended_run,
     make_explicit,
     nullspace_basis,
     prefix_stability,
+    qhf_prefix_stability,
     run_to,
     snapshot,
     step,
@@ -34,7 +36,7 @@ from fixtures import (
     bidiag_passage_row,
     bidiag_reduced_row,
 )
-from oracles import dense_reduce
+from oracles import ReorderReference, dense_reduce
 from util import field_for, mk_row, mk_rows, row_dict, rows_dicts
 
 GF7 = Field.gf(7)
@@ -315,14 +317,49 @@ def test_every_step_keeps_index_exact_and_matches_oracle(case, leftmost):
 
 
 @settings(max_examples=100, deadline=None)
-@given(dict_matrices(), st.integers(0, 9))
-def test_seeded_runs_keep_index_exact_and_match_oracle(case, seed):
+@given(dict_matrices())
+def test_seeded_runs_keep_index_exact_and_match_oracle(case):
     p, dicts = case
     F = field_for(p)
-    n = len(dicts) - 1
-    seed = min(seed, n)
-    seeded = extended_run(make_explicit(F, mk_rows(F, dicts)), n, oracle_stages=seed)
-    assert seeded.base.column_rows == _recomputed_index(seeded.base.rows)
-    _assert_matches_oracle(seeded.base, dicts, p)
-    assert seeded.m_history[:seed] == [None] * seed
-    assert None not in seeded.m_history[seed:]
+    rs = extended_run(make_explicit(F, mk_rows(F, dicts)), len(dicts) - 1)
+    assert rs.base.column_rows == _recomputed_index(rs.base.rows)
+    _assert_matches_oracle(rs.base, dicts, p)
+
+
+# -- QHF change log -------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(dict_matrices())
+def test_change_log_matches_reference_after_every_stage(case):
+    p, dicts = case
+    F = field_for(p)
+    state = EliminationState(F)
+    rs = ReorderState(state)
+    ref = ReorderReference()
+    for n, d in enumerate(dicts):
+        step(state, mk_row(F, d))
+        rs.record()
+        ref.record(n, rows_dicts(state.rows), rows_dicts(state.passage))
+        assert rs.last_changed == ref.last_changed
+        assert rs.permutation == ref.permutation
+        assert rows_dicts(rs.q_rows) == ref.q_rows
+        assert rows_dicts(rs.q_passage) == ref.q_passage
+        for k in range(n + 1):
+            assert qhf_prefix_stability(rs, k) == ref.drop_stability(k)
+
+
+def test_record_runs_exactly_once_per_stage():
+    state = EliminationState(RATIONAL)
+    rs = ReorderState(state)
+    step(state, Row.unit(RATIONAL, 3))
+    rs.record()
+    with pytest.raises(ValueError):
+        rs.record()
+    assert rs.last_changed == [0]
+    step(state, Row.unit(RATIONAL, 1))
+    step(state, Row.unit(RATIONAL, 2))
+    with pytest.raises(ValueError):
+        rs.record()  # stage 1 was never recorded
+    with pytest.raises(ValueError):
+        ReorderState(EliminationState(RATIONAL, "lps"))

@@ -1,8 +1,10 @@
 """Byte-for-byte golden outputs of the reduce, qhf and solve commands.
 
 The digests were recorded before the sparse kernels, the column index and
-the support-driven TSV rendering went in; any change to the text a user sees
-shows up here as a digest mismatch.
+the support-driven TSV rendering went in, and the `qhf --format json` ones
+(which alone print q_passage and the delta/last_change keys) before the
+QHF change log was rebuilt on the rightmost-index order; any change to the
+text a user sees shows up here as a digest mismatch.
 """
 
 import contextlib
@@ -26,18 +28,22 @@ def _argv(command, matrix, n, fmt="tsv"):
 
 
 GOLDEN = {
+    ("bidiag", "qhf", "json"): "47f349128e7adf20d9075f0089768b4d8ec30ce331d15b7089dd4ca3a3fe665f",
     ("bidiag", "qhf", "tsv"): "c4b0e078391b4dda1f73f9ef0fc20ffcfc642e7642a956224e0e3ac6a1136fc2",
     ("bidiag", "reduce", "json"): "1c54b35ea9b8b4e013887b24c0e890df4f29278b2b438174f8fe4b51ed374c2b",
     ("bidiag", "reduce", "tsv"): "d91746de25350097e6d410fe3ac6001d2a744d01bda5d8c6c158dc847f2e098b",
     ("bidiag", "solve", "tsv"): "2b883328e2ddd2fcfb72a807cdb709bec6e4493fa29c9d4115c71d8d02871539",
+    ("fulkerson", "qhf", "json"): "8c346b6933a6529047645d055f41fab36ba00ecc4f28855a07d55da8eda07908",
     ("fulkerson", "qhf", "tsv"): "211ff613c2055d88a442fff80573974ef15f1352ccb51fa4b113322c47e978ad",
     ("fulkerson", "reduce", "json"): "e2c22e2239b581e28c14901bd30f2706c1805a073d0e49e0db0e1e5d262577c3",
     ("fulkerson", "reduce", "tsv"): "c7246e7e77f8d98aae9fc680b66a261bd16e43caab49683f9d32bb35ca5dd652",
     ("fulkerson", "solve", "tsv"): "8356a208e577160ede37e953f4aa7e69307b35f396a8ca63d96547fa30034538",
+    ("gf-band", "qhf", "json"): "17c43cf3ac502b40d1c56a0552f182dfd79449e6f7d046b2ce73828de4b7047e",
     ("gf-band", "qhf", "tsv"): "6e737b5b35ed7edcf3bf598b4c0ba05dc8c1c916aef88dda7470f9de3168deac",
     ("gf-band", "reduce", "json"): "e98b0d33e7d2febfdf1f7ab486ec564848d3f6e638928641a316d9ca5b997084",
     ("gf-band", "reduce", "tsv"): "d29cad474002a67439cde8bbc5e9547291d04fc4cf08a06ace4283260c263f48",
     ("gf-band", "solve", "tsv"): "ed90acbe1f2359e2092ac905970dd846d4fd339cfd462cd3d8b63ef38ba662b1",
+    ("pde", "qhf", "json"): "963975e623e313237465475c853f933008b860b247668bde584839448d7f11a1",
     ("pde", "qhf", "tsv"): "7c1fc9d8e88a7a5e6ca30d888eedbe997a7ca327fbf4d95147fdbd83ffe2f5cf",
     ("pde", "reduce", "json"): "4ad59d5168e9fbe4344faf37194cf9d2798b37035e6480a2d0179c5030ff92ff",
     ("pde", "reduce", "tsv"): "826aaa624b867ba767f2d1c0ede335aa365be18a157c1086ad4c03454392bb83",

@@ -6,9 +6,11 @@ from omegagj import (
     BUILTINS,
     CertificateViolation,
     DuplicateLength,
+    EliminationState,
     IndexOutOfRange,
     PivotFloor,
     RATIONAL,
+    ReorderState,
     Row,
     dense_reduce,
     extended_run,
@@ -16,8 +18,10 @@ from omegagj import (
     qhf_prefix_stability,
     reorder_prefix,
     run_to,
+    step,
 )
 from fixtures import PDE_PERMUTATION, PDE_QHF, PDE_QHF_PASSAGE
+from oracles import ReorderReference
 from util import mk_rows, rows_dicts
 
 
@@ -84,32 +88,21 @@ def test_qhf_prefix_stability_on_stable_matrix():
         assert qhf_prefix_stability(rs, k) == k
 
 
-def test_qhf_prefix_stability_accepts_raw_history():
-    history = [[3], [3, 5], [2, 5, 9]]  # prefix max dropped at stage 2
-    assert qhf_prefix_stability(history, 0) == 2
-    assert qhf_prefix_stability(history, 1) == 1
-    history = [None, None, [2, 5, 9], [2, 5, 9], [1, 5, 9]]
-    assert qhf_prefix_stability(history, 0) == 4
-    assert qhf_prefix_stability(history, 1) == 2
-
-
 def test_qhf_prefix_stability_bounds():
     rs = extended_run(BUILTINS["pde"](), 5)
     with pytest.raises(IndexOutOfRange):
         qhf_prefix_stability(rs, 6)
     with pytest.raises(IndexOutOfRange):
         qhf_prefix_stability(rs, -1)
-    with pytest.raises(IndexOutOfRange):
-        qhf_prefix_stability([[1]], 3)
 
 
 @pytest.mark.parametrize("name", ["bidiag", "repeated", "fulkerson", "pde"])
 def test_one_shot_state_agrees_with_staged_run(name):
-    # the one-shot dense reference against both the plain and the seeded run
+    # the one-shot dense reference against both the plain and the reordering run
     rows, passage, history = dense_reduce(rows_dicts(BUILTINS[name]().top_submatrix(9)))
     staged = run_to(BUILTINS[name](), 9)
-    seeded = extended_run(BUILTINS[name](), 9, oracle_stages=True).base
-    for state in (staged, seeded):
+    extended = extended_run(BUILTINS[name](), 9).base
+    for state in (staged, extended):
         assert rows_dicts(state.rows) == rows
         assert rows_dicts(state.passage) == passage
         assert state.pivot_history == history
@@ -117,34 +110,15 @@ def test_one_shot_state_agrees_with_staged_run(name):
         assert state.stage == 9
 
 
-@pytest.mark.parametrize("seed", [True, 0, 4, 9])
-def test_seeded_run_reproduces_incremental_view(seed):
-    plain = extended_run(BUILTINS["pde"](), 9)
-    seeded = extended_run(BUILTINS["pde"](), 9, oracle_stages=seed)
-    assert seeded.q_rows == plain.q_rows
-    assert seeded.q_passage == plain.q_passage
-    assert seeded.permutation == plain.permutation
-    assert seeded.base.rows == plain.base.rows
-    assert seeded.base.passage == plain.base.passage
-
-
-def test_seeded_run_reports_conservative_stability():
-    seeded = extended_run(BUILTINS["pde"](), 9, oracle_stages=True)
-    # stages before the seed have no history: every candidate floors at 9
-    assert [qhf_prefix_stability(seeded, k) for k in range(10)] == [9] * 10
-    assert seeded.m_history[:9] == [None] * 9
-    assert seeded.m_history[9] is not None
-
-
 def test_seeded_run_validates_floor():
     m = BUILTINS["bidiag"]()
     m.certificate = PivotFloor.affine(1, 1)
-    assert extended_run(m, 9, oracle_stages=True).base.validated_through == 9
+    assert extended_run(m, 9).base.validated_through == 9
 
     bad = BUILTINS["bidiag"]()
     bad.certificate = PivotFloor.affine(1, 5)
     with pytest.raises(CertificateViolation) as info:
-        extended_run(bad, 9, oracle_stages=True)
+        extended_run(bad, 9)
     assert (info.value.stage, info.value.column, info.value.floor) == (1, 2, 5)
 
 
@@ -153,3 +127,23 @@ def test_extended_run_rejects_leftmost_strategy():
     # length reordering is undefined there
     with pytest.raises(ValueError):
         extended_run(BUILTINS["bidiag"](), 4, strategy="lps")
+
+
+@pytest.mark.parametrize("name", ["bidiag", "repeated", "fulkerson", "pde"])
+def test_change_log_matches_reference_on_builtins(name):
+    # the one-bisection log against a full re-sort and compare at every stage
+    m = BUILTINS[name]()
+    state = EliminationState(m.field)
+    rs = ReorderState(state)
+    ref = ReorderReference()
+    for n in range(41):
+        step(state, m.row_at(n))
+        rs.record()
+        ref.record(n, rows_dicts(state.rows), rows_dicts(state.passage))
+        assert rs.last_changed == ref.last_changed
+    assert rs.permutation == ref.permutation
+    assert rows_dicts(rs.q_rows) == ref.q_rows
+    assert rows_dicts(rs.q_passage) == ref.q_passage
+    assert [qhf_prefix_stability(rs, k) for k in range(41)] == [
+        ref.drop_stability(k) for k in range(41)
+    ]
