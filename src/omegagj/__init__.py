@@ -8,18 +8,10 @@ systems over the rationals or a prime field.
 
 from .canon import (
     FormReport,
-    NonIncreasingLengths,
-    NotReduced,
     dense_reduce,
-    fulkerson_recurrence,
-    is_hermite_basis,
     is_lref,
     is_lrrf,
     is_qhf,
-    is_uref,
-    is_urrf,
-    rank_nullity,
-    right_set,
     verify_row_equivalence,
 )
 from .engine import (
@@ -29,10 +21,8 @@ from .engine import (
     PivotCollision,
     PivotFloor,
     certified_stable,
-    nullspace_basis,
     prefix_stability,
     run_to,
-    snapshot,
     step,
 )
 from .matrices import (
@@ -50,7 +40,7 @@ from .reorder import (
     qhf_prefix_stability,
     reorder_prefix,
 )
-from .rows import Row, axpy, dense_width, normalize_rightmost, parse_row
+from .rows import Row, dense_width
 from .scalars import (
     RATIONAL,
     DivisionByZero,
@@ -59,7 +49,6 @@ from .scalars import (
     LinForm,
     PrimeField,
     RationalField,
-    Scalar,
 )
 from .solver import (
     SolveResult,
@@ -85,8 +74,6 @@ __all__ = [
     "IndexOutOfRange",
     "LinForm",
     "MonomialOrdering",
-    "NonIncreasingLengths",
-    "NotReduced",
     "PivotCollision",
     "PivotFloor",
     "PrimeField",
@@ -95,37 +82,25 @@ __all__ = [
     "ReorderState",
     "Row",
     "RowFiniteMatrix",
-    "Scalar",
     "SolveResult",
     "SymbolicSequence",
-    "axpy",
     "certified_stable",
     "consistency_constraints",
     "dense_reduce",
     "dense_width",
     "extended_run",
-    "fulkerson_recurrence",
     "general_solution",
     "homogeneous_solution",
-    "is_hermite_basis",
     "is_lref",
     "is_lrrf",
     "is_qhf",
-    "is_uref",
-    "is_urrf",
     "make_explicit",
     "make_stencil",
-    "normalize_rightmost",
-    "nullspace_basis",
-    "parse_row",
     "particular_solution",
     "prefix_stability",
     "qhf_prefix_stability",
-    "rank_nullity",
     "reorder_prefix",
-    "right_set",
     "run_to",
-    "snapshot",
     "step",
     "transform_rhs",
     "verify_row_equivalence",

@@ -1,21 +1,13 @@
-"""Canonical-form predicates, the length recurrence, equivalence checks, and
-the dense reference reduction."""
+"""Canonical-form predicates, the row-equivalence check, and the dense
+reference reduction."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from .rows import Row, axpy_raw
-
-
-class NonIncreasingLengths(Exception):
-    """Raised when representative rows are not strictly increasing in length."""
-
-
-class NotReduced(Exception):
-    """Raised when an operation needs a reduced prefix but got something else."""
 
 
 @dataclass
@@ -30,50 +22,34 @@ class FormReport:
         return self.holds
 
 
-def _reduced_report(form: str, rows: List[Row], rightmost: bool) -> FormReport:
-    """Leading coefficients are one and each leading column is zero elsewhere."""
+def is_lrrf(rows: List[Row]) -> FormReport:
+    """Rightmost coefficients are one and each rightmost column is zero in
+    every other row."""
     owner = {}
     for i, r in enumerate(rows):
         if r.is_zero():
             continue
-        col, lead = r.support[-1] if rightmost else r.support[0]
+        col, lead = r.support[-1]
         if lead != r.field.one():
-            return FormReport(form, False, (i, col))
+            return FormReport("lrrf", False, (i, col))
         owner[col] = i
     for i, r in enumerate(rows):
         for c, _ in r.support:
             if c in owner and owner[c] != i:
-                return FormReport(form, False, (i, c))
-    return FormReport(form, True)
+                return FormReport("lrrf", False, (i, c))
+    return FormReport("lrrf", True)
 
 
-def _echelon_report(form: str, rows: List[Row], rightmost: bool) -> FormReport:
-    """Leading indices strictly increase along the nonzero rows."""
+def is_lref(rows: List[Row]) -> FormReport:
+    """Rightmost indices strictly increase along the nonzero rows."""
     prev = -1
     for i, r in enumerate(rows):
         if r.is_zero():
             continue
-        col = r.maxs if rightmost else r.zeta
-        if col <= prev:
-            return FormReport(form, False, (i, col))
-        prev = col
-    return FormReport(form, True)
-
-
-def is_lrrf(rows: List[Row]) -> FormReport:
-    return _reduced_report("lrrf", rows, rightmost=True)
-
-
-def is_lref(rows: List[Row]) -> FormReport:
-    return _echelon_report("lref", rows, rightmost=True)
-
-
-def is_urrf(rows: List[Row]) -> FormReport:
-    return _reduced_report("urrf", rows, rightmost=False)
-
-
-def is_uref(rows: List[Row]) -> FormReport:
-    return _echelon_report("uref", rows, rightmost=False)
+        if r.maxs <= prev:
+            return FormReport("lref", False, (i, r.maxs))
+        prev = r.maxs
+    return FormReport("lref", True)
 
 
 def is_qhf(rows: List[Row]) -> FormReport:
@@ -83,64 +59,6 @@ def is_qhf(rows: List[Row]) -> FormReport:
         return FormReport("qhf", False, a.witness)
     b = is_lref(rows)
     return FormReport("qhf", b.holds, b.witness)
-
-
-def is_hermite_basis(rows: List[Row]) -> FormReport:
-    """Strictly increasing lengths, monic rightmost entries, zeros below
-    each rightmost one."""
-    prev = -1
-    for j, r in enumerate(rows):
-        if r.is_zero():
-            continue
-        col, lead = r.support[-1]
-        if col <= prev:
-            return FormReport("hermite", False, (j, col))
-        prev = col
-        if lead != r.field.one():
-            return FormReport("hermite", False, (j, col))
-        for k in range(j + 1, len(rows)):
-            if rows[k].raw(col):
-                return FormReport("hermite", False, (k, col))
-    return FormReport("hermite", True)
-
-
-def right_set(rows: List[Row]) -> Set[int]:
-    """Rightmost indices of the nonzero rows."""
-    return {r.maxs for r in rows if not r.is_zero()}
-
-
-def rank_nullity(rows: List[Row]) -> Tuple[int, int]:
-    """(number of nonzero rows, number of zero rows) of a reduced prefix."""
-    report = is_lrrf(rows)
-    if not report.holds:
-        raise NotReduced("offending entry at %r" % (report.witness,))
-    nonzero = sum(1 for r in rows if not r.is_zero())
-    return nonzero, len(rows) - nonzero
-
-
-def fulkerson_recurrence(reps: List[Row]) -> List[Row]:
-    """Rebuild the monic basis from representative rows of each length.
-
-    Representative j is reduced by the already-built rows using its own
-    original coefficients at their pivot columns, then divided by its own
-    rightmost coefficient.
-    """
-    out: List[Row] = []
-    pivots: List[int] = []
-    prev = -1
-    for j, a in enumerate(reps):
-        if a.is_zero() or a.maxs <= prev:
-            raise NonIncreasingLengths("representative %d breaks the order" % j)
-        prev = a.maxs
-        F = a.field
-        acc = a
-        for i in range(j):
-            alpha = a.raw(pivots[i])
-            if alpha:
-                acc = axpy_raw(F.neg(alpha), out[i], acc)
-        pivots.append(a.maxs)
-        out.append(acc.scaled_raw(F.inv(a.raw(a.maxs))))
-    return out
 
 
 def verify_row_equivalence(passage: List[Row], matrix, out_rows: List[Row], horizon: int) -> bool:

@@ -13,7 +13,6 @@ from .canon import dense_reduce, is_lrrf, is_qhf, verify_row_equivalence
 from .engine import (
     CertificateViolation,
     PivotFloor,
-    SNAPSHOT_SECTIONS,
     certified_stable,
     prefix_stability,
     run_to,
@@ -185,7 +184,7 @@ def render_spec(spec: MatrixSpec) -> str:
     """Canonical text for a spec; parse(render(s)) == s."""
     F = spec.field
     lines = [
-        "field rational" if F.kind == "rational" else "field gf %d" % F.p,
+        "field rational" if F.p is None else "field gf %d" % F.p,
         "kind %s" % spec.kind,
     ]
     if spec.kind == "stencil":
@@ -278,16 +277,20 @@ def _emit_pairs(out, label: str, pairs) -> None:
         print("%d\t%d" % (a, b), file=out)
 
 
-# --emit name -> (JSON key, whose value engine.SNAPSHOT_SECTIONS[key] builds,
-# TSV writer)
+# --emit name -> (JSON key, its JSON value built from the state, TSV writer);
+# sparse rows are 'col:val' text in JSON and dense lines in TSV
 _REDUCE_SECTIONS = {
-    "rows": ("rows", lambda out, st: _emit_rows(out, "rows", st.field, st.rows)),
-    "passage": ("passage", lambda out, st: _emit_rows(out, "passage", st.field, st.passage)),
-    "pivots": ("pivots", lambda out, st: _emit_pairs(out, "pivots", sorted(st.pivots.items()))),
-    "history": ("pivot_history", lambda out, st: _emit_pairs(
-        out, "history", ((n, -1 if c is None else c) for n, c in enumerate(st.pivot_history)))),
-    "last_changed": ("last_changed", lambda out, st: _emit_pairs(
-        out, "last_changed", enumerate(st.last_changed))),
+    "rows": ("rows", lambda st: [str(r) for r in st.rows],
+             lambda out, st: _emit_rows(out, "rows", st.field, st.rows)),
+    "passage": ("passage", lambda st: [str(p) for p in st.passage],
+                lambda out, st: _emit_rows(out, "passage", st.field, st.passage)),
+    "pivots": ("pivots", lambda st: {str(col): idx for col, idx in sorted(st.pivots.items())},
+               lambda out, st: _emit_pairs(out, "pivots", sorted(st.pivots.items()))),
+    "history": ("pivot_history", lambda st: [-1 if c is None else c for c in st.pivot_history],
+                lambda out, st: _emit_pairs(out, "history", (
+                    (n, -1 if c is None else c) for n, c in enumerate(st.pivot_history)))),
+    "last_changed": ("last_changed", lambda st: list(st.last_changed),
+                     lambda out, st: _emit_pairs(out, "last_changed", enumerate(st.last_changed))),
 }
 _REDUCE_SECTIONS["pivot_history"] = _REDUCE_SECTIONS["history"]
 
@@ -308,12 +311,12 @@ def cmd_reduce(args, out) -> int:
     if args.format == "json":
         doc = {"stage": state.stage, "strategy": state.strategy}
         for s in sections:
-            key = _REDUCE_SECTIONS[s][0]
-            doc[key] = SNAPSHOT_SECTIONS[key](state)
+            key, value, _ = _REDUCE_SECTIONS[s]
+            doc[key] = value(state)
         print(json.dumps(doc), file=out)
     else:
         for s in sections:
-            _REDUCE_SECTIONS[s][1](out, state)
+            _REDUCE_SECTIONS[s][2](out, state)
     return 0
 
 
@@ -395,7 +398,7 @@ def _constraint_text(f: LinForm) -> str:
 
 def cmd_verify(args, out) -> int:
     matrix = resolve_matrix(args.matrix)
-    if args.check in ("qhf", "roweq") and args.strategy != "rps":
+    if args.check != "oracle" and args.strategy != "rps":
         raise ParseError(0, "check %s is defined for the rps strategy only" % args.check)
     if args.check == "lrrf":
         state = run_to(matrix, args.stages, args.strategy)
@@ -486,6 +489,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             raise ParseError(0, "no matrix given (use --matrix or a positional name)")
         if args.stages < 0:
             raise ParseError(0, "--stages must be >= 0")
+        prefix = getattr(args, "prefix", None)
+        if prefix is not None and not 0 <= prefix <= args.stages:
+            raise ParseError(0, "--prefix must be in 0..%d" % args.stages)
         args.matrix = matrix
         return args.handler(args, sys.stdout)
     except ParseError as exc:

@@ -247,30 +247,3 @@ def certified_stable(state: EliminationState, k: int) -> str:
         if not r.is_zero() and r.maxs >= floor:
             return "provisional"
     return "certified"
-
-
-def nullspace_basis(state: EliminationState) -> List[Row]:
-    """Passage rows of the zero rows; each is fixed from its creation stage."""
-    return [
-        state.passage[w]
-        for w, r in enumerate(state.rows)
-        if r.is_zero()
-    ]
-
-
-# snapshot key -> builder of its JSON-ready value from the state
-SNAPSHOT_SECTIONS: Dict[str, Callable[[EliminationState], object]] = {
-    "rows": lambda st: [str(r) for r in st.rows],
-    "passage": lambda st: [str(p) for p in st.passage],
-    "pivots": lambda st: {str(col): idx for col, idx in sorted(st.pivots.items())},
-    "pivot_history": lambda st: [-1 if c is None else c for c in st.pivot_history],
-    "last_changed": lambda st: list(st.last_changed),
-}
-
-
-def snapshot(state: EliminationState) -> dict:
-    """JSON-ready summary of the state, sparse rows as 'col:val' text."""
-    doc = {"stage": state.stage, "strategy": state.strategy}
-    for key, build in SNAPSHOT_SECTIONS.items():
-        doc[key] = build(state)
-    return doc

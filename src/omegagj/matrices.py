@@ -86,14 +86,12 @@ def make_stencil(field: Field, offsets) -> RowFiniteMatrix:
     return RowFiniteMatrix(field, gen)
 
 
-def make_explicit(field: Field, rows, tail: str = "zero") -> RowFiniteMatrix:
+def make_explicit(field: Field, rows) -> RowFiniteMatrix:
     """Finitely many explicit rows followed by an all-zero tail.
 
     rows is a list, or a mapping {index: Row} whose missing indices are zero
     rows; only the given rows are stored.
     """
-    if tail != "zero":
-        raise ValueError("unsupported tail: %r" % (tail,))
     fixed = dict(rows) if hasattr(rows, "items") else dict(enumerate(rows))
     zero = Row.zero(field)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
 
-from .scalars import Field, Scalar, check_same_field
+from .scalars import Field, check_same_field
 
 
 class Row:
@@ -30,10 +30,7 @@ class Row:
         for col, val in pairs:
             if col < 0:
                 raise ValueError("negative column: %d" % col)
-            if isinstance(val, Scalar):
-                check_same_field(field, val.field)
-                val = val.value
-            elif not field.accepts(val):
+            if not field.accepts(val):
                 raise ValueError("column %d: %r is not a value of %r" % (col, val, field))
             v = field.add(acc.get(col, field.zero()), val)
             if v:
@@ -78,9 +75,6 @@ class Row:
                 break
         return self.field.zero()
 
-    def get(self, col: int) -> Scalar:
-        return Scalar(self.field, self.raw(col))
-
     def scaled_raw(self, lam) -> "Row":
         """lam times this row; scaling by one returns the row itself."""
         if not lam:
@@ -98,14 +92,6 @@ class Row:
     def __hash__(self):
         return hash((self.field, self.support))
 
-    def dense(self, width: int) -> list:
-        """Raw values at columns 0..width-1."""
-        out = [self.field.zero()] * width
-        for c, v in self.support:
-            if c < width:
-                out[c] = v
-        return out
-
     def __str__(self):
         return " ".join("%d:%s" % (c, self.field.format(v)) for c, v in self.support)
 
@@ -120,31 +106,6 @@ def axpy_raw(lam, x: Row, y: Row) -> Row:
     if not lam:
         return y
     return Row(F, F.axpy_support(lam, x.support, y.support))
-
-
-def axpy(lam: Scalar, x: Row, y: Row) -> Row:
-    """Return y + lam * x."""
-    check_same_field(lam.field, x.field)
-    return axpy_raw(lam.value, x, y)
-
-
-def normalize_rightmost(r: Row) -> Row:
-    """Scale so the rightmost coefficient is one; zero row stays zero."""
-    if r.is_zero():
-        return r
-    lead = r.support[-1][1]
-    if lead == r.field.one():
-        return r
-    return r.scaled_raw(r.field.inv(lead))
-
-
-def parse_row(field: Field, text: str) -> Row:
-    """Parse the sparse text form 'col:val col:val'; empty text is the zero row."""
-    pairs = []
-    for tok in text.split():
-        col_s, _, val_s = tok.partition(":")
-        pairs.append((int(col_s), field.parse(val_s)))
-    return Row.from_pairs(field, pairs)
 
 
 def dense_width(rows: Iterable[Row]) -> int:

@@ -1,8 +1,9 @@
-"""Exact field scalars (rationals and prime fields) and affine symbolic forms.
+"""Exact fields (the rationals and prime fields) and affine symbolic forms.
 
-Every value in the library is either a Scalar over an explicit Field or a
-LinForm (affine combination of indexed symbols with Scalar coefficients).
-No floating point is used anywhere.
+Every value in the library is either a raw value of a Field (a Fraction over
+the rationals, an int residue over GF(p)), operated on only through that
+Field's methods, or a LinForm (affine combination of indexed symbols with
+raw coefficients). No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -17,20 +18,37 @@ class FieldMismatch(Exception):
 
 
 class DivisionByZero(Exception):
-    """Raised on division or inversion by the zero scalar."""
+    """Raised on inverting the zero value."""
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin over the twelve bases above is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86 (2017)); past it, it could accept
+# a composite.
+_MR_BOUND = 318665857834031151167461
 
 
 def _is_prime(n: int) -> bool:
-    """Primality by trial division; moduli here are small."""
+    """Deterministic Miller-Rabin primality test; exact for n < _MR_BOUND."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -54,39 +72,24 @@ def _rational(n: int, d: int) -> Fraction:
 class Field:
     """A coefficient field: exact rationals, or integers mod a prime.
 
-    Field("rational") and Field("gf", p) build a RationalField or a
-    PrimeField. Each subclass owns its scalar operations and the sparse
-    kernels that rows are built from, so no operation dispatches on kind.
-    Raw values are Fraction for the rationals and int residues in [0, p)
-    for gf.
+    The fields are RATIONAL (the one RationalField) and Field.gf(p) (a
+    PrimeField). Each subclass owns its scalar operations and the sparse
+    kernels that rows are built from, so no operation dispatches on the
+    field. Raw values are Fraction for the rationals and int residues in
+    [0, p) for GF(p); p is None for the rationals.
     """
 
     __slots__ = ("p",)
 
-    kind = ""
     _gf_cache: dict = {}
 
-    def __new__(cls, kind: str, p: Optional[int] = None):
-        if cls is Field:
-            if kind == "rational":
-                cls = RationalField
-            elif kind == "gf":
-                cls = PrimeField
-            else:
-                raise ValueError("unknown field kind: %r" % (kind,))
-        return object.__new__(cls)
-
-    def __init__(self, kind: str, p: Optional[int] = None):
-        if kind != self.kind:
-            raise ValueError("unknown field kind: %r" % (kind,))
-        self.p = p
-
     @classmethod
-    def gf(cls, p: int) -> "Field":
+    def gf(cls, p: int) -> "PrimeField":
+        """The field GF(p), one object per modulus."""
         try:
             return cls._gf_cache[p]
         except KeyError:
-            f = PrimeField("gf", p)
+            f = PrimeField(p)
             cls._gf_cache[p] = f
             return f
 
@@ -95,17 +98,10 @@ class Field:
         return str(a)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Field)
-            and self.kind == other.kind
-            and self.p == other.p
-        )
+        return type(other) is type(self) and self.p == other.p
 
     def __hash__(self):
-        return hash((self.kind, self.p))
-
-    def __reduce__(self):
-        return (Field, (self.kind, self.p))
+        return hash((type(self), self.p))
 
 
 class RationalField(Field):
@@ -118,9 +114,14 @@ class RationalField(Field):
 
     __slots__ = ()
 
-    kind = "rational"
     _ZERO = Fraction(0)
     _ONE = Fraction(1)
+
+    def __init__(self):
+        self.p = None
+
+    def __reduce__(self):
+        return (RationalField, ())
 
     def zero(self):
         return self._ZERO
@@ -134,9 +135,6 @@ class RationalField(Field):
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
@@ -148,14 +146,13 @@ class RationalField(Field):
             raise DivisionByZero("inverse of zero")
         return 1 / a
 
-    def div(self, a, b):
-        if not b:
-            raise DivisionByZero("division by zero")
-        return a / b
-
     def parse(self, text: str):
         """Parse the canonical text form: 'p/q' or 'p'."""
         return Fraction(text)
+
+    def random_value(self, rng):
+        """A small random rational, for spot checks."""
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
 
     def sign_and_magnitude(self, a) -> Tuple[str, str]:
         """'+' or '-', read from the numerator, and the text of |a|."""
@@ -247,12 +244,18 @@ class PrimeField(Field):
 
     __slots__ = ()
 
-    kind = "gf"
-
-    def __init__(self, kind: str, p: Optional[int] = None):
-        super().__init__(kind, p)
-        if p is None or not _is_prime(p):
+    def __init__(self, p: int):
+        if p >= _MR_BOUND:
+            raise ValueError(
+                "gf modulus must be below %d, where primality is decided exactly"
+                % _MR_BOUND
+            )
+        if not _is_prime(p):
             raise ValueError("gf modulus must be prime, got %r" % (p,))
+        self.p = p
+
+    def __reduce__(self):
+        return (Field.gf, (self.p,))
 
     def zero(self):
         return 0
@@ -266,9 +269,6 @@ class PrimeField(Field):
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
 
@@ -280,14 +280,13 @@ class PrimeField(Field):
             raise DivisionByZero("inverse of zero")
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        if not b:
-            raise DivisionByZero("division by zero")
-        return (a * pow(b, -1, self.p)) % self.p
-
     def parse(self, text: str):
         """Parse a residue: any integer text, reduced mod p."""
         return int(text) % self.p
+
+    def random_value(self, rng):
+        """A uniform random residue, for spot checks."""
+        return rng.randrange(self.p)
 
     def sign_and_magnitude(self, a) -> Tuple[str, str]:
         """Residues carry no sign: '+' and the bare residue."""
@@ -342,66 +341,12 @@ class PrimeField(Field):
         return "Field(gf %d)" % self.p
 
 
-RATIONAL = Field("rational")
+RATIONAL = RationalField()
 
 
 def check_same_field(a: Field, b: Field) -> None:
     if a is not b and a != b:
         raise FieldMismatch("%r vs %r" % (a, b))
-
-
-class Scalar:
-    """An immutable field element; arithmetic never coerces across fields."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value):
-        self.field = field
-        self.value = value
-
-    @classmethod
-    def of(cls, field: Field, n: int) -> "Scalar":
-        return cls(field, field.from_int(n))
-
-    def __bool__(self):
-        return bool(self.value)
-
-    def __add__(self, other):
-        check_same_field(self.field, other.field)
-        return Scalar(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other):
-        check_same_field(self.field, other.field)
-        return Scalar(self.field, self.field.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        check_same_field(self.field, other.field)
-        return Scalar(self.field, self.field.mul(self.value, other.value))
-
-    def __truediv__(self, other):
-        check_same_field(self.field, other.field)
-        return Scalar(self.field, self.field.div(self.value, other.value))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def inv(self) -> "Scalar":
-        return Scalar(self.field, self.field.inv(self.value))
-
-    def __eq__(self, other):
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        check_same_field(self.field, other.field)
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __str__(self):
-        return self.field.format(self.value)
-
-    def __repr__(self):
-        return "Scalar(%r, %s)" % (self.field, self.value)
 
 
 # Symbols are (namespace, index) pairs: ("t", 3) prints as t_3.
@@ -427,9 +372,6 @@ class LinForm:
 
     @classmethod
     def const(cls, field: Field, value) -> "LinForm":
-        if isinstance(value, Scalar):
-            check_same_field(field, value.field)
-            value = value.value
         return cls(field, constant=value)
 
     @classmethod
@@ -464,9 +406,6 @@ class LinForm:
     def is_zero(self) -> bool:
         return not self.constant and not self.terms
 
-    def coeff(self, sym) -> Scalar:
-        return Scalar(self.field, self.terms.get(sym, self.field.zero()))
-
     def __add__(self, other):
         check_same_field(self.field, other.field)
         F = self.field
@@ -482,9 +421,6 @@ class LinForm:
     def __sub__(self, other):
         return self + other.scaled_raw(self.field.neg(self.field.one()))
 
-    def __neg__(self):
-        return self.scaled_raw(self.field.neg(self.field.one()))
-
     def scaled_raw(self, lam) -> "LinForm":
         F = self.field
         if not lam:
@@ -494,10 +430,6 @@ class LinForm:
             F.mul(lam, self.constant),
             {s: F.mul(lam, c) for s, c in self.terms.items()},
         )
-
-    def scaled(self, lam: Scalar) -> "LinForm":
-        check_same_field(self.field, lam.field)
-        return self.scaled_raw(lam.value)
 
     def substitute(self, sym, replacement: "LinForm") -> "LinForm":
         """Replace one symbol by an affine form."""

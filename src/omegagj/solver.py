@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .engine import EliminationState, IndexOutOfRange
-from .scalars import LinForm, Scalar
+from .scalars import LinForm
 
 
 class SymbolicSequence:
@@ -39,10 +39,6 @@ class SymbolicSequence:
                 "column %d is outside the computed horizon %d" % (j, self.horizon)
             )
         return self.entries.get(j, LinForm.zero(self.field))
-
-    def dense(self, n: Optional[int] = None) -> List[LinForm]:
-        upto = self.horizon if n is None else min(n - 1, self.horizon)
-        return [self.entry(j) for j in range(upto + 1)]
 
     def __add__(self, other: "SymbolicSequence") -> "SymbolicSequence":
         horizon = min(self.horizon, other.horizon)
@@ -101,8 +97,6 @@ def transform_rhs(
 def _as_form(F, value) -> LinForm:
     if isinstance(value, LinForm):
         return value
-    if isinstance(value, Scalar):
-        return LinForm.const(F, value.value)
     return LinForm.const(F, F.from_int(value) if isinstance(value, int) else value)
 
 
@@ -229,7 +223,7 @@ def verify_solution(
     for con in cons:
         symbols.update(con.terms)
     for _ in range(trials):
-        values = {s: _random_value(F, rng) for s in symbols}
+        values = {s: F.random_value(rng) for s in symbols}
         for con in sorted(cons, key=lambda f: max(f.terms)):
             lead = max(con.terms)
             rest = con.constant
@@ -244,11 +238,3 @@ def verify_solution(
             if total != F.zero():
                 return False
     return True
-
-
-def _random_value(F, rng: random.Random):
-    if F.kind == "gf":
-        return rng.randrange(F.p)
-    from fractions import Fraction
-
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 5))

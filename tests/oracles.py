@@ -26,15 +26,15 @@ def matmul_check(passage, inputs, outputs, p=None):
     return True
 
 
-def is_lrrf_dict(rows, p=None):
-    """Direct scan: every pivot (rightmost) coefficient is one and its
-    column is zero in all other rows."""
+def is_lrrf_dict(rows, p=None, lead=max):
+    """Direct scan: every pivot (rightmost, or lead) coefficient is one and
+    its column is zero in all other rows."""
     one = Fraction(1) if p is None else 1 % p
     cols = {}
     for i, r in enumerate(rows):
         if not r:
             continue
-        col = max(r)
+        col = lead(r)
         if r[col] != one:
             return False
         cols[col] = i
@@ -45,16 +45,68 @@ def is_lrrf_dict(rows, p=None):
     return True
 
 
-def is_lref_dict(rows):
+def is_lref_dict(rows, lead=max):
     prev = -1
     for r in rows:
         if not r:
             continue
-        col = max(r)
+        col = lead(r)
         if col <= prev:
             return False
         prev = col
     return True
+
+
+def is_urrf_dict(rows, p=None):
+    """The upper mirror of LRRF, which leftmost pivots build."""
+    return is_lrrf_dict(rows, p, lead=min)
+
+
+def is_uref_dict(rows):
+    """The upper mirror of LREF: leftmost indices strictly increase."""
+    return is_lref_dict(rows, lead=min)
+
+
+def is_hermite_basis(rows):
+    """The paper's Hermite basis: strictly increasing lengths, monic
+    rightmost entries, and zeros below each rightmost one."""
+    prev = -1
+    for j, r in enumerate(rows):
+        if not r:
+            continue
+        col = max(r)
+        if col <= prev or r[col] != 1:
+            return False
+        prev = col
+        if any(later.get(col) for later in rows[j + 1:]):
+            return False
+    return True
+
+
+class NonIncreasingLengths(Exception):
+    """Raised when representative rows are not strictly increasing in length."""
+
+
+def fulkerson_recurrence(reps):
+    """The paper's length recurrence: rebuild the monic basis from one
+    representative row of each length.
+
+    Representative j is reduced by the already-built rows using its own
+    original coefficients at their pivot columns, then divided by its own
+    rightmost coefficient. Rows are {column: Fraction} dicts.
+    """
+    out, pivots, prev = [], [], -1
+    for j, a in enumerate(reps):
+        if not a or max(a) <= prev:
+            raise NonIncreasingLengths("representative %d breaks the order" % j)
+        prev = max(a)
+        acc = dict(a)
+        for col, built in zip(pivots, out):
+            if a.get(col):
+                _sub_scaled(acc, a[col], built)
+        pivots.append(prev)
+        out.append({c: v / a[prev] for c, v in acc.items()})
+    return out
 
 
 def prec1_key(pair):

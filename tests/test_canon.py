@@ -5,26 +5,26 @@ import pytest
 from omegagj import (
     BUILTINS,
     EliminationState,
-    NonIncreasingLengths,
-    NotReduced,
     RATIONAL,
-    Row,
-    fulkerson_recurrence,
-    is_hermite_basis,
     is_lref,
     is_lrrf,
     is_qhf,
-    is_uref,
-    is_urrf,
-    rank_nullity,
     reorder_prefix,
-    right_set,
     run_to,
     step,
     verify_row_equivalence,
 )
 from fixtures import FULKERSON_INPUT, FULKERSON_REDUCED, PDE_QHF
-from oracles import dense_reduce, is_lref_dict, is_lrrf_dict
+from oracles import (
+    NonIncreasingLengths,
+    dense_reduce,
+    fulkerson_recurrence,
+    is_hermite_basis,
+    is_lref_dict,
+    is_lrrf_dict,
+    is_uref_dict,
+    is_urrf_dict,
+)
 from util import mk_row, mk_rows, random_dict_rows, rows_dicts
 
 F1 = Fraction(1)
@@ -69,49 +69,38 @@ def test_upper_mirrors_on_leftmost_run():
     state = EliminationState(RATIONAL, "lps")
     for k in range(6):
         step(state, m.row_at(k))
-    assert is_urrf(state.rows)
-    assert is_uref(state.rows)
-    assert not is_urrf(mk_rows(RATIONAL, [{0: 2 * F1}]))
-    assert not is_uref(mk_rows(RATIONAL, [{1: F1}, {0: F1}]))
+    assert is_urrf_dict(rows_dicts(state.rows))
+    assert is_uref_dict(rows_dicts(state.rows))
+    assert not is_lrrf(state.rows)
+    assert not is_urrf_dict([{0: 2 * F1}])
+    assert not is_uref_dict([{1: F1}, {0: F1}])
 
 
 def test_hermite_basis_predicate():
     nonzero = [d for d in PDE_QHF if d]
-    assert is_hermite_basis(mk_rows(RATIONAL, nonzero))
+    assert is_hermite_basis(nonzero)
+    # the engine order is reduced but not sorted by length
+    assert not is_hermite_basis(rows_dicts(run_to(BUILTINS["pde"](), 9).rows))
     # swapped lengths break it
-    assert not is_hermite_basis(mk_rows(RATIONAL, list(reversed(nonzero))))
+    assert not is_hermite_basis(list(reversed(nonzero)))
     # a later row with support on an earlier rightmost column breaks it
-    bad = mk_rows(RATIONAL, [{2: F1}, {2: F1, 5: F1}])
-    report = is_hermite_basis(bad)
-    assert not report and report.witness == (1, 2)
-
-
-def test_right_set():
-    state = run_to(BUILTINS["fulkerson"](), 6)
-    assert right_set(state.rows) == {3, 6, 9, 12}
-    assert right_set([Row.zero(RATIONAL)]) == set()
-
-
-def test_rank_nullity():
-    state = run_to(BUILTINS["fulkerson"](), 6)
-    assert rank_nullity(state.rows) == (4, 3)
-    with pytest.raises(NotReduced):
-        rank_nullity(mk_rows(RATIONAL, [{0: 2 * F1}]))
+    assert not is_hermite_basis([{2: F1}, {2: F1, 5: F1}])
+    # so does a rightmost coefficient other than one
+    assert not is_hermite_basis([{2: F1}, {5: 2 * F1}])
 
 
 def test_fulkerson_recurrence_rebuilds_basis():
     even = [FULKERSON_INPUT[0], FULKERSON_INPUT[2], FULKERSON_INPUT[4]]
     even.append({3: F1, 6: F1, 11: F1, 12: F1})  # next even input row
-    built = fulkerson_recurrence(mk_rows(RATIONAL, even))
-    assert rows_dicts(built) == [d for d in FULKERSON_REDUCED if d]
+    built = fulkerson_recurrence(even)
+    assert built == [d for d in FULKERSON_REDUCED if d]
 
 
 def test_fulkerson_recurrence_rejects_bad_order():
-    reps = mk_rows(RATIONAL, [FULKERSON_INPUT[2], FULKERSON_INPUT[0]])
     with pytest.raises(NonIncreasingLengths):
-        fulkerson_recurrence(reps)
+        fulkerson_recurrence([FULKERSON_INPUT[2], FULKERSON_INPUT[0]])
     with pytest.raises(NonIncreasingLengths):
-        fulkerson_recurrence([Row.zero(RATIONAL)])
+        fulkerson_recurrence([{}])
 
 
 def test_verify_row_equivalence_and_witnessed_failure():

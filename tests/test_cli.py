@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from omegagj import Field, RATIONAL, RationalField, Row, parse_row
+from omegagj import Field, RATIONAL, RationalField, Row
 from omegagj.cli import (
     MatrixSpec,
     ParseError,
@@ -16,7 +16,7 @@ from omegagj.cli import (
     resolve_rhs,
 )
 from fixtures import bidiag_lps_row, bidiag_reduced_row
-from util import gf_band_text, row_dict
+from util import gf_band_text, parse_row, row_dict
 
 F1 = Fraction(1)
 
@@ -107,6 +107,8 @@ def test_render_round_trip(text):
         ("field rational\nkind wat\n", 2, "kind must be"),
         ("stencil 1:1\n", 1, "before field"),
         ("field gf 6\n", 1, "prime"),
+        ("field gf 3825123056546413051\n", 1, "prime"),
+        ("field gf 318665857834031151167461\n", 1, "below"),
         ("field rational\nkind stencil\nstencil 0:1 0:2\n", 3, "duplicate"),
         ("field rational\nkind stencil\n", 0, "needs a stencil"),
         ("field rational\nkind explicit\nrow 0 1:x\ntail zero\n", 3, "bad entry"),
@@ -211,8 +213,25 @@ def test_reduce_json_matches_tsv_after_densify(capsys):
         dense_lines = section(tsv, label)
         width = len(dense_lines[0].split("\t"))
         for sparse, line in zip(doc[label], dense_lines):
-            r = parse_row(RATIONAL, sparse)
-            assert [RATIONAL.format(v) for v in r.dense(width)] == line.split("\t")
+            d = row_dict(parse_row(RATIONAL, sparse))
+            assert [RATIONAL.format(d.get(j, 0)) for j in range(width)] == line.split("\t")
+
+
+def test_reduce_json_every_section(capsys):
+    argv = ["reduce", "fulkerson", "--stages", "3", "--format", "json",
+            "--emit", "rows,passage,pivots,history,last_changed"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["stage", "strategy", "rows", "passage", "pivots",
+                         "pivot_history", "last_changed"]
+    assert doc["stage"] == 3 and doc["strategy"] == "rps"
+    assert [row_dict(parse_row(RATIONAL, r)) for r in doc["rows"]] == [
+        {2: F1, 3: F1}, {}, {2: -F1, 5: F1, 6: F1}, {}
+    ]
+    assert doc["passage"] == ["0:1", "1:1", "0:-1 2:1", "0:-1 2:-2 3:1"]
+    assert doc["pivot_history"] == [3, -1, 6, -1]
+    assert doc["pivots"] == {"3": 0, "6": 2}
+    assert doc["last_changed"] == [0, 1, 2, 3]
 
 
 def test_reduce_json_pivots_formats_no_row(monkeypatch, capsys):
@@ -273,6 +292,13 @@ def test_zero_matrix_stage_zero(tmp_path, capsys):
     out = capsys.readouterr().out
     assert section(out, "rows") == ["0"]
     assert section(out, "passage") == ["1"]
+
+
+def test_reduce_over_a_61_bit_prime_field(tmp_path, capsys):
+    path = tmp_path / "m61.mat"
+    path.write_text("field gf 2305843009213693951\nkind explicit\nrow 0 0:2 1:-1\ntail zero\n")
+    assert main(["reduce", str(path), "--stages", "0", "--emit", "rows"]) == 0
+    assert capsys.readouterr().out == "# rows\n2305843009213693949\t1\n"
 
 
 def test_reduce_gf_output_uses_residues(tmp_path, capsys):
@@ -400,14 +426,6 @@ def test_verify_oracle_rejects_rows_with_explicit_zeros(monkeypatch, capsys):
     assert capsys.readouterr().out == "check oracle: failed\n"
 
 
-def test_verify_lrrf_fails_for_drifting_strategy(capsys):
-    rv = main(
-        ["verify", "bidiag", "--stages", "2", "--strategy", "lps", "--check", "lrrf"]
-    )
-    assert rv == 1
-    assert capsys.readouterr().out == "check lrrf: failed\n"
-
-
 def test_stability_reports_certified_prefix(tmp_path, capsys):
     path = tmp_path / "certified.mat"
     path.write_text("field rational\nkind builtin\nbuiltin bidiag\nfloor m*1+1\n")
@@ -434,11 +452,18 @@ def test_stability_reports_certified_prefix(tmp_path, capsys):
         ["verify", "bidiag", "--stages", "3", "--strategy", "lps", "--check", "qhf"],
         ["verify", "bidiag", "--stages", "3", "--strategy", "lps", "--check", "roweq"],
         ["solve", "bidiag", "--stages", "3", "--rhs", "symbolic:not an id"],
+        # leftmost pivots build the upper form, never the LRRF
+        ["verify", "bidiag", "--stages", "2", "--strategy", "lps", "--check", "lrrf"],
+        ["qhf", "pde", "--stages", "5", "--prefix", "9"],
+        ["qhf", "pde", "--stages", "5", "--prefix", "9", "--format", "json"],
+        ["stability", "pde", "--stages", "5", "--prefix", "-1"],
     ],
 )
 def test_exit_2_for_rejected_input(argv, capsys):
     assert main(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 def test_exit_2_for_bad_spec_file(tmp_path, capsys):

@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegagj import Field, FieldMismatch, RATIONAL, Row, Scalar
-from omegagj.rows import (
-    axpy,
-    axpy_raw,
-    dense_width,
-    normalize_rightmost,
-    parse_row,
-)
-from util import mk_row, row_dict
+from omegagj import Field, FieldMismatch, RATIONAL, Row
+from omegagj.rows import axpy_raw, dense_width
+from util import mk_row, parse_row, row_dict
 
 GF7 = Field.gf(7)
 
@@ -57,8 +51,8 @@ def test_accessors():
     assert r.maxs == 7 and r.zeta == 2
     assert r.raw(2) == 5
     assert r.raw(3) == 0
-    assert r.get(7) == Scalar(RATIONAL, Fraction(-1, 3))
-    assert r.get(99).value == 0
+    assert r.raw(7) == Fraction(-1, 3)
+    assert r.raw(99) == 0
 
 
 def test_equality_hash_and_cross_field():
@@ -80,8 +74,7 @@ def test_axpy_cancellation():
     y = mk_row(RATIONAL, {2: Fraction(3), 5: Fraction(1)})
     out = axpy_raw(Fraction(-3), x, y)
     assert row_dict(out) == {0: Fraction(-3), 5: Fraction(1)}
-    assert axpy_raw(Fraction(0), x, y) == y
-    assert axpy(Scalar.of(RATIONAL, -3), x, y) == out
+    assert axpy_raw(Fraction(0), x, y) is y
 
 
 def test_axpy_gf_wraps():
@@ -143,16 +136,6 @@ def test_field_kernels_match_dict_arithmetic(p):
     check()
 
 
-def test_normalize_both_ends():
-    r = mk_row(RATIONAL, {1: Fraction(3), 4: Fraction(-2)})
-    nr = normalize_rightmost(r)
-    assert nr.raw(4) == 1 and nr.raw(1) == Fraction(-3, 2)
-    z = Row.zero(RATIONAL)
-    assert normalize_rightmost(z) is z
-    monic = mk_row(RATIONAL, {2: Fraction(1)})
-    assert normalize_rightmost(monic) is monic
-
-
 def test_parse_and_str_round_trip():
     text = "0:1 3:-2/5 9:4"
     r = parse_row(RATIONAL, text)
@@ -171,8 +154,6 @@ def test_str_parse_identity(d):
 
 def test_dense_and_width():
     r = mk_row(RATIONAL, {1: Fraction(2), 3: Fraction(1)})
-    assert r.dense(5) == [0, 2, 0, 1, 0]
-    assert r.dense(2) == [0, 2]
     rows = [Row.zero(RATIONAL), r, mk_row(RATIONAL, {6: Fraction(1)})]
     assert dense_width(rows) == 7
     assert dense_width([Row.zero(RATIONAL)]) == 0

@@ -15,7 +15,6 @@ from omegagj import (
     homogeneous_solution,
     make_explicit,
     particular_solution,
-    right_set,
     run_to,
     transform_rhs,
     verify_solution,
@@ -194,7 +193,7 @@ def test_deficiency_matches_uncovered_columns():
         state = run_to(BUILTINS[name](), stage)
         k = transform_rhs(state.passage, "c")
         res = general_solution(state, k, horizon)
-        covered = len(right_set(state.rows) & set(range(horizon + 1)))
+        covered = sum(1 for r in state.rows if not r.is_zero() and r.maxs <= horizon)
         assert res.deficiency_over_horizon == horizon + 1 - covered
         assert len(res.general.free_columns) == res.deficiency_over_horizon
 
@@ -209,7 +208,6 @@ def test_sequence_entry_beyond_horizon_raises():
         xh.entry(6)
     with pytest.raises(IndexOutOfRange):
         xh.entry(-1)
-    assert len(xh.dense()) == 6
 
 
 def test_sequence_addition_clamps_horizon():

@@ -16,6 +16,16 @@ def mk_rows(field: Field, dicts):
     return [mk_row(field, d) for d in dicts]
 
 
+def parse_row(field: Field, text: str) -> Row:
+    """Parse the sparse text form 'col:val col:val' that str(Row) prints;
+    empty text is the zero row."""
+    pairs = []
+    for tok in text.split():
+        col_s, _, val_s = tok.partition(":")
+        pairs.append((int(col_s), field.parse(val_s)))
+    return Row.from_pairs(field, pairs)
+
+
 def row_dict(r: Row) -> dict:
     """Sparse {col: raw value} image of a Row."""
     return dict(r.support)
