@@ -37,7 +37,6 @@ from .reorder import (
     DuplicateLength,
     ReorderState,
     extended_run,
-    qhf_prefix_stability,
     reorder_prefix,
 )
 from .rows import Row, dense_width
@@ -98,7 +97,6 @@ __all__ = [
     "make_stencil",
     "particular_solution",
     "prefix_stability",
-    "qhf_prefix_stability",
     "reorder_prefix",
     "run_to",
     "step",

@@ -18,7 +18,7 @@ from .engine import (
     run_to,
 )
 from .matrices import BUILTINS, RowFiniteMatrix, make_explicit, make_stencil
-from .reorder import extended_run, qhf_prefix_stability
+from .reorder import extended_run
 from .rows import Row, dense_width
 from .scalars import RATIONAL, Field, LinForm
 from .solver import general_solution, transform_rhs
@@ -324,7 +324,9 @@ def cmd_qhf(args, out) -> int:
     matrix = resolve_matrix(args.matrix)
     if args.strategy != "rps":
         raise ParseError(0, "qhf is defined for the rps strategy only")
-    rs = extended_run(matrix, args.stages, args.strategy)
+    rs = extended_run(matrix, args.stages)
+    # Delta_k and the slot-level change index are one number (see reorder)
+    delta = None if args.prefix is None else prefix_stability(rs, args.prefix)
     if args.format == "json":
         doc = {
             "stage": rs.stage,
@@ -334,21 +336,23 @@ def cmd_qhf(args, out) -> int:
         }
         if args.prefix is not None:
             doc["prefix"] = args.prefix
-            doc["delta"] = qhf_prefix_stability(rs, args.prefix)
-            doc["last_change"] = prefix_stability(rs, args.prefix)
+            doc["delta"] = delta
+            doc["last_change"] = delta
         print(json.dumps(doc), file=out)
         return 0
     _emit_rows(out, "q_rows", matrix.field, rs.q_rows)
     print("# permutation", file=out)
     print(" ".join(str(i) for i in rs.permutation), file=out)
     if args.prefix is not None:
-        print("last_change_%d = %d" % (args.prefix, prefix_stability(rs, args.prefix)), file=out)
-        print("delta_%d = %d" % (args.prefix, qhf_prefix_stability(rs, args.prefix)), file=out)
+        print("last_change_%d = %d" % (args.prefix, delta), file=out)
+        print("delta_%d = %d" % (args.prefix, delta), file=out)
     return 0
 
 
 def cmd_solve(args, out) -> int:
     matrix = resolve_matrix(args.matrix)
+    if args.strategy != "rps":
+        raise ParseError(0, "solve is defined for the rps strategy only")
     state = run_to(matrix, args.stages, args.strategy)
     kind, payload = resolve_rhs(args.rhs)
     if kind == "symbolic":
@@ -404,10 +408,10 @@ def cmd_verify(args, out) -> int:
         state = run_to(matrix, args.stages, args.strategy)
         ok = bool(is_lrrf(state.rows))
     elif args.check == "qhf":
-        rs = extended_run(matrix, args.stages, args.strategy)
+        rs = extended_run(matrix, args.stages)
         ok = bool(is_qhf(rs.q_rows))
     elif args.check == "roweq":
-        rs = extended_run(matrix, args.stages, args.strategy)
+        rs = extended_run(matrix, args.stages)
         ok = verify_row_equivalence(rs.q_passage, matrix, rs.q_rows, args.stages)
     else:
         state = run_to(matrix, args.stages, args.strategy)
@@ -466,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--matrix", help="spec file, builtin name, or builtin:NAME")
         p.add_argument("--stages", type=int, required=True, metavar="N")
         p.add_argument("--strategy", choices=("rps", "lps"), default="rps")
-        p.add_argument("--format", choices=("tsv", "json"), default="tsv")
+        if name in ("reduce", "qhf", "solve"):
+            p.add_argument("--format", choices=("tsv", "json"), default="tsv")
         if name == "reduce":
             p.add_argument("--emit", default="rows")
         if name in ("qhf", "stability"):

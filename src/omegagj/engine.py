@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Set
 
 from . import rows
-from .rows import Row
+from .rows import Row, check_row
 from .scalars import Field
 
 
@@ -57,9 +57,8 @@ class PivotFloor:
 
     The promise is validated online: each observed nonzero pivot is checked
     against the largest floor promised by the completed stages before it.
-    Zero rows produce no pivot and are exempt. How far a run has validated
-    the promise is recorded on its EliminationState, so one floor can serve
-    any number of runs.
+    Zero rows produce no pivot and are exempt. The running floor is kept on
+    each EliminationState, so one floor can serve any number of runs.
     """
 
     def __init__(self, promise: Callable[[int], int]):
@@ -85,16 +84,12 @@ class EliminationState:
         self.last_changed: List[int] = []
         self.column_rows: Dict[int, Set[int]] = {}
         self.certificate = certificate
-        self.validated_through = -1
         self._floor_max: Optional[int] = None
 
     @property
     def stage(self) -> int:
         """Index of the last processed input row; -1 before the first."""
         return len(self.rows) - 1
-
-    def pivot_of(self, r: Row) -> Optional[int]:
-        return r.maxs if self.strategy == "rps" else r.zeta
 
 
 def _sub_scaled(y: Row, lam, x: Row) -> Row:
@@ -123,21 +118,13 @@ def _reindex_row(index: Dict[int, Set[int]], i: int, old: Row, new: Row) -> None
 def jordan_update(state: EliminationState, g: Row) -> None:
     """Clear the pivot column of the newly appended pivot row g everywhere.
 
-    g must already sit at the last index of state.rows with its passage row
-    in place; the earlier rows the column index lists for g's pivot column
-    (and their passage rows) are patched in step and recorded in
-    last_changed, and g itself is indexed last.
+    step calls this once g, its passage row and its pivot column (the last
+    pivot_history entry) are appended; the earlier rows the column index
+    lists for that column (and their passage rows) are patched in step and
+    recorded in last_changed, and g itself is indexed last.
     """
-    n = len(state.rows) - 1
-    if n < 0 or state.rows[n] is not g:
-        raise ValueError("jordan_update expects the last appended row")
-    col = state.pivot_of(g)
-    if col is None:
-        return
-    if col in state.pivots:
-        raise PivotCollision(
-            "column %d already pinned by row %d" % (col, state.pivots[col])
-        )
+    n = state.stage
+    col = state.pivot_history[-1]
     index = state.column_rows
     holders = index.get(col)
     if holders:
@@ -157,10 +144,11 @@ def jordan_update(state: EliminationState, g: Row) -> None:
 def step(state: EliminationState, c: Row) -> EliminationState:
     """Run one full stage on the incoming row and return the state.
 
-    A stage that raises (a certificate violation or a pivot collision)
-    leaves the state as it was.
+    A stage that raises (a non-canonical row, a certificate violation or a
+    pivot collision) leaves the state as it was.
     """
     n = len(state.rows)
+    check_row(state.field, n, c)
     # every pivot row is one at its own pivot column and zero at all other
     # pivot columns, so the multiplier against pivot row idx is c's original
     # entry there and the order of the subtractions does not matter
@@ -172,40 +160,29 @@ def step(state: EliminationState, c: Row) -> EliminationState:
             reduced = _sub_scaled(reduced, val, state.rows[idx])
             p = _sub_scaled(p, val, state.passage[idx])
 
-    if reduced.is_zero():
-        state.rows.append(reduced)
-        state.passage.append(p)
-        state.pivot_history.append(None)
-        state.last_changed.append(n)
-        _absorb_floor(state, n)
-        return state
-
-    col, lead = reduced.support[-1] if state.strategy == "rps" else reduced.support[0]
-    if state.certificate is not None and state._floor_max is not None:
-        if col < state._floor_max:
+    col = None
+    if not reduced.is_zero():
+        col, lead = reduced.support[-1] if state.strategy == "rps" else reduced.support[0]
+        if state._floor_max is not None and col < state._floor_max:
             raise CertificateViolation(n, col, state._floor_max)
-    if col in state.pivots:
-        raise PivotCollision(
-            "column %d already pinned by row %d" % (col, state.pivots[col])
-        )
-    inv = state.field.inv(lead)
-    g = reduced.scaled_raw(inv)
-    state.rows.append(g)
-    state.passage.append(p.scaled_raw(inv))
+        if col in state.pivots:
+            raise PivotCollision(
+                "column %d already pinned by row %d" % (col, state.pivots[col])
+            )
+        inv = state.field.inv(lead)
+        reduced = reduced.scaled_raw(inv)
+        p = p.scaled_raw(inv)
+    state.rows.append(reduced)
+    state.passage.append(p)
     state.pivot_history.append(col)
     state.last_changed.append(n)
-    jordan_update(state, g)
-    _absorb_floor(state, n)
+    if col is not None:
+        jordan_update(state, reduced)
+    if state.certificate is not None:
+        b = state.certificate.promise(n)
+        if state._floor_max is None or b > state._floor_max:
+            state._floor_max = b
     return state
-
-
-def _absorb_floor(state: EliminationState, n: int) -> None:
-    if state.certificate is None:
-        return
-    b = state.certificate.promise(n)
-    if state._floor_max is None or b > state._floor_max:
-        state._floor_max = b
-    state.validated_through = n
 
 
 def run_to(matrix, n: int, strategy: str = "rps") -> EliminationState:
@@ -230,19 +207,26 @@ def prefix_stability(state, k: int) -> int:
     return max(state.last_changed[: k + 1])
 
 
+def certified_floor(state: EliminationState) -> Optional[int]:
+    """The column below which no later stage can write, or None without a
+    certificate: every later pivot lands at or right of the promise for the
+    current stage (step is atomic, so the promise holds through it)."""
+    cert = state.certificate
+    return None if cert is None else cert.promise(state.stage)
+
+
 def certified_stable(state: EliminationState, k: int) -> str:
     """Decide whether rows 0..k are guaranteed final: certified|provisional.
 
     A future stage can touch row i only through a pivot column inside row
-    i's support, so a validated floor promise strictly above every nonzero
-    row's rightmost index freezes the prefix.
+    i's support, so a certified floor strictly above every nonzero row's
+    rightmost index freezes the prefix.
     """
     if k > state.stage or k < 0:
         raise IndexOutOfRange("prefix %d exceeds stage %d" % (k, state.stage))
-    cert = state.certificate
-    if cert is None or state.validated_through < state.stage:
+    floor = certified_floor(state)
+    if floor is None:
         return "provisional"
-    floor = cert.promise(state.stage)
     for r in state.rows[: k + 1]:
         if not r.is_zero() and r.maxs >= floor:
             return "provisional"

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
-from .rows import Row, axpy_raw
+from .rows import Row, axpy_raw, check_row
 from .scalars import RATIONAL, Field
 
 
@@ -32,33 +32,13 @@ class RowFiniteMatrix:
             raise IndexError("row index must be a natural, got %d" % k)
         while len(self._memo) <= k:
             r = self.generator(len(self._memo))
-            _check_row(self.field, len(self._memo), r)
+            check_row(self.field, len(self._memo), r)
             self._memo.append(r)
         return self._memo[k]
 
     def top_submatrix(self, n: int) -> List[Row]:
         """Rows 0..n inclusive."""
         return [self.row_at(k) for k in range(n + 1)]
-
-
-def _check_row(field: Field, k: int, r) -> None:
-    """Raise ValueError unless r is a canonical Row over field (see Row)."""
-    if not isinstance(r, Row):
-        raise ValueError("generator produced %r for row %d, not a Row" % (r, k))
-    if r.field != field:
-        raise ValueError("generator produced row %d over the wrong field" % k)
-    prev = -1
-    for entry in r.support:
-        c, v = entry
-        if type(c) is not int or c < 0:
-            reason = "negative or non-integer column"
-        elif c <= prev:
-            reason = "columns not strictly increasing"
-        else:
-            reason = field.entry_error(v)
-        if reason is not None:
-            raise ValueError("row %d: entry %r: %s" % (k, entry, reason))
-        prev = c
 
 
 def make_stencil(field: Field, offsets) -> RowFiniteMatrix:

@@ -7,8 +7,12 @@ Under rightmost pivots a row's rightmost index is fixed once the row exists,
 and the Jordan clear of a new pivot column c touches only rows that end to
 the right of c. So a stage adding a row that ends at c changes exactly the
 nonzero slots from that row's rank in rightmost-index order onward, plus its
-own new slot. ReorderState.record logs this with one bisection per stage,
-and the paper's Delta_k is read from the same log.
+own new slot. ReorderState.record logs this with one bisection per stage.
+
+The paper's Delta_k, the last stage at which the largest row-length of the
+reordered prefix 0..k dropped (at least k), is engine.prefix_stability on a
+ReorderState: a drop after stage k is exactly a new row ranking among the
+prefix's nonzero slots, which record logs.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import List, Tuple
 
-from .engine import EliminationState, prefix_stability, step
+from .engine import EliminationState, step
 from .rows import Row
 from .rows import axpy_raw  # noqa: F401  (unused; bench/tracing.py patches reorder.axpy_raw)
 
@@ -100,23 +104,13 @@ class ReorderState:
         return [self.base.passage[i] for i in self.permutation]
 
 
-def extended_run(matrix, n: int, strategy: str = "rps") -> ReorderState:
-    """Run engine.step on rows 0..n, recording the reordered view after each;
-    the elimination state is on the result's .base attribute."""
-    state = EliminationState(
-        matrix.field, strategy, certificate=getattr(matrix, "certificate", None)
-    )
+def extended_run(matrix, n: int) -> ReorderState:
+    """Run engine.step on rows 0..n with rightmost pivots, recording the
+    reordered view after each; the elimination state is on the result's
+    .base attribute."""
+    state = EliminationState(matrix.field, certificate=getattr(matrix, "certificate", None))
     rs = ReorderState(state)
     for k in range(n + 1):
         step(state, matrix.row_at(k))
         rs.record()
     return rs
-
-
-def qhf_prefix_stability(rs: ReorderState, k: int) -> int:
-    """Delta_k: the last stage at which the largest row-length of the
-    reordered prefix 0..k dropped (at least k). A drop after stage k is
-    exactly a new row ranking among the prefix's nonzero slots, which
-    record() logs, so this is the prefix's slot-level change index.
-    """
-    return prefix_stability(rs, k)

@@ -13,8 +13,9 @@ class Row:
     support is a tuple of (column, raw value) pairs with strictly increasing
     columns and no zero values, so equal rows have equal supports. Raw
     values are lowest-terms Fractions over the rationals and ints in
-    [1, p) over GF(p); from_pairs converts ints, and RowFiniteMatrix.row_at
-    rejects generator rows that break any of this.
+    [1, p) over GF(p); from_pairs converts ints, and check_row (run by
+    RowFiniteMatrix.row_at and engine.step) rejects rows that break any of
+    this.
     """
 
     __slots__ = ("field", "support")
@@ -97,6 +98,26 @@ class Row:
 
     def __repr__(self):
         return "Row(%s)" % (self if self.support else "0")
+
+
+def check_row(field: Field, k: int, r) -> None:
+    """Raise ValueError, naming row k, unless r is a canonical Row over field."""
+    if not isinstance(r, Row):
+        raise ValueError("row %d is %r, not a Row" % (k, r))
+    if r.field != field:
+        raise ValueError("row %d is over %r, not %r" % (k, r.field, field))
+    prev = -1
+    for entry in r.support:
+        c, v = entry
+        if type(c) is not int or c < 0:
+            reason = "negative or non-integer column"
+        elif c <= prev:
+            reason = "columns not strictly increasing"
+        else:
+            reason = field.entry_error(v)
+        if reason is not None:
+            raise ValueError("row %d: entry %r: %s" % (k, entry, reason))
+        prev = c
 
 
 def axpy_raw(lam, x: Row, y: Row) -> Row:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Tuple
+from typing import Optional
 
 
 class FieldMismatch(Exception):
@@ -154,14 +154,6 @@ class RationalField(Field):
         """A small random rational, for spot checks."""
         return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
 
-    def sign_and_magnitude(self, a) -> Tuple[str, str]:
-        """'+' or '-', read from the numerator, and the text of |a|."""
-        n, d = a.numerator, a.denominator
-        sign = "+"
-        if n < 0:
-            sign, n = "-", -n
-        return sign, ("%d" % n if d == 1 else "%d/%d" % (n, d))
-
     def accepts(self, v) -> bool:
         """Whether Row.from_pairs takes v as a value: an int or a Fraction."""
         return isinstance(v, (int, Fraction))
@@ -287,10 +279,6 @@ class PrimeField(Field):
     def random_value(self, rng):
         """A uniform random residue, for spot checks."""
         return rng.randrange(self.p)
-
-    def sign_and_magnitude(self, a) -> Tuple[str, str]:
-        """Residues carry no sign: '+' and the bare residue."""
-        return "+", str(a)
 
     def accepts(self, v) -> bool:
         """Whether Row.from_pairs takes v as a value: any int (reduced mod p)."""
@@ -459,7 +447,6 @@ class LinForm:
         leading, if given, is a symbol pulled to the front (used for
         constraints written as c_w - ... = 0).
         """
-        F = self.field
         items = sorted(self.terms.items())
         if leading is not None and leading in self.terms:
             items = [(leading, self.terms[leading])] + [
@@ -467,9 +454,9 @@ class LinForm:
             ]
         parts = []
         for (ns, idx), c in items:
-            parts.append(_signed(F, c, "%s_%d" % (ns, idx), first=not parts))
+            parts.append(_signed(c, "%s_%d" % (ns, idx), first=not parts))
         if self.constant or not parts:
-            parts.append(_signed(F, self.constant, None, first=not parts))
+            parts.append(_signed(self.constant, None, first=not parts))
         return "".join(parts)
 
     def __repr__(self):
@@ -478,12 +465,16 @@ class LinForm:
     __hash__ = None
 
 
-def _signed(F: Field, c, sym: Optional[str], first: bool) -> str:
-    """Render one signed term; rationals show sign, gf shows bare residues."""
-    sign, body = F.sign_and_magnitude(c)
+def _signed(c, sym: Optional[str], first: bool) -> str:
+    """Render one signed term; the sign is read from the value's canonical
+    text (str, as Field.format), so rationals show it and GF residues, never
+    negative, do not."""
+    body = str(c)
+    negative = body[0] == "-"
+    if negative:
+        body = body[1:]
     if sym is not None:
         body = sym if body == "1" else "%s*%s" % (body, sym)
     if first:
-        return body if sign == "+" else "-" + body
-    return (" + " if sign == "+" else " - ") + body
-
+        return "-" + body if negative else body
+    return (" - " if negative else " + ") + body

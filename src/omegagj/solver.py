@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from .engine import EliminationState, IndexOutOfRange
+from .engine import EliminationState, IndexOutOfRange, certified_floor
 from .scalars import LinForm
 
 
@@ -39,25 +39,6 @@ class SymbolicSequence:
                 "column %d is outside the computed horizon %d" % (j, self.horizon)
             )
         return self.entries.get(j, LinForm.zero(self.field))
-
-    def __add__(self, other: "SymbolicSequence") -> "SymbolicSequence":
-        horizon = min(self.horizon, other.horizon)
-        entries: Dict[int, LinForm] = {}
-        for j in set(self.entries) | set(other.entries):
-            if j <= horizon:
-                entries[j] = self.entries.get(j, LinForm.zero(self.field)) + other.entries.get(
-                    j, LinForm.zero(self.field)
-                )
-        provenance = dict(other.provenance)
-        provenance.update(self.provenance)
-        return SymbolicSequence(
-            self.field,
-            entries,
-            sorted(set(self.free_columns) | set(other.free_columns)),
-            provenance,
-            horizon,
-            max(self.stage, other.stage),
-        )
 
 
 @dataclass
@@ -105,35 +86,35 @@ def consistency_constraints(state: EliminationState, k: Sequence[LinForm]) -> Li
     return [k[w] for w, r in enumerate(state.rows) if r.is_zero() and not k[w].is_zero()]
 
 
-def _provenance(state: EliminationState, column: int) -> str:
-    cert = state.certificate
-    if (
-        cert is not None
-        and state.validated_through >= state.stage
-        and column < cert.promise(state.stage)
-    ):
-        return "certified"
-    return "provisional at stage %d" % state.stage
+def _provenance(state: EliminationState, horizon: int) -> Dict[int, str]:
+    floor = certified_floor(state)
+    provisional = "provisional at stage %d" % state.stage
+    return {
+        j: "certified" if floor is not None and j < floor else provisional
+        for j in range(horizon + 1)
+    }
 
 
 def homogeneous_solution(state: EliminationState, horizon: int) -> SymbolicSequence:
     """General solution of the homogeneous system through the given column.
 
     Free columns get fresh parameters t_0, t_1, ... in column order; each
-    pivot column balances its row against the free columns to its left.
+    pivot column balances its row against the free columns to its left,
+    which needs rightmost pivots (ValueError otherwise).
     """
+    if state.strategy != "rps":
+        raise ValueError("symbolic solutions need rightmost pivots")
     F = state.field
     free = [j for j in range(horizon + 1) if j not in state.pivots]
     param = {j: LinForm.symbol(F, "t", idx) for idx, j in enumerate(free)}
     entries: Dict[int, LinForm] = dict(param)
-    provenance = {j: _provenance(state, j) for j in range(horizon + 1)}
     for col, i in state.pivots.items():
         if col > horizon:
             continue
         entries[col] = LinForm.combination(
             F, ((F.neg(v), param[c]) for c, v in state.rows[i].support if c != col)
         )
-    return SymbolicSequence(F, entries, free, provenance, horizon, state.stage)
+    return SymbolicSequence(F, entries, free, _provenance(state, horizon), horizon, state.stage)
 
 
 def particular_solution(
@@ -147,18 +128,28 @@ def particular_solution(
     for col, i in state.pivots.items():
         if col <= horizon:
             entries[col] = k[i]
-    provenance = {j: _provenance(state, j) for j in range(horizon + 1)}
-    return SymbolicSequence(F, entries, [], provenance, horizon, state.stage)
+    return SymbolicSequence(F, entries, [], _provenance(state, horizon), horizon, state.stage)
 
 
 def general_solution(
     state: EliminationState, k: Sequence[LinForm], horizon: int
 ) -> SolveResult:
-    """Constraints, particular plus homogeneous part, and the rank deficiency."""
+    """Constraints, the general solution and the rank deficiency.
+
+    The general solution is the homogeneous one with k[i] added at the
+    pivot column of each row i, that is the particular solution plus the
+    homogeneous one, in one pass.
+    """
     constraints = consistency_constraints(state, k)
-    xp = particular_solution(state, k, horizon)
-    xh = homogeneous_solution(state, horizon)
-    general = xp + xh
+    general = homogeneous_solution(state, horizon)
+    zero = LinForm.zero(state.field)
+    for col, i in state.pivots.items():
+        if col <= horizon:
+            x = k[i] + general.entries.get(col, zero)
+            if x.is_zero():
+                general.entries.pop(col, None)
+            else:
+                general.entries[col] = x
     pivots_below = sum(1 for c in state.pivots if c <= horizon)
     return SolveResult(constraints, general, horizon + 1 - pivots_below, horizon)
 

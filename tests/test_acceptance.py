@@ -25,7 +25,6 @@ from omegagj import (
     make_explicit,
     particular_solution,
     prefix_stability,
-    qhf_prefix_stability,
     reorder_prefix,
     run_to,
     step,
@@ -116,8 +115,7 @@ def test_4_derivation_matrix_reorder_and_stability():
     rs = extended_run(matrix, 9)
     assert rows_dicts(rs.q_rows) == PDE_QHF
     assert verify_row_equivalence(rs.q_passage, matrix, rs.q_rows, 9)
-    assert prefix_stability(rs, 6) == 9
-    assert qhf_prefix_stability(rs, 6) == 9
+    assert prefix_stability(rs, 6) == 9  # Delta_6 of the reordered prefix
     assert is_lrrf(rs.q_rows)
     assert sum(1 for r in rs.q_rows if r.is_zero()) == 2  # nullity 2, rank 8
 

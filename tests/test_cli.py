@@ -457,6 +457,8 @@ def test_stability_reports_certified_prefix(tmp_path, capsys):
         ["qhf", "pde", "--stages", "5", "--prefix", "9"],
         ["qhf", "pde", "--stages", "5", "--prefix", "9", "--format", "json"],
         ["stability", "pde", "--stages", "5", "--prefix", "-1"],
+        # the homogeneous solution needs the free columns left of each pivot
+        ["solve", "bidiag", "--stages", "3", "--strategy", "lps"],
     ],
 )
 def test_exit_2_for_rejected_input(argv, capsys):
@@ -492,4 +494,19 @@ def test_exit_3_on_certificate_violation(tmp_path, capsys):
 def test_missing_required_flag_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["reduce", "bidiag"])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "bidiag", "--stages", "3", "--check", "qhf"],
+        ["stability", "bidiag", "--stages", "3"],
+    ],
+    ids=["verify", "stability"],
+)
+def test_format_is_not_an_option_of_plain_text_commands(argv):
+    # verify and stability print one fixed text form
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--format", "json"])
     assert err.value.code == 2

@@ -19,11 +19,9 @@ from omegagj import (
     extended_run,
     make_explicit,
     prefix_stability,
-    qhf_prefix_stability,
     run_to,
     step,
 )
-from omegagj.engine import jordan_update
 from fixtures import (
     FULKERSON_NULLSPACE,
     FULKERSON_PASSAGE,
@@ -34,7 +32,7 @@ from fixtures import (
     bidiag_reduced_row,
 )
 from oracles import ReorderReference, dense_reduce
-from util import field_for, mk_row, mk_rows, row_dict, rows_dicts
+from util import dict_matrices, field_for, mk_row, mk_rows, row_dict, rows_dicts
 
 GF7 = Field.gf(7)
 
@@ -73,19 +71,6 @@ def test_gaussian_reduce_uses_original_entries():
     assert row_dict(state.passage[3]) == {
         0: Fraction(1), 1: Fraction(-5, 7), 2: Fraction(5, 7), 3: Fraction(-1, 7)
     }
-
-
-def test_jordan_update_guards():
-    state = run_to(BUILTINS["bidiag"](), 1)
-    with pytest.raises(ValueError):
-        jordan_update(state, Row.unit(RATIONAL, 9))
-    # a hand-appended row whose pivot column is already pinned
-    clash = Row.unit(RATIONAL, 2)
-    state.rows.append(clash)
-    state.passage.append(Row.unit(RATIONAL, 2))
-    state.last_changed.append(2)
-    with pytest.raises(PivotCollision):
-        jordan_update(state, clash)
 
 
 def test_bidiag_run_matches_closed_forms():
@@ -169,7 +154,7 @@ def bidiag_with_floor(slope, intercept):
 
 def test_floor_validates_and_certifies():
     state = run_to(bidiag_with_floor(1, 1), 8)
-    assert state.validated_through == 8
+    assert certified_stable(state, 7) == "certified"
     assert certified_stable(state, 5) == "certified"
     assert certified_stable(state, 8) == "provisional"  # row 8 ends at the floor
 
@@ -206,7 +191,7 @@ def test_floor_ignores_zero_rows():
     m = BUILTINS["fulkerson"]()
     m.certificate = PivotFloor.affine(1, 1)
     state = run_to(m, 6)  # zero rows at 1, 3, 5 yield no pivot to check
-    assert state.validated_through == 6
+    assert certified_stable(state, 3) == "certified"
     # floor(6) = 7 clears rows ending at 3 and 6, not the one ending at 9
     assert certified_stable(state, 2) == "certified"
     assert certified_stable(state, 4) == "provisional"
@@ -224,7 +209,7 @@ def test_certificate_state_is_not_shared_between_runs():
     assert certified_stable(long_run, 5) == "certified"
     run_to(m, 3)  # a shorter run over the same matrix and certificate
     assert certified_stable(long_run, 5) == "certified"
-    assert long_run.validated_through == 20
+    assert certified_stable(long_run, 19) == "certified"
 
 
 # -- atomic stages ------------------------------------------------------------
@@ -252,6 +237,28 @@ def test_pivot_collision_in_step_leaves_state_unchanged():
     assert _state_image(state) == before
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        Row.unit(GF7, 0),
+        Row(RATIONAL, ((3, Fraction(1)), (1, Fraction(2)))),
+        Row(RATIONAL, ((0, 1),)),
+    ],
+    ids=["foreign-field", "unsorted", "q-int"],
+)
+def test_step_rejects_non_canonical_row_and_leaves_state_unchanged(bad):
+    # checked at the boundary, before any reduction, on a fresh state and
+    # after a pivot row 0:1 1:1 that the bad row would otherwise meet
+    for seed in ([], [{0: Fraction(1), 1: Fraction(1)}]):
+        state = EliminationState(RATIONAL)
+        for d in seed:
+            step(state, mk_row(RATIONAL, d))
+        before = _state_image(state)
+        with pytest.raises(ValueError, match="row %d" % len(seed)):
+            step(state, bad)
+        assert _state_image(state) == before
+
+
 # -- column index and oracle agreement ----------------------------------------
 
 
@@ -261,25 +268,6 @@ def _recomputed_index(rows):
         for c, _ in r.support:
             index.setdefault(c, set()).add(i)
     return index
-
-
-@st.composite
-def dict_matrices(draw):
-    """(p, rows): p is None for the rationals, else 2 or 32003; rows are
-    zero-free {column: value} dicts, empty ones included."""
-    p = draw(st.sampled_from([None, 2, 32003]))
-    if p is None:
-        values = st.fractions(min_value=-5, max_value=5, max_denominator=4)
-    else:
-        values = st.integers(0, p - 1)
-    rows = draw(
-        st.lists(
-            st.dictionaries(st.integers(0, 11), values, max_size=5),
-            min_size=1,
-            max_size=10,
-        )
-    )
-    return p, [{c: v for c, v in r.items() if v} for r in rows]
 
 
 def _assert_matches_oracle(state, dicts, p, leftmost=False):
@@ -331,7 +319,7 @@ def test_change_log_matches_reference_after_every_stage(case):
         assert rows_dicts(rs.q_rows) == ref.q_rows
         assert rows_dicts(rs.q_passage) == ref.q_passage
         for k in range(n + 1):
-            assert qhf_prefix_stability(rs, k) == ref.drop_stability(k)
+            assert prefix_stability(rs, k) == ref.drop_stability(k)
 
 
 def test_record_runs_exactly_once_per_stage():

@@ -12,10 +12,10 @@ from omegagj import (
     RATIONAL,
     ReorderState,
     Row,
+    certified_stable,
     dense_reduce,
     extended_run,
     prefix_stability,
-    qhf_prefix_stability,
     reorder_prefix,
     run_to,
     step,
@@ -74,10 +74,10 @@ def test_extended_run_reorders_slot_level_change_log():
 
 def test_qhf_prefix_stability_values():
     rs = extended_run(BUILTINS["pde"](), 9)
-    assert qhf_prefix_stability(rs, 0) == 0
-    assert qhf_prefix_stability(rs, 3) == 5
-    assert qhf_prefix_stability(rs, 6) == 9
-    assert qhf_prefix_stability(rs, 9) == 9
+    assert prefix_stability(rs, 0) == 0
+    assert prefix_stability(rs, 3) == 5
+    assert prefix_stability(rs, 6) == 9
+    assert prefix_stability(rs, 9) == 9
 
 
 def test_qhf_prefix_stability_on_stable_matrix():
@@ -85,15 +85,15 @@ def test_qhf_prefix_stability_on_stable_matrix():
     # lengths arrive in increasing order: nothing ever moves
     assert rs.permutation == list(range(9))
     for k in range(9):
-        assert qhf_prefix_stability(rs, k) == k
+        assert prefix_stability(rs, k) == k
 
 
 def test_qhf_prefix_stability_bounds():
     rs = extended_run(BUILTINS["pde"](), 5)
     with pytest.raises(IndexOutOfRange):
-        qhf_prefix_stability(rs, 6)
+        prefix_stability(rs, 6)
     with pytest.raises(IndexOutOfRange):
-        qhf_prefix_stability(rs, -1)
+        prefix_stability(rs, -1)
 
 
 @pytest.mark.parametrize("name", ["bidiag", "repeated", "fulkerson", "pde"])
@@ -113,7 +113,7 @@ def test_one_shot_state_agrees_with_staged_run(name):
 def test_seeded_run_validates_floor():
     m = BUILTINS["bidiag"]()
     m.certificate = PivotFloor.affine(1, 1)
-    assert extended_run(m, 9).base.validated_through == 9
+    assert certified_stable(extended_run(m, 9).base, 8) == "certified"
 
     bad = BUILTINS["bidiag"]()
     bad.certificate = PivotFloor.affine(1, 5)
@@ -126,7 +126,7 @@ def test_extended_run_rejects_leftmost_strategy():
     # leftmost pivots need not produce distinct rightmost indices, so the
     # length reordering is undefined there
     with pytest.raises(ValueError):
-        extended_run(BUILTINS["bidiag"](), 4, strategy="lps")
+        ReorderState(EliminationState(RATIONAL, "lps"))
 
 
 @pytest.mark.parametrize("name", ["bidiag", "repeated", "fulkerson", "pde"])
@@ -144,6 +144,6 @@ def test_change_log_matches_reference_on_builtins(name):
     assert rs.permutation == ref.permutation
     assert rows_dicts(rs.q_rows) == ref.q_rows
     assert rows_dicts(rs.q_passage) == ref.q_passage
-    assert [qhf_prefix_stability(rs, k) for k in range(41)] == [
+    assert [prefix_stability(rs, k) for k in range(41)] == [
         ref.drop_stability(k) for k in range(41)
     ]

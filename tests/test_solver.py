@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from omegagj import (
     BUILTINS,
+    EliminationState,
     Field,
     IndexOutOfRange,
     LinForm,
@@ -16,6 +18,7 @@ from omegagj import (
     make_explicit,
     particular_solution,
     run_to,
+    step,
     transform_rhs,
     verify_solution,
 )
@@ -29,7 +32,7 @@ from fixtures import (
     FULKERSON_XP,
     PDE_XH_PREFIX,
 )
-from util import mk_row, mk_rows
+from util import dict_matrices, field_for, mk_row, mk_rows
 
 F1 = Fraction(1)
 GF7 = Field.gf(7)
@@ -188,6 +191,43 @@ def test_general_zero_rhs_equals_homogeneous():
         assert res.general.entry(j) == xh.entry(j)
 
 
+def _assert_general_is_particular_plus_homogeneous(state, horizon):
+    k = transform_rhs(state.passage, "c")
+    general = general_solution(state, k, horizon).general
+    xp = particular_solution(state, k, horizon)
+    xh = homogeneous_solution(state, horizon)
+    for j in range(horizon + 1):
+        assert general.entry(j) == xp.entry(j) + xh.entry(j)
+    assert general.free_columns == xh.free_columns
+    assert general.provenance == xh.provenance
+
+
+@pytest.mark.parametrize("name", ["bidiag", "repeated", "fulkerson", "pde"])
+def test_general_is_particular_plus_homogeneous_on_builtins(name):
+    _assert_general_is_particular_plus_homogeneous(run_to(BUILTINS[name](), 30), 35)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dict_matrices())
+def test_general_is_particular_plus_homogeneous(case):
+    p, dicts = case
+    F = field_for(p)
+    state = run_to(make_explicit(F, mk_rows(F, dicts)), len(dicts) - 1)
+    _assert_general_is_particular_plus_homogeneous(state, 12)
+
+
+def test_solutions_need_rightmost_pivots():
+    # leftmost pivots leave free columns right of a pivot, beyond the horizon
+    state = EliminationState(RATIONAL, "lps")
+    for k in range(4):
+        step(state, BUILTINS["bidiag"]().row_at(k))
+    k = transform_rhs(state.passage, "c")
+    with pytest.raises(ValueError):
+        homogeneous_solution(state, 3)
+    with pytest.raises(ValueError):
+        general_solution(state, k, 3)
+
+
 def test_deficiency_matches_uncovered_columns():
     for name, stage, horizon in [("bidiag", 8, 8), ("fulkerson", 8, 12), ("pde", 9, 13)]:
         state = run_to(BUILTINS[name](), stage)
@@ -208,13 +248,6 @@ def test_sequence_entry_beyond_horizon_raises():
         xh.entry(6)
     with pytest.raises(IndexOutOfRange):
         xh.entry(-1)
-
-
-def test_sequence_addition_clamps_horizon():
-    state = run_to(BUILTINS["bidiag"](), 6)
-    a = homogeneous_solution(state, 5)
-    b = homogeneous_solution(state, 3)
-    assert (a + b).horizon == 3
 
 
 def test_provenance_provisional_without_certificate():

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from omegagj import RATIONAL, Field, Row
 
 
@@ -85,3 +87,22 @@ def gf_band_text(n=40):
             lines.append("row %d %s" % (k, " ".join("%d:%d" % cv for cv in sorted(row.items()))))
     lines.append("tail zero")
     return "\n".join(lines) + "\n"
+
+
+@st.composite
+def dict_matrices(draw):
+    """(p, rows): p is None for the rationals, else 2 or 32003; rows are
+    zero-free {column: value} dicts, empty ones included."""
+    p = draw(st.sampled_from([None, 2, 32003]))
+    if p is None:
+        values = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    else:
+        values = st.integers(0, p - 1)
+    rows = draw(
+        st.lists(
+            st.dictionaries(st.integers(0, 11), values, max_size=5),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    return p, [{c: v for c, v in r.items() if v} for r in rows]
