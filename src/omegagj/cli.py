@@ -7,6 +7,7 @@ import json
 import os
 import re
 import sys
+from bisect import bisect_left
 from typing import List, Optional, Tuple
 
 from .canon import dense_reduce, is_lrrf, is_qhf, verify_row_equivalence
@@ -21,7 +22,7 @@ from .matrices import BUILTINS, RowFiniteMatrix, make_explicit, make_stencil
 from .reorder import extended_run
 from .rows import Row, dense_width
 from .scalars import RATIONAL, Field, LinForm
-from .solver import general_solution, transform_rhs
+from .solver import PARAMETER_NAMESPACE, general_solution, transform_rhs
 
 
 class ParseError(Exception):
@@ -254,21 +255,33 @@ def resolve_rhs(arg: str):
     return parse_rhs(text)
 
 
-def _dense_line(field: Field, row: Row, width: int) -> str:
-    """Tab-separated columns 0..width-1; only the support is formatted."""
-    cells = ["0"] * width
+# Columns per write of a dense TSV line: a line is built and written one
+# window at a time, so memory stays bounded however far right a row reaches.
+_TSV_WINDOW = 4096
+
+
+def _write_dense_line(out, field: Field, row: Row, width: int) -> None:
+    """Tab-separated columns 0..width-1 and a newline; only the support is
+    formatted."""
     fmt = field.format
-    for c, v in row.support:
-        if c < width:
-            cells[c] = fmt(v)
-    return "\t".join(cells)
+    support = row.support
+    lo = 0
+    for start in range(0, width, _TSV_WINDOW):
+        stop = min(start + _TSV_WINDOW, width)
+        hi = bisect_left(support, (stop,), lo)  # first entry at column >= stop
+        cells = ["0"] * (stop - start)
+        for c, v in support[lo:hi]:
+            cells[c - start] = fmt(v)
+        lo = hi
+        out.write(("\t" if start else "") + "\t".join(cells))
+    out.write("\n")
 
 
 def _emit_rows(out, label: str, field: Field, rows: List[Row]) -> None:
     width = max(1, dense_width(rows))
     print("# %s" % label, file=out)
     for r in rows:
-        print(_dense_line(field, r, width), file=out)
+        _write_dense_line(out, field, r, width)
 
 
 def _emit_pairs(out, label: str, pairs) -> None:
@@ -356,6 +369,8 @@ def cmd_solve(args, out) -> int:
     state = run_to(matrix, args.stages, args.strategy)
     kind, payload = resolve_rhs(args.rhs)
     if kind == "symbolic":
+        if payload == PARAMETER_NAMESPACE:
+            raise ParseError(0, "rhs symbol %r is reserved for the solution parameters" % payload)
         rhs = payload
     else:
         try:

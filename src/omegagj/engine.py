@@ -144,8 +144,8 @@ def jordan_update(state: EliminationState, g: Row) -> None:
 def step(state: EliminationState, c: Row) -> EliminationState:
     """Run one full stage on the incoming row and return the state.
 
-    A stage that raises (a non-canonical row, a certificate violation or a
-    pivot collision) leaves the state as it was.
+    A stage that raises (a row that is not a Row over the state's field, a
+    certificate violation or a pivot collision) leaves the state as it was.
     """
     n = len(state.rows)
     check_row(state.field, n, c)
@@ -209,10 +209,9 @@ def prefix_stability(state, k: int) -> int:
 
 def certified_floor(state: EliminationState) -> Optional[int]:
     """The column below which no later stage can write, or None without a
-    certificate: every later pivot lands at or right of the promise for the
-    current stage (step is atomic, so the promise holds through it)."""
-    cert = state.certificate
-    return None if cert is None else cert.promise(state.stage)
+    certificate: the running floor step holds every later pivot to, the
+    largest promise of the stages so far (step is atomic, so it holds)."""
+    return state._floor_max
 
 
 def certified_stable(state: EliminationState, k: int) -> str:

@@ -31,7 +31,10 @@ class RowFiniteMatrix:
         if k < 0:
             raise IndexError("row index must be a natural, got %d" % k)
         while len(self._memo) <= k:
-            r = self.generator(len(self._memo))
+            try:
+                r = self.generator(len(self._memo))
+            except ValueError as exc:  # e.g. a Row it built was not canonical
+                raise ValueError("row %d: %s" % (len(self._memo), exc)) from exc
             check_row(self.field, len(self._memo), r)
             self._memo.append(r)
         return self._memo[k]

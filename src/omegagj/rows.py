@@ -11,16 +11,28 @@ class Row:
     """An immutable finitely supported sequence indexed by naturals.
 
     support is a tuple of (column, raw value) pairs with strictly increasing
-    columns and no zero values, so equal rows have equal supports. Raw
-    values are lowest-terms Fractions over the rationals and ints in
-    [1, p) over GF(p); from_pairs converts ints, and check_row (run by
-    RowFiniteMatrix.row_at and engine.step) rejects rows that break any of
-    this.
+    natural columns and no zero values, so equal rows have equal supports.
+    Raw values are lowest-terms Fractions over the rationals and ints in
+    [1, p) over GF(p); from_pairs converts ints. The constructor rejects,
+    with a ValueError naming the entry, a support that breaks any of this;
+    the field kernels' results are canonical already and skip the check.
     """
 
     __slots__ = ("field", "support")
 
     def __init__(self, field: Field, support: Tuple[Tuple[int, object], ...] = ()):
+        prev = -1
+        for entry in support:
+            c, v = entry
+            if type(c) is not int or c < 0:
+                reason = "negative or non-integer column"
+            elif c <= prev:
+                reason = "columns not strictly increasing"
+            else:
+                reason = field.entry_error(v)
+            if reason is not None:
+                raise ValueError("entry %r: %s" % (entry, reason))
+            prev = c
         self.field = field
         self.support = support
 
@@ -29,8 +41,6 @@ class Row:
         """Build from (column, value) pairs in any order; repeats accumulate."""
         acc: dict = {}
         for col, val in pairs:
-            if col < 0:
-                raise ValueError("negative column: %d" % col)
             if not field.accepts(val):
                 raise ValueError("column %d: %r is not a value of %r" % (col, val, field))
             v = field.add(acc.get(col, field.zero()), val)
@@ -79,10 +89,10 @@ class Row:
     def scaled_raw(self, lam) -> "Row":
         """lam times this row; scaling by one returns the row itself."""
         if not lam:
-            return Row(self.field, ())
+            return _row(self.field, ())
         if lam == 1:
             return self
-        return Row(self.field, self.field.scale_support(lam, self.support))
+        return _row(self.field, self.field.scale_support(lam, self.support))
 
     def __eq__(self, other):
         if not isinstance(other, Row):
@@ -100,24 +110,20 @@ class Row:
         return "Row(%s)" % (self if self.support else "0")
 
 
+def _row(field: Field, support: tuple) -> Row:
+    """A Row whose support a field kernel built canonical: sets the slots only."""
+    r = object.__new__(Row)
+    r.field = field
+    r.support = support
+    return r
+
+
 def check_row(field: Field, k: int, r) -> None:
-    """Raise ValueError, naming row k, unless r is a canonical Row over field."""
+    """Raise ValueError, naming row k, unless r is a Row (canonical) over field."""
     if not isinstance(r, Row):
         raise ValueError("row %d is %r, not a Row" % (k, r))
     if r.field != field:
         raise ValueError("row %d is over %r, not %r" % (k, r.field, field))
-    prev = -1
-    for entry in r.support:
-        c, v = entry
-        if type(c) is not int or c < 0:
-            reason = "negative or non-integer column"
-        elif c <= prev:
-            reason = "columns not strictly increasing"
-        else:
-            reason = field.entry_error(v)
-        if reason is not None:
-            raise ValueError("row %d: entry %r: %s" % (k, entry, reason))
-        prev = c
 
 
 def axpy_raw(lam, x: Row, y: Row) -> Row:
@@ -126,7 +132,7 @@ def axpy_raw(lam, x: Row, y: Row) -> Row:
     check_same_field(F, y.field)
     if not lam:
         return y
-    return Row(F, F.axpy_support(lam, x.support, y.support))
+    return _row(F, F.axpy_support(lam, x.support, y.support))
 
 
 def dense_width(rows: Iterable[Row]) -> int:

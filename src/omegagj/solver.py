@@ -9,6 +9,16 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from .engine import EliminationState, IndexOutOfRange, certified_floor
 from .scalars import LinForm
 
+# Symbol namespace of the homogeneous solution's free parameters t_0, t_1, ...
+# A symbolic right-hand side in the same namespace would merge its symbols
+# with them, so transform_rhs and verify_solution reject it.
+PARAMETER_NAMESPACE = "t"
+
+
+def _check_rhs_namespace(rhs) -> None:
+    if rhs == PARAMETER_NAMESPACE:
+        raise ValueError("rhs namespace %r is reserved for the solution parameters" % rhs)
+
 
 class SymbolicSequence:
     """A column-indexed sequence of linear forms, defined up to a horizon.
@@ -58,8 +68,10 @@ def transform_rhs(
 
     ``rhs`` may be a symbol namespace (each input row i contributes the
     symbol ``ns_i``), an explicit list of field values, or a callable
-    giving the value for index i.
+    giving the value for index i. The namespace PARAMETER_NAMESPACE is
+    reserved (ValueError).
     """
+    _check_rhs_namespace(rhs)
     out: List[LinForm] = []
     for prow in passage:
         F = prow.field
@@ -106,7 +118,7 @@ def homogeneous_solution(state: EliminationState, horizon: int) -> SymbolicSeque
         raise ValueError("symbolic solutions need rightmost pivots")
     F = state.field
     free = [j for j in range(horizon + 1) if j not in state.pivots]
-    param = {j: LinForm.symbol(F, "t", idx) for idx, j in enumerate(free)}
+    param = {j: LinForm.symbol(F, PARAMETER_NAMESPACE, idx) for idx, j in enumerate(free)}
     entries: Dict[int, LinForm] = dict(param)
     for col, i in state.pivots.items():
         if col > horizon:
@@ -186,8 +198,10 @@ def verify_solution(
 
     The residual of each row must vanish identically after reduction
     modulo the constraints.  With ``trials`` > 0, also spot-check with
-    random constraint-satisfying numeric assignments.
+    random constraint-satisfying numeric assignments. A symbolic ``c`` in
+    PARAMETER_NAMESPACE raises ValueError, as in transform_rhs.
     """
+    _check_rhs_namespace(c)
     F = x.field
     residuals: List[LinForm] = []
     try:

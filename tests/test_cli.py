@@ -1,10 +1,12 @@
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from omegagj import Field, RATIONAL, RationalField, Row
+from omegagj import cli
 from omegagj.cli import (
     MatrixSpec,
     ParseError,
@@ -169,6 +171,35 @@ def section(stdout, label):
             break
         body.append(line)
     return body
+
+
+class _HashSink:
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+
+
+def test_wide_tsv_line_is_written_in_bounded_memory():
+    # entries on both sides of window edges, and one far right
+    cols = [0, 4095, 4096, 8191, 8192, 10**6]
+    rows = [Row.unit(RATIONAL, 10**6), Row.from_pairs(RATIONAL, [(c, -c - 1) for c in cols])]
+    sink = _HashSink()
+    tracemalloc.start()
+    try:
+        cli._emit_rows(sink, "rows", RATIONAL, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+    expect = hashlib.sha256(b"# rows\n")
+    for r in rows:
+        cells = ["0"] * (10**6 + 1)
+        for c, v in r.support:
+            cells[c] = str(v)
+        expect.update(("\t".join(cells) + "\n").encode())
+    assert sink.digest.hexdigest() == expect.hexdigest()
 
 
 def test_reduce_band_rows_tsv(capsys):
@@ -392,6 +423,16 @@ def test_solve_certified_entries_with_floor(tmp_path, capsys):
     assert all(line.endswith("[certified]") for line in body[:7])
 
 
+def test_solve_rejects_rhs_in_the_parameter_namespace(tmp_path, capsys):
+    rhs = tmp_path / "rhs.txt"
+    rhs.write_text("rhs symbolic t\n")
+    for arg in ("symbolic:t", str(rhs)):
+        assert main(["solve", "bidiag", "--stages", "2", "--rhs", arg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'t' is reserved for the solution parameters" in captured.err
+
+
 # -- verify and stability -----------------------------------------------------
 
 
@@ -435,6 +476,18 @@ def test_stability_reports_certified_prefix(tmp_path, capsys):
     assert "prefix 6 status = certified" in out
     assert main(["stability", "bidiag", "--stages", "7", "--prefix", "6"]) == 0
     assert "prefix 6 status = provisional" in capsys.readouterr().out
+
+
+def test_decreasing_floor_certifies_up_to_its_running_maximum(tmp_path, capsys):
+    # floor(0) = 2 holds every later pivot at >= 2, and row 0 ends at column 1
+    path = tmp_path / "decreasing.mat"
+    path.write_text("field rational\nkind builtin\nbuiltin bidiag\nfloor m*-1+2\n")
+    assert main(["stability", str(path), "--stages", "5", "--prefix", "0"]) == 0
+    assert "prefix 0 status = certified" in capsys.readouterr().out
+    assert main(["solve", str(path), "--stages", "5", "--horizon", "2"]) == 0
+    body = section(capsys.readouterr().out, "general")
+    assert [line.split("\t")[1] for line in body[:3]] == [
+        "[certified]", "[certified]", "[provisional at stage 5]"]
 
 
 # -- exit codes ---------------------------------------------------------------

@@ -38,6 +38,23 @@ def test_from_pairs_converts_ints_to_fractions():
     assert r.support == ((0, Fraction(1)), (1, Fraction(3)))
 
 
+@pytest.mark.parametrize(
+    "support,reason",
+    [(((3, Fraction(1)), (1, Fraction(2))), "increasing"), (((0, 1),), "Fraction")],
+    ids=["unsorted", "q-int"],
+)
+def test_constructor_rejects_non_canonical_support(support, reason):
+    with pytest.raises(ValueError, match=reason) as info:
+        Row(RATIONAL, support)
+    assert repr(support[-1]) in str(info.value)
+
+
+def test_axpy_operand_with_int_value_is_rejected_where_built():
+    # once this failed only inside the kernel, as an AttributeError
+    with pytest.raises(ValueError, match="entry"):
+        axpy_raw(Fraction(2), Row(RATIONAL, ((0, 1),)), Row.unit(RATIONAL, 0))
+
+
 def test_zero_and_unit_rows():
     z = Row.zero(RATIONAL)
     assert z.is_zero() and z.maxs is None and z.zeta is None
@@ -129,9 +146,12 @@ def test_field_kernels_match_dict_arithmetic(p):
                 expect[c] = nv
             else:
                 expect.pop(c, None)
-        assert row_dict(axpy_raw(lam, x, y)) == expect
+        out, scaled_row = axpy_raw(lam, x, y), x.scaled_raw(lam)
+        assert row_dict(out) == expect
         scaled = {c: reduce(lam * v) for c, v in dx.items()} if lam else {}
-        assert row_dict(x.scaled_raw(lam)) == scaled
+        assert row_dict(scaled_row) == scaled
+        # built without the constructor's check, so it must pass it
+        Row(field, out.support), Row(field, scaled_row.support)
 
     check()
 

@@ -72,6 +72,17 @@ def test_transform_rhs_explicit_and_callable():
     assert all(f.is_zero() for f in k3)
 
 
+def test_rhs_in_the_parameter_namespace_is_rejected():
+    # its symbols t_i would merge with the homogeneous parameters t_i
+    matrix = BUILTINS["bidiag"]()
+    state = run_to(matrix, 2)
+    with pytest.raises(ValueError, match="reserved"):
+        transform_rhs(state.passage, "t")
+    x = homogeneous_solution(state, 2)
+    with pytest.raises(ValueError, match="reserved"):
+        verify_solution(matrix, x, "t", 2)
+
+
 def test_transform_rhs_mixed_form_values():
     state = run_to(BUILTINS["bidiag"](), 2)
     forms = [LinForm.symbol(RATIONAL, "u", 9), LinForm.zero(RATIONAL), LinForm.zero(RATIONAL)]
