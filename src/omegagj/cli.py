@@ -320,7 +320,7 @@ def cmd_reduce(args, out) -> int:
             "prefixes may never stabilize",
             file=sys.stderr,
         )
-    state = run_to(matrix, args.stages, args.strategy)
+    state = run_to(matrix, args.stages, args.strategy, passage="passage" in sections)
     if args.format == "json":
         doc = {"stage": state.stage, "strategy": state.strategy}
         for s in sections:
@@ -337,7 +337,8 @@ def cmd_qhf(args, out) -> int:
     matrix = resolve_matrix(args.matrix)
     if args.strategy != "rps":
         raise ParseError(0, "qhf is defined for the rps strategy only")
-    rs = extended_run(matrix, args.stages)
+    # only the JSON output prints q_passage
+    rs = extended_run(matrix, args.stages, passage=args.format == "json")
     # Delta_k and the slot-level change index are one number (see reorder)
     delta = None if args.prefix is None else prefix_stability(rs, args.prefix)
     if args.format == "json":
@@ -366,7 +367,7 @@ def cmd_solve(args, out) -> int:
     matrix = resolve_matrix(args.matrix)
     if args.strategy != "rps":
         raise ParseError(0, "solve is defined for the rps strategy only")
-    state = run_to(matrix, args.stages, args.strategy)
+    # the rhs is checked first, so a bad one exits 2 without an elimination
     kind, payload = resolve_rhs(args.rhs)
     if kind == "symbolic":
         if payload == PARAMETER_NAMESPACE:
@@ -377,6 +378,7 @@ def cmd_solve(args, out) -> int:
             rhs = [matrix.field.parse(v) for v in payload]
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(0, "bad rhs value: %s" % exc)
+    state = run_to(matrix, args.stages, args.strategy, passage=True)
     k = transform_rhs(state.passage, rhs)
     horizon = args.horizon if args.horizon is not None else args.stages
     result = general_solution(state, k, horizon)
@@ -420,16 +422,16 @@ def cmd_verify(args, out) -> int:
     if args.check != "oracle" and args.strategy != "rps":
         raise ParseError(0, "check %s is defined for the rps strategy only" % args.check)
     if args.check == "lrrf":
-        state = run_to(matrix, args.stages, args.strategy)
+        state = run_to(matrix, args.stages, args.strategy, passage=False)
         ok = bool(is_lrrf(state.rows))
     elif args.check == "qhf":
-        rs = extended_run(matrix, args.stages)
+        rs = extended_run(matrix, args.stages, passage=False)
         ok = bool(is_qhf(rs.q_rows))
     elif args.check == "roweq":
-        rs = extended_run(matrix, args.stages)
+        rs = extended_run(matrix, args.stages, passage=True)
         ok = verify_row_equivalence(rs.q_passage, matrix, rs.q_rows, args.stages)
     else:
-        state = run_to(matrix, args.stages, args.strategy)
+        state = run_to(matrix, args.stages, args.strategy, passage=True)
         rows, passage, history = dense_reduce(
             [dict(r.support) for r in matrix.top_submatrix(args.stages)],
             matrix.field.p,
@@ -447,7 +449,7 @@ def cmd_verify(args, out) -> int:
 
 def cmd_stability(args, out) -> int:
     matrix = resolve_matrix(args.matrix)
-    state = run_to(matrix, args.stages, args.strategy)
+    state = run_to(matrix, args.stages, args.strategy, passage=False)
     print("# last_changed", file=out)
     for i, n in enumerate(state.last_changed):
         print("%d\t%d" % (i, n), file=out)

@@ -16,6 +16,10 @@ of a new pivot visits only the rows the index names for that column, not
 every earlier row, and re-indexes each row it patches. Zero rows hold no
 entries and never appear in the index.
 
+Only row equivalence and the general solution read the passage rows, and
+they are most of the work, so a state built with passage=False keeps none:
+its passage is None, and step and jordan_update make no passage row.
+
 step (with jordan_update) is the package's only elimination: run_to and
 reorder.extended_run both go through it. The dense dict-based
 canon.dense_reduce shares no code with it and serves only as the reference
@@ -72,13 +76,14 @@ class PivotFloor:
 class EliminationState:
     """All data accumulated by the staged elimination of one matrix."""
 
-    def __init__(self, field: Field, strategy: str = "rps", certificate: Optional[PivotFloor] = None):
+    def __init__(self, field: Field, strategy: str = "rps",
+                 certificate: Optional[PivotFloor] = None, *, passage: bool = True):
         if strategy not in ("rps", "lps"):
             raise ValueError("unknown strategy: %r" % (strategy,))
         self.field = field
         self.strategy = strategy
         self.rows: List[Row] = []
-        self.passage: List[Row] = []
+        self.passage: Optional[List[Row]] = [] if passage else None
         self.pivots: Dict[int, int] = {}
         self.pivot_history: List[Optional[int]] = []
         self.last_changed: List[int] = []
@@ -118,23 +123,25 @@ def _reindex_row(index: Dict[int, Set[int]], i: int, old: Row, new: Row) -> None
 def jordan_update(state: EliminationState, g: Row) -> None:
     """Clear the pivot column of the newly appended pivot row g everywhere.
 
-    step calls this once g, its passage row and its pivot column (the last
-    pivot_history entry) are appended; the earlier rows the column index
-    lists for that column (and their passage rows) are patched in step and
-    recorded in last_changed, and g itself is indexed last.
+    step calls this once g, its passage row (if the state keeps passage
+    rows) and its pivot column (the last pivot_history entry) are appended;
+    the earlier rows the column index lists for that column (and their
+    passage rows) are patched in step and recorded in last_changed, and g
+    itself is indexed last.
     """
     n = state.stage
     col = state.pivot_history[-1]
     index = state.column_rows
     holders = index.get(col)
     if holders:
-        g_passage = state.passage[n]
+        passage = state.passage
         for i in sorted(holders):
             old = state.rows[i]
             mu = old.raw(col)
             new = _sub_scaled(old, mu, g)
             state.rows[i] = new
-            state.passage[i] = _sub_scaled(state.passage[i], mu, g_passage)
+            if passage is not None:
+                passage[i] = _sub_scaled(passage[i], mu, passage[n])
             state.last_changed[i] = n
             _reindex_row(index, i, old, new)
     _index_row(index, n, g)
@@ -152,13 +159,15 @@ def step(state: EliminationState, c: Row) -> EliminationState:
     # every pivot row is one at its own pivot column and zero at all other
     # pivot columns, so the multiplier against pivot row idx is c's original
     # entry there and the order of the subtractions does not matter
+    passage = state.passage
     reduced = c
-    p = Row.unit(state.field, n)
+    p = None if passage is None else Row.unit(state.field, n)
     for col, val in c.support:
         idx = state.pivots.get(col)
         if idx is not None:
             reduced = _sub_scaled(reduced, val, state.rows[idx])
-            p = _sub_scaled(p, val, state.passage[idx])
+            if p is not None:
+                p = _sub_scaled(p, val, passage[idx])
 
     col = None
     if not reduced.is_zero():
@@ -171,9 +180,11 @@ def step(state: EliminationState, c: Row) -> EliminationState:
             )
         inv = state.field.inv(lead)
         reduced = reduced.scaled_raw(inv)
-        p = p.scaled_raw(inv)
+        if p is not None:
+            p = p.scaled_raw(inv)
     state.rows.append(reduced)
-    state.passage.append(p)
+    if p is not None:
+        passage.append(p)
     state.pivot_history.append(col)
     state.last_changed.append(n)
     if col is not None:
@@ -185,10 +196,12 @@ def step(state: EliminationState, c: Row) -> EliminationState:
     return state
 
 
-def run_to(matrix, n: int, strategy: str = "rps") -> EliminationState:
-    """Process rows 0..n of the matrix and return the resulting state."""
+def run_to(matrix, n: int, strategy: str = "rps", *, passage: bool = True) -> EliminationState:
+    """Process rows 0..n of the matrix and return the resulting state; with
+    passage=False the state keeps no passage rows."""
     state = EliminationState(
-        matrix.field, strategy, certificate=getattr(matrix, "certificate", None)
+        matrix.field, strategy, certificate=getattr(matrix, "certificate", None),
+        passage=passage,
     )
     for k in range(n + 1):
         step(state, matrix.row_at(k))

@@ -14,15 +14,20 @@ class Row:
     natural columns and no zero values, so equal rows have equal supports.
     Raw values are lowest-terms Fractions over the rationals and ints in
     [1, p) over GF(p); from_pairs converts ints. The constructor rejects,
-    with a ValueError naming the entry, a support that breaks any of this;
-    the field kernels' results are canonical already and skip the check.
+    with a ValueError naming the entry, a support that breaks any of this or
+    is not a tuple of 2-tuples; the field kernels' results are canonical
+    already and skip the check.
     """
 
     __slots__ = ("field", "support")
 
     def __init__(self, field: Field, support: Tuple[Tuple[int, object], ...] = ()):
+        if not isinstance(support, tuple):
+            raise ValueError("support is a %s, not a tuple" % type(support).__name__)
         prev = -1
         for entry in support:
+            if not (isinstance(entry, tuple) and len(entry) == 2):
+                raise ValueError("entry %r: not a (column, value) tuple" % (entry,))
             c, v = entry
             if type(c) is not int or c < 0:
                 reason = "negative or non-integer column"

@@ -62,16 +62,19 @@ class SolveResult:
 
 
 def transform_rhs(
-    passage: Sequence, rhs: Union[str, Sequence, Callable[[int], object]]
+    passage: Optional[Sequence], rhs: Union[str, Sequence, Callable[[int], object]]
 ) -> List[LinForm]:
     """Push a right-hand side through the recorded combination rows.
 
     ``rhs`` may be a symbol namespace (each input row i contributes the
     symbol ``ns_i``), an explicit list of field values, or a callable
     giving the value for index i. The namespace PARAMETER_NAMESPACE is
-    reserved (ValueError).
+    reserved, and a state run with passage=False has passage None; both
+    raise ValueError.
     """
     _check_rhs_namespace(rhs)
+    if passage is None:
+        raise ValueError("no passage rows: the state was run without passage rows")
     out: List[LinForm] = []
     for prow in passage:
         F = prow.field

@@ -370,6 +370,41 @@ def test_qhf_json(capsys):
     assert sorted(doc["permutation"]) == list(range(10))
 
 
+# -- passage tracking ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,units",
+    [
+        (["reduce", "pde", "--stages", "9", "--emit", "rows,pivots"], 0),
+        (["reduce", "pde", "--stages", "9", "--emit", "rows,pivots", "--format", "json"], 0),
+        (["qhf", "pde", "--stages", "9", "--prefix", "3"], 0),
+        (["verify", "pde", "--stages", "9", "--check", "lrrf"], 0),
+        (["verify", "pde", "--stages", "9", "--check", "qhf"], 0),
+        (["stability", "pde", "--stages", "9", "--prefix", "3"], 0),
+        # the commands that print or read Q start one passage row per stage
+        (["reduce", "pde", "--stages", "9", "--emit", "pivots,passage"], 10),
+        (["qhf", "pde", "--stages", "9", "--format", "json"], 10),
+        (["verify", "pde", "--stages", "9", "--check", "roweq"], 10),
+        (["verify", "pde", "--stages", "9", "--check", "oracle"], 10),
+        (["solve", "pde", "--stages", "9"], 10),
+    ],
+    ids=["reduce-rows,pivots", "reduce-json", "qhf-tsv", "verify-lrrf", "verify-qhf",
+         "stability", "reduce-passage", "qhf-json", "verify-roweq", "verify-oracle", "solve"],
+)
+def test_only_commands_that_read_q_build_passage_rows(argv, units, monkeypatch, capsys):
+    calls = []
+    unit = Row.unit.__func__
+
+    def counting(cls, field, col):
+        calls.append(col)
+        return unit(cls, field, col)
+
+    monkeypatch.setattr(Row, "unit", classmethod(counting))
+    assert main(argv) == 0
+    assert len(calls) == units
+
+
 # -- solve --------------------------------------------------------------------
 
 
@@ -533,6 +568,27 @@ def test_exit_2_for_bad_rhs_value(tmp_path, capsys):
     rhs.write_text("rhs explicit 1 x\n")
     assert main(["solve", "bidiag", "--stages", "3", "--rhs", str(rhs)]) == 2
     assert "rhs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rhs", ["missing-file", "bad-value", "symbolic:t"])
+def test_solve_rejects_rhs_before_the_elimination(rhs, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the elimination ran before the rhs was checked")
+
+    monkeypatch.setattr(cli, "run_to", refuse)
+    path = tmp_path / "rhs.txt"
+    if rhs == "bad-value":
+        path.write_text("rhs explicit 1 x\n")
+    arg = rhs if rhs.startswith("symbolic:") else str(path)
+    assert main(["solve", "bidiag", "--stages", "600", "--rhs", arg]) == 2
+    assert "rhs" in capsys.readouterr().err
+
+
+def test_bad_rhs_wins_over_a_violated_floor(tmp_path, capsys):
+    path = tmp_path / "floor.mat"
+    path.write_text(BUILTIN_TEXT)
+    assert main(["solve", str(path), "--stages", "3", "--rhs", "symbolic:t"]) == 2
+    assert "reserved" in capsys.readouterr().err
 
 
 def test_exit_3_on_certificate_violation(tmp_path, capsys):

@@ -242,15 +242,19 @@ def test_certified_prefixes_stay_fixed(name, slope):
 # -- atomic stages ------------------------------------------------------------
 
 
-def _state_image(state):
+def _h_image(state):
+    """The H side of a state: its results other than the passage rows."""
     return (
         list(state.rows),
-        list(state.passage),
         dict(state.pivots),
         list(state.pivot_history),
         list(state.last_changed),
         {c: set(ids) for c, ids in state.column_rows.items()},
     )
+
+
+def _state_image(state):
+    return _h_image(state) + (list(state.passage),)
 
 
 def test_pivot_collision_in_step_leaves_state_unchanged():
@@ -321,6 +325,58 @@ def test_seeded_runs_keep_index_exact_and_match_oracle(case):
     rs = extended_run(make_explicit(F, mk_rows(F, dicts)), len(dicts) - 1)
     assert rs.base.column_rows == _recomputed_index(rs.base.rows)
     _assert_matches_oracle(rs.base, dicts, p)
+
+
+# -- passage-free runs ---------------------------------------------------------
+
+
+def _step_outcome(state, row):
+    try:
+        step(state, row)
+    except (CertificateViolation, PivotCollision) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dict_matrices(),
+    st.booleans(),
+    st.none() | st.tuples(st.integers(-1, 1), st.integers(-3, 3)),
+    st.none() | st.tuples(st.integers(1, 9), st.integers(0, 11)),
+)
+def test_passage_free_run_matches_full_run_after_every_stage(case, leftmost, floor, corrupt):
+    p, dicts = case
+    F = field_for(p)
+    cert = None if floor is None else PivotFloor.affine(*floor)
+    full, free = (
+        EliminationState(F, "lps" if leftmost else "rps", cert, passage=passage)
+        for passage in (True, False)
+    )
+    for n, d in enumerate(dicts):
+        if corrupt is not None and corrupt[0] == n:
+            # the same corrupted pivot table in both states: column c claims
+            # row 0, so a reduced row may collide with it
+            for state in (full, free):
+                state.pivots.setdefault(corrupt[1], 0)
+        outcome = _step_outcome(full, mk_row(F, d))
+        assert _step_outcome(free, mk_row(F, d)) == outcome
+        assert _h_image(free) == _h_image(full)
+        assert free.passage is None
+        if outcome is not None:
+            break
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_passage_free_reorder_matches_and_refuses_q_passage(name):
+    full = extended_run(BUILTINS[name](), 30)
+    free = extended_run(BUILTINS[name](), 30, passage=False)
+    assert free.base.passage is None
+    assert free.q_rows == full.q_rows
+    assert free.permutation == full.permutation
+    assert free.last_changed == full.last_changed
+    with pytest.raises(ValueError, match="passage"):
+        free.q_passage
 
 
 # -- QHF change log -------------------------------------------------------------

@@ -49,6 +49,20 @@ def test_constructor_rejects_non_canonical_support(support, reason):
     assert repr(support[-1]) in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "support,reason",
+    [([(0, Fraction(1))], "list, not a tuple"),
+     (([0, Fraction(1)],), "not a \\(column, value\\) tuple"),
+     (((0, Fraction(1), 2),), "not a \\(column, value\\) tuple")],
+    ids=["list-support", "list-entry", "triple-entry"],
+)
+def test_constructor_rejects_non_tuple_containers(support, reason):
+    # a list support once built a Row that compared unequal to the same
+    # tuple support and could not be hashed
+    with pytest.raises(ValueError, match=reason):
+        Row(RATIONAL, support)
+
+
 def test_axpy_operand_with_int_value_is_rejected_where_built():
     # once this failed only inside the kernel, as an AttributeError
     with pytest.raises(ValueError, match="entry"):

@@ -53,6 +53,15 @@ def test_transform_rhs_symbolic_band():
         assert form_terms(k[i]) == expect
 
 
+@pytest.mark.parametrize(
+    "rhs", ["c", [1, 2, 3], lambda i: i], ids=["symbolic", "explicit", "callable"]
+)
+def test_transform_rhs_refuses_a_passage_free_state(rhs):
+    state = run_to(BUILTINS["bidiag"](), 6, passage=False)
+    with pytest.raises(ValueError, match="passage"):
+        transform_rhs(state.passage, rhs)
+
+
 def test_transform_rhs_symbolic_fulkerson():
     state = run_to(BUILTINS["fulkerson"](), 6)
     k = transform_rhs(state.passage, "c")
