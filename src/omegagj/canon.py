@@ -3,20 +3,19 @@ reference reduction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .rows import Row, axpy_raw
 
 
-@dataclass
 class FormReport:
     """Outcome of a form predicate; witness is the first offending (row, column)."""
 
-    form: str
-    holds: bool
-    witness: Optional[Tuple[int, int]] = None
+    def __init__(self, form: str, holds: bool, witness: Optional[Tuple[int, int]] = None):
+        self.form = form
+        self.holds = holds
+        self.witness = witness
 
     def __bool__(self) -> bool:
         return self.holds

@@ -335,8 +335,6 @@ def cmd_reduce(args, out) -> int:
 
 def cmd_qhf(args, out) -> int:
     matrix = resolve_matrix(args.matrix)
-    if args.strategy != "rps":
-        raise ParseError(0, "qhf is defined for the rps strategy only")
     # only the JSON output prints q_passage
     rs = extended_run(matrix, args.stages, passage=args.format == "json")
     # Delta_k and the slot-level change index are one number (see reorder)
@@ -365,8 +363,6 @@ def cmd_qhf(args, out) -> int:
 
 def cmd_solve(args, out) -> int:
     matrix = resolve_matrix(args.matrix)
-    if args.strategy != "rps":
-        raise ParseError(0, "solve is defined for the rps strategy only")
     # the rhs is checked first, so a bad one exits 2 without an elimination
     kind, payload = resolve_rhs(args.rhs)
     if kind == "symbolic":
@@ -378,7 +374,7 @@ def cmd_solve(args, out) -> int:
             rhs = [matrix.field.parse(v) for v in payload]
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(0, "bad rhs value: %s" % exc)
-    state = run_to(matrix, args.stages, args.strategy, passage=True)
+    state = run_to(matrix, args.stages, passage=True)
     k = transform_rhs(state.passage, rhs)
     horizon = args.horizon if args.horizon is not None else args.stages
     result = general_solution(state, k, horizon)
@@ -389,7 +385,7 @@ def cmd_solve(args, out) -> int:
                 {
                     "column": j,
                     "value": str(result.general.entry(j)),
-                    "provenance": result.general.provenance[j],
+                    "provenance": result.general.provenance(j),
                 }
                 for j in range(horizon + 1)
             ],
@@ -405,7 +401,7 @@ def cmd_solve(args, out) -> int:
     for j in range(horizon + 1):
         print(
             "x_%d = %s\t[%s]"
-            % (j, result.general.entry(j), result.general.provenance[j]),
+            % (j, result.general.entry(j), result.general.provenance(j)),
             file=out,
         )
     print("deficiency = %d" % result.deficiency_over_horizon, file=out)
@@ -486,7 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("matrix_pos", nargs="?", metavar="MATRIX", default=None)
         p.add_argument("--matrix", help="spec file, builtin name, or builtin:NAME")
         p.add_argument("--stages", type=int, required=True, metavar="N")
-        p.add_argument("--strategy", choices=("rps", "lps"), default="rps")
+        if name in ("reduce", "verify", "stability"):
+            p.add_argument("--strategy", choices=("rps", "lps"), default="rps")
         if name in ("reduce", "qhf", "solve"):
             p.add_argument("--format", choices=("tsv", "json"), default="tsv")
         if name == "reduce":
@@ -514,6 +511,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         prefix = getattr(args, "prefix", None)
         if prefix is not None and not 0 <= prefix <= args.stages:
             raise ParseError(0, "--prefix must be in 0..%d" % args.stages)
+        if getattr(args, "horizon", None) is not None and args.horizon < 0:
+            raise ParseError(0, "--horizon must be >= 0")
         args.matrix = matrix
         return args.handler(args, sys.stdout)
     except ParseError as exc:

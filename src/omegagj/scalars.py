@@ -406,32 +406,6 @@ class LinForm:
                 terms.pop(s, None)
         return LinForm(F, F.add(self.constant, other.constant), terms)
 
-    def __sub__(self, other):
-        return self + other.scaled_raw(self.field.neg(self.field.one()))
-
-    def scaled_raw(self, lam) -> "LinForm":
-        F = self.field
-        if not lam:
-            return LinForm(F)
-        return LinForm(
-            F,
-            F.mul(lam, self.constant),
-            {s: F.mul(lam, c) for s, c in self.terms.items()},
-        )
-
-    def substitute(self, sym, replacement: "LinForm") -> "LinForm":
-        """Replace one symbol by an affine form."""
-        c = self.terms.get(sym)
-        if c is None:
-            return self
-        check_same_field(self.field, replacement.field)
-        rest = LinForm(
-            self.field,
-            self.constant,
-            {s: v for s, v in self.terms.items() if s != sym},
-        )
-        return rest + replacement.scaled_raw(c)
-
     def __eq__(self, other):
         if not isinstance(other, LinForm):
             return NotImplemented

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .engine import EliminationState, IndexOutOfRange, certified_floor
@@ -23,42 +22,53 @@ def _check_rhs_namespace(rhs) -> None:
 class SymbolicSequence:
     """A column-indexed sequence of linear forms, defined up to a horizon.
 
-    Entries beyond the horizon are not known yet; asking for one raises
-    IndexOutOfRange rather than silently returning zero.
+    Entries beyond the horizon are not known yet; asking for one, or for its
+    provenance, raises IndexOutOfRange rather than silently returning zero.
     """
 
-    def __init__(
-        self,
-        field,
-        entries: Dict[int, LinForm],
-        free_columns: Sequence[int],
-        provenance: Dict[int, str],
-        horizon: int,
-        stage: int,
-    ) -> None:
+    def __init__(self, field, entries: Dict[int, LinForm], free_columns: Sequence[int],
+                 horizon: int, stage: int, floor: Optional[int]) -> None:
         self.field = field
         self.entries = {j: f for j, f in entries.items() if not f.is_zero()}
         self.free_columns = list(free_columns)
-        self.provenance = dict(provenance)
         self.horizon = horizon
         self.stage = stage
+        self.floor = floor
 
-    def entry(self, j: int) -> LinForm:
+    def _check(self, j: int) -> None:
         if j < 0 or j > self.horizon:
             raise IndexOutOfRange(
                 "column %d is outside the computed horizon %d" % (j, self.horizon)
             )
+
+    def entry(self, j: int) -> LinForm:
+        self._check(j)
         return self.entries.get(j, LinForm.zero(self.field))
 
+    def provenance(self, j: int) -> str:
+        """Return "certified" below the certified floor, where no later stage
+        can write, and "provisional at stage N" from the floor on."""
+        self._check(j)
+        if self.floor is not None and j < self.floor:
+            return "certified"
+        return "provisional at stage %d" % self.stage
 
-@dataclass
+
 class SolveResult:
     """Constraints plus the general solution of one system."""
 
-    constraints: List[LinForm]
-    general: SymbolicSequence
-    deficiency_over_horizon: int
-    horizon: int
+    def __init__(self, constraints: List[LinForm], general: SymbolicSequence) -> None:
+        self.constraints = constraints
+        self.general = general
+
+    @property
+    def horizon(self) -> int:
+        return self.general.horizon
+
+    @property
+    def deficiency_over_horizon(self) -> int:
+        """The number of free parameters at or below the horizon."""
+        return len(self.general.free_columns)
 
 
 def transform_rhs(
@@ -81,16 +91,17 @@ def transform_rhs(
         if isinstance(rhs, str):
             # distinct symbols rhs_j, one per nonzero passage entry
             out.append(LinForm(F, terms={(rhs, j): v for j, v in prow.support}))
-            continue
-        if callable(rhs):
-            pairs = ((v, _as_form(F, rhs(j))) for j, v in prow.support)
         else:
-            pairs = ((v, _as_form(F, rhs[j])) for j, v in prow.support if j < len(rhs))
-        out.append(LinForm.combination(F, pairs))
+            out.append(LinForm.combination(F, ((v, _rhs_at(F, rhs, j)) for j, v in prow.support)))
     return out
 
 
-def _as_form(F, value) -> LinForm:
+def _rhs_at(F, rhs, i: int) -> LinForm:
+    """Entry i of a right-hand side as a form: the symbol rhs_i for a
+    namespace, rhs(i) for a callable, rhs[i] for a sequence (zero past its end)."""
+    if isinstance(rhs, str):
+        return LinForm.symbol(F, rhs, i)
+    value = rhs(i) if callable(rhs) else rhs[i] if i < len(rhs) else F.zero()
     if isinstance(value, LinForm):
         return value
     return LinForm.const(F, F.from_int(value) if isinstance(value, int) else value)
@@ -101,17 +112,11 @@ def consistency_constraints(state: EliminationState, k: Sequence[LinForm]) -> Li
     return [k[w] for w, r in enumerate(state.rows) if r.is_zero() and not k[w].is_zero()]
 
 
-def _provenance(state: EliminationState, horizon: int) -> Dict[int, str]:
-    floor = certified_floor(state)
-    provisional = "provisional at stage %d" % state.stage
-    return {
-        j: "certified" if floor is not None and j < floor else provisional
-        for j in range(horizon + 1)
-    }
-
-
-def homogeneous_solution(state: EliminationState, horizon: int) -> SymbolicSequence:
-    """General solution of the homogeneous system through the given column.
+def _solution(
+    state: EliminationState, horizon: int, k: Optional[Sequence[LinForm]]
+) -> SymbolicSequence:
+    """The homogeneous solution through the horizon, plus k[i] at the pivot
+    column of each row i when k is given.
 
     Free columns get fresh parameters t_0, t_1, ... in column order; each
     pivot column balances its row against the free columns to its left,
@@ -126,47 +131,35 @@ def homogeneous_solution(state: EliminationState, horizon: int) -> SymbolicSeque
     for col, i in state.pivots.items():
         if col > horizon:
             continue
-        entries[col] = LinForm.combination(
+        h = LinForm.combination(
             F, ((F.neg(v), param[c]) for c, v in state.rows[i].support if c != col)
         )
-    return SymbolicSequence(F, entries, free, _provenance(state, horizon), horizon, state.stage)
+        # k[i] on the left: + copies the left term table, and k[i] is dense
+        entries[col] = h if k is None else k[i] + h
+    return SymbolicSequence(F, entries, free, horizon, state.stage, certified_floor(state))
+
+
+def homogeneous_solution(state: EliminationState, horizon: int) -> SymbolicSequence:
+    """General solution of the homogeneous system through the given column."""
+    return _solution(state, horizon, None)
 
 
 def particular_solution(
     state: EliminationState, k: Sequence[LinForm], horizon: Optional[int] = None
 ) -> SymbolicSequence:
     """One solution: the transformed right-hand side placed at the pivot columns."""
-    F = state.field
     if horizon is None:
         horizon = max(state.pivots) if state.pivots else -1
-    entries: Dict[int, LinForm] = {}
-    for col, i in state.pivots.items():
-        if col <= horizon:
-            entries[col] = k[i]
-    return SymbolicSequence(F, entries, [], _provenance(state, horizon), horizon, state.stage)
+    entries = {col: k[i] for col, i in state.pivots.items() if col <= horizon}
+    return SymbolicSequence(state.field, entries, [], horizon, state.stage, certified_floor(state))
 
 
 def general_solution(
     state: EliminationState, k: Sequence[LinForm], horizon: int
 ) -> SolveResult:
-    """Constraints, the general solution and the rank deficiency.
-
-    The general solution is the homogeneous one with k[i] added at the
-    pivot column of each row i, that is the particular solution plus the
-    homogeneous one, in one pass.
-    """
-    constraints = consistency_constraints(state, k)
-    general = homogeneous_solution(state, horizon)
-    zero = LinForm.zero(state.field)
-    for col, i in state.pivots.items():
-        if col <= horizon:
-            x = k[i] + general.entries.get(col, zero)
-            if x.is_zero():
-                general.entries.pop(col, None)
-            else:
-                general.entries[col] = x
-    pivots_below = sum(1 for c in state.pivots if c <= horizon)
-    return SolveResult(constraints, general, horizon + 1 - pivots_below, horizon)
+    """Constraints and the general solution, the particular solution plus
+    the homogeneous one, built in one pass."""
+    return SolveResult(consistency_constraints(state, k), _solution(state, horizon, k))
 
 
 def _reduce_modulo(form: LinForm, constraints: Sequence[LinForm]) -> LinForm:
@@ -181,10 +174,9 @@ def _reduce_modulo(form: LinForm, constraints: Sequence[LinForm]) -> LinForm:
         if coeff is None:
             continue
         F = form.field
-        # sym = -(c - coeff_c*sym)/coeff_c
-        rest = LinForm(F, c.constant, {s: v for s, v in c.terms.items() if s != sym})
-        replacement = rest.scaled_raw(F.neg(F.inv(c.terms[sym])))
-        form = form.substitute(sym, replacement)
+        # form - (coeff / c[sym]) * c has no sym term
+        lam = F.neg(F.mul(coeff, F.inv(c.terms[sym])))
+        form = LinForm.combination(F, ((F.one(), form), (lam, c)))
     return form
 
 
@@ -206,18 +198,14 @@ def verify_solution(
     """
     _check_rhs_namespace(c)
     F = x.field
+    minus_one = F.neg(F.one())
     residuals: List[LinForm] = []
     try:
         for i in range(horizon + 1):
             row = matrix.row_at(i)
-            acc = LinForm.combination(F, ((v, x.entry(j)) for j, v in row.support))
-            if isinstance(c, str):
-                acc = acc - LinForm.symbol(F, c, i)
-            elif callable(c):
-                acc = acc - _as_form(F, c(i))
-            else:
-                acc = acc - (_as_form(F, c[i]) if i < len(c) else LinForm.zero(F))
-            residuals.append(acc)
+            pairs = [(v, x.entry(j)) for j, v in row.support]
+            pairs.append((minus_one, _rhs_at(F, c, i)))
+            residuals.append(LinForm.combination(F, pairs))
     except IndexOutOfRange:
         return False
     cons = list(constraints or [])

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -536,7 +539,7 @@ def test_decreasing_floor_certifies_up_to_its_running_maximum(tmp_path, capsys):
         ["reduce", "no-such-file.mat", "--stages", "3"],
         ["reduce", "bidiag", "--stages", "-1"],
         ["reduce", "bidiag", "--stages", "3", "--emit", "wat"],
-        ["qhf", "bidiag", "--stages", "3", "--strategy", "lps"],
+        ["solve", "bidiag", "--stages", "3", "--horizon", "-5"],
         ["verify", "bidiag", "--stages", "3", "--strategy", "lps", "--check", "qhf"],
         ["verify", "bidiag", "--stages", "3", "--strategy", "lps", "--check", "roweq"],
         ["solve", "bidiag", "--stages", "3", "--rhs", "symbolic:not an id"],
@@ -545,8 +548,8 @@ def test_decreasing_floor_certifies_up_to_its_running_maximum(tmp_path, capsys):
         ["qhf", "pde", "--stages", "5", "--prefix", "9"],
         ["qhf", "pde", "--stages", "5", "--prefix", "9", "--format", "json"],
         ["stability", "pde", "--stages", "5", "--prefix", "-1"],
-        # the homogeneous solution needs the free columns left of each pivot
-        ["solve", "bidiag", "--stages", "3", "--strategy", "lps"],
+        # a horizon below column 0 would list no column at all
+        ["solve", "bidiag", "--stages", "3", "--horizon", "-1"],
     ],
 )
 def test_exit_2_for_rejected_input(argv, capsys):
@@ -598,6 +601,29 @@ def test_exit_3_on_certificate_violation(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "certificate violation" in err
     assert "stage 1" in err
+
+
+def test_cold_import_loads_no_dataclasses():
+    # every command pays for a cold import of the CLI, and dataclasses
+    # imports inspect; -I keeps the environment and user site out
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        "import sys; sys.path.insert(0, %r); import omegagj.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))" % src
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["qhf", "solve"])
+def test_strategy_is_not_an_option_of_rps_only_commands(command, capsys):
+    # the reorder and the symbolic solution are defined for rightmost pivots
+    with pytest.raises(SystemExit) as err:
+        main([command, "bidiag", "--stages", "3", "--strategy", "lps"])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_missing_required_flag_exits_2():

@@ -19,6 +19,7 @@ from omegagj import (
 )
 
 GF7 = Field.gf(7)
+F1 = Fraction(1)
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
@@ -248,38 +249,44 @@ def sym(ns, i, field=RATIONAL):
     return LinForm.symbol(field, ns, i)
 
 
+def comb(*pairs, field=RATIONAL):
+    return LinForm.combination(field, pairs)
+
+
+
 def test_linform_construction_and_canonical_terms():
-    f = sym("c", 0) + sym("c", 1) - sym("c", 0)
+    f = comb((F1, sym("c", 0)), (F1, sym("c", 1)), (-F1, sym("c", 0)))
     assert f.terms == {("c", 1): Fraction(1)}
     assert not f.is_zero()
-    assert (f - sym("c", 1)).is_zero()
+    assert comb((F1, f), (-F1, sym("c", 1))).is_zero()
     assert LinForm.zero(RATIONAL).is_zero()
     assert LinForm.const(RATIONAL, Fraction(3)).constant == 3
 
 
 def test_linform_coeff_and_scaling():
-    f = sym("s", 0).scaled_raw(Fraction(2)) + LinForm.const(RATIONAL, Fraction(5))
+    f = comb((Fraction(2), sym("s", 0))) + LinForm.const(RATIONAL, Fraction(5))
     assert f.terms.get(("s", 0)) == 2 and ("s", 9) not in f.terms
-    g = f.scaled_raw(Fraction(-1))
+    g = comb((-F1, f))
     assert g.constant == -5 and g.terms == {("s", 0): Fraction(-2)}
-    assert f.scaled_raw(Fraction(0)).is_zero()
+    assert comb((Fraction(0), f)).is_zero()
 
 
 def test_linform_substitute():
-    # c_1 := c_0 + 2 inside (3*c_1 + c_2)
-    f = sym("c", 1).scaled_raw(Fraction(3)) + sym("c", 2)
-    g = f.substitute(("c", 1), sym("c", 0) + LinForm.const(RATIONAL, Fraction(2)))
+    # c_1 := c_0 + 2 inside 3*c_1 + c_2 is one combination with the
+    # constraint c_1 - c_0 - 2: form - (3 / 1) * constraint
+    f = comb((Fraction(3), sym("c", 1)), (F1, sym("c", 2)))
+    con = comb((F1, sym("c", 1)), (-F1, sym("c", 0))) + LinForm.const(RATIONAL, Fraction(-2))
+    g = comb((F1, f), (Fraction(-3), con))
     assert g.terms == {("c", 0): Fraction(3), ("c", 2): Fraction(1)}
     assert g.constant == 6
-    assert f.substitute(("c", 9), sym("c", 0)) == f
 
 
 def test_linform_render():
     assert str(LinForm.zero(RATIONAL)) == "0"
     assert str(LinForm.const(RATIONAL, Fraction(-3, 2))) == "-3/2"
-    f = sym("s", 0) - sym("s", 1) + sym("s", 2)
+    f = comb((F1, sym("s", 0)), (-F1, sym("s", 1)), (F1, sym("s", 2)))
     assert str(f) == "s_0 - s_1 + s_2"
-    g = sym("c", 3) - sym("c", 0) - sym("c", 2).scaled_raw(Fraction(2))
+    g = comb((F1, sym("c", 3)), (-F1, sym("c", 0)), (Fraction(-2), sym("c", 2)))
     assert str(g) == "-c_0 - 2*c_2 + c_3"
     assert g.render(leading=("c", 3)) == "c_3 - c_0 - 2*c_2"
     h = sym("t", 0) + LinForm.const(RATIONAL, Fraction(1, 2))
@@ -287,7 +294,7 @@ def test_linform_render():
 
 
 def test_linform_render_gf():
-    f = sym("c", 0, GF7).scaled_raw(6) + LinForm.const(GF7, 5)
+    f = comb((6, sym("c", 0, GF7)), field=GF7) + LinForm.const(GF7, 5)
     # gf residues carry no sign; 6 stays 6
     assert str(f) == "6*c_0 + 5"
 
@@ -315,13 +322,15 @@ def test_linform_cross_field_raises():
 )
 def test_linform_group_laws(terms_a, terms_b):
     def build(terms):
-        f = LinForm.zero(RATIONAL)
-        for ns, i, v in terms:
-            f = f + LinForm.symbol(RATIONAL, ns, i).scaled_raw(v)
-        return f
+        return comb(*((v, sym(ns, i)) for ns, i, v in terms))
 
     a, b = build(terms_a), build(terms_b)
-    assert (a + b) - b == a
+    # one combination equals adding the scaled forms one by one
+    one_by_one = LinForm.zero(RATIONAL)
+    for ns, i, v in terms_a:
+        one_by_one = one_by_one + comb((v, sym(ns, i)))
+    assert one_by_one == a
+    assert comb((F1, a + b), (-F1, b)) == a
     assert a + b == b + a
-    assert (a - a).is_zero()
+    assert comb((F1, a), (-F1, a)).is_zero()
     assert all(v != 0 for v in (a + b).terms.values())

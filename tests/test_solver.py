@@ -22,6 +22,7 @@ from omegagj import (
     transform_rhs,
     verify_solution,
 )
+from omegagj.engine import certified_floor
 from omegagj.solver import SymbolicSequence
 from fixtures import (
     BIDIAG_GENERAL,
@@ -213,13 +214,23 @@ def test_general_zero_rhs_equals_homogeneous():
 
 def _assert_general_is_particular_plus_homogeneous(state, horizon):
     k = transform_rhs(state.passage, "c")
-    general = general_solution(state, k, horizon).general
+    res = general_solution(state, k, horizon)
+    general = res.general
     xp = particular_solution(state, k, horizon)
     xh = homogeneous_solution(state, horizon)
+    floor = certified_floor(state)
     for j in range(horizon + 1):
         assert general.entry(j) == xp.entry(j) + xh.entry(j)
+        expect = (
+            "certified" if floor is not None and j < floor
+            else "provisional at stage %d" % state.stage
+        )
+        assert general.provenance(j) == xh.provenance(j) == xp.provenance(j) == expect
     assert general.free_columns == xh.free_columns
-    assert general.provenance == xh.provenance
+    pivots_below = sum(1 for c in state.pivots if c <= horizon)
+    assert res.horizon == horizon
+    assert res.deficiency_over_horizon == len(general.free_columns)
+    assert res.deficiency_over_horizon == horizon + 1 - pivots_below
 
 
 @pytest.mark.parametrize("name", ["bidiag", "repeated", "fulkerson", "pde"])
@@ -233,7 +244,8 @@ def test_general_is_particular_plus_homogeneous(case):
     p, dicts = case
     F = field_for(p)
     state = run_to(make_explicit(F, mk_rows(F, dicts)), len(dicts) - 1)
-    _assert_general_is_particular_plus_homogeneous(state, 12)
+    for horizon in range(-1, 13):
+        _assert_general_is_particular_plus_homogeneous(state, horizon)
 
 
 def test_solutions_need_rightmost_pivots():
@@ -258,6 +270,15 @@ def test_deficiency_matches_uncovered_columns():
         assert len(res.general.free_columns) == res.deficiency_over_horizon
 
 
+def test_negative_horizon_has_no_deficiency():
+    # a horizon below column 0 covers no column, free or pivot
+    state = run_to(BUILTINS["bidiag"](), 3)
+    k = transform_rhs(state.passage, "c")
+    res = general_solution(state, k, -5)
+    assert res.deficiency_over_horizon == 0
+    assert res.general.free_columns == [] and res.general.entries == {}
+
+
 # -- sequences ----------------------------------------------------------------
 
 
@@ -273,7 +294,11 @@ def test_sequence_entry_beyond_horizon_raises():
 def test_provenance_provisional_without_certificate():
     state = run_to(BUILTINS["bidiag"](), 6)
     xh = homogeneous_solution(state, 4)
-    assert xh.provenance[0] == "provisional at stage 6"
+    assert xh.provenance(0) == "provisional at stage 6"
+    assert xh.provenance(4) == "provisional at stage 6"
+    for j in (-1, 5):
+        with pytest.raises(IndexOutOfRange):
+            xh.provenance(j)
 
 
 def test_provenance_certified_with_floor():
@@ -282,11 +307,13 @@ def test_provenance_certified_with_floor():
     state = run_to(m, 6)
     xh = homogeneous_solution(state, 6)
     # floor(6) = 7: every column below 7 is final
-    assert all(xh.provenance[j] == "certified" for j in range(7))
+    assert all(xh.provenance(j) == "certified" for j in range(7))
     wide = homogeneous_solution(state, 8)
-    assert wide.provenance[6] == "certified"
-    assert wide.provenance[7] == "provisional at stage 6"
-    assert wide.provenance[8] == "provisional at stage 6"
+    assert wide.provenance(6) == "certified"
+    assert wide.provenance(7) == "provisional at stage 6"
+    assert wide.provenance(8) == "provisional at stage 6"
+    with pytest.raises(IndexOutOfRange):
+        wide.provenance(9)
 
 
 # -- residual verification ----------------------------------------------------
@@ -325,9 +352,7 @@ def test_verify_rejects_perturbed_entry():
     g = res.general
     bumped = dict(g.entries)
     bumped[2] = g.entry(2) + LinForm.const(RATIONAL, F1)
-    broken = SymbolicSequence(
-        g.field, bumped, g.free_columns, g.provenance, g.horizon, g.stage
-    )
+    broken = SymbolicSequence(g.field, bumped, g.free_columns, g.horizon, g.stage, g.floor)
     assert not verify_solution(m, broken, "s", 8, constraints=res.constraints)
 
 
