@@ -8,7 +8,7 @@ import os
 import re
 import sys
 from bisect import bisect_left
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from .canon import dense_reduce, is_lrrf, is_qhf, verify_row_equivalence
 from .engine import (
@@ -20,18 +20,20 @@ from .engine import (
 )
 from .matrices import BUILTINS, RowFiniteMatrix, make_explicit, make_stencil
 from .reorder import extended_run
-from .rows import Row, dense_width
+from .rows import PackedRow, Row, dense_width
 from .scalars import RATIONAL, Field, LinForm
 from .solver import PARAMETER_NAMESPACE, general_solution, transform_rhs
 
 
 class ParseError(Exception):
-    """A matrix or RHS file the grammar rejects; carries the line number."""
+    """Rejected input: a matrix or RHS file the grammar rejects, with its
+    line number (0 for the file as a whole), or a command-line argument,
+    with no line."""
 
-    def __init__(self, line: int, reason: str):
+    def __init__(self, line: Optional[int], reason: str):
         self.line = line
         self.reason = reason
-        super().__init__("line %d: %s" % (line, reason))
+        super().__init__(reason if line is None else "line %d: %s" % (line, reason))
 
 
 class MatrixSpec:
@@ -229,7 +231,7 @@ def resolve_matrix(arg: str) -> RowFiniteMatrix:
     if arg.startswith("builtin:"):
         name = arg[len("builtin:"):]
         if name not in BUILTINS:
-            raise ParseError(0, "unknown builtin %r" % name)
+            raise ParseError(None, "unknown builtin %r" % name)
         return BUILTINS[name]()
     if arg in BUILTINS and not os.path.exists(arg):
         return BUILTINS[arg]()
@@ -237,7 +239,7 @@ def resolve_matrix(arg: str) -> RowFiniteMatrix:
         with open(arg) as fh:
             text = fh.read()
     except OSError as exc:
-        raise ParseError(0, "cannot read matrix %r: %s" % (arg, exc))
+        raise ParseError(None, "cannot read matrix %r: %s" % (arg, exc))
     return parse_spec(text).build()
 
 
@@ -245,13 +247,13 @@ def resolve_rhs(arg: str):
     if arg.startswith("symbolic:"):
         name = arg[len("symbolic:"):]
         if not name.isidentifier():
-            raise ParseError(0, "bad symbol name %r" % name)
+            raise ParseError(None, "bad symbol name %r" % name)
         return ("symbolic", name)
     try:
         with open(arg) as fh:
             text = fh.read()
     except OSError as exc:
-        raise ParseError(0, "cannot read rhs %r: %s" % (arg, exc))
+        raise ParseError(None, "cannot read rhs %r: %s" % (arg, exc))
     return parse_rhs(text)
 
 
@@ -277,11 +279,30 @@ def _write_dense_line(out, field: Field, row: Row, width: int) -> None:
     out.write("\n")
 
 
-def _emit_rows(out, label: str, field: Field, rows: List[Row]) -> None:
+def _write_packed_line(out, row: PackedRow, width: int) -> None:
+    """The dense line of a reduced packed row, from its slot values: columns
+    lo..lo+len(slots)-1 are the slots (a residue prints as str), the rest 0."""
+    slots = row.field.slots(row.bits)
+    lo, hi = row.lo, row.lo + len(slots)
+    for start in range(0, width, _TSV_WINDOW):
+        stop = min(start + _TSV_WINDOW, width)
+        a, b = min(max(lo, start), stop), max(min(hi, stop), start)  # a <= b
+        cells = ["0"] * (a - start)
+        cells += map(str, slots[a - lo:b - lo])
+        cells += ["0"] * (stop - b)
+        out.write(("\t" if start else "") + "\t".join(cells))
+    out.write("\n")
+
+
+def _emit_rows(out, label: str, field: Field, rows: List[Union[Row, PackedRow]]) -> None:
+    rows = [r.canonical() for r in rows]
     width = max(1, dense_width(rows))
     print("# %s" % label, file=out)
     for r in rows:
-        _write_dense_line(out, field, r, width)
+        if isinstance(r, PackedRow):
+            _write_packed_line(out, r, width)
+        else:
+            _write_dense_line(out, field, r, width)
 
 
 def _emit_pairs(out, label: str, pairs) -> None:
@@ -312,7 +333,7 @@ def cmd_reduce(args, out) -> int:
     sections = [s.strip() for s in args.emit.split(",") if s.strip()]
     for s in sections:
         if s not in _REDUCE_SECTIONS:
-            raise ParseError(0, "unknown emit section %r" % s)
+            raise ParseError(None, "unknown emit section %r" % s)
     matrix = resolve_matrix(args.matrix)
     if args.strategy == "lps":
         print(
@@ -367,13 +388,15 @@ def cmd_solve(args, out) -> int:
     kind, payload = resolve_rhs(args.rhs)
     if kind == "symbolic":
         if payload == PARAMETER_NAMESPACE:
-            raise ParseError(0, "rhs symbol %r is reserved for the solution parameters" % payload)
+            raise ParseError(
+                None, "rhs symbol %r is reserved for the solution parameters" % payload
+            )
         rhs = payload
     else:
         try:
             rhs = [matrix.field.parse(v) for v in payload]
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(0, "bad rhs value: %s" % exc)
+            raise ParseError(None, "bad rhs value: %s" % exc)
     state = run_to(matrix, args.stages, passage=True)
     k = transform_rhs(state.passage, rhs)
     horizon = args.horizon if args.horizon is not None else args.stages
@@ -416,7 +439,7 @@ def _constraint_text(f: LinForm) -> str:
 def cmd_verify(args, out) -> int:
     matrix = resolve_matrix(args.matrix)
     if args.check != "oracle" and args.strategy != "rps":
-        raise ParseError(0, "check %s is defined for the rps strategy only" % args.check)
+        raise ParseError(None, "check %s is defined for the rps strategy only" % args.check)
     if args.check == "lrrf":
         state = run_to(matrix, args.stages, args.strategy, passage=False)
         ok = bool(is_lrrf(state.rows))
@@ -505,14 +528,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     matrix = args.matrix or args.matrix_pos
     try:
         if matrix is None:
-            raise ParseError(0, "no matrix given (use --matrix or a positional name)")
+            raise ParseError(None, "no matrix given (use --matrix or a positional name)")
         if args.stages < 0:
-            raise ParseError(0, "--stages must be >= 0")
+            raise ParseError(None, "--stages must be >= 0")
         prefix = getattr(args, "prefix", None)
         if prefix is not None and not 0 <= prefix <= args.stages:
-            raise ParseError(0, "--prefix must be in 0..%d" % args.stages)
+            raise ParseError(None, "--prefix must be in 0..%d" % args.stages)
         if getattr(args, "horizon", None) is not None and args.horizon < 0:
-            raise ParseError(0, "--horizon must be >= 0")
+            raise ParseError(None, "--horizon must be >= 0")
         args.matrix = matrix
         return args.handler(args, sys.stdout)
     except ParseError as exc:

@@ -18,7 +18,10 @@ entries and never appear in the index.
 
 Only row equivalence and the general solution read the passage rows, and
 they are most of the work, so a state built with passage=False keeps none:
-its passage is None, and step and jordan_update make no passage row.
+its passage is None, and step and jordan_update make no passage row. Over
+GF(p) the passage rows are rows.PackedRow, over the rationals Row; both
+have the canonical, sub_scaled and scaled_raw that step uses, so the field
+picks the representation (rows.passage_unit) and there is one step.
 
 step (with jordan_update) is the package's only elimination: run_to and
 reorder.extended_run both go through it. The dense dict-based
@@ -28,10 +31,9 @@ that verification compares against.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Union
 
-from . import rows
-from .rows import Row, check_row
+from .rows import PackedRow, Row, check_row, passage_unit
 from .scalars import Field
 
 
@@ -83,7 +85,7 @@ class EliminationState:
         self.field = field
         self.strategy = strategy
         self.rows: List[Row] = []
-        self.passage: Optional[List[Row]] = [] if passage else None
+        self.passage: Optional[List[Union[Row, PackedRow]]] = [] if passage else None
         self.pivots: Dict[int, int] = {}
         self.pivot_history: List[Optional[int]] = []
         self.last_changed: List[int] = []
@@ -95,12 +97,6 @@ class EliminationState:
     def stage(self) -> int:
         """Index of the last processed input row; -1 before the first."""
         return len(self.rows) - 1
-
-
-def _sub_scaled(y: Row, lam, x: Row) -> Row:
-    # looked up on the module at call time, so a wrapper installed on
-    # rows.axpy_raw sees every engine call
-    return rows.axpy_raw(y.field.neg(lam), x, y)
 
 
 def _index_row(index: Dict[int, Set[int]], i: int, r: Row) -> None:
@@ -135,13 +131,15 @@ def jordan_update(state: EliminationState, g: Row) -> None:
     holders = index.get(col)
     if holders:
         passage = state.passage
+        if passage is not None:
+            src = passage[n] = passage[n].canonical()
         for i in sorted(holders):
             old = state.rows[i]
             mu = old.raw(col)
-            new = _sub_scaled(old, mu, g)
+            new = old.sub_scaled(mu, g)
             state.rows[i] = new
             if passage is not None:
-                passage[i] = _sub_scaled(passage[i], mu, passage[n])
+                passage[i] = passage[i].sub_scaled(mu, src)
             state.last_changed[i] = n
             _reindex_row(index, i, old, new)
     _index_row(index, n, g)
@@ -161,13 +159,16 @@ def step(state: EliminationState, c: Row) -> EliminationState:
     # entry there and the order of the subtractions does not matter
     passage = state.passage
     reduced = c
-    p = None if passage is None else Row.unit(state.field, n)
+    p = None if passage is None else passage_unit(state.field, n)
     for col, val in c.support:
         idx = state.pivots.get(col)
         if idx is not None:
-            reduced = _sub_scaled(reduced, val, state.rows[idx])
+            reduced = reduced.sub_scaled(val, state.rows[idx])
             if p is not None:
-                p = _sub_scaled(p, val, passage[idx])
+                # a source is used reduced; the reduced copy written back
+                # has the same value, so the stage stays atomic
+                src = passage[idx] = passage[idx].canonical()
+                p = p.sub_scaled(val, src)
 
     col = None
     if not reduced.is_zero():

@@ -1,4 +1,5 @@
-"""Finitely supported rows: sorted (column, value) support lists over a field."""
+"""Finitely supported rows: sorted (column, value) support lists over a
+field, and the packed passage rows used over GF(p)."""
 
 from __future__ import annotations
 
@@ -71,11 +72,6 @@ class Row:
         """Rightmost support index; None for the zero row."""
         return self.support[-1][0] if self.support else None
 
-    @property
-    def zeta(self) -> Optional[int]:
-        """Leftmost support index; None for the zero row."""
-        return self.support[0][0] if self.support else None
-
     def raw(self, col: int):
         """Raw value at a column (field zero when absent).
 
@@ -98,6 +94,16 @@ class Row:
         if lam == 1:
             return self
         return _row(self.field, self.field.scale_support(lam, self.support))
+
+    def sub_scaled(self, lam, x: "Row") -> "Row":
+        """This row minus lam * x."""
+        # axpy_raw is looked up on the module at call time, so a wrapper
+        # installed on rows.axpy_raw sees every engine call
+        return axpy_raw(self.field.neg(lam), x, self)
+
+    def canonical(self) -> "Row":
+        """The row itself: a Row is canonical by construction (see PackedRow)."""
+        return self
 
     def __eq__(self, other):
         if not isinstance(other, Row):
@@ -138,6 +144,111 @@ def axpy_raw(lam, x: Row, y: Row) -> Row:
     if not lam:
         return y
     return _row(F, F.axpy_support(lam, x.support, y.support))
+
+
+class PackedRow:
+    """A passage row over GF(p), packed into one int with delayed reduction.
+
+    Slot i of bits, field.slot_bits wide with the lowest column in the
+    lowest bits, holds the entry at column lo + i as a nonnegative integer
+    that is congruent to it mod p but not always reduced; bound is an
+    upper bound on every slot. Row operations are then a few big-int
+    operations in C rather than a Python loop over entries. A row is
+    reduced mod p only before an operation whose result could carry out of
+    a slot, and before it is used as a source (canonical): the delayed
+    modular reduction of Dumas, Giorgi and Pernet (ACM TOMS 35(3), 2008).
+    A row costs slot_bits / 8 bytes per column from lo to its last
+    slot, zero or not.
+
+    It reads like a Row: field, support, is_zero, maxs, str, and equality
+    with a Row, built on demand from the reduced slots.
+    """
+
+    __slots__ = ("field", "lo", "bits", "bound")
+
+    def __init__(self, field: Field, lo: int, bits: int, bound: int):
+        self.field = field
+        self.lo = lo
+        self.bits = bits
+        self.bound = bound
+
+    @classmethod
+    def unit(cls, field: Field, col: int) -> "PackedRow":
+        return cls(field, col, 1, 1)
+
+    def canonical(self) -> "PackedRow":
+        """This row with every slot reduced mod p; itself if it is already."""
+        F = self.field
+        if self.bound < F.p:
+            return self
+        return PackedRow(F, self.lo, F.reduce_slots(self.bits), F.p - 1)
+
+    def scaled_raw(self, lam) -> "PackedRow":
+        """lam times this row; lam is a residue, and one returns the row itself."""
+        if lam == 1:
+            return self
+        x = self
+        if lam * x.bound >> x.field.slot_bits:
+            x = x.canonical()
+        return PackedRow(x.field, x.lo, lam * x.bits, lam * x.bound)
+
+    def sub_scaled(self, lam, x: "PackedRow") -> "PackedRow":
+        """This row minus lam * x, for a residue lam.
+
+        It adds (p - lam) * x, so no slot goes negative; when the result
+        could carry out of a slot, both rows are reduced first.
+        """
+        F = self.field
+        check_same_field(F, x.field)
+        if not lam:
+            return self
+        w = F.slot_bits
+        m = F.p - lam
+        y = self
+        bound = y.bound + m * x.bound
+        if bound >> w:
+            y, x = y.canonical(), x.canonical()
+            bound = y.bound + m * x.bound
+        shift = (x.lo - y.lo) * w
+        if shift >= 0:
+            return PackedRow(F, y.lo, y.bits + (m * x.bits << shift), bound)
+        return PackedRow(F, x.lo, (y.bits << -shift) + m * x.bits, bound)
+
+    @property
+    def support(self) -> tuple:
+        """The (column, residue) pairs of the nonzero slots; built, not stored."""
+        r = self.canonical()
+        lo = r.lo
+        return tuple([(lo + i, v) for i, v in enumerate(r.field.slots(r.bits)) if v])
+
+    def is_zero(self) -> bool:
+        return not self.canonical().bits
+
+    @property
+    def maxs(self) -> Optional[int]:
+        """Rightmost nonzero column; None for the zero row."""
+        r = self.canonical()
+        return r.lo + (r.bits.bit_length() - 1) // r.field.slot_bits if r.bits else None
+
+    def __eq__(self, other):
+        if not isinstance(other, (Row, PackedRow)):
+            return NotImplemented
+        check_same_field(self.field, other.field)
+        return self.support == other.support
+
+    __str__ = Row.__str__
+
+    def __repr__(self):
+        return "PackedRow(%s)" % (str(self) or "0")
+
+
+def passage_unit(field: Field, col: int):
+    """The passage row e_col: a PackedRow over GF(p), where passage rows
+    fill in densely and every value fits a fixed width, and a Row over the
+    rationals, whose values have no fixed width."""
+    if field.p is None:
+        return Row.unit(field, col)
+    return PackedRow.unit(field, col)
 
 
 def dense_width(rows: Iterable[Row]) -> int:

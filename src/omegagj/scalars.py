@@ -8,9 +8,13 @@ raw coefficients). No floating point is used anywhere.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd
 from typing import Optional
+
+# Packed rows are little-endian 64-bit words; array("Q") holds native ones.
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class FieldMismatch(Exception):
@@ -150,10 +154,6 @@ class RationalField(Field):
         """Parse the canonical text form: 'p/q' or 'p'."""
         return Fraction(text)
 
-    def random_value(self, rng):
-        """A small random rational, for spot checks."""
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-
     def accepts(self, v) -> bool:
         """Whether Row.from_pairs takes v as a value: an int or a Fraction."""
         return isinstance(v, (int, Fraction))
@@ -232,9 +232,16 @@ class RationalField(Field):
 
 
 class PrimeField(Field):
-    """Integers modulo a prime p, with residues in [0, p)."""
+    """Integers modulo a prime p, with residues in [0, p).
 
-    __slots__ = ()
+    The field also owns the slots of packed rows (rows.PackedRow): an int
+    holding one nonnegative slot_bits-wide slot per column, lowest column in
+    the lowest bits. slot_bits is the smallest multiple of 64 that is at
+    least 2 * bitlen(p) + 16, so a slot holds (p - 1) + (p - 1)^2, one
+    axpy on reduced slots, with 16 bits to spare.
+    """
+
+    __slots__ = ("slot_bits",)
 
     def __init__(self, p: int):
         if p >= _MR_BOUND:
@@ -245,6 +252,40 @@ class PrimeField(Field):
         if not _is_prime(p):
             raise ValueError("gf modulus must be prime, got %r" % (p,))
         self.p = p
+        self.slot_bits = -(-(2 * p.bit_length() + 16) // 64) * 64
+
+    def slots(self, bits: int):
+        """The slots of a packed int, lowest column first, as a sequence of
+        ints (an array of 64-bit words when slots are one word wide)."""
+        w = self.slot_bits
+        raw = bits.to_bytes((bits.bit_length() + w - 1) // w * (w >> 3), "little")
+        if w == 64:
+            from array import array  # kept out of a cold import of the CLI
+
+            words = array("Q", raw)
+            if _BIG_ENDIAN:
+                words.byteswap()
+            return words
+        s = w >> 3
+        return [int.from_bytes(raw[i:i + s], "little") for i in range(0, len(raw), s)]
+
+    def pack(self, values) -> int:
+        """The packed int of slot values in [0, 2^slot_bits), lowest column first."""
+        w = self.slot_bits
+        if w == 64:
+            from array import array
+
+            words = array("Q", values)
+            if _BIG_ENDIAN:
+                words.byteswap()
+            return int.from_bytes(words, "little")
+        s = w >> 3
+        return int.from_bytes(b"".join([v.to_bytes(s, "little") for v in values]), "little")
+
+    def reduce_slots(self, bits: int) -> int:
+        """The packed int with every slot reduced mod p."""
+        p = self.p
+        return self.pack([v % p for v in self.slots(bits)])
 
     def __reduce__(self):
         return (Field.gf, (self.p,))
@@ -275,10 +316,6 @@ class PrimeField(Field):
     def parse(self, text: str):
         """Parse a residue: any integer text, reduced mod p."""
         return int(text) % self.p
-
-    def random_value(self, rng):
-        """A uniform random residue, for spot checks."""
-        return rng.randrange(self.p)
 
     def accepts(self, v) -> bool:
         """Whether Row.from_pairs takes v as a value: any int (reduced mod p)."""

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .engine import EliminationState, IndexOutOfRange, certified_floor
@@ -162,18 +161,31 @@ def general_solution(
     return SolveResult(consistency_constraints(state, k), _solution(state, horizon, k))
 
 
-def _reduce_modulo(form: LinForm, constraints: Sequence[LinForm]) -> LinForm:
-    """Eliminate the leading symbol of each constraint from the form."""
-    ordered = []
+def _leads(constraints: Sequence[LinForm]) -> Dict[tuple, LinForm]:
+    """Constraints spanning the same forms as the given ones, keyed by
+    their distinct leading (largest) symbols.
+
+    Each constraint is reduced by the ones kept before it, so its lead is
+    new; one that reduces to a constant has no lead and is dropped.
+    """
+    leads: Dict[tuple, LinForm] = {}
     for c in constraints:
+        c = _reduce_modulo(c, leads)
         if c.terms:
-            ordered.append((max(c.terms), c))
-    ordered.sort(key=lambda t: t[0], reverse=True)
-    for sym, c in ordered:
+            leads[max(c.terms)] = c
+    return leads
+
+
+def _reduce_modulo(form: LinForm, leads: Dict[tuple, LinForm]) -> LinForm:
+    """Subtract from the form the multiple of leads[s] that clears s, for
+    each lead s, largest first; a lead's constraint has no larger symbol,
+    so no cleared symbol comes back."""
+    F = form.field
+    for sym in sorted(leads, reverse=True):
         coeff = form.terms.get(sym)
         if coeff is None:
             continue
-        F = form.field
+        c = leads[sym]
         # form - (coeff / c[sym]) * c has no sym term
         lam = F.neg(F.mul(coeff, F.inv(c.terms[sym])))
         form = LinForm.combination(F, ((F.one(), form), (lam, c)))
@@ -185,52 +197,24 @@ def verify_solution(
     x: SymbolicSequence,
     c: Union[str, Sequence, Callable[[int], object]],
     horizon: int,
-    trials: int = 0,
     constraints: Optional[Sequence[LinForm]] = None,
-    rng: Optional[random.Random] = None,
 ) -> bool:
     """Check rows 0..horizon of the system against a candidate solution.
 
     The residual of each row must vanish identically after reduction
-    modulo the constraints.  With ``trials`` > 0, also spot-check with
-    random constraint-satisfying numeric assignments. A symbolic ``c`` in
+    modulo the constraints, that is, lie in their span. A symbolic ``c`` in
     PARAMETER_NAMESPACE raises ValueError, as in transform_rhs.
     """
     _check_rhs_namespace(c)
     F = x.field
     minus_one = F.neg(F.one())
-    residuals: List[LinForm] = []
-    try:
-        for i in range(horizon + 1):
-            row = matrix.row_at(i)
-            pairs = [(v, x.entry(j)) for j, v in row.support]
-            pairs.append((minus_one, _rhs_at(F, c, i)))
-            residuals.append(LinForm.combination(F, pairs))
-    except IndexOutOfRange:
-        return False
-    cons = list(constraints or [])
-    for r in residuals:
-        if not _reduce_modulo(r, cons).is_zero():
+    leads = _leads(constraints or [])
+    for i in range(horizon + 1):
+        try:
+            pairs = [(v, x.entry(j)) for j, v in matrix.row_at(i).support]
+        except IndexOutOfRange:
             return False
-    rng = rng or random.Random(0)
-    symbols = set()
-    for r in residuals:
-        symbols.update(r.terms)
-    for con in cons:
-        symbols.update(con.terms)
-    for _ in range(trials):
-        values = {s: F.random_value(rng) for s in symbols}
-        for con in sorted(cons, key=lambda f: max(f.terms)):
-            lead = max(con.terms)
-            rest = con.constant
-            for s, v in con.terms.items():
-                if s != lead:
-                    rest = F.add(rest, F.mul(v, values[s]))
-            values[lead] = F.mul(F.neg(F.inv(con.terms[lead])), rest)
-        for r in residuals:
-            total = r.constant
-            for s, v in r.terms.items():
-                total = F.add(total, F.mul(v, values[s]))
-            if total != F.zero():
-                return False
+        pairs.append((minus_one, _rhs_at(F, c, i)))
+        if not _reduce_modulo(LinForm.combination(F, pairs), leads).is_zero():
+            return False
     return True

@@ -10,6 +10,7 @@ import pytest
 
 from omegagj import Field, RATIONAL, RationalField, Row
 from omegagj import cli
+from omegagj.rows import PackedRow
 from omegagj.cli import (
     MatrixSpec,
     ParseError,
@@ -391,21 +392,32 @@ def test_qhf_json(capsys):
         (["verify", "pde", "--stages", "9", "--check", "roweq"], 10),
         (["verify", "pde", "--stages", "9", "--check", "oracle"], 10),
         (["solve", "pde", "--stages", "9"], 10),
+        # over GF(p) the passage rows are packed
+        (["qhf", "GF_BAND", "--stages", "40", "--prefix", "3"], 0),
+        (["reduce", "GF_BAND", "--stages", "40", "--emit", "pivots,passage"], 41),
+        (["solve", "GF_BAND", "--stages", "40"], 41),
     ],
     ids=["reduce-rows,pivots", "reduce-json", "qhf-tsv", "verify-lrrf", "verify-qhf",
-         "stability", "reduce-passage", "qhf-json", "verify-roweq", "verify-oracle", "solve"],
+         "stability", "reduce-passage", "qhf-json", "verify-roweq", "verify-oracle", "solve",
+         "gf-band-qhf-tsv", "gf-band-reduce-passage", "gf-band-solve"],
 )
-def test_only_commands_that_read_q_build_passage_rows(argv, units, monkeypatch, capsys):
+def test_only_commands_that_read_q_build_passage_rows(argv, units, tmp_path, monkeypatch,
+                                                      capsys):
+    path = tmp_path / "band.txt"
+    path.write_text(gf_band_text())
+    argv = [str(path) if a == "GF_BAND" else a for a in argv]
+    kind = PackedRow if str(path) in argv else Row
     calls = []
-    unit = Row.unit.__func__
+    for cls in (Row, PackedRow):
+        unit = cls.unit.__func__
 
-    def counting(cls, field, col):
-        calls.append(col)
-        return unit(cls, field, col)
+        def counting(cls, field, col, unit=unit):
+            calls.append(cls)
+            return unit(cls, field, col)
 
-    monkeypatch.setattr(Row, "unit", classmethod(counting))
+        monkeypatch.setattr(cls, "unit", classmethod(counting))
     assert main(argv) == 0
-    assert len(calls) == units
+    assert calls == [kind] * units
 
 
 # -- solve --------------------------------------------------------------------
@@ -556,7 +568,13 @@ def test_exit_2_for_rejected_input(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error:" in captured.err
+    # a command-line argument has no line number to report
+    assert captured.err.startswith("error: ") and "line" not in captured.err
+
+
+def test_command_line_error_names_no_line(capsys):
+    assert main(["solve", "bidiag", "--stages", "3", "--horizon", "-5"]) == 2
+    assert capsys.readouterr().err == "error: --horizon must be >= 0\n"
 
 
 def test_exit_2_for_bad_spec_file(tmp_path, capsys):
@@ -605,11 +623,12 @@ def test_exit_3_on_certificate_violation(tmp_path, capsys):
 
 def test_cold_import_loads_no_dataclasses():
     # every command pays for a cold import of the CLI, and dataclasses
-    # imports inspect; -I keeps the environment and user site out
+    # imports inspect; array is loaded only when a packed passage row is
+    # reduced; -I keeps the environment and user site out
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = (
         "import sys; sys.path.insert(0, %r); import omegagj.cli; "
-        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))" % src
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'array') if m in sys.modules))" % src
     )
     out = subprocess.run(
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True

@@ -22,6 +22,7 @@ from omegagj import (
     run_to,
     step,
 )
+from omegagj.cli import parse_spec
 from fixtures import (
     FULKERSON_NULLSPACE,
     FULKERSON_PASSAGE,
@@ -32,7 +33,16 @@ from fixtures import (
     bidiag_reduced_row,
 )
 from oracles import ReorderReference, dense_reduce
-from util import dict_matrices, field_for, mk_row, mk_rows, row_dict, rows_dicts
+from util import (
+    GF_PRIME,
+    dict_matrices,
+    field_for,
+    gf_band_text,
+    mk_row,
+    mk_rows,
+    row_dict,
+    rows_dicts,
+)
 
 GF7 = Field.gf(7)
 
@@ -265,6 +275,23 @@ def test_pivot_collision_in_step_leaves_state_unchanged():
     before = _state_image(state)
     with pytest.raises(PivotCollision):
         step(state, Row.unit(RATIONAL, 5))
+    assert _state_image(state) == before
+
+
+def test_pivot_collision_over_gf_leaves_state_unchanged():
+    # step writes the reduced copy of a packed source row back into the
+    # passage before the collision; it has the same value, so the image holds
+    F = Field.gf(GF_PRIME)
+    state = run_to(parse_spec(gf_band_text()).build(), 20)
+    i = next(i for i, q in enumerate(state.passage)
+             if q.bound >= F.p and not state.rows[i].is_zero())
+    stored = state.passage[i]
+    col = 10**3
+    state.pivots[col] = i
+    before = _state_image(state)
+    with pytest.raises(PivotCollision):
+        step(state, Row.unit(F, col))
+    assert state.passage[i] is not stored and state.passage[i].bound < F.p
     assert _state_image(state) == before
 
 

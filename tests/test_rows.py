@@ -71,15 +71,15 @@ def test_axpy_operand_with_int_value_is_rejected_where_built():
 
 def test_zero_and_unit_rows():
     z = Row.zero(RATIONAL)
-    assert z.is_zero() and z.maxs is None and z.zeta is None
+    assert z.is_zero() and z.maxs is None
     e3 = Row.unit(RATIONAL, 3)
     assert row_dict(e3) == {3: Fraction(1)}
-    assert e3.maxs == e3.zeta == 3
+    assert e3.maxs == 3
 
 
 def test_accessors():
     r = mk_row(RATIONAL, {2: Fraction(5), 7: Fraction(-1, 3)})
-    assert r.maxs == 7 and r.zeta == 2
+    assert r.maxs == 7
     assert r.raw(2) == 5
     assert r.raw(3) == 0
     assert r.raw(7) == Fraction(-1, 3)

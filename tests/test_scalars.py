@@ -1,6 +1,5 @@
 import math
 import pickle
-import random
 import time
 from fractions import Fraction
 
@@ -99,15 +98,6 @@ def test_modulus_at_the_exactness_bound_is_rejected():
     for p in (bound, bound + 2):
         with pytest.raises(ValueError, match="below"):
             Field.gf(p)
-
-
-@pytest.mark.parametrize("field", [RATIONAL, GF7], ids=["rational", "gf7"])
-def test_random_value_is_a_field_value(field):
-    rng = random.Random(3)
-    for _ in range(50):
-        v = field.random_value(rng)
-        assert field.parse(field.format(v)) == v
-        assert v == 0 or field.entry_error(v) is None
 
 
 @pytest.mark.parametrize("field", [RATIONAL, GF7], ids=["rational", "gf7"])

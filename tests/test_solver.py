@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +22,7 @@ from omegagj import (
     verify_solution,
 )
 from omegagj.engine import certified_floor
-from omegagj.solver import SymbolicSequence
+from omegagj.solver import SymbolicSequence, _leads, _reduce_modulo
 from fixtures import (
     BIDIAG_GENERAL,
     BIDIAG_K,
@@ -324,7 +323,7 @@ def test_verify_band_general_solution():
     state = run_to(m, 40)
     k = transform_rhs(state.passage, "s")
     res = general_solution(state, k, 41)
-    assert verify_solution(m, res.general, "s", 30, trials=3, constraints=res.constraints)
+    assert verify_solution(m, res.general, "s", 30, constraints=res.constraints)
 
 
 def test_verify_fulkerson_under_constraints():
@@ -332,7 +331,7 @@ def test_verify_fulkerson_under_constraints():
     state = run_to(m, 12)
     k = transform_rhs(state.passage, "c")
     res = general_solution(state, k, 21)
-    assert verify_solution(m, res.general, "c", 12, trials=3, constraints=res.constraints)
+    assert verify_solution(m, res.general, "c", 12, constraints=res.constraints)
     # without the constraints the residual at a zero row survives
     assert not verify_solution(m, res.general, "c", 12)
 
@@ -341,7 +340,7 @@ def test_verify_pde_homogeneous():
     m = BUILTINS["pde"]()
     state = run_to(m, 20)
     xh = homogeneous_solution(state, 27)
-    assert verify_solution(m, xh, [], 20, trials=5, rng=random.Random(7))
+    assert verify_solution(m, xh, [], 20)
 
 
 def test_verify_rejects_perturbed_entry():
@@ -365,17 +364,52 @@ def test_verify_fails_when_horizon_not_covered():
     assert not verify_solution(m, res.general, "c", 12, constraints=res.constraints)
 
 
-def test_verify_gf_system_with_trials():
+def test_verify_gf_system_under_constraints():
     rows = mk_rows(GF7, [{0: 2, 2: 1}, {1: 3}, {0: 2, 1: 3, 2: 1}])
     m = make_explicit(GF7, rows)
     state = run_to(m, 2)
     k = transform_rhs(state.passage, "c")
     res = general_solution(state, k, 2)
     assert len(res.constraints) == 1
-    assert verify_solution(
-        m, res.general, "c", 2, trials=6, constraints=res.constraints,
-        rng=random.Random(11),
-    )
+    assert verify_solution(m, res.general, "c", 2, constraints=res.constraints)
+
+
+def test_verify_inconsistent_system_checks_the_rows_it_is_asked_for():
+    # the constraints 1 = 0, 2 = 0 and 3 = 0 have no symbol; a random
+    # spot-check once crashed on them with max() of an empty sequence
+    m = BUILTINS["repeated"]()
+    state = run_to(m, 3)
+    rhs = [1, 2, 3, 4]
+    res = general_solution(state, transform_rhs(state.passage, rhs), 3)
+    assert [str(c) for c in res.constraints] == ["1", "2", "3"]
+    assert verify_solution(m, res.general, rhs, 0, constraints=res.constraints)
+
+
+def _s(i):
+    return LinForm.symbol(RATIONAL, "s", i)
+
+
+def _lin(*pairs):
+    return LinForm.combination(RATIONAL, [(Fraction(lam), f) for lam, f in pairs])
+
+
+def test_reduce_modulo_constraints_that_share_a_lead():
+    # s_0 = ((s_1 + s_0) - (s_1 - s_0)) / 2 lies in their span
+    cons = [_lin((1, _s(1)), (-1, _s(0))), _lin((1, _s(1)), (1, _s(0)))]
+    assert _reduce_modulo(_s(0), _leads(cons)).is_zero()
+    assert not _reduce_modulo(_s(2), _leads(cons)).is_zero()
+    # a constraint in the span of earlier ones adds no lead
+    assert len(_leads(cons + [_lin((2, _s(1)))])) == 2
+
+
+def test_verify_accepts_constraints_that_share_a_lead():
+    # the one row x_0 = s_0 with x_0 = 0 leaves the residual -s_0
+    m = make_explicit(RATIONAL, [mk_row(RATIONAL, {0: F1})])
+    x = SymbolicSequence(RATIONAL, {}, [], 0, 0, None)
+    cons = [_lin((1, _s(1)), (-1, _s(0))), _lin((1, _s(1)), (1, _s(0)))]
+    assert verify_solution(m, x, "s", 0, constraints=cons)
+    assert not verify_solution(m, x, "s", 0, constraints=cons[:1])
+    assert not verify_solution(m, x, "s", 0)
 
 
 def test_numeric_instance_agrees_with_symbolic_pipeline(rng):
@@ -396,7 +430,7 @@ def test_numeric_instance_agrees_with_symbolic_pipeline(rng):
     state = run_to(m, 3)
     k = transform_rhs(state.passage, c)
     res = general_solution(state, k, 4)
-    assert verify_solution(m, res.general, c, 3, trials=4, constraints=res.constraints)
+    assert verify_solution(m, res.general, c, 3, constraints=res.constraints)
 
 
 def test_residual_reduction_agrees_with_sympy():

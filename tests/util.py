@@ -91,9 +91,11 @@ def gf_band_text(n=40):
 
 @st.composite
 def dict_matrices(draw):
-    """(p, rows): p is None for the rationals, else 2 or 32003; rows are
-    zero-free {column: value} dicts, empty ones included."""
-    p = draw(st.sampled_from([None, 2, 32003]))
+    """(p, rows): p is None for the rationals, else a prime whose packed
+    passage slots are 64 (2, 32003) or 192 (2^61 - 1, and the largest
+    prime the field accepts) bits wide; rows are zero-free {column: value}
+    dicts, empty ones included."""
+    p = draw(st.sampled_from([None, 2, 32003, 2**61 - 1, 318665857834031151167441]))
     if p is None:
         values = st.fractions(min_value=-5, max_value=5, max_denominator=4)
     else:
