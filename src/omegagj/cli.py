@@ -20,15 +20,15 @@ from .engine import (
 )
 from .matrices import BUILTINS, RowFiniteMatrix, make_explicit, make_stencil
 from .reorder import extended_run
-from .rows import PackedRow, Row, dense_width
+from .rows import PackedRow, Row, dense_width, pairs_text
 from .scalars import RATIONAL, Field, LinForm
 from .solver import PARAMETER_NAMESPACE, general_solution, transform_rhs
 
 
 class ParseError(Exception):
-    """Rejected input: a matrix or RHS file the grammar rejects, with its
-    line number (0 for the file as a whole), or a command-line argument,
-    with no line."""
+    """Rejected input: a matrix or RHS file the grammar rejects, with the
+    number of the offending line, or None when the fault is in the file as
+    a whole or in a command-line argument."""
 
     def __init__(self, line: Optional[int], reason: str):
         self.line = line
@@ -63,7 +63,7 @@ class MatrixSpec:
         else:
             matrix = BUILTINS[self.body]()
             if matrix.field != self.field:
-                raise ParseError(0, "builtin %s is over a different field" % self.body)
+                raise ParseError(None, "builtin %s is over a different field" % self.body)
         if self.floor is not None:
             matrix.certificate = PivotFloor.affine(*self.floor)
         return matrix
@@ -146,19 +146,19 @@ def parse_spec(text: str) -> MatrixSpec:
             raise ParseError(lineno, "unknown directive %r" % head)
 
     if field is None:
-        raise ParseError(0, "missing field line")
+        raise ParseError(None, "missing field line")
     if kind is None:
-        raise ParseError(0, "missing kind line")
+        raise ParseError(None, "missing kind line")
     if kind == "stencil":
         if stencil is None:
-            raise ParseError(0, "kind stencil needs a stencil line")
+            raise ParseError(None, "kind stencil needs a stencil line")
         return MatrixSpec(field, kind, stencil, floor)
     if kind == "explicit":
         if tail != "zero":
-            raise ParseError(0, "kind explicit needs 'tail zero'")
+            raise ParseError(None, "kind explicit needs 'tail zero'")
         return MatrixSpec(field, kind, rows, floor)
     if builtin is None:
-        raise ParseError(0, "kind builtin needs a builtin line")
+        raise ParseError(None, "kind builtin needs a builtin line")
     return MatrixSpec(field, kind, builtin, floor)
 
 
@@ -191,14 +191,10 @@ def render_spec(spec: MatrixSpec) -> str:
         "kind %s" % spec.kind,
     ]
     if spec.kind == "stencil":
-        lines.append(
-            "stencil "
-            + " ".join("%d:%s" % (o, F.format(v)) for o, v in sorted(spec.body))
-        )
+        lines.append("stencil " + pairs_text(F, sorted(spec.body)))
     elif spec.kind == "explicit":
         for k in sorted(spec.body):
-            pairs = " ".join("%d:%s" % (c, F.format(v)) for c, v in sorted(spec.body[k]))
-            lines.append(("row %d " % k + pairs).rstrip())
+            lines.append(("row %d " % k + pairs_text(F, sorted(spec.body[k]))).rstrip())
         lines.append("tail zero")
     else:
         lines.append("builtin %s" % spec.body)
@@ -224,7 +220,7 @@ def parse_rhs(text: str):
         if parts[1] == "explicit":
             return ("explicit", parts[2:])
         raise ParseError(lineno, "rhs must be symbolic or explicit")
-    raise ParseError(0, "missing rhs line")
+    raise ParseError(None, "missing rhs line")
 
 
 def resolve_matrix(arg: str) -> RowFiniteMatrix:
@@ -264,16 +260,17 @@ _TSV_WINDOW = 4096
 
 def _write_dense_line(out, field: Field, row: Row, width: int) -> None:
     """Tab-separated columns 0..width-1 and a newline; only the support is
-    formatted."""
-    fmt = field.format
+    formatted, one window at a time."""
+    format_values = field.format_values
     support = row.support
     lo = 0
     for start in range(0, width, _TSV_WINDOW):
         stop = min(start + _TSV_WINDOW, width)
         hi = bisect_left(support, (stop,), lo)  # first entry at column >= stop
+        window = support[lo:hi]
         cells = ["0"] * (stop - start)
-        for c, v in support[lo:hi]:
-            cells[c - start] = fmt(v)
+        for (c, _), text in zip(window, format_values([v for _, v in window])):
+            cells[c - start] = text
         lo = hi
         out.write(("\t" if start else "") + "\t".join(cells))
     out.write("\n")
@@ -281,14 +278,15 @@ def _write_dense_line(out, field: Field, row: Row, width: int) -> None:
 
 def _write_packed_line(out, row: PackedRow, width: int) -> None:
     """The dense line of a reduced packed row, from its slot values: columns
-    lo..lo+len(slots)-1 are the slots (a residue prints as str), the rest 0."""
-    slots = row.field.slots(row.bits)
+    lo..lo+len(slots)-1 are the slots, the rest 0."""
+    F = row.field
+    slots = F.slots(row.bits)
     lo, hi = row.lo, row.lo + len(slots)
     for start in range(0, width, _TSV_WINDOW):
         stop = min(start + _TSV_WINDOW, width)
         a, b = min(max(lo, start), stop), max(min(hi, stop), start)  # a <= b
         cells = ["0"] * (a - start)
-        cells += map(str, slots[a - lo:b - lo])
+        cells += F.format_values(slots[a - lo:b - lo])
         cells += ["0"] * (stop - b)
         out.write(("\t" if start else "") + "\t".join(cells))
     out.write("\n")
@@ -416,19 +414,28 @@ def cmd_solve(args, out) -> int:
             "horizon": result.horizon,
         }
         print(json.dumps(doc), file=out)
-        return 0
-    print("# constraints", file=out)
-    for f in result.constraints:
-        print(_constraint_text(f), file=out)
-    print("# general", file=out)
-    for j in range(horizon + 1):
+    else:
+        print("# constraints", file=out)
+        for f in result.constraints:
+            print(_constraint_text(f), file=out)
+        print("# general", file=out)
+        for j in range(horizon + 1):
+            print(
+                "x_%d = %s\t[%s]"
+                % (j, result.general.entry(j), result.general.provenance(j)),
+                file=out,
+            )
+        print("deficiency = %d" % result.deficiency_over_horizon, file=out)
+    # a zero row whose right-hand side is a nonzero constant has no solution
+    inconsistent = [
+        w for w, r in enumerate(state.rows) if r.is_zero() and not k[w].terms and k[w].constant
+    ]
+    for w in inconsistent:
         print(
-            "x_%d = %s\t[%s]"
-            % (j, result.general.entry(j), result.general.provenance(j)),
-            file=out,
+            "inconsistent: row %d reduces to zero but its right-hand side to %s" % (w, k[w]),
+            file=sys.stderr,
         )
-    print("deficiency = %d" % result.deficiency_over_horizon, file=out)
-    return 0
+    return 1 if inconsistent else 0
 
 
 def _constraint_text(f: LinForm) -> str:

@@ -115,10 +115,17 @@ class Row:
         return hash((self.field, self.support))
 
     def __str__(self):
-        return " ".join("%d:%s" % (c, self.field.format(v)) for c, v in self.support)
+        return pairs_text(self.field, self.support)
 
     def __repr__(self):
         return "Row(%s)" % (self if self.support else "0")
+
+
+def pairs_text(field: Field, pairs) -> str:
+    """Space-separated 'index:value' tokens of (index, raw value) pairs,
+    with the values formatted in one call."""
+    texts = field.format_values([v for _, v in pairs])
+    return " ".join(["%d:%s" % (i, t) for (i, _), t in zip(pairs, texts)])
 
 
 def _row(field: Field, support: tuple) -> Row:

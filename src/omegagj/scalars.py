@@ -101,6 +101,12 @@ class Field:
         """Canonical text form: lowest-terms 'p/q' (or 'p'), bare residue for gf."""
         return str(a)
 
+    def format_values(self, values) -> list:
+        """The canonical text of many raw values, as format gives each."""
+        # a comprehension, not map(str, ...): CPython specialises a
+        # one-argument str(v) call, which map cannot use
+        return [str(v) for v in values]
+
     def __eq__(self, other):
         return type(other) is type(self) and self.p == other.p
 
@@ -153,6 +159,46 @@ class RationalField(Field):
     def parse(self, text: str):
         """Parse the canonical text form: 'p/q' or 'p'."""
         return Fraction(text)
+
+    def format_values(self, values) -> list:
+        """The text of many Fractions, as str gives each, read from their
+        numerator and denominator slots."""
+        return [
+            str(v._numerator) if v._denominator == 1 else f"{v._numerator}/{v._denominator}"
+            for v in values
+        ]
+
+    def render_terms(self, keys, terms, constant) -> str:
+        """The text of a form: the terms[key] * key terms in the order of
+        keys, then the constant if it is nonzero or there are no terms.
+
+        Each term is one ' + ' or ' - ' piece with its sign read from the
+        numerator, and a coefficient of one is left out; the pieces are
+        joined once, after the first loses its leading ' + ' (or ' - '
+        becomes '-').
+        """
+        pieces = []
+        append = pieces.append
+        for (ns, i), v in zip(keys, map(terms.__getitem__, keys)):
+            n, d = v._numerator, v._denominator
+            sign = " + "
+            if n < 0:
+                sign, n = " - ", -n
+            if d != 1:
+                append(f"{sign}{n}/{d}*{ns}_{i}")
+            elif n == 1:
+                append(f"{sign}{ns}_{i}")
+            else:
+                append(f"{sign}{n}*{ns}_{i}")
+        if constant or not pieces:
+            n, d = constant._numerator, constant._denominator
+            sign = " + "
+            if n < 0:
+                sign, n = " - ", -n
+            append(f"{sign}{n}" if d == 1 else f"{sign}{n}/{d}")
+        first = pieces[0]
+        pieces[0] = "-" + first[3:] if first[1] == "-" else first[3:]
+        return "".join(pieces)
 
     def accepts(self, v) -> bool:
         """Whether Row.from_pairs takes v as a value: an int or a Fraction."""
@@ -317,6 +363,19 @@ class PrimeField(Field):
         """Parse a residue: any integer text, reduced mod p."""
         return int(text) % self.p
 
+    def render_terms(self, keys, terms, constant) -> str:
+        """The text of a form: the terms[key] * key terms in the order of
+        keys, then the constant if it is nonzero or there are no terms.
+        Residues are never negative, so every term is joined by ' + ', and
+        a coefficient of one is left out."""
+        pieces = [
+            f"{ns}_{i}" if v == 1 else f"{v}*{ns}_{i}"
+            for (ns, i), v in zip(keys, map(terms.__getitem__, keys))
+        ]
+        if constant or not pieces:
+            pieces.append(str(constant))
+        return " + ".join(pieces)
+
     def accepts(self, v) -> bool:
         """Whether Row.from_pairs takes v as a value: any int (reduced mod p)."""
         return isinstance(v, int)
@@ -458,34 +517,14 @@ class LinForm:
         leading, if given, is a symbol pulled to the front (used for
         constraints written as c_w - ... = 0).
         """
-        items = sorted(self.terms.items())
-        if leading is not None and leading in self.terms:
-            items = [(leading, self.terms[leading])] + [
-                it for it in items if it[0] != leading
-            ]
-        parts = []
-        for (ns, idx), c in items:
-            parts.append(_signed(c, "%s_%d" % (ns, idx), first=not parts))
-        if self.constant or not parts:
-            parts.append(_signed(self.constant, None, first=not parts))
-        return "".join(parts)
+        terms = self.terms
+        keys = sorted(terms)
+        if leading is not None and leading in terms:
+            keys.remove(leading)
+            keys.insert(0, leading)
+        return self.field.render_terms(keys, terms, self.constant)
 
     def __repr__(self):
         return "LinForm(%s)" % self
 
     __hash__ = None
-
-
-def _signed(c, sym: Optional[str], first: bool) -> str:
-    """Render one signed term; the sign is read from the value's canonical
-    text (str, as Field.format), so rationals show it and GF residues, never
-    negative, do not."""
-    body = str(c)
-    negative = body[0] == "-"
-    if negative:
-        body = body[1:]
-    if sym is not None:
-        body = sym if body == "1" else "%s*%s" % (body, sym)
-    if first:
-        return "-" + body if negative else body
-    return (" - " if negative else " + ") + body

@@ -195,3 +195,31 @@ class ReorderReference:
             if self.m_history[s][k] < self.m_history[s - 1][k]:
                 delta = s
         return delta
+
+
+def render_form(form, leading=None):
+    """A LinForm's text built one signed term at a time, reading each sign
+    from the value's str (so rationals show it and residues, never
+    negative, do not): terms sorted by symbol, leading pulled to the front,
+    the constant last when it is nonzero or there are no terms."""
+
+    def signed(c, sym, first):
+        body = str(c)
+        negative = body[0] == "-"
+        if negative:
+            body = body[1:]
+        if sym is not None:
+            body = sym if body == "1" else "%s*%s" % (body, sym)
+        if first:
+            return "-" + body if negative else body
+        return (" - " if negative else " + ") + body
+
+    items = sorted(form.terms.items())
+    if leading is not None and leading in form.terms:
+        items = [(leading, form.terms[leading])] + [it for it in items if it[0] != leading]
+    parts = []
+    for (ns, idx), c in items:
+        parts.append(signed(c, "%s_%d" % (ns, idx), first=not parts))
+    if form.constant or not parts:
+        parts.append(signed(form.constant, None, first=not parts))
+    return "".join(parts)

@@ -7,8 +7,11 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegagj import Field, RATIONAL, RationalField, Row
+from omegagj.matrices import BUILTINS
 from omegagj import cli
 from omegagj.rows import PackedRow
 from omegagj.cli import (
@@ -105,24 +108,58 @@ def test_render_round_trip(text):
     assert render_spec(parse_spec(render_spec(spec))) == render_spec(spec)
 
 
+@st.composite
+def specs(draw):
+    """A MatrixSpec of any kind over the rationals or a GF(p), with or
+    without a floor, in the form parse_spec gives: pairs sorted by index,
+    GF values reduced, zero values and empty rows included."""
+    p = draw(st.sampled_from([None, 2, 7, 32003, 2**61 - 1]))
+    if p is None:
+        field = RATIONAL
+        values = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
+    else:
+        field, values = Field.gf(p), st.integers(0, p - 1)
+
+    def pairs(indices):
+        return st.dictionaries(indices, values, max_size=6).map(lambda d: sorted(d.items()))
+
+    kind = draw(st.sampled_from(["stencil", "explicit", "builtin"]))
+    if kind == "stencil":
+        body = draw(pairs(st.integers(-20, 20)))
+    elif kind == "explicit":
+        body = draw(st.dictionaries(st.integers(0, 10**6), pairs(st.integers(0, 10**6)), max_size=5))
+    else:
+        body = draw(st.sampled_from(sorted(BUILTINS)))
+    floor = draw(st.one_of(st.none(), st.tuples(st.integers(-50, 50), st.integers(-50, 50))))
+    return MatrixSpec(field, kind, body, floor)
+
+
+@settings(deadline=None, max_examples=200)
+@given(specs())
+def test_render_round_trip_fuzz(spec):
+    text = render_spec(spec)
+    assert parse_spec(text) == spec
+    assert render_spec(parse_spec(text)) == text
+
+
 @pytest.mark.parametrize(
     "text,line,fragment",
     [
-        ("kind stencil\n", 0, "missing field"),
-        ("field rational\n", 0, "missing kind"),
+        ("kind stencil\n", None, "missing field"),
+        ("field rational\n", None, "missing kind"),
         ("field rational\nkind wat\n", 2, "kind must be"),
         ("stencil 1:1\n", 1, "before field"),
         ("field gf 6\n", 1, "prime"),
         ("field gf 3825123056546413051\n", 1, "prime"),
         ("field gf 318665857834031151167461\n", 1, "below"),
         ("field rational\nkind stencil\nstencil 0:1 0:2\n", 3, "duplicate"),
-        ("field rational\nkind stencil\n", 0, "needs a stencil"),
+        ("field rational\nkind stencil\n", None, "needs a stencil"),
         ("field rational\nkind explicit\nrow 0 1:x\ntail zero\n", 3, "bad entry"),
         ("field rational\nkind explicit\nrow -1 0:1\ntail zero\n", 3, "row index"),
-        ("field rational\nkind explicit\nrow 0 0:1\n", 0, "tail zero"),
+        ("field rational\nkind explicit\nrow 0 0:1\n", None, "tail zero"),
         ("field rational\nkind explicit\ntail nonzero\n", 3, "tail zero"),
         ("field rational\nkind builtin\nbuiltin nope\n", 3, "unknown builtin"),
-        ("field rational\nkind builtin\n", 0, "needs a builtin"),
+        ("field rational\nkind builtin\n", None, "needs a builtin"),
         ("field rational\nkind builtin\nbuiltin pde\nfloor m^2\n", 4, "floor"),
         ("wat 1\n", 1, "unknown directive"),
     ],
@@ -137,7 +174,7 @@ def test_parse_errors_carry_line_numbers(text, line, fragment):
 def test_parse_rhs_forms():
     assert parse_rhs("# c\nrhs symbolic c\n") == ("symbolic", "c")
     assert parse_rhs("rhs explicit 2 5 1/3\n") == ("explicit", ["2", "5", "1/3"])
-    for text, line in [("rhs symbolic a b\n", 1), ("", 0), ("rhs wat\n", 1)]:
+    for text, line in [("rhs symbolic a b\n", 1), ("", None), ("rhs wat\n", 1)]:
         with pytest.raises(ParseError) as err:
             parse_rhs(text)
         assert err.value.line == line
@@ -448,6 +485,47 @@ def test_solve_explicit_rhs_file(tmp_path, capsys):
     body = section(capsys.readouterr().out, "general")
     assert body[0] == "x_0 = t_0\t[provisional at stage 3]"
     assert body[1].startswith("x_1 = -t_0 + 2\t")
+
+
+INCONSISTENT_STDOUT = """\
+# constraints
+1 = 0
+2 = 0
+3 = 0
+# general
+x_0 = 1\t[provisional at stage 3]
+x_1 = t_0\t[provisional at stage 3]
+x_2 = t_1\t[provisional at stage 3]
+x_3 = t_2\t[provisional at stage 3]
+deficiency = 3
+"""
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_solve_inconsistent_explicit_rhs_exits_1(fmt, tmp_path, capsys):
+    rhs = tmp_path / "rhs.txt"
+    rhs.write_text("rhs explicit 1 2 3 4\n")
+    rv = main(["solve", "repeated", "--stages", "3", "--rhs", str(rhs), "--format", fmt])
+    assert rv == 1
+    captured = capsys.readouterr()
+    if fmt == "tsv":
+        assert captured.out == INCONSISTENT_STDOUT
+    else:
+        assert json.loads(captured.out)["constraints"] == ["1 = 0", "2 = 0", "3 = 0"]
+    # rows 1..3 of repeated reduce to zero; stage w holds row w
+    assert captured.err.splitlines() == [
+        "inconsistent: row %d reduces to zero but its right-hand side to %s" % (w, v)
+        for w, v in ((1, 1), (2, 2), (3, 3))
+    ]
+
+
+def test_solve_consistent_explicit_rhs_on_zero_rows_exits_0(tmp_path, capsys):
+    rhs = tmp_path / "rhs.txt"
+    rhs.write_text("rhs explicit 1 1 1 1\n")
+    assert main(["solve", "repeated", "--stages", "3", "--rhs", str(rhs)]) == 0
+    captured = capsys.readouterr()
+    assert section(captured.out, "constraints") == []
+    assert captured.err == ""
 
 
 def test_solve_json_agrees_with_tsv(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import render_form
 from omegagj import (
     RATIONAL,
     DivisionByZero,
@@ -324,3 +325,58 @@ def test_linform_group_laws(terms_a, terms_b):
     assert a + b == b + a
     assert comb((F1, a), (-F1, a)).is_zero()
     assert all(v != 0 for v in (a + b).terms.values())
+
+
+# -- the field-level formatter against the one-term-at-a-time reference -------
+
+FORMAT_PRIMES = [2, 32003, 2**61 - 1]
+
+symbols = st.tuples(st.sampled_from(["c", "s", "t", "rhs"]), st.integers(0, 10**6))
+# one and minus one (printed without a coefficient), small and large
+# integers, non-integral values and large numerators over large denominators
+nonzero_rationals = st.one_of(
+    st.sampled_from([F1, -F1]),
+    st.integers(-(10**40), 10**40).map(Fraction),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+).filter(bool)
+
+
+@st.composite
+def forms(draw):
+    """(form, leading): a LinForm over the rationals or a GF(p) of
+    FORMAT_PRIMES, the empty form included, and None, one of its symbols
+    or a symbol it lacks as the leading one."""
+    p = draw(st.sampled_from([None] + FORMAT_PRIMES))
+    if p is None:
+        field, values = RATIONAL, nonzero_rationals
+        constant = draw(st.one_of(st.just(Fraction(0)), nonzero_rationals))
+    else:
+        field, values = Field.gf(p), st.integers(1, p - 1)
+        constant = draw(st.one_of(st.just(0), st.integers(0, p - 1)))
+    terms = draw(st.dictionaries(symbols, values, max_size=8))
+    leading = draw(st.one_of(st.none(), symbols, st.sampled_from(sorted(terms) or [None])))
+    return LinForm(field, constant, terms), leading
+
+
+@settings(deadline=None, max_examples=300)
+@given(forms())
+def test_render_matches_the_reference(form_and_leading):
+    form, leading = form_and_leading
+    assert form.render() == str(form) == render_form(form)
+    assert form.render(leading=leading) == render_form(form, leading)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([None] + FORMAT_PRIMES).flatmap(
+    lambda p: st.tuples(
+        st.just(p),
+        st.lists(st.one_of(st.just(Fraction(0)), nonzero_rationals) if p is None
+                 else st.integers(0, p - 1)),
+    )
+))
+def test_format_values_is_str_of_each(p_and_values):
+    p, values = p_and_values
+    field = RATIONAL if p is None else Field.gf(p)
+    assert field.format_values(values) == [str(v) for v in values]
+    assert field.format_values(values) == [field.format(v) for v in values]
