@@ -33,12 +33,7 @@ from .matrices import (
     make_explicit,
     make_stencil,
 )
-from .reorder import (
-    DuplicateLength,
-    ReorderState,
-    extended_run,
-    reorder_prefix,
-)
+from .reorder import ReorderState, extended_run
 from .rows import Row, dense_width
 from .scalars import (
     RATIONAL,
@@ -64,7 +59,6 @@ __all__ = [
     "BUILTINS",
     "CertificateViolation",
     "DivisionByZero",
-    "DuplicateLength",
     "DuplicateOffset",
     "EliminationState",
     "Field",
@@ -97,7 +91,6 @@ __all__ = [
     "make_stencil",
     "particular_solution",
     "prefix_stability",
-    "reorder_prefix",
     "run_to",
     "step",
     "transform_rhs",

@@ -3,11 +3,20 @@
 After each stage the nonzero rows are permuted so their rightmost indices
 increase along the prefix, while zero rows keep their slots.
 
-Under rightmost pivots a row's rightmost index is fixed once the row exists,
-and the Jordan clear of a new pivot column c touches only rows that end to
-the right of c. So a stage adding a row that ends at c changes exactly the
-nonzero slots from that row's rank in rightmost-index order onward, plus its
-own new slot. ReorderState.record logs this with one bisection per stage.
+Under rightmost pivots each nonzero reduced row ends at its own pivot
+column. step takes a new row's pivot at its rightmost index, and the Jordan
+clear of a later pivot column c subtracts the new row, which ends at c, from
+the rows holding c; each of those ends at another pivot column, so right of
+c, and keeps that end. So the nonzero rows' rightmost indices are the pivot
+columns, no two alike, and the QHF order is the pivot table read in column
+order: ReorderState.permutation reads it off base.pivots, with no sort and
+no scan of the rows.
+
+A row's rightmost index is thus fixed once the row exists, and the clear of
+c touches only rows that end to the right of c. So a stage adding a row that
+ends at c changes exactly the nonzero slots from that row's rank in
+rightmost-index order onward, plus its own new slot. ReorderState.record
+logs this with one bisection per stage.
 
 The paper's Delta_k, the last stage at which the largest row-length of the
 reordered prefix 0..k dropped (at least k), is engine.prefix_stability on a
@@ -18,37 +27,11 @@ prefix's nonzero slots, which record logs.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import List, Tuple
+from typing import List
 
 from .engine import EliminationState, step
 from .rows import Row
 from .rows import axpy_raw  # noqa: F401  (unused; bench/tracing.py patches reorder.axpy_raw)
-
-
-class DuplicateLength(Exception):
-    """Raised when two nonzero rows share a rightmost index."""
-
-
-def reorder_prefix(rows: List[Row]) -> Tuple[List[int], List[Row]]:
-    """Sort nonzero row contents by rightmost index over the nonzero slots.
-
-    Returns (permutation, q_rows) with q_rows[i] = rows[permutation[i]];
-    zero-row slots are fixed points.
-    """
-    nonzero = [(r.maxs, i) for i, r in enumerate(rows) if not r.is_zero()]
-    seen = {}
-    for m, i in nonzero:
-        if m in seen:
-            raise DuplicateLength(
-                "rows %d and %d both end at column %d" % (seen[m], i, m)
-            )
-        seen[m] = i
-    slots = [i for _, i in nonzero]
-    sources = [i for _, i in sorted(nonzero)]
-    perm = list(range(len(rows)))
-    for slot, src in zip(slots, sources):
-        perm[slot] = src
-    return perm, [rows[perm[i]] for i in range(len(rows))]
 
 
 class ReorderState:
@@ -56,7 +39,7 @@ class ReorderState:
 
     last_changed[i] is the last stage at which slot i of the reordered
     prefix changed content. permutation, q_rows and q_passage are read from
-    the base state when asked.
+    the base state when asked, with q_rows[i] = base.rows[permutation[i]].
     """
 
     def __init__(self, base: EliminationState):
@@ -66,7 +49,7 @@ class ReorderState:
             )
         self.base = base
         self.last_changed: List[int] = []
-        self._lengths: List[int] = []  # rightmost indices of nonzero rows, sorted
+        self._lengths: List[int] = []  # pivot columns (rightmost indices), sorted
         self._slots: List[int] = []  # slots of nonzero rows, in slot order
 
     @property
@@ -82,22 +65,29 @@ class ReorderState:
                 % (len(self.last_changed), n)
             )
         self.last_changed.append(n)
-        g = self.base.rows[n]
-        if g.is_zero():
+        col = self.base.pivot_history[-1]
+        if col is None:
             return
-        rank = bisect_left(self._lengths, g.maxs)
-        self._lengths.insert(rank, g.maxs)
+        rank = bisect_left(self._lengths, col)
+        self._lengths.insert(rank, col)
         self._slots.append(n)
         for slot in self._slots[rank:]:
             self.last_changed[slot] = n
 
     @property
     def permutation(self) -> List[int]:
-        return reorder_prefix(self.base.rows)[0]
+        """The k-th nonzero slot takes the row pivoting at the k-th smallest
+        pivot column; zero-row slots are fixed points."""
+        perm = list(range(len(self.base.rows)))
+        pivots = self.base.pivots
+        for slot, col in zip(self._slots, self._lengths):
+            perm[slot] = pivots[col]
+        return perm
 
     @property
     def q_rows(self) -> List[Row]:
-        return reorder_prefix(self.base.rows)[1]
+        rows = self.base.rows
+        return [rows[i] for i in self.permutation]
 
     @property
     def q_passage(self) -> List[Row]:

@@ -456,6 +456,9 @@ class LinForm:
 
     @classmethod
     def const(cls, field: Field, value) -> "LinForm":
+        """The constant form value; a plain int is read through field.from_int."""
+        if isinstance(value, int):
+            value = field.from_int(value)
         return cls(field, constant=value)
 
     @classmethod

@@ -103,7 +103,7 @@ def _rhs_at(F, rhs, i: int) -> LinForm:
     value = rhs(i) if callable(rhs) else rhs[i] if i < len(rhs) else F.zero()
     if isinstance(value, LinForm):
         return value
-    return LinForm.const(F, F.from_int(value) if isinstance(value, int) else value)
+    return LinForm.const(F, value)
 
 
 def consistency_constraints(state: EliminationState, k: Sequence[LinForm]) -> List[LinForm]:

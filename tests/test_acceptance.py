@@ -24,7 +24,6 @@ from omegagj import (
     make_explicit,
     particular_solution,
     prefix_stability,
-    reorder_prefix,
     run_to,
     step,
     transform_rhs,
@@ -194,24 +193,23 @@ def test_7_canonical_form_equivalence_and_reorder(rng):
         field = field_for(p)
         n = rng.randint(2, 12)
         dicts = random_dict_rows(rng, n, 24, 6, p)
-        state = run_to(make_explicit(field, mk_rows(field, dicts)), n - 1)
-        shuffled = list(state.rows)
+        rs = extended_run(make_explicit(field, mk_rows(field, dicts)), n - 1)
+        rows = rs.base.rows
+        shuffled = list(rows)
         rng.shuffle(shuffled)
-        for variant in (state.rows, shuffled):
+        for variant in (rows, shuffled):
             assert bool(is_qhf(variant)) == (
                 bool(is_lrrf(variant)) and bool(is_lref(variant))
             )
-        for source in (state.rows, shuffled):
-            assert is_lrrf(source)
-            perm, q_rows = reorder_prefix(source)
-            assert sorted(perm) == list(range(len(source)))
-            assert is_qhf(q_rows)
-            for i, r in enumerate(source):
-                if r.is_zero():
-                    assert q_rows[i].is_zero()
-            assert sorted(
-                map(sorted, map(dict.items, rows_dicts(q_rows)))
-            ) == sorted(map(sorted, map(dict.items, rows_dicts(source))))
+        assert is_lrrf(rows)
+        assert sorted(rs.permutation) == list(range(n))
+        assert is_qhf(rs.q_rows)
+        for i, r in enumerate(rows):
+            if r.is_zero():
+                assert rs.q_rows[i].is_zero()
+        assert sorted(
+            map(sorted, map(dict.items, rows_dicts(rs.q_rows)))
+        ) == sorted(map(sorted, map(dict.items, rows_dicts(rows))))
 
 
 def test_8_pivot_floor_certifies_and_rejects(tmp_path, capsys):

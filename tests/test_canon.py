@@ -6,10 +6,11 @@ from omegagj import (
     BUILTINS,
     EliminationState,
     RATIONAL,
+    extended_run,
     is_lref,
     is_lrrf,
     is_qhf,
-    reorder_prefix,
+    make_explicit,
     run_to,
     step,
     verify_row_equivalence,
@@ -137,5 +138,6 @@ def test_form_predicates_agree_with_dict_oracles(rng):
         assert bool(is_qhf(as_rows)) == (
             is_lrrf_dict(reduced, p) and is_lref_dict(reduced)
         )
-        perm, q = reorder_prefix(as_rows)
-        assert is_qhf(q)
+        rs = extended_run(make_explicit(field, mk_rows(field, dicts)), len(dicts) - 1)
+        assert rows_dicts(rs.base.rows) == reduced
+        assert is_qhf(rs.q_rows)

@@ -5,7 +5,6 @@ import pytest
 from omegagj import (
     BUILTINS,
     CertificateViolation,
-    DuplicateLength,
     EliminationState,
     IndexOutOfRange,
     PivotFloor,
@@ -15,8 +14,8 @@ from omegagj import (
     certified_stable,
     dense_reduce,
     extended_run,
+    make_explicit,
     prefix_stability,
-    reorder_prefix,
     run_to,
     step,
 )
@@ -25,35 +24,29 @@ from oracles import ReorderReference
 from util import mk_rows, rows_dicts
 
 
-def test_reorder_prefix_sorts_contents_and_fixes_zero_slots():
+def test_reorder_sorts_contents_and_fixes_zero_slots():
     rows = mk_rows(
         RATIONAL,
         [{7: Fraction(1)}, {}, {2: Fraction(1)}, {4: Fraction(1)}, {}],
     )
-    perm, q = reorder_prefix(rows)
-    assert perm == [2, 1, 3, 0, 4]
-    assert rows_dicts(q) == [
+    rs = extended_run(make_explicit(RATIONAL, rows), 4)
+    assert rs.permutation == [2, 1, 3, 0, 4]
+    assert rows_dicts(rs.q_rows) == [
         {2: Fraction(1)},
         {},
         {4: Fraction(1)},
         {7: Fraction(1)},
         {},
     ]
-    assert q[1].is_zero() and q[4].is_zero()
+    assert rs.q_rows[1].is_zero() and rs.q_rows[4].is_zero()
 
 
-def test_reorder_prefix_is_content_permutation():
+def test_reorder_is_content_permutation():
     rows = mk_rows(RATIONAL, [{5: Fraction(2)}, {1: Fraction(3)}])
-    perm, q = reorder_prefix(rows)
-    assert sorted(map(str, q)) == sorted(map(str, rows))
-    assert sorted(perm) == [0, 1]
-
-
-def test_reorder_prefix_empty_and_duplicates():
-    assert reorder_prefix([]) == ([], [])
-    rows = mk_rows(RATIONAL, [{3: Fraction(1)}, {1: Fraction(2), 3: Fraction(5)}])
-    with pytest.raises(DuplicateLength):
-        reorder_prefix(rows)
+    rs = extended_run(make_explicit(RATIONAL, rows), 1)
+    assert rs.permutation == [1, 0]
+    assert sorted(map(str, rs.q_rows)) == sorted(map(str, rs.base.rows))
+    assert rows_dicts(rs.q_rows) == [{1: Fraction(1)}, {5: Fraction(1)}]
 
 
 def test_extended_run_pde_qhf_prefix():
@@ -141,6 +134,12 @@ def test_change_log_matches_reference_on_builtins(name):
         rs.record()
         ref.record(n, rows_dicts(state.rows), rows_dicts(state.passage))
         assert rs.last_changed == ref.last_changed
+        # the reorder reads the QHF order off the pivot table: every nonzero
+        # row ends at its own pivot column
+        for i, r in enumerate(state.rows):
+            if not r.is_zero():
+                assert r.maxs == state.pivot_history[i]
+                assert state.pivots[r.maxs] == i
     assert rs.permutation == ref.permutation
     assert rows_dicts(rs.q_rows) == ref.q_rows
     assert rows_dicts(rs.q_passage) == ref.q_passage

@@ -290,6 +290,15 @@ def test_linform_render_gf():
     assert str(f) == "6*c_0 + 5"
 
 
+def test_linform_const_reads_plain_ints_through_the_field():
+    three = LinForm.const(RATIONAL, 3)
+    assert str(three) == "3" and three == LinForm.const(RATIONAL, Fraction(3))
+    assert type(three.constant) is Fraction
+    assert str(LinForm.const(GF7, 9)) == "2"
+    assert LinForm.const(GF7, 9) == LinForm.const(GF7, 2)
+    assert str(LinForm.const(GF7, -1)) == "6"
+
+
 def test_linform_namespace_ordering_in_render():
     f = sym("t", 0) + sym("s", 2)
     assert str(f) == "s_2 + t_0"
