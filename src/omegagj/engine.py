@@ -10,6 +10,17 @@ original input rows.
 With the rightmost strategy the pivot of a row is its rightmost support
 index; with the leftmost strategy it is the leftmost one.
 
+The reduction of the incoming row c is one linear combination. Every pivot
+row is one at its own pivot column and zero at the other pivot columns, so
+the reduced row is c - sum val * H[idx] over the hits: (idx, val) for each
+column of c that pivot row idx pins, val being c's entry there. Row's
+add_combination builds it in one sparse accumulator (the field's
+combination_support), not one merge per hit that copies the running row
+each time; a stage with one hit keeps that one merge. The passage row
+inv * e_n - sum (val * inv) * Q[idx] is built the same way once the pivot
+checks pass, with the inverse inv of the new pivot entry folded into the
+multipliers, so no pass rescales the finished passage row.
+
 The state keeps a column index, column_rows: for every column, the set of
 row indices whose reduced row holds a nonzero entry there. The column clear
 of a new pivot visits only the rows the index names for that column, not
@@ -20,8 +31,9 @@ Only row equivalence and the general solution read the passage rows, and
 they are most of the work, so a state built with passage=False keeps none:
 its passage is None, and step and jordan_update make no passage row. Over
 GF(p) the passage rows are rows.PackedRow, over the rationals Row; both
-have the canonical, sub_scaled and scaled_raw that step uses, so the field
-picks the representation (rows.passage_unit) and there is one step.
+have the canonical, sub_scaled, add_combination and scaled_raw that step
+uses, so the field picks the representation (rows.passage_unit) and there
+is one step.
 
 step (with jordan_update) is the package's only elimination: run_to and
 reorder.extended_run both go through it. The dense dict-based
@@ -152,40 +164,48 @@ def step(state: EliminationState, c: Row) -> EliminationState:
     A stage that raises (a row that is not a Row over the state's field, a
     certificate violation or a pivot collision) leaves the state as it was.
     """
+    F = state.field
     n = len(state.rows)
-    check_row(state.field, n, c)
+    check_row(F, n, c)
     # every pivot row is one at its own pivot column and zero at all other
     # pivot columns, so the multiplier against pivot row idx is c's original
-    # entry there and the order of the subtractions does not matter
-    passage = state.passage
-    reduced = c
-    p = None if passage is None else passage_unit(state.field, n)
+    # entry there, and the reduced row is the one combination
+    # c - sum val * H[idx] over the hits: (idx, -val) for each column of c
+    # that a pivot pins
+    pivots = state.pivots
+    neg = F.neg
+    hits = []
     for col, val in c.support:
-        idx = state.pivots.get(col)
+        idx = pivots.get(col)
         if idx is not None:
-            reduced = reduced.sub_scaled(val, state.rows[idx])
-            if p is not None:
-                # a source is used reduced; the reduced copy written back
-                # has the same value, so the stage stays atomic
-                src = passage[idx] = passage[idx].canonical()
-                p = p.sub_scaled(val, src)
+            hits.append((idx, neg(val)))
+    reduced = c.add_combination(hits, state.rows)
+    passage = state.passage
+    if passage is not None:
+        # a source is used reduced; the reduced copy written back has the
+        # same value, so the stage stays atomic
+        for idx, _ in hits:
+            passage[idx] = passage[idx].canonical()
 
     col = None
+    inv = F.one()
     if not reduced.is_zero():
         col, lead = reduced.support[-1] if state.strategy == "rps" else reduced.support[0]
         if state._floor_max is not None and col < state._floor_max:
             raise CertificateViolation(n, col, state._floor_max)
-        if col in state.pivots:
+        if col in pivots:
             raise PivotCollision(
-                "column %d already pinned by row %d" % (col, state.pivots[col])
+                "column %d already pinned by row %d" % (col, pivots[col])
             )
-        inv = state.field.inv(lead)
+        inv = F.inv(lead)
         reduced = reduced.scaled_raw(inv)
-        if p is not None:
-            p = p.scaled_raw(inv)
     state.rows.append(reduced)
-    if p is not None:
-        passage.append(p)
+    if passage is not None:
+        # the passage row is inv * (e_n - sum val * Q[idx]), built with inv
+        # folded into the multipliers, so no pass scales the finished row
+        if inv != 1:
+            hits = F.scale_support(inv, hits)
+        passage.append(passage_unit(F, n).scaled_raw(inv).add_combination(hits, passage))
     state.pivot_history.append(col)
     state.last_changed.append(n)
     if col is not None:
@@ -231,9 +251,12 @@ def certified_floor(state: EliminationState) -> Optional[int]:
 def certified_stable(state: EliminationState, k: int) -> str:
     """Decide whether rows 0..k are guaranteed final: certified|provisional.
 
-    A future stage can touch row i only through a pivot column inside row
-    i's support, so a certified floor strictly above every nonzero row's
-    rightmost index freezes the prefix.
+    A future stage can touch row i only through a new pivot column inside
+    row i's support, and a new pivot is at least the certified floor and
+    not pinned yet. So the prefix is frozen once every nonzero row ends
+    below the floor or exactly at it on a pinned column: under rightmost
+    pivots a row's end column is its own pivot, so only a row ending past
+    the floor is provisional.
     """
     if k > state.stage or k < 0:
         raise IndexOutOfRange("prefix %d exceeds stage %d" % (k, state.stage))
@@ -241,6 +264,7 @@ def certified_stable(state: EliminationState, k: int) -> str:
     if floor is None:
         return "provisional"
     for r in state.rows[: k + 1]:
-        if not r.is_zero() and r.maxs >= floor:
+        end = r.maxs
+        if end is not None and (end > floor or end == floor and end not in state.pivots):
             return "provisional"
     return "certified"

@@ -101,6 +101,28 @@ class Row:
         # installed on rows.axpy_raw sees every engine call
         return axpy_raw(self.field.neg(lam), x, self)
 
+    def add_combination(self, pairs, rows) -> "Row":
+        """This row plus the sum of lam * rows[i] over a list of (i, lam)
+        pairs, every lam nonzero.
+
+        One pair is one merge (axpy_raw); more go into one sparse
+        accumulator (the field's combination_support), so the entries a
+        pair does not reach are not copied once per pair.
+        """
+        if len(pairs) == 1:
+            (i, lam), = pairs
+            return axpy_raw(lam, rows[i], self)
+        if not pairs:
+            return self
+        F = self.field
+        terms = [(F.one(), self.support)]
+        for i, lam in pairs:
+            x = rows[i]
+            if x.field is not F:
+                check_same_field(F, x.field)
+            terms.append((lam, x.support))
+        return _row(F, F.combination_support(terms))
+
     def canonical(self) -> "Row":
         """The row itself: a Row is canonical by construction (see PackedRow)."""
         return self
@@ -220,6 +242,15 @@ class PackedRow:
         if shift >= 0:
             return PackedRow(F, y.lo, y.bits + (m * x.bits << shift), bound)
         return PackedRow(F, x.lo, (y.bits << -shift) + m * x.bits, bound)
+
+    def add_combination(self, pairs, rows) -> "PackedRow":
+        """This row plus the sum of lam * rows[i] over (i, lam) pairs of
+        indices into packed rows and residues, one sub_scaled each."""
+        p = self.field.p
+        y = self
+        for i, lam in pairs:
+            y = y.sub_scaled(p - lam, rows[i])
+        return y
 
     @property
     def support(self) -> tuple:

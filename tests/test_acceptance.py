@@ -220,14 +220,11 @@ def test_8_pivot_floor_certifies_and_rejects(tmp_path, capsys):
     for stage in range(65):
         step(state, matrix.row_at(stage))
         for k in range(stage + 1):
-            status = certified_stable(state, k)
-            if k <= stage - 1:
-                assert status == "certified"
-                reports.setdefault(k, stage)
-            else:
-                assert status == "provisional"
-    # every prefix is certified exactly one stage after its last row arrives
-    assert all(reports[k] == k + 1 for k in range(64))
+            assert certified_stable(state, k) == "certified"
+            reports.setdefault(k, stage)
+    # every prefix is certified at the stage its last row arrives: row k ends
+    # at column k + 1, its own pivot, which is the floor of stage k
+    assert all(reports[k] == k for k in range(65))
     # and the certified rows indeed never changed afterwards
     assert state.last_changed == list(range(65))
     assert rows_dicts(state.rows) == [bidiag_reduced_row(k) for k in range(65)]

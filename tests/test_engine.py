@@ -23,6 +23,7 @@ from omegagj import (
     step,
 )
 from omegagj.cli import parse_spec
+from omegagj.engine import certified_floor
 from fixtures import (
     FULKERSON_NULLSPACE,
     FULKERSON_PASSAGE,
@@ -166,17 +167,39 @@ def test_floor_validates_and_certifies():
     state = run_to(bidiag_with_floor(1, 1), 8)
     assert certified_stable(state, 7) == "certified"
     assert certified_stable(state, 5) == "certified"
-    assert certified_stable(state, 8) == "provisional"  # row 8 ends at the floor
+    assert certified_stable(state, 8) == "certified"  # row 8 ends at the floor
 
 
-def test_certification_arrives_one_stage_after_the_row():
+def test_certification_arrives_with_the_row():
+    # bidiag row k ends at column k + 1, its own pivot and the floor of stage k
     m = bidiag_with_floor(1, 1)
     state = EliminationState(m.field, certificate=m.certificate)
-    for k in range(7):
-        step(state, m.row_at(k))
-        if k >= 1:
-            assert certified_stable(state, k - 1) == "certified"
-        assert certified_stable(state, k) == "provisional"
+    for n in range(7):
+        step(state, m.row_at(n))
+        for k in range(n + 1):
+            assert certified_stable(state, k) == "certified"
+
+
+def test_row_ending_at_the_floor_is_certified():
+    # floor(5) = 6 and row 5 is 0:-1 6:1; column 6 is row 5's own pivot, and
+    # every later pivot is at least 6 and unpinned, so it lands right of row 5
+    state = run_to(bidiag_with_floor(1, 1), 5)
+    assert certified_floor(state) == 6
+    assert str(state.rows[5]) == "0:-1 6:1"
+    assert certified_stable(state, 5) == "certified"
+
+
+@pytest.mark.parametrize("strategy, first", [
+    ("rps", {1: 1, 2: 1}),  # ends past the floor 1
+    ("lps", {0: 1, 1: 1}),  # ends at the floor 1, but pivots at 0
+])
+def test_row_with_an_unpinned_column_at_the_floor_is_provisional(strategy, first):
+    # column 1 is the floor and unpinned, so the later pivot e_1 clears it
+    state = EliminationState(RATIONAL, strategy, certificate=PivotFloor(lambda m: 1))
+    step(state, mk_row(RATIONAL, first))
+    assert certified_stable(state, 0) == "provisional"
+    step(state, Row.unit(RATIONAL, 1))
+    assert state.last_changed[0] == 1
 
 
 def test_without_certificate_everything_is_provisional():
@@ -276,6 +299,28 @@ def test_pivot_collision_in_step_leaves_state_unchanged():
     with pytest.raises(PivotCollision):
         step(state, Row.unit(RATIONAL, 5))
     assert _state_image(state) == before
+
+
+def test_rejected_stage_with_several_hits_leaves_state_unchanged():
+    # the incoming rows meet the pivot columns 1 and 2 (rows 0 and 1), so
+    # the stage reduces through one combination, and the passage row is
+    # built only after the checks
+    state = run_to(BUILTINS["bidiag"](), 3)
+    state.pivots[6] = 0  # a corrupted pivot table, as above
+    before = _state_image(state)
+    with pytest.raises(PivotCollision):
+        step(state, mk_row(RATIONAL, {1: 2, 2: -1, 6: 3}))
+    assert _state_image(state) == before
+
+    # floor 0 through stage 3, then 10: the reduced row ends at 6, below it
+    state = EliminationState(RATIONAL, certificate=PivotFloor(lambda m: 0 if m < 3 else 10))
+    for k in range(4):
+        step(state, BUILTINS["bidiag"]().row_at(k))
+    before = _state_image(state)
+    with pytest.raises(CertificateViolation):
+        step(state, mk_row(RATIONAL, {1: 2, 2: -1, 6: 3}))
+    assert _state_image(state) == before
+    assert certified_floor(state) == 10
 
 
 def test_pivot_collision_over_gf_leaves_state_unchanged():

@@ -94,6 +94,18 @@ def test_equality_hash_and_cross_field():
         a == mk_row(GF7, {1: 2})
 
 
+def test_add_combination_gathers_rows_by_index():
+    y = mk_row(RATIONAL, {0: 1, 3: 2})
+    rows = [mk_row(RATIONAL, {0: 1, 1: 1}), mk_row(RATIONAL, {3: 1}), mk_row(RATIONAL, {1: 1})]
+    got = y.add_combination([(0, Fraction(-1)), (1, Fraction(-2)), (2, Fraction(1))], rows)
+    assert got.is_zero()
+    assert y.add_combination([], rows) is y
+    assert row_dict(y.add_combination([(2, Fraction(1, 2))], rows)) == {
+        0: 1, 1: Fraction(1, 2), 3: 2}
+    with pytest.raises(FieldMismatch):
+        y.add_combination([(0, Fraction(1)), (1, Fraction(1))], [rows[0], mk_row(GF7, {3: 1})])
+
+
 def test_scaled_raw():
     r = mk_row(RATIONAL, {0: Fraction(2), 4: Fraction(-3)})
     assert row_dict(r.scaled_raw(Fraction(1, 2))) == {0: Fraction(1), 4: Fraction(-3, 2)}

@@ -186,6 +186,57 @@ def test_rational_kernels_match_fraction_arithmetic(inputs):
         _assert_lowest_term_fractions(scaled)
 
 
+def _fold_axpy(field, pairs):
+    acc = ()
+    for lam, xs in pairs:
+        acc = field.axpy_support(lam, xs, acc)
+    return acc
+
+
+@st.composite
+def combination_inputs(draw, field):
+    """(lam, xs) pairs for combination_support: multipliers of 1 and -1
+    among others, maybe one source used twice, and maybe one last pair that
+    cancels some columns of the running sum, the first source's included."""
+    if field is RATIONAL:
+        lams, values = kernel_lams.map(Fraction), kernel_values
+    else:
+        lams = st.one_of(st.sampled_from([1, field.p - 1]), st.integers(1, field.p - 1))
+        values = st.integers(1, field.p - 1)
+    supports = st.dictionaries(st.integers(0, 30), values, max_size=8).map(
+        lambda d: tuple(sorted(d.items())))
+    pairs = draw(st.lists(st.tuples(lams, supports), max_size=5))
+    if pairs and draw(st.booleans()):
+        pairs.append((draw(lams), draw(st.sampled_from(pairs))[1]))
+    total = dict(_fold_axpy(field, pairs))
+    if total and draw(st.booleans()):
+        first = sorted(c for c, _ in pairs[0][1] if c in total)
+        cols = draw(st.sets(st.sampled_from(sorted(total)), min_size=1))
+        if first:
+            cols.add(draw(st.sampled_from(first)))
+        lam = draw(lams)
+        scale = field.neg(field.inv(lam))
+        pairs.append((lam, tuple((c, field.mul(scale, total[c])) for c in sorted(cols))))
+    return pairs
+
+
+@pytest.mark.parametrize("field", [RATIONAL, GF7], ids=["rational", "gf7"])
+def test_combination_support_is_the_fold_of_axpy_support(field):
+    @settings(deadline=None, max_examples=150)
+    @given(combination_inputs(field))
+    def check(pairs):
+        got = field.combination_support(pairs)
+        assert got == _fold_axpy(field, pairs)
+        assert [c for c, _ in got] == sorted({c for c, _ in got})
+        if field is RATIONAL:
+            _assert_lowest_term_fractions(got)
+        else:
+            assert all(0 < v < field.p for _, v in got)
+
+    check()
+    assert field.combination_support([]) == ()
+
+
 @pytest.mark.parametrize("field", [RATIONAL, GF7], ids=["rational", "gf7"])
 def test_zero_division_raises(field):
     with pytest.raises(DivisionByZero):
