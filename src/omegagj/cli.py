@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -544,7 +545,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         if getattr(args, "horizon", None) is not None and args.horizon < 0:
             raise ParseError(None, "--horizon must be >= 0")
         args.matrix = matrix
-        return args.handler(args, sys.stdout)
+        # every stage allocates tracked tuples and Fractions, so the cyclic
+        # collector would run young collections that rescan the growing
+        # state; a command makes no reference cycles beyond argparse's
+        # parser (tests/test_gc_pause.py counts them), so it runs with the
+        # collector paused and refcounting frees the rest
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return args.handler(args, sys.stdout)
+        finally:
+            if enabled:
+                gc.enable()
     except ParseError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

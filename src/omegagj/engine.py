@@ -253,18 +253,22 @@ def certified_stable(state: EliminationState, k: int) -> str:
 
     A future stage can touch row i only through a new pivot column inside
     row i's support, and a new pivot is at least the certified floor and
-    not pinned yet. So the prefix is frozen once every nonzero row ends
-    below the floor or exactly at it on a pinned column: under rightmost
-    pivots a row's end column is its own pivot, so only a row ending past
-    the floor is provisional.
+    not pinned yet. So the prefix is frozen unless some row in it holds an
+    unpinned column at or past the floor. Under either strategy a row's
+    pinned columns are its own pivot alone, since the Jordan clear removes
+    every other pivot column from it, so a row that ends past the floor on
+    its own pivot is final too.
     """
     if k > state.stage or k < 0:
         raise IndexOutOfRange("prefix %d exceeds stage %d" % (k, state.stage))
     floor = certified_floor(state)
     if floor is None:
         return "provisional"
+    pivots = state.pivots
     for r in state.rows[: k + 1]:
-        end = r.maxs
-        if end is not None and (end > floor or end == floor and end not in state.pivots):
-            return "provisional"
+        for c, _ in reversed(r.support):
+            if c < floor:
+                break
+            if c not in pivots:
+                return "provisional"
     return "certified"

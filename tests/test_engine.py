@@ -189,6 +189,19 @@ def test_row_ending_at_the_floor_is_certified():
     assert certified_stable(state, 5) == "certified"
 
 
+def test_row_ending_past_the_floor_on_pinned_columns_is_certified():
+    # floor(8) = 8 and row 8 is 0:1 9:1: column 9 is past the floor but is
+    # row 8's own pivot, so no later pivot (unpinned, at least 8) meets row 8
+    m = bidiag_with_floor(1, 0)
+    state = run_to(m, 8)
+    assert certified_floor(state) == 8
+    assert str(state.rows[8]) == "0:1 9:1"
+    assert certified_stable(state, 8) == "certified"
+    for n in range(9, 41):
+        step(state, m.row_at(n))
+    assert state.last_changed[:9] == list(range(9))
+
+
 @pytest.mark.parametrize("strategy, first", [
     ("rps", {1: 1, 2: 1}),  # ends past the floor 1
     ("lps", {0: 1, 1: 1}),  # ends at the floor 1, but pivots at 0
@@ -225,8 +238,12 @@ def test_floor_ignores_zero_rows():
     m.certificate = PivotFloor.affine(1, 1)
     state = run_to(m, 6)  # zero rows at 1, 3, 5 yield no pivot to check
     assert certified_stable(state, 3) == "certified"
-    # floor(6) = 7 clears rows ending at 3 and 6, not the one ending at 9
+    # floor(6) = 7: rows 0 and 2 end below it; row 4 is 5:-1 8:1 9:1, whose
+    # column 9 is its own pivot but whose column 8 is past the floor and
+    # unpinned, so a later pivot may still clear it
     assert certified_stable(state, 2) == "certified"
+    assert str(state.rows[4]) == "5:-1 8:1 9:1"
+    assert 8 not in state.pivots
     assert certified_stable(state, 4) == "provisional"
 
 

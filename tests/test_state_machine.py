@@ -53,6 +53,7 @@ class RunMachine(RuleBasedStateMachine):
         self.ref = ReorderReference()
         self.inputs = []
         self.history = []  # oracle rows of H after each stage
+        self.pinned = set()  # oracle pivot columns so far
         self.frozen = []  # (k, rows 0..k) of every prefix found certified
         self.stage(data)  # no floor binds stage 0, so the run has a row
 
@@ -88,6 +89,7 @@ class RunMachine(RuleBasedStateMachine):
         assert self.state.pivot_history == history
         assert floor is None or history[-1] is None or history[-1] >= floor
         self.history.append(rows)
+        self.pinned = {c for c in history if c is not None}
         self.ref.record(self.state.stage, rows, passage)
 
     @invariant()
@@ -119,9 +121,10 @@ class RunMachine(RuleBasedStateMachine):
         k = data.draw(st.integers(0, self.state.stage))
         floor = self._promised_floor()
         prefix = self.history[-1][: k + 1]
-        # under rightmost pivots a row ends on its own pivot, which no later
-        # pivot can take, so a row ending at the floor is frozen too
-        expected = floor is not None and all(max(r) <= floor for r in prefix if r)
+        # a later pivot is at least the floor and unpinned, so a prefix is
+        # frozen unless one of its rows holds such a column
+        expected = floor is not None and all(
+            c < floor or c in self.pinned for r in prefix for c in r)
         status = certified_stable(self.state, k)
         assert status == ("certified" if expected else "provisional")
         if expected:
