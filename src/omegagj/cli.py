@@ -21,7 +21,7 @@ from .engine import (
 )
 from .matrices import BUILTINS, RowFiniteMatrix, make_explicit, make_stencil
 from .reorder import extended_run
-from .rows import PackedRow, Row, dense_width, pairs_text
+from .rows import PackedRow, Row, ScaledRow, dense_width, pairs_text
 from .scalars import RATIONAL, Field, LinForm
 from .solver import PARAMETER_NAMESPACE, general_solution, transform_rhs
 
@@ -259,18 +259,17 @@ def resolve_rhs(arg: str):
 _TSV_WINDOW = 4096
 
 
-def _write_dense_line(out, field: Field, row: Row, width: int) -> None:
-    """Tab-separated columns 0..width-1 and a newline; only the support is
-    formatted, one window at a time."""
-    format_values = field.format_values
-    support = row.support
+def _write_line(out, pairs, texts, width: int) -> None:
+    """Tab-separated columns 0..width-1 and a newline: texts[k] in the
+    column of pairs[k] (sorted (column, value) pairs), 0 elsewhere, one
+    window at a time."""
+    texts = iter(texts)
     lo = 0
     for start in range(0, width, _TSV_WINDOW):
         stop = min(start + _TSV_WINDOW, width)
-        hi = bisect_left(support, (stop,), lo)  # first entry at column >= stop
-        window = support[lo:hi]
+        hi = bisect_left(pairs, (stop,), lo)  # first pair at column >= stop
         cells = ["0"] * (stop - start)
-        for (c, _), text in zip(window, format_values([v for _, v in window])):
+        for (c, _), text in zip(pairs[lo:hi], texts):
             cells[c - start] = text
         lo = hi
         out.write(("\t" if start else "") + "\t".join(cells))
@@ -293,7 +292,7 @@ def _write_packed_line(out, row: PackedRow, width: int) -> None:
     out.write("\n")
 
 
-def _emit_rows(out, label: str, field: Field, rows: List[Union[Row, PackedRow]]) -> None:
+def _emit_rows(out, label: str, rows: List[Union[Row, ScaledRow, PackedRow]]) -> None:
     rows = [r.canonical() for r in rows]
     width = max(1, dense_width(rows))
     print("# %s" % label, file=out)
@@ -301,7 +300,7 @@ def _emit_rows(out, label: str, field: Field, rows: List[Union[Row, PackedRow]])
         if isinstance(r, PackedRow):
             _write_packed_line(out, r, width)
         else:
-            _write_dense_line(out, field, r, width)
+            _write_line(out, *r.entry_texts(), width)
 
 
 def _emit_pairs(out, label: str, pairs) -> None:
@@ -314,9 +313,9 @@ def _emit_pairs(out, label: str, pairs) -> None:
 # sparse rows are 'col:val' text in JSON and dense lines in TSV
 _REDUCE_SECTIONS = {
     "rows": ("rows", lambda st: [str(r) for r in st.rows],
-             lambda out, st: _emit_rows(out, "rows", st.field, st.rows)),
+             lambda out, st: _emit_rows(out, "rows", st.rows)),
     "passage": ("passage", lambda st: [str(p) for p in st.passage],
-                lambda out, st: _emit_rows(out, "passage", st.field, st.passage)),
+                lambda out, st: _emit_rows(out, "passage", st.passage)),
     "pivots": ("pivots", lambda st: {str(col): idx for col, idx in sorted(st.pivots.items())},
                lambda out, st: _emit_pairs(out, "pivots", sorted(st.pivots.items()))),
     "history": ("pivot_history", lambda st: [-1 if c is None else c for c in st.pivot_history],
@@ -372,7 +371,7 @@ def cmd_qhf(args, out) -> int:
             doc["last_change"] = delta
         print(json.dumps(doc), file=out)
         return 0
-    _emit_rows(out, "q_rows", matrix.field, rs.q_rows)
+    _emit_rows(out, "q_rows", rs.q_rows)
     print("# permutation", file=out)
     print(" ".join(str(i) for i in rs.permutation), file=out)
     if args.prefix is not None:

@@ -17,9 +17,10 @@ column of c that pivot row idx pins, val being c's entry there. Row's
 add_combination builds it in one sparse accumulator (the field's
 combination_support), not one merge per hit that copies the running row
 each time; a stage with one hit keeps that one merge. The passage row
-inv * e_n - sum (val * inv) * Q[idx] is built the same way once the pivot
-checks pass, with the inverse inv of the new pivot entry folded into the
-multipliers, so no pass rescales the finished passage row.
+inv * e_n - sum (val * inv) * Q[idx] is one combination too, built by the
+passage rows' own add_combination once the pivot checks pass, with the
+inverse inv of the new pivot entry folded into the multipliers, so no pass
+rescales the finished passage row.
 
 The state keeps a column index, column_rows: for every column, the set of
 row indices whose reduced row holds a nonzero entry there. The column clear
@@ -30,10 +31,11 @@ entries and never appear in the index.
 Only row equivalence and the general solution read the passage rows, and
 they are most of the work, so a state built with passage=False keeps none:
 its passage is None, and step and jordan_update make no passage row. Over
-GF(p) the passage rows are rows.PackedRow, over the rationals Row; both
-have the canonical, sub_scaled, add_combination and scaled_raw that step
-uses, so the field picks the representation (rows.passage_unit) and there
-is one step.
+GF(p) the passage rows are rows.PackedRow, over the rationals
+rows.ScaledRow (integer numerators over one row denominator); both have
+the canonical, sub_scaled, add_combination and scaled_raw that step uses,
+so the field picks the representation (rows.passage_unit) and there is one
+step.
 
 step (with jordan_update) is the package's only elimination: run_to and
 reorder.extended_run both go through it. The dense dict-based
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Union
 
-from .rows import PackedRow, Row, check_row, passage_unit
+from .rows import PackedRow, Row, ScaledRow, check_row, passage_unit
 from .scalars import Field
 
 
@@ -97,7 +99,7 @@ class EliminationState:
         self.field = field
         self.strategy = strategy
         self.rows: List[Row] = []
-        self.passage: Optional[List[Union[Row, PackedRow]]] = [] if passage else None
+        self.passage: Optional[List[Union[ScaledRow, PackedRow]]] = [] if passage else None
         self.pivots: Dict[int, int] = {}
         self.pivot_history: List[Optional[int]] = []
         self.last_changed: List[int] = []

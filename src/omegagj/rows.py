@@ -1,8 +1,10 @@
 """Finitely supported rows: sorted (column, value) support lists over a
-field, and the packed passage rows used over GF(p)."""
+field, and the passage rows: scaled integer rows over the rationals and
+packed rows over GF(p)."""
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Iterable, Optional, Tuple
 
 from .scalars import Field, check_same_field
@@ -44,17 +46,25 @@ class Row:
 
     @classmethod
     def from_pairs(cls, field: Field, pairs: Iterable[Tuple[int, object]]) -> "Row":
-        """Build from (column, value) pairs in any order; repeats accumulate."""
+        """Build from (column, value) pairs in any order; repeats accumulate.
+
+        Each pair is checked once, its column a natural and its value one
+        the field accepts; field.add makes every sum a stored value, so the
+        result is built without the constructor's second check.
+        """
         acc: dict = {}
+        add, accepts, zero = field.add, field.accepts, field.zero()
         for col, val in pairs:
-            if not field.accepts(val):
+            if type(col) is not int or col < 0:
+                raise ValueError("column %r: negative or non-integer column" % (col,))
+            if not accepts(val):
                 raise ValueError("column %d: %r is not a value of %r" % (col, val, field))
-            v = field.add(acc.get(col, field.zero()), val)
+            v = add(acc.get(col, zero), val)
             if v:
                 acc[col] = v
             else:
                 acc.pop(col, None)
-        return cls(field, tuple(sorted(acc.items())))
+        return _row(field, tuple(sorted(acc.items())))
 
     @classmethod
     def zero(cls, field: Field) -> "Row":
@@ -136,8 +146,14 @@ class Row:
     def __hash__(self):
         return hash((self.field, self.support))
 
+    def entry_texts(self) -> tuple:
+        """The sorted (column, value) pairs of the row and the canonical
+        text of each value, formatted in one call: what a writer needs."""
+        support = self.support
+        return support, self.field.format_values([v for _, v in support])
+
     def __str__(self):
-        return pairs_text(self.field, self.support)
+        return _joined(*self.entry_texts())
 
     def __repr__(self):
         return "Row(%s)" % (self if self.support else "0")
@@ -146,7 +162,11 @@ class Row:
 def pairs_text(field: Field, pairs) -> str:
     """Space-separated 'index:value' tokens of (index, raw value) pairs,
     with the values formatted in one call."""
-    texts = field.format_values([v for _, v in pairs])
+    return _joined(pairs, field.format_values([v for _, v in pairs]))
+
+
+def _joined(pairs, texts) -> str:
+    """Space-separated 'index:text' tokens, texts[k] for pairs[k]."""
     return " ".join(["%d:%s" % (i, t) for (i, _), t in zip(pairs, texts)])
 
 
@@ -274,18 +294,168 @@ class PackedRow:
         check_same_field(self.field, other.field)
         return self.support == other.support
 
+    entry_texts = Row.entry_texts
     __str__ = Row.__str__
 
     def __repr__(self):
         return "PackedRow(%s)" % (str(self) or "0")
 
 
+class ScaledRow:
+    """A passage row over the rationals: integer numerators over one row
+    denominator (the common-denominator rows of Bareiss, Math. Comp. 22,
+    1968).
+
+    nums is a tuple of (column, int numerator) pairs with strictly
+    increasing columns and no zero numerator, and den is a positive int
+    with gcd(den, *numerators) == 1, so equal rows have equal den and nums,
+    and an integral row holds plain ints over den 1. Row operations bring
+    the rows to one common denominator and multiply-add ints, with one
+    multi-argument gcd per result row, where a Row of Fractions builds a
+    Fraction (and takes a gcd) per entry.
+
+    It reads like a Row: field, support (lowest-terms Fractions, built on
+    demand), entry_texts (read off the numerators), is_zero, maxs, str,
+    and equality with a Row.
+    """
+
+    __slots__ = ("field", "den", "nums")
+
+    def __init__(self, field: Field, den: int, nums: Tuple[Tuple[int, int], ...]):
+        self.field = field
+        self.den = den
+        self.nums = nums
+
+    @classmethod
+    def unit(cls, field: Field, col: int) -> "ScaledRow":
+        return cls(field, 1, ((col, 1),))
+
+    def canonical(self) -> "ScaledRow":
+        """The row itself: a ScaledRow is canonical by construction (see PackedRow)."""
+        return self
+
+    def scaled_raw(self, lam) -> "ScaledRow":
+        """lam times this row; scaling by one returns the row itself."""
+        if not lam:
+            return ScaledRow(self.field, 1, ())
+        if lam == 1:
+            return self
+        a = lam.numerator
+        return _scaled(self.field, lam.denominator * self.den,
+                       tuple([(c, a * v) for c, v in self.nums]))
+
+    def sub_scaled(self, lam, x: "ScaledRow") -> "ScaledRow":
+        """This row minus lam * x."""
+        check_same_field(self.field, x.field)
+        if not lam:
+            return self
+        return self.add_combination(((0, self.field.neg(lam)),), (x,))
+
+    def add_combination(self, pairs, rows) -> "ScaledRow":
+        """This row plus the sum of lam * rows[i] over a list of (i, lam)
+        pairs, every lam nonzero.
+
+        Over the common denominator L of the row and every lam * rows[i],
+        each row contributes its numerators times one int factor, summed in
+        one dict; one gcd then brings the result to lowest terms. A single
+        source that lies wholly left of the row's entries (the passage row
+        of a one-hit stage, whose own entry e_n is right of every earlier
+        passage column) is concatenated instead.
+        """
+        if not pairs:
+            return self
+        F = self.field
+        den = self.den
+        terms = []
+        L = den
+        for i, lam in pairs:
+            x = rows[i]
+            if x.field is not F:
+                check_same_field(F, x.field)
+            d = lam.denominator * x.den
+            L = lcm(L, d)
+            terms.append((lam.numerator, d, x.nums))
+        f = L // den
+        ys = self.nums
+        if len(terms) == 1:
+            (a, d, xs), = terms
+            if xs and ys and xs[-1][0] < ys[0][0]:
+                g = a * (L // d)
+                left = xs if g == 1 else [(c, g * v) for c, v in xs]
+                right = ys if f == 1 else [(c, f * v) for c, v in ys]
+                return _scaled(F, L, tuple(left) + tuple(right))
+        acc = dict(ys) if f == 1 else {c: f * v for c, v in ys}
+        get = acc.get
+        for a, d, xs in terms:
+            g = a * (L // d)
+            for c, v in xs:
+                s = get(c, 0) + g * v
+                if s:
+                    acc[c] = s
+                else:
+                    del acc[c]
+        return _scaled(F, L, tuple(sorted(acc.items())))
+
+    @property
+    def support(self) -> tuple:
+        """The (column, lowest-terms Fraction) pairs; built, not stored."""
+        return self.field.scaled_support(self.den, self.nums)
+
+    def entry_texts(self) -> tuple:
+        """The (column, numerator) pairs and the canonical text of each
+        entry ('p/q' or 'p', as a Row's Fraction prints), read off the
+        numerators without a Fraction."""
+        den = self.den
+        if den == 1:
+            return self.nums, [str(v) for _, v in self.nums]
+        texts = []
+        append = texts.append
+        for _, v in self.nums:
+            g = gcd(v, den)
+            append(str(v // g) if g == den else f"{v // g}/{den // g}")
+        return self.nums, texts
+
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    @property
+    def maxs(self) -> Optional[int]:
+        """Rightmost support index; None for the zero row."""
+        return self.nums[-1][0] if self.nums else None
+
+    def __eq__(self, other):
+        if isinstance(other, ScaledRow):
+            check_same_field(self.field, other.field)
+            return self.den == other.den and self.nums == other.nums
+        if not isinstance(other, (Row, PackedRow)):
+            return NotImplemented
+        check_same_field(self.field, other.field)
+        return self.support == other.support
+
+    __str__ = Row.__str__
+
+    def __repr__(self):
+        return "ScaledRow(%s)" % (str(self) or "0")
+
+
+def _scaled(field: Field, den: int, nums: tuple) -> ScaledRow:
+    """The ScaledRow of den over zero-free, sorted (column, numerator)
+    pairs, with their common factor divided out: one gcd, none over den 1."""
+    if den != 1:
+        g = gcd(den, *[v for _, v in nums])
+        if g != 1:
+            den //= g
+            nums = tuple([(c, v // g) for c, v in nums])
+    return ScaledRow(field, den, nums)
+
+
 def passage_unit(field: Field, col: int):
     """The passage row e_col: a PackedRow over GF(p), where passage rows
-    fill in densely and every value fits a fixed width, and a Row over the
-    rationals, whose values have no fixed width."""
+    fill in densely and every value fits a fixed width, and a ScaledRow
+    over the rationals, whose values have no fixed width but share one
+    denominator per row."""
     if field.p is None:
-        return Row.unit(field, col)
+        return ScaledRow.unit(field, col)
     return PackedRow.unit(field, col)
 
 

@@ -230,6 +230,25 @@ class RationalField(Field):
             append((c, _rational(n // g, d // g)))
         return tuple(out)
 
+    def scaled_support(self, den: int, nums: tuple) -> tuple:
+        """The (key, lowest-terms Fraction) pairs of (key, int numerator)
+        pairs over one positive denominator (a rows.ScaledRow). Over den 1
+        each distinct numerator makes one Fraction."""
+        out = []
+        append = out.append
+        if den == 1:
+            made: dict = {}
+            for c, v in nums:
+                q = made.get(v)
+                if q is None:
+                    q = made[v] = _rational(v, 1)
+                append((c, q))
+        else:
+            for c, v in nums:
+                g = gcd(v, den)
+                append((c, _rational(v // g, den // g)))
+        return tuple(out)
+
     def axpy_support(self, lam, xs: tuple, ys: tuple) -> tuple:
         """ys + lam * xs for two sorted zero-free supports; lam is nonzero.
 

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from omegagj import Field, RATIONAL, RationalField, Row
 from omegagj.matrices import BUILTINS
 from omegagj import cli
-from omegagj.rows import PackedRow
+from omegagj.rows import PackedRow, ScaledRow
 from omegagj.cli import (
     MatrixSpec,
     ParseError,
@@ -25,7 +26,7 @@ from omegagj.cli import (
     resolve_rhs,
 )
 from fixtures import bidiag_lps_row, bidiag_reduced_row
-from util import gf_band_text, parse_row, row_dict
+from util import gf_band_text, parse_row, row_dict, scaled_row
 
 F1 = Fraction(1)
 
@@ -229,7 +230,7 @@ def test_wide_tsv_line_is_written_in_bounded_memory():
     sink = _HashSink()
     tracemalloc.start()
     try:
-        cli._emit_rows(sink, "rows", RATIONAL, rows)
+        cli._emit_rows(sink, "rows", rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -241,6 +242,23 @@ def test_wide_tsv_line_is_written_in_bounded_memory():
             cells[c] = str(v)
         expect.update(("\t".join(cells) + "\n").encode())
     assert sink.digest.hexdigest() == expect.hexdigest()
+
+
+def test_scaled_tsv_lines_equal_the_row_lines():
+    # a ScaledRow line is written from its numerators, over a shared
+    # denominator and over den 1; the wide rows put entries on both sides of
+    # window edges and far right, the short ones fit one window
+    cols = [0, 4095, 4096, 8191, 8192, 10**5]
+    wide = [Row.from_pairs(RATIONAL, [(c, Fraction(c + 1, 6) - 3) for c in cols]),
+            Row.from_pairs(RATIONAL, [(c, -c - 1) for c in cols])]
+    short = [Row.from_pairs(RATIONAL, [(1, Fraction(-2, 3)), (3, 1)]), Row.unit(RATIONAL, 3)]
+    for rows in (wide, short):
+        scaled = [scaled_row(r) for r in rows]
+        assert scaled[0].den > 1 and scaled[1].den == 1
+        got, want = io.StringIO(), io.StringIO()
+        cli._emit_rows(got, "passage", scaled)
+        cli._emit_rows(want, "passage", rows)
+        assert got.getvalue() == want.getvalue()
 
 
 def test_reduce_band_rows_tsv(capsys):
@@ -423,7 +441,8 @@ def test_qhf_json(capsys):
         (["verify", "pde", "--stages", "9", "--check", "lrrf"], 0),
         (["verify", "pde", "--stages", "9", "--check", "qhf"], 0),
         (["stability", "pde", "--stages", "9", "--prefix", "3"], 0),
-        # the commands that print or read Q start one passage row per stage
+        # the commands that print or read Q start one passage row per stage,
+        # a ScaledRow over the rationals
         (["reduce", "pde", "--stages", "9", "--emit", "pivots,passage"], 10),
         (["qhf", "pde", "--stages", "9", "--format", "json"], 10),
         (["verify", "pde", "--stages", "9", "--check", "roweq"], 10),
@@ -443,9 +462,9 @@ def test_only_commands_that_read_q_build_passage_rows(argv, units, tmp_path, mon
     path = tmp_path / "band.txt"
     path.write_text(gf_band_text())
     argv = [str(path) if a == "GF_BAND" else a for a in argv]
-    kind = PackedRow if str(path) in argv else Row
+    kind = PackedRow if str(path) in argv else ScaledRow
     calls = []
-    for cls in (Row, PackedRow):
+    for cls in (Row, ScaledRow, PackedRow):
         unit = cls.unit.__func__
 
         def counting(cls, field, col, unit=unit):

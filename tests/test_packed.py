@@ -8,7 +8,7 @@ import pytest
 
 from omegagj import RATIONAL, Field, Row, make_explicit, run_to
 from omegagj import cli
-from omegagj.rows import PackedRow, passage_unit
+from omegagj.rows import PackedRow, ScaledRow, passage_unit
 from util import mk_row
 
 # one prime per slot width, 64, 128 and 192 bits; the first two leave the
@@ -96,7 +96,7 @@ def test_packed_row_reads_like_the_row(p):
 def test_passage_unit_is_packed_over_gf_only():
     assert PackedRow.unit(Field.gf(7), 3) == passage_unit(Field.gf(7), 3)
     assert type(passage_unit(Field.gf(7), 3)) is PackedRow
-    assert type(passage_unit(RATIONAL, 3)) is Row
+    assert type(passage_unit(RATIONAL, 3)) is ScaledRow
 
 
 def test_packed_tsv_lines_equal_the_row_lines():
@@ -110,6 +110,6 @@ def test_packed_tsv_lines_equal_the_row_lines():
     ]
     rows = [Row(F, r.support) for r in packed]
     got, want = io.StringIO(), io.StringIO()
-    cli._emit_rows(got, "passage", F, packed)
-    cli._emit_rows(want, "passage", F, rows)
+    cli._emit_rows(got, "passage", packed)
+    cli._emit_rows(want, "passage", rows)
     assert got.getvalue() == want.getvalue()

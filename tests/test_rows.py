@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from math import gcd
+
 from omegagj import Field, FieldMismatch, RATIONAL, Row
-from omegagj.rows import axpy_raw, dense_width
-from util import mk_row, parse_row, row_dict
+from omegagj.rows import ScaledRow, axpy_raw, dense_width
+from util import mk_row, parse_row, row_dict, scaled_row
 
 GF7 = Field.gf(7)
 
@@ -30,6 +32,16 @@ def test_from_pairs_sorts_accumulates_and_drops_zeros():
 def test_from_pairs_rejects_non_rational_values(val):
     with pytest.raises(ValueError, match="column 0"):
         Row.from_pairs(RATIONAL, [(0, val)])
+
+
+@pytest.mark.parametrize("col", [-1, 1.0, True, "1"], ids=repr)
+def test_from_pairs_rejects_non_natural_columns(col):
+    # from_pairs checks each pair once and skips the constructor's check,
+    # so it must reject what the constructor would
+    with pytest.raises(ValueError, match="negative or non-integer column"):
+        Row.from_pairs(RATIONAL, [(col, 1)])
+    with pytest.raises(ValueError, match="negative or non-integer column"):
+        Row.from_pairs(GF7, [(0, 1), (col, 1)])
 
 
 def test_from_pairs_converts_ints_to_fractions():
@@ -203,3 +215,66 @@ def test_dense_and_width():
     rows = [Row.zero(RATIONAL), r, mk_row(RATIONAL, {6: Fraction(1)})]
     assert dense_width(rows) == 7
     assert dense_width([Row.zero(RATIONAL)]) == 0
+
+
+# -- ScaledRow: the passage row over the rationals ----------------------------
+
+
+def _assert_canonical(r):
+    assert type(r.den) is int and r.den > 0
+    cols = [c for c, _ in r.nums]
+    assert cols == sorted(set(cols))
+    assert all(type(v) is int and v for _, v in r.nums)
+    assert gcd(r.den, *[v for _, v in r.nums]) == 1
+
+
+nonzero_fractions = st.fractions(
+    min_value=Fraction(-9), max_value=Fraction(9), max_denominator=12
+).filter(bool)
+
+
+@settings(deadline=None)
+@given(sparse_dicts, sparse_dicts, sparse_dicts, st.booleans(),
+       st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=12),
+       st.lists(st.tuples(st.integers(0, 2), nonzero_fractions), max_size=4))
+def test_scaled_row_kernels_match_the_row_kernels(dy, dx, dz, right, lam, pairs):
+    # with right, y lies wholly right of the sources, the one-source
+    # concatenation of add_combination; pairs may repeat a source and the
+    # third source is y itself, so columns cancel
+    if right:
+        dy = {c + 31: v for c, v in dy.items()}
+    y, x, z = mk_row(RATIONAL, dy), mk_row(RATIONAL, dx), mk_row(RATIONAL, dz)
+    rows, scaled_rows = [x, z, y], [scaled_row(x), scaled_row(z), scaled_row(y)]
+    sy = scaled_rows[2]
+    for got, want in [
+        (sy.scaled_raw(lam), y.scaled_raw(lam)),
+        (sy.sub_scaled(lam, scaled_rows[0]), y.sub_scaled(lam, x)),
+        (sy.add_combination(pairs, scaled_rows), y.add_combination(pairs, rows)),
+        (sy.add_combination(pairs[:1], scaled_rows), y.add_combination(pairs[:1], rows)),
+    ]:
+        assert got.support == want.support
+        _assert_canonical(got)
+        assert got == scaled_row(want) and got == want and want == got
+        assert str(got) == str(want) and got.maxs == want.maxs
+        assert got.entry_texts() == (got.nums, want.entry_texts()[1])
+
+
+def test_scaled_row_reads_like_the_row():
+    row = mk_row(RATIONAL, {1: Fraction(-1, 6), 4: 2, 9: Fraction(3, 4)})
+    r = scaled_row(row)
+    assert (r.den, r.nums) == (12, ((1, -2), (4, 24), (9, 9)))
+    assert r.support == row.support and str(r) == "1:-1/6 4:2 9:3/4"
+    assert repr(r) == "ScaledRow(1:-1/6 4:2 9:3/4)"
+    assert r.canonical() is r and r.scaled_raw(1) is r and r.sub_scaled(0, r) is r
+    zero = r.sub_scaled(1, r)
+    assert zero.is_zero() and zero.maxs is None and (zero.den, zero.nums) == (1, ())
+    assert zero == Row.zero(RATIONAL) and repr(zero) == "ScaledRow(0)"
+    assert r.scaled_raw(Fraction(0)) == zero
+    # an integral row is plain ints over den 1, and equal values share one
+    # Fraction in its support
+    ints = r.scaled_raw(Fraction(12))
+    assert (ints.den, ints.nums) == (1, ((1, -2), (4, 24), (9, 9)))
+    (_, a), (_, b) = ScaledRow(RATIONAL, 1, ((0, -1), (2, -1))).support
+    assert a == -1 and a is b
+    with pytest.raises(FieldMismatch):
+        r == mk_row(GF7, {1: 2})

@@ -1,10 +1,12 @@
 """Small conversion helpers shared by the test modules."""
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import strategies as st
 
 from omegagj import RATIONAL, Field, Row
+from omegagj.rows import ScaledRow
 
 
 def mk_row(field: Field, entries) -> Row:
@@ -12,6 +14,13 @@ def mk_row(field: Field, entries) -> Row:
     if isinstance(entries, dict):
         entries = entries.items()
     return Row.from_pairs(field, entries)
+
+
+def scaled_row(row: Row) -> ScaledRow:
+    """The ScaledRow of a Row over the rationals: its numerators over the
+    lcm of its denominators."""
+    den = lcm(*[v.denominator for _, v in row.support])
+    return ScaledRow(RATIONAL, den, tuple((c, int(v * den)) for c, v in row.support))
 
 
 def mk_rows(field: Field, dicts):
