@@ -49,8 +49,6 @@ from .solver import (
     SymbolicSequence,
     consistency_constraints,
     general_solution,
-    homogeneous_solution,
-    particular_solution,
     transform_rhs,
     verify_solution,
 )
@@ -83,13 +81,11 @@ __all__ = [
     "dense_width",
     "extended_run",
     "general_solution",
-    "homogeneous_solution",
     "is_lref",
     "is_lrrf",
     "is_qhf",
     "make_explicit",
     "make_stencil",
-    "particular_solution",
     "prefix_stability",
     "run_to",
     "step",

@@ -339,7 +339,7 @@ def cmd_reduce(args, out) -> int:
             "prefixes may never stabilize",
             file=sys.stderr,
         )
-    state = run_to(matrix, args.stages, args.strategy, passage="passage" in sections)
+    state = run_to(matrix, args.stages, args.strategy)
     if args.format == "json":
         doc = {"stage": state.stage, "strategy": state.strategy}
         for s in sections:
@@ -354,8 +354,7 @@ def cmd_reduce(args, out) -> int:
 
 def cmd_qhf(args, out) -> int:
     matrix = resolve_matrix(args.matrix)
-    # only the JSON output prints q_passage
-    rs = extended_run(matrix, args.stages, passage=args.format == "json")
+    rs = extended_run(matrix, args.stages)
     # Delta_k and the slot-level change index are one number (see reorder)
     delta = None if args.prefix is None else prefix_stability(rs, args.prefix)
     if args.format == "json":
@@ -395,7 +394,7 @@ def cmd_solve(args, out) -> int:
             rhs = [matrix.field.parse(v) for v in payload]
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(None, "bad rhs value: %s" % exc)
-    state = run_to(matrix, args.stages, passage=True)
+    state = run_to(matrix, args.stages)
     k = transform_rhs(state.passage, rhs)
     horizon = args.horizon if args.horizon is not None else args.stages
     result = general_solution(state, k, horizon)
@@ -448,16 +447,16 @@ def cmd_verify(args, out) -> int:
     if args.check != "oracle" and args.strategy != "rps":
         raise ParseError(None, "check %s is defined for the rps strategy only" % args.check)
     if args.check == "lrrf":
-        state = run_to(matrix, args.stages, args.strategy, passage=False)
+        state = run_to(matrix, args.stages, args.strategy)
         ok = bool(is_lrrf(state.rows))
     elif args.check == "qhf":
-        rs = extended_run(matrix, args.stages, passage=False)
+        rs = extended_run(matrix, args.stages)
         ok = bool(is_qhf(rs.q_rows))
     elif args.check == "roweq":
-        rs = extended_run(matrix, args.stages, passage=True)
+        rs = extended_run(matrix, args.stages)
         ok = verify_row_equivalence(rs.q_passage, matrix, rs.q_rows, args.stages)
     else:
-        state = run_to(matrix, args.stages, args.strategy, passage=True)
+        state = run_to(matrix, args.stages, args.strategy)
         rows, passage, history = dense_reduce(
             [dict(r.support) for r in matrix.top_submatrix(args.stages)],
             matrix.field.p,
@@ -475,7 +474,7 @@ def cmd_verify(args, out) -> int:
 
 def cmd_stability(args, out) -> int:
     matrix = resolve_matrix(args.matrix)
-    state = run_to(matrix, args.stages, args.strategy, passage=False)
+    state = run_to(matrix, args.stages, args.strategy)
     print("# last_changed", file=out)
     for i, n in enumerate(state.last_changed):
         print("%d\t%d" % (i, n), file=out)

@@ -3,8 +3,8 @@
 Rows of the input matrix arrive one at a time. Each stage reduces the
 incoming row against the pivot rows found so far, normalizes it into a new
 pivot row (or records a zero row), then clears the new pivot column from all
-earlier rows. The same operations are mirrored on an identity matrix, whose
-rows therefore always express the current reduced rows in terms of the
+earlier rows. The same operations applied to an identity matrix give the
+passage rows, which express the current reduced rows in terms of the
 original input rows.
 
 With the rightmost strategy the pivot of a row is its rightmost support
@@ -18,7 +18,7 @@ add_combination builds it in one sparse accumulator (the field's
 combination_support), not one merge per hit that copies the running row
 each time; a stage with one hit keeps that one merge. The passage row
 inv * e_n - sum (val * inv) * Q[idx] is one combination too, built by the
-passage rows' own add_combination once the pivot checks pass, with the
+passage rows' own add_combination when the log is replayed, with the
 inverse inv of the new pivot entry folded into the multipliers, so no pass
 rescales the finished passage row.
 
@@ -29,13 +29,19 @@ every earlier row, and re-indexes each row it patches. Zero rows hold no
 entries and never appear in the index.
 
 Only row equivalence and the general solution read the passage rows, and
-they are most of the work, so a state built with passage=False keeps none:
-its passage is None, and step and jordan_update make no passage row. Over
-GF(p) the passage rows are rows.PackedRow, over the rationals
-rows.ScaledRow (integer numerators over one row denominator); both have
-the canonical, sub_scaled, add_combination and scaled_raw that step uses,
-so the field picks the representation (rows.passage_unit) and there is one
-step.
+they are most of the work, so step builds H only. Once a stage's checks
+pass it appends one entry to the state's log: the hits, the pivot inverse
+inv, and the Jordan patches (i, mu) that jordan_update adds. The passage
+rows are rebuilt from that log the first time state.passage is read, by
+replaying the pending entries in order and dropping each: the
+product form of the inverse, or eta file (Dantzig and Orchard-Hays, Math.
+Tables Aids Comput. 8, 1954). So a run that never reads Q builds no passage
+row, and one that reads Q now and then replays only the stages since the
+last read. Over GF(p) the passage rows are rows.PackedRow, over the
+rationals rows.ScaledRow (integer numerators over one row denominator);
+both have the canonical, sub_scaled, add_combination and scaled_raw that
+the replay uses, so the field picks the representation (rows.passage_unit)
+and there is one replay.
 
 step (with jordan_update) is the package's only elimination: run_to and
 reorder.extended_run both go through it. The dense dict-based
@@ -45,7 +51,7 @@ that verification compares against.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from .rows import PackedRow, Row, ScaledRow, check_row, passage_unit
 from .scalars import Field
@@ -93,13 +99,15 @@ class EliminationState:
     """All data accumulated by the staged elimination of one matrix."""
 
     def __init__(self, field: Field, strategy: str = "rps",
-                 certificate: Optional[PivotFloor] = None, *, passage: bool = True):
+                 certificate: Optional[PivotFloor] = None):
         if strategy not in ("rps", "lps"):
             raise ValueError("unknown strategy: %r" % (strategy,))
         self.field = field
         self.strategy = strategy
         self.rows: List[Row] = []
-        self.passage: Optional[List[Union[ScaledRow, PackedRow]]] = [] if passage else None
+        self._passage: List[Union[ScaledRow, PackedRow]] = []
+        # one (hits, inv, patches) per stage not yet replayed into _passage
+        self._log: List[Tuple[list, object, list]] = []
         self.pivots: Dict[int, int] = {}
         self.pivot_history: List[Optional[int]] = []
         self.last_changed: List[int] = []
@@ -111,6 +119,41 @@ class EliminationState:
     def stage(self) -> int:
         """Index of the last processed input row; -1 before the first."""
         return len(self.rows) - 1
+
+    @property
+    def passage(self) -> List[Union[ScaledRow, PackedRow]]:
+        """The passage rows Q, with Q[i] applied to the input rows giving
+        rows[i]; the stages logged since the last read are replayed first."""
+        if self._log:
+            _replay(self)
+        return self._passage
+
+
+def _replay(state: EliminationState) -> None:
+    """Rebuild the passage rows of the logged stages, in order, emptying the log.
+
+    Stage n's row is inv * (e_n - sum val * Q[idx]) over its hits, then each
+    Jordan patch (i, mu) subtracts mu times it from Q[i]. A source is used
+    reduced and written back reduced, as is the new row before it patches.
+    Each entry is dropped as it is replayed, so the log and the rows built
+    from it are not held at their full sizes at once.
+    """
+    F = state.field
+    q = state._passage
+    log = state._log
+    log.reverse()
+    while log:
+        hits, inv, patches = log.pop()
+        n = len(q)
+        for idx, _ in hits:
+            q[idx] = q[idx].canonical()
+        if inv != 1:
+            hits = F.scale_support(inv, hits)
+        q.append(passage_unit(F, n).scaled_raw(inv).add_combination(hits, q))
+        if patches:
+            src = q[n] = q[n].canonical()
+            for i, mu in patches:
+                q[i] = q[i].sub_scaled(mu, src)
 
 
 def _index_row(index: Dict[int, Set[int]], i: int, r: Row) -> None:
@@ -133,27 +176,23 @@ def _reindex_row(index: Dict[int, Set[int]], i: int, old: Row, new: Row) -> None
 def jordan_update(state: EliminationState, g: Row) -> None:
     """Clear the pivot column of the newly appended pivot row g everywhere.
 
-    step calls this once g, its passage row (if the state keeps passage
-    rows) and its pivot column (the last pivot_history entry) are appended;
-    the earlier rows the column index lists for that column (and their
-    passage rows) are patched in step and recorded in last_changed, and g
-    itself is indexed last.
+    step calls this once g, its pivot column (the last pivot_history entry)
+    and its log entry are appended; the earlier rows the column index lists
+    for that column are patched in step, logged as (i, mu) on the stage's
+    entry and recorded in last_changed, and g itself is indexed last.
     """
     n = state.stage
     col = state.pivot_history[-1]
     index = state.column_rows
     holders = index.get(col)
     if holders:
-        passage = state.passage
-        if passage is not None:
-            src = passage[n] = passage[n].canonical()
+        patches = state._log[-1][2]
         for i in sorted(holders):
             old = state.rows[i]
             mu = old.raw(col)
             new = old.sub_scaled(mu, g)
             state.rows[i] = new
-            if passage is not None:
-                passage[i] = passage[i].sub_scaled(mu, src)
+            patches.append((i, mu))
             state.last_changed[i] = n
             _reindex_row(index, i, old, new)
     _index_row(index, n, g)
@@ -182,12 +221,6 @@ def step(state: EliminationState, c: Row) -> EliminationState:
         if idx is not None:
             hits.append((idx, neg(val)))
     reduced = c.add_combination(hits, state.rows)
-    passage = state.passage
-    if passage is not None:
-        # a source is used reduced; the reduced copy written back has the
-        # same value, so the stage stays atomic
-        for idx, _ in hits:
-            passage[idx] = passage[idx].canonical()
 
     col = None
     inv = F.one()
@@ -202,12 +235,7 @@ def step(state: EliminationState, c: Row) -> EliminationState:
         inv = F.inv(lead)
         reduced = reduced.scaled_raw(inv)
     state.rows.append(reduced)
-    if passage is not None:
-        # the passage row is inv * (e_n - sum val * Q[idx]), built with inv
-        # folded into the multipliers, so no pass scales the finished row
-        if inv != 1:
-            hits = F.scale_support(inv, hits)
-        passage.append(passage_unit(F, n).scaled_raw(inv).add_combination(hits, passage))
+    state._log.append((hits, inv, []))
     state.pivot_history.append(col)
     state.last_changed.append(n)
     if col is not None:
@@ -219,12 +247,10 @@ def step(state: EliminationState, c: Row) -> EliminationState:
     return state
 
 
-def run_to(matrix, n: int, strategy: str = "rps", *, passage: bool = True) -> EliminationState:
-    """Process rows 0..n of the matrix and return the resulting state; with
-    passage=False the state keeps no passage rows."""
+def run_to(matrix, n: int, strategy: str = "rps") -> EliminationState:
+    """Process rows 0..n of the matrix and return the resulting state."""
     state = EliminationState(
-        matrix.field, strategy, certificate=getattr(matrix, "certificate", None),
-        passage=passage,
+        matrix.field, strategy, certificate=getattr(matrix, "certificate", None)
     )
     for k in range(n + 1):
         step(state, matrix.row_at(k))

@@ -92,18 +92,14 @@ class ReorderState:
     @property
     def q_passage(self) -> List[Row]:
         passage = self.base.passage
-        if passage is None:
-            raise ValueError("no q_passage: the state was run without passage rows")
         return [passage[i] for i in self.permutation]
 
 
-def extended_run(matrix, n: int, *, passage: bool = True) -> ReorderState:
+def extended_run(matrix, n: int) -> ReorderState:
     """Run engine.step on rows 0..n with rightmost pivots, recording the
     reordered view after each; the elimination state is on the result's
-    .base attribute and keeps passage rows only if passage is true."""
-    state = EliminationState(
-        matrix.field, certificate=getattr(matrix, "certificate", None), passage=passage
-    )
+    .base attribute."""
+    state = EliminationState(matrix.field, certificate=getattr(matrix, "certificate", None))
     rs = ReorderState(state)
     for k in range(n + 1):
         step(state, matrix.row_at(k))

@@ -97,12 +97,9 @@ class Field:
             cls._gf_cache[p] = f
             return f
 
-    def format(self, a) -> str:
-        """Canonical text form: lowest-terms 'p/q' (or 'p'), bare residue for gf."""
-        return str(a)
-
     def format_values(self, values) -> list:
-        """The canonical text of many raw values, as format gives each."""
+        """The canonical text of each raw value: lowest-terms 'p/q' (or 'p'),
+        a bare residue over GF(p)."""
         # a comprehension, not map(str, ...): CPython specialises a
         # one-argument str(v) call, which map cannot use
         return [str(v) for v in values]

@@ -71,19 +71,17 @@ class SolveResult:
 
 
 def transform_rhs(
-    passage: Optional[Sequence], rhs: Union[str, Sequence, Callable[[int], object]]
+    passage: Sequence, rhs: Union[str, Sequence, Callable[[int], object]]
 ) -> List[LinForm]:
-    """Push a right-hand side through the recorded combination rows.
+    """Push a right-hand side through the passage rows, k[i] = Q[i] . rhs.
 
-    ``rhs`` may be a symbol namespace (each input row i contributes the
-    symbol ``ns_i``), an explicit list of field values, or a callable
-    giving the value for index i. The namespace PARAMETER_NAMESPACE is
-    reserved, and a state run with passage=False has passage None; both
-    raise ValueError.
+    ``passage`` is a state's passage rows, rebuilt from its stage log when
+    state.passage is first read. ``rhs`` may be a symbol namespace (each
+    input row i contributes the symbol ``ns_i``), an explicit list of field
+    values, or a callable giving the value for index i. The namespace
+    PARAMETER_NAMESPACE is reserved and raises ValueError.
     """
     _check_rhs_namespace(rhs)
-    if passage is None:
-        raise ValueError("no passage rows: the state was run without passage rows")
     out: List[LinForm] = []
     for prow in passage:
         F = prow.field
@@ -111,11 +109,9 @@ def consistency_constraints(state: EliminationState, k: Sequence[LinForm]) -> Li
     return [k[w] for w, r in enumerate(state.rows) if r.is_zero() and not k[w].is_zero()]
 
 
-def _solution(
-    state: EliminationState, horizon: int, k: Optional[Sequence[LinForm]]
-) -> SymbolicSequence:
+def _solution(state: EliminationState, horizon: int, k: Sequence[LinForm]) -> SymbolicSequence:
     """The homogeneous solution through the horizon, plus k[i] at the pivot
-    column of each row i when k is given.
+    column of each row i.
 
     Free columns get fresh parameters t_0, t_1, ... in column order; each
     pivot column balances its row against the free columns to its left,
@@ -134,23 +130,8 @@ def _solution(
             F, ((F.neg(v), param[c]) for c, v in state.rows[i].support if c != col)
         )
         # k[i] on the left: + copies the left term table, and k[i] is dense
-        entries[col] = h if k is None else k[i] + h
+        entries[col] = k[i] + h
     return SymbolicSequence(F, entries, free, horizon, state.stage, certified_floor(state))
-
-
-def homogeneous_solution(state: EliminationState, horizon: int) -> SymbolicSequence:
-    """General solution of the homogeneous system through the given column."""
-    return _solution(state, horizon, None)
-
-
-def particular_solution(
-    state: EliminationState, k: Sequence[LinForm], horizon: Optional[int] = None
-) -> SymbolicSequence:
-    """One solution: the transformed right-hand side placed at the pivot columns."""
-    if horizon is None:
-        horizon = max(state.pivots) if state.pivots else -1
-    entries = {col: k[i] for col, i in state.pivots.items() if col <= horizon}
-    return SymbolicSequence(state.field, entries, [], horizon, state.stage, certified_floor(state))
 
 
 def general_solution(

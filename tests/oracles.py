@@ -11,8 +11,10 @@ incremental engine is one of the main test properties.
 
 from fractions import Fraction
 
+from omegagj import LinForm, SymbolicSequence
 from omegagj.canon import _dict_sub_scaled as _sub_scaled
 from omegagj.canon import dense_reduce  # noqa: F401  (re-exported for the tests)
+from omegagj.engine import certified_floor
 
 
 def matmul_check(passage, inputs, outputs, p=None):
@@ -223,3 +225,43 @@ def render_form(form, leading=None):
     if form.constant or not parts:
         parts.append(signed(form.constant, None, first=not parts))
     return "".join(parts)
+
+
+def format_value(v):
+    """The canonical text of a raw value, built from its parts: 'p/q' for a
+    non-integral rational in lowest terms, otherwise the bare integer (an
+    integral rational or a GF(p) residue)."""
+    if isinstance(v, Fraction):
+        n, d = v.numerator, v.denominator
+        return "%d" % n if d == 1 else "%d/%d" % (n, d)
+    return "%d" % v
+
+
+def homogeneous_solution(state, horizon):
+    """General solution of the homogeneous system through the horizon.
+
+    The idx-th free column (one no pivot pins) holds the parameter t_idx;
+    the pivot column col of row i holds minus each other entry of the row
+    times its column's parameter. Under rightmost pivots those other
+    columns are free and left of col; leftmost pivots raise ValueError.
+    """
+    if state.strategy != "rps":
+        raise ValueError("symbolic solutions need rightmost pivots")
+    F = state.field
+    free = [j for j in range(horizon + 1) if j not in state.pivots]
+    slot = {j: idx for idx, j in enumerate(free)}
+    entries = {j: LinForm.symbol(F, "t", idx) for j, idx in slot.items()}
+    for col, i in state.pivots.items():
+        if col <= horizon:
+            terms = {("t", slot[c]): F.neg(v) for c, v in state.rows[i].support if c != col}
+            entries[col] = LinForm(F, terms=terms)
+    return SymbolicSequence(F, entries, free, horizon, state.stage, certified_floor(state))
+
+
+def particular_solution(state, k, horizon=None):
+    """One solution: k[i] at the pivot column of each row i through the
+    horizon (by default the largest pivot column), zero elsewhere."""
+    if horizon is None:
+        horizon = max(state.pivots) if state.pivots else -1
+    entries = {col: k[i] for col, i in state.pivots.items() if col <= horizon}
+    return SymbolicSequence(state.field, entries, [], horizon, state.stage, certified_floor(state))

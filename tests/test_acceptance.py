@@ -17,12 +17,10 @@ from omegagj import (
     certified_stable,
     extended_run,
     general_solution,
-    homogeneous_solution,
     is_lref,
     is_lrrf,
     is_qhf,
     make_explicit,
-    particular_solution,
     prefix_stability,
     run_to,
     step,
@@ -45,7 +43,13 @@ from fixtures import (
     bidiag_reduced_row,
     PDE_QHF,
 )
-from oracles import dense_reduce, fulkerson_recurrence, matmul_check
+from oracles import (
+    dense_reduce,
+    fulkerson_recurrence,
+    homogeneous_solution,
+    matmul_check,
+    particular_solution,
+)
 from util import field_for, mk_rows, random_dict_rows, row_dict, rows_dicts
 
 F1 = Fraction(1)

@@ -5,7 +5,7 @@ it off the path a command runs, fails here and not only in bench/tests."""
 import sys
 from pathlib import Path
 
-from omegagj import cli, engine, reorder, rows
+from omegagj import BUILTINS, cli, engine, reorder, rows
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -38,3 +38,13 @@ def test_tracer_patches_and_restores_every_attribute(capsys):
     assert tracer.counts["rows.axpy_calls"] > 0
     assert len(tracer.durations("engine.step")) == 10
     assert len(tracer.durations("reorder.run")) == 1
+
+
+def test_state_counters_read_q_from_a_state_that_never_read_it():
+    # Q is rebuilt from the stage log on first read, so a state whose
+    # command printed no passage row still reports nnz(Q)
+    state = engine.run_to(BUILTINS["bidiag"](), 5)
+    assert len(state._log) == 6
+    counters = tracing.state_counters(state)
+    assert counters["engine.nnz_Q"] == 21  # Q is lower triangular, 1 + 2 + ... + 6
+    assert counters["engine.nnz_H"] == 12

@@ -26,6 +26,7 @@ from omegagj.cli import (
     resolve_rhs,
 )
 from fixtures import bidiag_lps_row, bidiag_reduced_row
+from oracles import format_value
 from util import gf_band_text, parse_row, row_dict, scaled_row
 
 F1 = Fraction(1)
@@ -304,7 +305,7 @@ def test_reduce_json_matches_tsv_after_densify(capsys):
         width = len(dense_lines[0].split("\t"))
         for sparse, line in zip(doc[label], dense_lines):
             d = row_dict(parse_row(RATIONAL, sparse))
-            assert [RATIONAL.format(d.get(j, 0)) for j in range(width)] == line.split("\t")
+            assert [format_value(d.get(j, 0)) for j in range(width)] == line.split("\t")
 
 
 def test_reduce_json_every_section(capsys):

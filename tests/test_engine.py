@@ -303,8 +303,26 @@ def _h_image(state):
     )
 
 
-def _state_image(state):
-    return _h_image(state) + (list(state.passage),)
+def _log_image(state):
+    """The pending log entries, copied: jordan_update appends to the patch
+    list of the last one."""
+    return [(list(hits), inv, list(patches)) for hits, inv, patches in state._log]
+
+
+def _assert_rejected(state, row, exc, match=None):
+    """step(state, row) raises exc and leaves the state as it was: first
+    with the log pending (H and the log unchanged), then once Q has been
+    read and the log replayed (H and Q unchanged)."""
+    before = _h_image(state) + (_log_image(state),)
+    with pytest.raises(exc, match=match):
+        step(state, row)
+    assert _h_image(state) + (_log_image(state),) == before
+    before = _h_image(state) + (list(state.passage),)
+    assert state._log == []
+    with pytest.raises(exc, match=match):
+        step(state, row)
+    assert _h_image(state) + (list(state.passage),) == before
+    assert state._log == []
 
 
 def test_pivot_collision_in_step_leaves_state_unchanged():
@@ -312,37 +330,29 @@ def test_pivot_collision_in_step_leaves_state_unchanged():
     # a corrupted pivot table: column 5 claims row 0, which does not hold it,
     # so the incoming e_5 still ends at column 5 after reduction
     state.pivots[5] = 0
-    before = _state_image(state)
-    with pytest.raises(PivotCollision):
-        step(state, Row.unit(RATIONAL, 5))
-    assert _state_image(state) == before
+    _assert_rejected(state, Row.unit(RATIONAL, 5), PivotCollision)
 
 
 def test_rejected_stage_with_several_hits_leaves_state_unchanged():
     # the incoming rows meet the pivot columns 1 and 2 (rows 0 and 1), so
-    # the stage reduces through one combination, and the passage row is
-    # built only after the checks
+    # the stage reduces through one combination, and the log entry is
+    # appended only after the checks
     state = run_to(BUILTINS["bidiag"](), 3)
     state.pivots[6] = 0  # a corrupted pivot table, as above
-    before = _state_image(state)
-    with pytest.raises(PivotCollision):
-        step(state, mk_row(RATIONAL, {1: 2, 2: -1, 6: 3}))
-    assert _state_image(state) == before
+    _assert_rejected(state, mk_row(RATIONAL, {1: 2, 2: -1, 6: 3}), PivotCollision)
 
     # floor 0 through stage 3, then 10: the reduced row ends at 6, below it
     state = EliminationState(RATIONAL, certificate=PivotFloor(lambda m: 0 if m < 3 else 10))
     for k in range(4):
         step(state, BUILTINS["bidiag"]().row_at(k))
-    before = _state_image(state)
-    with pytest.raises(CertificateViolation):
-        step(state, mk_row(RATIONAL, {1: 2, 2: -1, 6: 3}))
-    assert _state_image(state) == before
+    _assert_rejected(state, mk_row(RATIONAL, {1: 2, 2: -1, 6: 3}), CertificateViolation)
     assert certified_floor(state) == 10
 
 
 def test_pivot_collision_over_gf_leaves_state_unchanged():
-    # step writes the reduced copy of a packed source row back into the
-    # passage before the collision; it has the same value, so the image holds
+    # the replay reduces a packed source row only when a logged stage uses
+    # it; a rejected stage logs nothing, so a passage row that is not
+    # reduced mod p stays the very object it was
     F = Field.gf(GF_PRIME)
     state = run_to(parse_spec(gf_band_text()).build(), 20)
     i = next(i for i, q in enumerate(state.passage)
@@ -350,11 +360,8 @@ def test_pivot_collision_over_gf_leaves_state_unchanged():
     stored = state.passage[i]
     col = 10**3
     state.pivots[col] = i
-    before = _state_image(state)
-    with pytest.raises(PivotCollision):
-        step(state, Row.unit(F, col))
-    assert state.passage[i] is not stored and state.passage[i].bound < F.p
-    assert _state_image(state) == before
+    _assert_rejected(state, Row.unit(F, col), PivotCollision)
+    assert state.passage[i] is stored
 
 
 # a Row with a non-canonical support cannot be built (see test_rows), so the
@@ -367,10 +374,7 @@ def test_step_rejects_non_canonical_row_and_leaves_state_unchanged(bad):
         state = EliminationState(RATIONAL)
         for d in seed:
             step(state, mk_row(RATIONAL, d))
-        before = _state_image(state)
-        with pytest.raises(ValueError, match="row %d" % len(seed)):
-            step(state, bad)
-        assert _state_image(state) == before
+        _assert_rejected(state, bad, ValueError, match="row %d" % len(seed))
 
 
 # -- column index and oracle agreement ----------------------------------------
@@ -416,56 +420,40 @@ def test_seeded_runs_keep_index_exact_and_match_oracle(case):
     _assert_matches_oracle(rs.base, dicts, p)
 
 
-# -- passage-free runs ---------------------------------------------------------
+# -- Q rebuilt from the stage log ----------------------------------------------
 
 
-def _step_outcome(state, row):
-    try:
-        step(state, row)
-    except (CertificateViolation, PivotCollision) as exc:
-        return type(exc), str(exc)
-    return None
+def _replay_matrix(name):
+    return parse_spec(gf_band_text()).build() if name == "gf-band" else BUILTINS[name]()
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    dict_matrices(),
-    st.booleans(),
-    st.none() | st.tuples(st.integers(-1, 1), st.integers(-3, 3)),
-    st.none() | st.tuples(st.integers(1, 9), st.integers(0, 11)),
+# (matrix, strategy, whether a Jordan patch after stage 10 lands on a row of
+# Q already replayed at stage 10); gf-band is over GF(32003)
+@pytest.mark.parametrize(
+    "name,strategy,patches_replayed",
+    [("bidiag", "rps", False), ("pde", "rps", False), ("fulkerson", "lps", True),
+     ("gf-band", "rps", False), ("gf-band", "lps", True)],
 )
-def test_passage_free_run_matches_full_run_after_every_stage(case, leftmost, floor, corrupt):
-    p, dicts = case
-    F = field_for(p)
-    cert = None if floor is None else PivotFloor.affine(*floor)
-    full, free = (
-        EliminationState(F, "lps" if leftmost else "rps", cert, passage=passage)
-        for passage in (True, False)
-    )
-    for n, d in enumerate(dicts):
-        if corrupt is not None and corrupt[0] == n:
-            # the same corrupted pivot table in both states: column c claims
-            # row 0, so a reduced row may collide with it
-            for state in (full, free):
-                state.pivots.setdefault(corrupt[1], 0)
-        outcome = _step_outcome(full, mk_row(F, d))
-        assert _step_outcome(free, mk_row(F, d)) == outcome
-        assert _h_image(free) == _h_image(full)
-        assert free.passage is None
-        if outcome is not None:
-            break
-
-
-@pytest.mark.parametrize("name", sorted(BUILTINS))
-def test_passage_free_reorder_matches_and_refuses_q_passage(name):
-    full = extended_run(BUILTINS[name](), 30)
-    free = extended_run(BUILTINS[name](), 30, passage=False)
-    assert free.base.passage is None
-    assert free.q_rows == full.q_rows
-    assert free.permutation == full.permutation
-    assert free.last_changed == full.last_changed
-    with pytest.raises(ValueError, match="passage"):
-        free.q_passage
+def test_q_read_midway_matches_q_read_once_and_the_oracle(name, strategy, patches_replayed):
+    k, n = 10, 30
+    m = _replay_matrix(name)
+    leftmost = strategy == "lps"
+    dicts = [dict(m.row_at(j).support) for j in range(n + 1)]
+    state = EliminationState(m.field, strategy)
+    for j in range(k + 1):
+        step(state, m.row_at(j))
+    assert rows_dicts(state.passage) == dense_reduce(dicts[: k + 1], m.field.p, leftmost)[1]
+    assert state._log == []
+    for j in range(k + 1, n + 1):
+        step(state, m.row_at(j))
+    assert len(state._log) == n - k
+    patched = {i for _, _, patches in state._log for i, _ in patches}
+    assert bool(patched & set(range(k + 1))) == patches_replayed
+    once = run_to(m, n, strategy)
+    assert len(once._log) == n + 1
+    assert state.passage == once.passage
+    assert rows_dicts(state.passage) == dense_reduce(dicts, m.field.p, leftmost)[1]
+    assert state._log == once._log == []
 
 
 # -- QHF change log -------------------------------------------------------------

@@ -13,9 +13,7 @@ from omegagj import (
     RATIONAL,
     consistency_constraints,
     general_solution,
-    homogeneous_solution,
     make_explicit,
-    particular_solution,
     run_to,
     step,
     transform_rhs,
@@ -32,6 +30,7 @@ from fixtures import (
     FULKERSON_XP,
     PDE_XH_PREFIX,
 )
+from oracles import homogeneous_solution, particular_solution
 from util import dict_matrices, field_for, mk_row, mk_rows
 
 F1 = Fraction(1)
@@ -51,15 +50,6 @@ def test_transform_rhs_symbolic_band():
     k = transform_rhs(state.passage, "s")
     for i, expect in enumerate(BIDIAG_K):
         assert form_terms(k[i]) == expect
-
-
-@pytest.mark.parametrize(
-    "rhs", ["c", [1, 2, 3], lambda i: i], ids=["symbolic", "explicit", "callable"]
-)
-def test_transform_rhs_refuses_a_passage_free_state(rhs):
-    state = run_to(BUILTINS["bidiag"](), 6, passage=False)
-    with pytest.raises(ValueError, match="passage"):
-        transform_rhs(state.passage, rhs)
 
 
 def test_transform_rhs_symbolic_fulkerson():
