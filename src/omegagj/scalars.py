@@ -3,7 +3,9 @@
 Every value in the library is either a raw value of a Field (a Fraction over
 the rationals, an int residue over GF(p)), operated on only through that
 Field's methods, or a LinForm (affine combination of indexed symbols with
-raw coefficients). No floating point is used anywhere.
+raw coefficients). No floating point is used anywhere. Over the rationals
+every operation, scalar or sparse, works on the numerator/denominator ints
+of its Fractions, so none goes through Fraction's operators.
 """
 
 from __future__ import annotations
@@ -114,9 +116,11 @@ class Field:
 class RationalField(Field):
     """The rationals, with Fraction values.
 
-    Row values are lowest-terms Fractions. The sparse kernels work on their
-    numerator/denominator pairs in integers and build each result with
-    _rational, so they never go through Fraction's operators.
+    Row values are lowest-terms Fractions. The scalar operations and the
+    sparse kernels work on their numerator/denominator pairs in integers and
+    build each result with _rational, so they never go through Fraction's
+    operators; a plain int operand is read through Fraction, as from_int
+    reads it, and every result is a lowest-terms Fraction.
     """
 
     __slots__ = ()
@@ -139,24 +143,54 @@ class RationalField(Field):
     def from_int(self, n: int):
         return Fraction(n)
 
+    # gcd-reduced sums and products of numerator/denominator pairs (Henrici,
+    # J. ACM 3(1), 1956): one gcd per sum, none of its cross products over
+    # one denominator, and two cross-cancelling gcds per product
+
     def add(self, a, b):
-        return a + b
+        if type(a) is not Fraction:
+            a = Fraction(a)
+        if type(b) is not Fraction:
+            b = Fraction(b)
+        na, da = a._numerator, a._denominator
+        nb, db = b._numerator, b._denominator
+        if not nb:
+            return a
+        if not na:
+            return b
+        if da == db:
+            n = na + nb
+            g = gcd(n, da)
+            return _rational(n // g, da // g)
+        n = na * db + nb * da
+        d = da * db
+        g = gcd(n, d)
+        return _rational(n // g, d // g)
 
     def mul(self, a, b):
-        return a * b
+        if type(a) is not Fraction:
+            a = Fraction(a)
+        if type(b) is not Fraction:
+            b = Fraction(b)
+        na, da = a._numerator, a._denominator
+        nb, db = b._numerator, b._denominator
+        g1 = gcd(na, db)
+        g2 = gcd(nb, da)
+        return _rational((na // g1) * (nb // g2), (da // g2) * (db // g1))
 
     def neg(self, a):
-        # a lowest-terms Fraction stays one with its numerator negated; the
-        # engine negates the multiplier of every pivot row a stage meets, so
-        # this skips Fraction.__neg__
-        if type(a) is Fraction:
-            return _rational(-a._numerator, a._denominator)
-        return -a
+        # a lowest-terms Fraction stays one with its numerator negated
+        if type(a) is not Fraction:
+            a = Fraction(a)
+        return _rational(-a._numerator, a._denominator)
 
     def inv(self, a):
-        if not a:
+        if type(a) is not Fraction:
+            a = Fraction(a)
+        n, d = a._numerator, a._denominator
+        if not n:
             raise DivisionByZero("inverse of zero")
-        return 1 / a
+        return _rational(d, n) if n > 0 else _rational(-d, -n)
 
     def parse(self, text: str):
         """Parse the canonical text form: 'p/q' or 'p'."""
@@ -575,11 +609,15 @@ class LinForm:
         F = self.field
         terms = dict(self.terms)
         for s, c in other.terms.items():
-            v = F.add(terms.get(s, F.zero()), c)
+            old = terms.get(s)
+            if old is None:
+                terms[s] = c
+                continue
+            v = F.add(old, c)
             if v:
                 terms[s] = v
             else:
-                terms.pop(s, None)
+                del terms[s]
         return LinForm(F, F.add(self.constant, other.constant), terms)
 
     def __eq__(self, other):

@@ -83,13 +83,22 @@ def transform_rhs(
     """
     _check_rhs_namespace(rhs)
     out: List[LinForm] = []
+    if isinstance(rhs, str):
+        # distinct symbols rhs_j, one per nonzero passage entry; the key of
+        # column j is one tuple shared by every row, made for the columns
+        # below len(passage) (all of a state's), and per entry past them
+        keys = [(rhs, j) for j in range(len(passage))]
+        for prow in passage:
+            support = prow.support
+            if support and support[-1][0] >= len(keys):
+                terms = {(rhs, j): v for j, v in support}
+            else:
+                terms = {keys[j]: v for j, v in support}
+            out.append(LinForm(prow.field, terms=terms))
+        return out
     for prow in passage:
         F = prow.field
-        if isinstance(rhs, str):
-            # distinct symbols rhs_j, one per nonzero passage entry
-            out.append(LinForm(F, terms={(rhs, j): v for j, v in prow.support}))
-        else:
-            out.append(LinForm.combination(F, ((v, _rhs_at(F, rhs, j)) for j, v in prow.support)))
+        out.append(LinForm.combination(F, ((v, _rhs_at(F, rhs, j)) for j, v in prow.support)))
     return out
 
 
@@ -120,15 +129,16 @@ def _solution(state: EliminationState, horizon: int, k: Sequence[LinForm]) -> Sy
     if state.strategy != "rps":
         raise ValueError("symbolic solutions need rightmost pivots")
     F = state.field
+    neg, one = F.neg, F.one()
     free = [j for j in range(horizon + 1) if j not in state.pivots]
-    param = {j: LinForm.symbol(F, PARAMETER_NAMESPACE, idx) for idx, j in enumerate(free)}
-    entries: Dict[int, LinForm] = dict(param)
+    param = {j: (PARAMETER_NAMESPACE, idx) for idx, j in enumerate(free)}
+    entries: Dict[int, LinForm] = {j: LinForm(F, terms={s: one}) for j, s in param.items()}
     for col, i in state.pivots.items():
         if col > horizon:
             continue
-        h = LinForm.combination(
-            F, ((F.neg(v), param[c]) for c, v in state.rows[i].support if c != col)
-        )
+        # the row's off-pivot columns are free and its parameters distinct,
+        # so the homogeneous part is one term per entry, with nothing to sum
+        h = LinForm(F, terms={param[c]: neg(v) for c, v in state.rows[i].support if c != col})
         # k[i] on the left: + copies the left term table, and k[i] is dense
         entries[col] = k[i] + h
     return SymbolicSequence(F, entries, free, horizon, state.stage, certified_floor(state))

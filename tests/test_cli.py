@@ -477,6 +477,46 @@ def test_only_commands_that_read_q_build_passage_rows(argv, units, tmp_path, mon
     assert calls == [kind] * units
 
 
+# -- scalar arithmetic --------------------------------------------------------
+
+
+_FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__",
+                       "__truediv__", "__rtruediv__", "__neg__")
+
+
+@pytest.mark.parametrize("matrix", ["bidiag", "pde", "fulkerson"])
+def test_no_command_runs_a_fraction_operator(matrix, tmp_path, monkeypatch, capsys):
+    # the rational scalar operations, the row kernels and the solver work on
+    # numerator/denominator ints; only canon.dense_reduce, the independent
+    # reference behind --check oracle, computes with Fraction's operators
+    rhs = tmp_path / "rhs.txt"
+    rhs.write_text("rhs explicit 1/2 -3 5/7 0 2\n")
+    calls = []
+    for name in _FRACTION_OPERATORS:
+        op = getattr(Fraction, name)
+
+        def counting(*args, _name=name, _op=op):
+            calls.append(_name)
+            return _op(*args)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    stages = ["--stages", "40"]
+    for argv in (
+        ["reduce", matrix, "--emit", "rows,passage,pivots"],
+        ["qhf", matrix, "--prefix", "20"],
+        ["solve", matrix, "--rhs", "symbolic:c"],
+        ["solve", matrix, "--rhs", str(rhs)],
+        ["stability", matrix, "--prefix", "20"],
+        ["verify", matrix, "--check", "lrrf"],
+        ["verify", matrix, "--check", "qhf"],
+        ["verify", matrix, "--check", "roweq"],
+    ):
+        # an explicit rhs is inconsistent on some matrices, which exits 1
+        assert main(argv + stages) in (0, 1)
+        assert calls == [], argv
+    capsys.readouterr()
+
+
 # -- solve --------------------------------------------------------------------
 
 

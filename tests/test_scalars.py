@@ -159,12 +159,19 @@ def kernel_inputs(draw):
     return lam, tuple(sorted(xs.items())), tuple(sorted(ys.items()))
 
 
+def _assert_lowest_terms(v):
+    """v is a Fraction in lowest terms (zero is 0/1) that hashes and prints
+    as the Fraction of its numerator and denominator does."""
+    n, d = v.numerator, v.denominator
+    assert type(v) is Fraction and type(n) is int and d > 0 and math.gcd(n, d) == 1
+    ref = Fraction(n, d)
+    assert v == ref and hash(v) == hash(ref) and str(v) == str(ref)
+
+
 def _assert_lowest_term_fractions(support):
     for _, v in support:
-        n, d = v.numerator, v.denominator
-        assert type(v) is Fraction and n != 0 and d > 0 and math.gcd(n, d) == 1
-        ref = Fraction(n, d)
-        assert v == ref and hash(v) == hash(ref) and str(v) == str(ref)
+        assert v != 0
+        _assert_lowest_terms(v)
 
 
 @settings(deadline=None, max_examples=150)
@@ -236,6 +243,59 @@ def test_combination_support_is_the_fold_of_axpy_support(field):
 
     check()
     assert field.combination_support([]) == ()
+
+
+@st.composite
+def scalar_operands(draw):
+    """Two operands of the rational scalar operations: 200-bit Fractions,
+    zero, plain ints, and pairs over one denominator."""
+    operand = st.one_of(
+        kernel_values,
+        st.sampled_from([Fraction(0), 0, 1, -1]),
+        st.integers(-_BIG, _BIG),
+    )
+    a = draw(operand)
+    if draw(st.booleans()):
+        b = Fraction(draw(st.integers(-_BIG, _BIG)), Fraction(a).denominator)
+    else:
+        b = draw(operand)
+    return a, b
+
+
+@settings(deadline=None, max_examples=300)
+@given(scalar_operands())
+def test_rational_scalar_operations_match_fraction_operators(operands):
+    a, b = operands
+    fa, fb = Fraction(a), Fraction(b)
+    results = [
+        (RATIONAL.add(a, b), fa + fb),
+        (RATIONAL.add(b, a), fb + fa),
+        (RATIONAL.mul(a, b), fa * fb),
+        (RATIONAL.neg(a), -fa),
+    ]
+    if b:
+        results.append((RATIONAL.inv(b), 1 / fb))
+    for got, want in results:
+        assert got == want
+        _assert_lowest_terms(got)
+
+
+def test_rational_scalar_operations_read_ints_as_fractions():
+    # a plain int operand is a value of the field, as from_int reads it; the
+    # result is a Fraction, never an int or a float
+    for got, want in [
+        (RATIONAL.inv(2), Fraction(1, 2)),
+        (RATIONAL.inv(-3), Fraction(-1, 3)),
+        (RATIONAL.add(1, 2), Fraction(3)),
+        (RATIONAL.add(0, 5), Fraction(5)),
+        (RATIONAL.mul(2, 3), Fraction(6)),
+        (RATIONAL.mul(0, Fraction(1, 3)), Fraction(0)),
+        (RATIONAL.neg(4), Fraction(-4)),
+    ]:
+        assert type(got) is Fraction and got == want
+        _assert_lowest_terms(got)
+    with pytest.raises(DivisionByZero):
+        RATIONAL.inv(0)
 
 
 @pytest.mark.parametrize("field", [RATIONAL, GF7], ids=["rational", "gf7"])

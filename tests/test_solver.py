@@ -59,6 +59,20 @@ def test_transform_rhs_symbolic_fulkerson():
         assert form_terms(k[i]) == expect
 
 
+def test_transform_rhs_symbolic_shares_keys_and_reads_any_column():
+    state = run_to(BUILTINS["bidiag"](), 6)
+    k = transform_rhs(state.passage, "s")
+    keys = {}
+    for f in k:
+        for key in f.terms:
+            assert keys.setdefault(key, key) is key
+    # passage rows need not stay below their own count
+    rows = mk_rows(RATIONAL, [{0: F1, 5: Fraction(-1, 2)}, {9: F1}])
+    k = transform_rhs(rows, "s")
+    assert form_terms(k[0]) == {("s", 0): F1, ("s", 5): Fraction(-1, 2)}
+    assert form_terms(k[1]) == {("s", 9): F1}
+
+
 def test_transform_rhs_explicit_and_callable():
     state = run_to(BUILTINS["bidiag"](), 3)
     vals = [Fraction(2), Fraction(5), Fraction(1), Fraction(0)]
