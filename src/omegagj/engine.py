@@ -14,9 +14,9 @@ The reduction of the incoming row c is one linear combination. Every pivot
 row is one at its own pivot column and zero at the other pivot columns, so
 the reduced row is c - sum val * H[idx] over the hits: (idx, val) for each
 column of c that pivot row idx pins, val being c's entry there. Row's
-add_combination builds it in one sparse accumulator (the field's
-combination_support), not one merge per hit that copies the running row
-each time; a stage with one hit keeps that one merge. The passage row
+add_combination builds it in one sparse accumulator seeded with c (the
+field's combination_support, its one row kernel), not one merge per hit
+that copies the running row each time. The passage row
 inv * e_n - sum (val * inv) * Q[idx] is one combination too, built by the
 passage rows' own add_combination when the log is replayed, with the
 inverse inv of the new pivot entry folded into the multipliers, so no pass

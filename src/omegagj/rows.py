@@ -113,25 +113,20 @@ class Row:
 
     def add_combination(self, pairs, rows) -> "Row":
         """This row plus the sum of lam * rows[i] over a list of (i, lam)
-        pairs, every lam nonzero.
-
-        One pair is one merge (axpy_raw); more go into one sparse
-        accumulator (the field's combination_support), so the entries a
-        pair does not reach are not copied once per pair.
+        pairs, every lam nonzero, in one sparse accumulator seeded with this
+        row (the field's combination_support), so the entries a pair does
+        not reach are not copied once per pair.
         """
-        if len(pairs) == 1:
-            (i, lam), = pairs
-            return axpy_raw(lam, rows[i], self)
         if not pairs:
             return self
         F = self.field
-        terms = [(F.one(), self.support)]
+        terms = []
         for i, lam in pairs:
             x = rows[i]
             if x.field is not F:
                 check_same_field(F, x.field)
             terms.append((lam, x.support))
-        return _row(F, F.combination_support(terms))
+        return _row(F, F.combination_support(self.support, terms))
 
     def canonical(self) -> "Row":
         """The row itself: a Row is canonical by construction (see PackedRow)."""
@@ -187,12 +182,11 @@ def check_row(field: Field, k: int, r) -> None:
 
 
 def axpy_raw(lam, x: Row, y: Row) -> Row:
-    """Return y + lam * x by merging the two sorted supports."""
-    F = x.field
-    check_same_field(F, y.field)
+    """Return y + lam * x: y's add_combination of the one pair."""
+    check_same_field(x.field, y.field)
     if not lam:
         return y
-    return _row(F, F.axpy_support(lam, x.support, y.support))
+    return y.add_combination(((0, lam),), (x,))
 
 
 class PackedRow:

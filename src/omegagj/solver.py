@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .engine import EliminationState, IndexOutOfRange, certified_floor
@@ -96,9 +97,14 @@ def transform_rhs(
                 terms = {keys[j]: v for j, v in support}
             out.append(LinForm(prow.field, terms=terms))
         return out
+    # a sequence is zero past its end, so each sorted support is cut there
+    end = None if callable(rhs) else (len(rhs),)
     for prow in passage:
         F = prow.field
-        out.append(LinForm.combination(F, ((v, _rhs_at(F, rhs, j)) for j, v in prow.support)))
+        support = prow.support
+        if end is not None:
+            support = support[:bisect_left(support, end)]
+        out.append(LinForm.combination(F, ((v, _rhs_at(F, rhs, j)) for j, v in support)))
     return out
 
 

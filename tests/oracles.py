@@ -28,6 +28,23 @@ def matmul_check(passage, inputs, outputs, p=None):
     return True
 
 
+def combination_dict(ys, pairs, p=None):
+    """ys plus the sum of lam * xs over (lam, xs) pairs of (column, value)
+    supports, as a {column: value} dict built with Fraction operators (or
+    int arithmetic mod p), one entry at a time, zeros dropped."""
+    acc = dict(ys)
+    for lam, xs in pairs:
+        for c, v in xs:
+            nv = acc.get(c, 0) + lam * v
+            if p is not None:
+                nv %= p
+            if nv:
+                acc[c] = nv
+            else:
+                del acc[c]
+    return acc
+
+
 def is_lrrf_dict(rows, p=None, lead=max):
     """Direct scan: every pivot (rightmost, or lead) coefficient is one and
     its column is zero in all other rows."""

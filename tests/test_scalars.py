@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import format_value, render_form
+from oracles import combination_dict, format_value, render_form
 from omegagj import (
     RATIONAL,
     DivisionByZero,
@@ -178,15 +178,8 @@ def _assert_lowest_term_fractions(support):
 @given(kernel_inputs())
 def test_rational_kernels_match_fraction_arithmetic(inputs):
     lam, xs, ys = inputs
-    expect = dict(ys)
-    for c, v in xs:
-        nv = expect.get(c, Fraction(0)) + lam * v
-        if nv:
-            expect[c] = nv
-        else:
-            expect.pop(c, None)
-    got = RATIONAL.axpy_support(lam, xs, ys)
-    assert got == tuple(sorted(expect.items()))
+    got = RATIONAL.combination_support(ys, [(lam, xs)])
+    assert got == tuple(sorted(combination_dict(ys, [(lam, xs)]).items()))
     _assert_lowest_term_fractions(got)
     if lam != 1:
         scaled = RATIONAL.scale_support(lam, xs)
@@ -194,18 +187,12 @@ def test_rational_kernels_match_fraction_arithmetic(inputs):
         _assert_lowest_term_fractions(scaled)
 
 
-def _fold_axpy(field, pairs):
-    acc = ()
-    for lam, xs in pairs:
-        acc = field.axpy_support(lam, xs, acc)
-    return acc
-
-
 @st.composite
 def combination_inputs(draw, field):
-    """(lam, xs) pairs for combination_support: multipliers of 1 and -1
-    among others, maybe one source used twice, and maybe one last pair that
-    cancels some columns of the running sum, the first source's included."""
+    """ys and (lam, xs) pairs for combination_support: 200-bit values over
+    the rationals, multipliers of 1 and -1 among others, maybe no pair,
+    maybe one source used twice, and maybe one last pair that cancels some
+    columns of the running sum, of ys and of the first source included."""
     if field is RATIONAL:
         lams, values = kernel_lams.map(Fraction), kernel_values
     else:
@@ -213,36 +200,41 @@ def combination_inputs(draw, field):
         values = st.integers(1, field.p - 1)
     supports = st.dictionaries(st.integers(0, 30), values, max_size=8).map(
         lambda d: tuple(sorted(d.items())))
+    ys = draw(supports)
     pairs = draw(st.lists(st.tuples(lams, supports), max_size=5))
     if pairs and draw(st.booleans()):
         pairs.append((draw(lams), draw(st.sampled_from(pairs))[1]))
-    total = dict(_fold_axpy(field, pairs))
+    total = combination_dict(ys, pairs, field.p)
     if total and draw(st.booleans()):
-        first = sorted(c for c, _ in pairs[0][1] if c in total)
         cols = draw(st.sets(st.sampled_from(sorted(total)), min_size=1))
-        if first:
-            cols.add(draw(st.sampled_from(first)))
+        for src in [ys] + [xs for _, xs in pairs[:1]]:
+            held = sorted(c for c, _ in src if c in total)
+            if held:
+                cols.add(draw(st.sampled_from(held)))
         lam = draw(lams)
         scale = field.neg(field.inv(lam))
         pairs.append((lam, tuple((c, field.mul(scale, total[c])) for c in sorted(cols))))
-    return pairs
+    return ys, pairs
 
 
 @pytest.mark.parametrize("field", [RATIONAL, GF7], ids=["rational", "gf7"])
-def test_combination_support_is_the_fold_of_axpy_support(field):
+def test_combination_support_matches_dict_arithmetic(field):
     @settings(deadline=None, max_examples=150)
     @given(combination_inputs(field))
-    def check(pairs):
-        got = field.combination_support(pairs)
-        assert got == _fold_axpy(field, pairs)
+    def check(inputs):
+        ys, pairs = inputs
+        got = field.combination_support(ys, pairs)
+        assert got == tuple(sorted(combination_dict(ys, pairs, field.p).items()))
         assert [c for c, _ in got] == sorted({c for c, _ in got})
         if field is RATIONAL:
             _assert_lowest_term_fractions(got)
         else:
             assert all(0 < v < field.p for _, v in got)
+        if not pairs:
+            assert got == ys
 
     check()
-    assert field.combination_support([]) == ()
+    assert field.combination_support((), []) == ()
 
 
 @st.composite

@@ -20,6 +20,7 @@ from omegagj import (
     verify_solution,
 )
 from omegagj.engine import certified_floor
+from omegagj import solver
 from omegagj.solver import SymbolicSequence, _leads, _reduce_modulo
 from fixtures import (
     BIDIAG_GENERAL,
@@ -71,6 +72,25 @@ def test_transform_rhs_symbolic_shares_keys_and_reads_any_column():
     k = transform_rhs(rows, "s")
     assert form_terms(k[0]) == {("s", 0): F1, ("s", 5): Fraction(-1, 2)}
     assert form_terms(k[1]) == {("s", 9): F1}
+
+
+def test_transform_rhs_reads_a_sequence_only_up_to_its_end(monkeypatch):
+    # bidiag's passage is dense lower-triangular (1,891 nonzeros at 60
+    # stages); a sequence is zero past its end, so no entry there is read
+    passage = run_to(BUILTINS["bidiag"](), 60).passage
+    vals = [Fraction(1, 2), -3, Fraction(5, 7), 0, 2]
+    calls = []
+    rhs_at = solver._rhs_at
+
+    def counted(F, rhs, i):
+        calls.append(i)
+        return rhs_at(F, rhs, i)
+
+    monkeypatch.setattr(solver, "_rhs_at", counted)
+    k = transform_rhs(passage, vals)
+    assert len(calls) <= 5 * len(passage)
+    assert all(i < len(vals) for i in calls)
+    assert k == transform_rhs(passage, lambda i: vals[i] if i < len(vals) else 0)
 
 
 def test_transform_rhs_explicit_and_callable():
