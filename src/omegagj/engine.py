@@ -15,12 +15,12 @@ row is one at its own pivot column and zero at the other pivot columns, so
 the reduced row is c - sum val * H[idx] over the hits: (idx, val) for each
 column of c that pivot row idx pins, val being c's entry there. Row's
 add_combination builds it in one sparse accumulator seeded with c (the
-field's combination_support, its one row kernel), not one merge per hit
-that copies the running row each time. The passage row
-inv * e_n - sum (val * inv) * Q[idx] is one combination too, built by the
-passage rows' own add_combination when the log is replayed, with the
-inverse inv of the new pivot entry folded into the multipliers, so no pass
-rescales the finished passage row.
+field's combination_support), not one merge per hit that copies the
+running row each time; a stage with one hit keeps that one merge. The
+passage row inv * e_n - sum (val * inv) * Q[idx] is one combination too,
+built by the passage rows' own add_combination when the log is replayed,
+with the inverse inv of the new pivot entry folded into the multipliers, so
+no pass rescales the finished passage row.
 
 The state keeps a column index, column_rows: for every column, the set of
 row indices whose reduced row holds a nonzero entry there. The column clear

@@ -113,10 +113,15 @@ class Row:
 
     def add_combination(self, pairs, rows) -> "Row":
         """This row plus the sum of lam * rows[i] over a list of (i, lam)
-        pairs, every lam nonzero, in one sparse accumulator seeded with this
-        row (the field's combination_support), so the entries a pair does
-        not reach are not copied once per pair.
+        pairs, every lam nonzero.
+
+        One pair is one merge (axpy_raw); more go into one sparse
+        accumulator seeded with this row (the field's combination_support),
+        so the entries a pair does not reach are not copied once per pair.
         """
+        if len(pairs) == 1:
+            (i, lam), = pairs
+            return axpy_raw(lam, rows[i], self)
         if not pairs:
             return self
         F = self.field
@@ -182,11 +187,12 @@ def check_row(field: Field, k: int, r) -> None:
 
 
 def axpy_raw(lam, x: Row, y: Row) -> Row:
-    """Return y + lam * x: y's add_combination of the one pair."""
-    check_same_field(x.field, y.field)
+    """Return y + lam * x by merging the two sorted supports."""
+    F = x.field
+    check_same_field(F, y.field)
     if not lam:
         return y
-    return y.add_combination(((0, lam),), (x,))
+    return _row(F, F.axpy_support(lam, x.support, y.support))
 
 
 class PackedRow:

@@ -280,18 +280,64 @@ class RationalField(Field):
                 append((c, _rational(v // g, den // g)))
         return tuple(out)
 
+    def axpy_support(self, lam, xs: tuple, ys: tuple) -> tuple:
+        """ys + lam * xs for two sorted zero-free supports; lam is nonzero.
+
+        Each value is worked on as its numerator/denominator pair: with
+        lam = a/b, vx = p/q and vy = r/s the sum is (r*b*q + a*p*s) / (s*b*q),
+        reduced by one gcd. Where only xs holds a column, lam == 1 passes
+        its entry through and lam == -1 flips its sign without a gcd; entries
+        of ys that xs does not reach are passed through as they are.
+        """
+        a, b = lam.numerator, lam.denominator
+        sign = a if b == 1 and (a == 1 or a == -1) else 0
+        out = []
+        append = out.append
+        nx, ny = len(xs), len(ys)
+        i = j = 0
+        while i < nx and j < ny:
+            cx, vx = xs[i]
+            cy = ys[j][0]
+            if cx < cy:
+                if sign == 1:
+                    append(xs[i])
+                elif sign:
+                    append((cx, _rational(-vx._numerator, vx._denominator)))
+                else:
+                    n = a * vx._numerator
+                    d = b * vx._denominator
+                    g = gcd(n, d)
+                    append((cx, _rational(n // g, d // g)))
+                i += 1
+            elif cy < cx:
+                append(ys[j])
+                j += 1
+            else:
+                vy = ys[j][1]
+                q, s = vx._denominator, vy._denominator
+                n = vy._numerator * b * q + a * vx._numerator * s
+                d = s * b * q
+                if n:
+                    g = gcd(n, d)
+                    append((cx, _rational(n // g, d // g)))
+                i += 1
+                j += 1
+        if i < nx:
+            out.extend(xs[i:] if sign == 1 else self.scale_support(lam, xs[i:]))
+        elif j < ny:
+            out.extend(ys[j:])
+        return tuple(out)
+
     def combination_support(self, ys: tuple, pairs) -> tuple:
         """ys plus the sum of lam * xs over (lam, xs) pairs of nonzero
         multipliers, for sorted zero-free supports ys and xs, built in one
         dict seeded with ys and sorted once.
 
         The sparse accumulator of Gilbert, Moler and Schreiber (SIAM J.
-        Matrix Anal. Appl. 13(1), 1992): the running row is not copied once
-        per pair. Each value is worked on as its numerator/denominator pair:
-        with lam = a/b, vx = p/q and vy = r/s the sum is
-        (r*b*q + a*p*s) / (s*b*q), reduced by one gcd. Where only xs holds a
-        column, a multiplier of 1 or -1 passes its entry through or flips
-        its sign without one.
+        Matrix Anal. Appl. 13(1), 1992): equal to folding axpy_support over
+        the pairs onto ys, without copying the running row once per pair.
+        Each value is updated as in axpy_support, with one gcd; a multiplier
+        of 1 or -1 passes a new entry through or flips its sign without one.
         """
         acc = dict(ys)
         get = acc.get
@@ -439,6 +485,35 @@ class PrimeField(Field):
         """lam times the values of (key, value) pairs; lam is a nonzero residue."""
         p = self.p
         return tuple([(c, lam * v % p) for c, v in xs])
+
+    def axpy_support(self, lam, xs: tuple, ys: tuple) -> tuple:
+        """ys + lam * xs mod p for two sorted zero-free supports; lam is a
+        nonzero residue, so lam * vx never vanishes on its own."""
+        p = self.p
+        out = []
+        append = out.append
+        nx, ny = len(xs), len(ys)
+        i = j = 0
+        while i < nx and j < ny:
+            cx, vx = xs[i]
+            cy = ys[j][0]
+            if cx < cy:
+                append((cx, lam * vx % p))
+                i += 1
+            elif cy < cx:
+                append(ys[j])
+                j += 1
+            else:
+                v = (ys[j][1] + lam * vx) % p
+                if v:
+                    append((cx, v))
+                i += 1
+                j += 1
+        if i < nx:
+            out.extend(self.scale_support(lam, xs[i:]))
+        elif j < ny:
+            out.extend(ys[j:])
+        return tuple(out)
 
     def combination_support(self, ys: tuple, pairs) -> tuple:
         """ys plus the sum of lam * xs mod p over (lam, xs) pairs of

@@ -178,13 +178,21 @@ def _assert_lowest_term_fractions(support):
 @given(kernel_inputs())
 def test_rational_kernels_match_fraction_arithmetic(inputs):
     lam, xs, ys = inputs
-    got = RATIONAL.combination_support(ys, [(lam, xs)])
+    got = RATIONAL.axpy_support(lam, xs, ys)
     assert got == tuple(sorted(combination_dict(ys, [(lam, xs)]).items()))
+    assert RATIONAL.combination_support(ys, [(lam, xs)]) == got
     _assert_lowest_term_fractions(got)
     if lam != 1:
         scaled = RATIONAL.scale_support(lam, xs)
         assert scaled == tuple((c, lam * v) for c, v in xs)
         _assert_lowest_term_fractions(scaled)
+
+
+def _fold_axpy(field, ys, pairs):
+    acc = ys
+    for lam, xs in pairs:
+        acc = field.axpy_support(lam, xs, acc)
+    return acc
 
 
 @st.composite
@@ -218,12 +226,13 @@ def combination_inputs(draw, field):
 
 
 @pytest.mark.parametrize("field", [RATIONAL, GF7], ids=["rational", "gf7"])
-def test_combination_support_matches_dict_arithmetic(field):
+def test_combination_support_is_the_fold_of_axpy_support(field):
     @settings(deadline=None, max_examples=150)
     @given(combination_inputs(field))
     def check(inputs):
         ys, pairs = inputs
         got = field.combination_support(ys, pairs)
+        assert got == _fold_axpy(field, ys, pairs)
         assert got == tuple(sorted(combination_dict(ys, pairs, field.p).items()))
         assert [c for c, _ in got] == sorted({c for c, _ in got})
         if field is RATIONAL:
