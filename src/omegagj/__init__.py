@@ -50,7 +50,6 @@ from .solver import (
     consistency_constraints,
     general_solution,
     transform_rhs,
-    verify_solution,
 )
 
 __all__ = [
@@ -91,7 +90,6 @@ __all__ = [
     "step",
     "transform_rhs",
     "verify_row_equivalence",
-    "verify_solution",
 ]
 
 __version__ = "0.1.0"

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .rows import Row, axpy_raw
+from .rows import Row, dense_width
 
 
 class FormReport:
@@ -68,11 +68,11 @@ def verify_row_equivalence(passage: List[Row], matrix, out_rows: List[Row], hori
     """
     if min(len(passage), len(out_rows)) <= horizon:
         return False
+    # Jordan patches give a passage row columns past its own index
+    rows = matrix.top_submatrix(dense_width(passage[: horizon + 1]) - 1)
     for i in range(horizon + 1):
-        acc = Row.zero(passage[i].field)
-        for j, v in passage[i].support:
-            acc = axpy_raw(v, matrix.row_at(j), acc)
-        if acc != out_rows[i]:
+        q = passage[i]
+        if Row.zero(q.field).add_combination(q.support, rows) != out_rows[i]:
             return False
     return True
 

@@ -21,7 +21,7 @@ from .engine import (
 )
 from .matrices import BUILTINS, RowFiniteMatrix, make_explicit, make_stencil
 from .reorder import extended_run
-from .rows import PackedRow, Row, ScaledRow, dense_width, pairs_text
+from .rows import PackedRow, Row, ScaledRow, dense_width
 from .scalars import RATIONAL, Field, LinForm
 from .solver import PARAMETER_NAMESPACE, general_solution, transform_rhs
 
@@ -45,15 +45,6 @@ class MatrixSpec:
         self.kind = kind
         self.body = body
         self.floor = floor
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MatrixSpec)
-            and self.field == other.field
-            and self.kind == other.kind
-            and self.body == other.body
-            and self.floor == other.floor
-        )
 
     def build(self) -> RowFiniteMatrix:
         if self.kind == "stencil":
@@ -182,27 +173,6 @@ def _parse_pair(lineno: int, field: Field, tok: str):
         return int(idx), field.parse(val)
     except (ValueError, ZeroDivisionError):
         raise ParseError(lineno, "bad entry %r" % tok)
-
-
-def render_spec(spec: MatrixSpec) -> str:
-    """Canonical text for a spec; parse(render(s)) == s."""
-    F = spec.field
-    lines = [
-        "field rational" if F.p is None else "field gf %d" % F.p,
-        "kind %s" % spec.kind,
-    ]
-    if spec.kind == "stencil":
-        lines.append("stencil " + pairs_text(F, sorted(spec.body)))
-    elif spec.kind == "explicit":
-        for k in sorted(spec.body):
-            lines.append(("row %d " % k + pairs_text(F, sorted(spec.body[k]))).rstrip())
-        lines.append("tail zero")
-    else:
-        lines.append("builtin %s" % spec.body)
-    if spec.floor is not None:
-        a, b = spec.floor
-        lines.append("floor m*%d%s" % (a, "%+d" % b if b else ""))
-    return "\n".join(lines) + "\n"
 
 
 def parse_rhs(text: str):

@@ -153,21 +153,11 @@ class Row:
         return support, self.field.format_values([v for _, v in support])
 
     def __str__(self):
-        return _joined(*self.entry_texts())
+        pairs, texts = self.entry_texts()
+        return " ".join(["%d:%s" % (i, t) for (i, _), t in zip(pairs, texts)])
 
     def __repr__(self):
         return "Row(%s)" % (self if self.support else "0")
-
-
-def pairs_text(field: Field, pairs) -> str:
-    """Space-separated 'index:value' tokens of (index, raw value) pairs,
-    with the values formatted in one call."""
-    return _joined(pairs, field.format_values([v for _, v in pairs]))
-
-
-def _joined(pairs, texts) -> str:
-    """Space-separated 'index:text' tokens, texts[k] for pairs[k]."""
-    return " ".join(["%d:%s" % (i, t) for (i, _), t in zip(pairs, texts)])
 
 
 def _row(field: Field, support: tuple) -> Row:

@@ -578,31 +578,6 @@ class LinForm:
     def symbol(cls, field: Field, namespace: str, index: int) -> "LinForm":
         return cls(field, terms={(namespace, index): field.one()})
 
-    @classmethod
-    def combination(cls, field: Field, pairs) -> "LinForm":
-        """Sum of lam * form over (lam, form) pairs, built in one dict.
-
-        Equal to adding the scaled forms one by one, without copying the
-        running term table at every step.
-        """
-        add, mul = field.add, field.mul
-        zero = field.zero()
-        constant = zero
-        terms: dict = {}
-        for lam, form in pairs:
-            if not lam:
-                continue
-            check_same_field(field, form.field)
-            if form.constant:
-                constant = add(constant, mul(lam, form.constant))
-            for s, c in form.terms.items():
-                v = add(terms.get(s, zero), mul(lam, c))
-                if v:
-                    terms[s] = v
-                else:
-                    terms.pop(s, None)
-        return cls(field, constant, terms)
-
     def is_zero(self) -> bool:
         return not self.constant and not self.terms
 

@@ -10,13 +10,8 @@ from .scalars import LinForm
 
 # Symbol namespace of the homogeneous solution's free parameters t_0, t_1, ...
 # A symbolic right-hand side in the same namespace would merge its symbols
-# with them, so transform_rhs and verify_solution reject it.
+# with them, so transform_rhs rejects it.
 PARAMETER_NAMESPACE = "t"
-
-
-def _check_rhs_namespace(rhs) -> None:
-    if rhs == PARAMETER_NAMESPACE:
-        raise ValueError("rhs namespace %r is reserved for the solution parameters" % rhs)
 
 
 class SymbolicSequence:
@@ -79,10 +74,12 @@ def transform_rhs(
     ``passage`` is a state's passage rows, rebuilt from its stage log when
     state.passage is first read. ``rhs`` may be a symbol namespace (each
     input row i contributes the symbol ``ns_i``), an explicit list of field
-    values, or a callable giving the value for index i. The namespace
-    PARAMETER_NAMESPACE is reserved and raises ValueError.
+    values, or a callable giving the value for index i; an explicit one
+    makes each k[i] a constant form. The namespace PARAMETER_NAMESPACE is
+    reserved and raises ValueError.
     """
-    _check_rhs_namespace(rhs)
+    if rhs == PARAMETER_NAMESPACE:
+        raise ValueError("rhs namespace %r is reserved for the solution parameters" % rhs)
     out: List[LinForm] = []
     if isinstance(rhs, str):
         # distinct symbols rhs_j, one per nonzero passage entry; the key of
@@ -97,26 +94,20 @@ def transform_rhs(
                 terms = {keys[j]: v for j, v in support}
             out.append(LinForm(prow.field, terms=terms))
         return out
-    # a sequence is zero past its end, so each sorted support is cut there
-    end = None if callable(rhs) else (len(rhs),)
+    # an explicit rhs makes constant forms; a sequence is zero past its
+    # end, so each sorted support is cut there
+    at, end = (rhs, None) if callable(rhs) else (rhs.__getitem__, (len(rhs),))
     for prow in passage:
         F = prow.field
+        add, mul = F.add, F.mul
         support = prow.support
         if end is not None:
             support = support[:bisect_left(support, end)]
-        out.append(LinForm.combination(F, ((v, _rhs_at(F, rhs, j)) for j, v in support)))
+        total = F.zero()
+        for j, v in support:
+            total = add(total, mul(v, at(j)))
+        out.append(LinForm.const(F, total))
     return out
-
-
-def _rhs_at(F, rhs, i: int) -> LinForm:
-    """Entry i of a right-hand side as a form: the symbol rhs_i for a
-    namespace, rhs(i) for a callable, rhs[i] for a sequence (zero past its end)."""
-    if isinstance(rhs, str):
-        return LinForm.symbol(F, rhs, i)
-    value = rhs(i) if callable(rhs) else rhs[i] if i < len(rhs) else F.zero()
-    if isinstance(value, LinForm):
-        return value
-    return LinForm.const(F, value)
 
 
 def consistency_constraints(state: EliminationState, k: Sequence[LinForm]) -> List[LinForm]:
@@ -156,62 +147,3 @@ def general_solution(
     """Constraints and the general solution, the particular solution plus
     the homogeneous one, built in one pass."""
     return SolveResult(consistency_constraints(state, k), _solution(state, horizon, k))
-
-
-def _leads(constraints: Sequence[LinForm]) -> Dict[tuple, LinForm]:
-    """Constraints spanning the same forms as the given ones, keyed by
-    their distinct leading (largest) symbols.
-
-    Each constraint is reduced by the ones kept before it, so its lead is
-    new; one that reduces to a constant has no lead and is dropped.
-    """
-    leads: Dict[tuple, LinForm] = {}
-    for c in constraints:
-        c = _reduce_modulo(c, leads)
-        if c.terms:
-            leads[max(c.terms)] = c
-    return leads
-
-
-def _reduce_modulo(form: LinForm, leads: Dict[tuple, LinForm]) -> LinForm:
-    """Subtract from the form the multiple of leads[s] that clears s, for
-    each lead s, largest first; a lead's constraint has no larger symbol,
-    so no cleared symbol comes back."""
-    F = form.field
-    for sym in sorted(leads, reverse=True):
-        coeff = form.terms.get(sym)
-        if coeff is None:
-            continue
-        c = leads[sym]
-        # form - (coeff / c[sym]) * c has no sym term
-        lam = F.neg(F.mul(coeff, F.inv(c.terms[sym])))
-        form = LinForm.combination(F, ((F.one(), form), (lam, c)))
-    return form
-
-
-def verify_solution(
-    matrix,
-    x: SymbolicSequence,
-    c: Union[str, Sequence, Callable[[int], object]],
-    horizon: int,
-    constraints: Optional[Sequence[LinForm]] = None,
-) -> bool:
-    """Check rows 0..horizon of the system against a candidate solution.
-
-    The residual of each row must vanish identically after reduction
-    modulo the constraints, that is, lie in their span. A symbolic ``c`` in
-    PARAMETER_NAMESPACE raises ValueError, as in transform_rhs.
-    """
-    _check_rhs_namespace(c)
-    F = x.field
-    minus_one = F.neg(F.one())
-    leads = _leads(constraints or [])
-    for i in range(horizon + 1):
-        try:
-            pairs = [(v, x.entry(j)) for j, v in matrix.row_at(i).support]
-        except IndexOutOfRange:
-            return False
-        pairs.append((minus_one, _rhs_at(F, c, i)))
-        if not _reduce_modulo(LinForm.combination(F, pairs), leads).is_zero():
-            return False
-    return True

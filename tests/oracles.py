@@ -7,14 +7,20 @@ package's omegagj.canon.dense_reduce (the classic one-shot sweep with eager
 column clearing, over dicts, sharing no code with the engine), which
 `verify --check oracle` uses too. Agreement between these and the
 incremental engine is one of the main test properties.
+
+The exact residual verifier of symbolic solutions (verify_solution, with
+its form arithmetic form_combination) and the spec renderer of the
+round-trip tests (render_spec) are here too: no command needs them.
 """
 
 from fractions import Fraction
 
-from omegagj import LinForm, SymbolicSequence
+from omegagj import IndexOutOfRange, LinForm, SymbolicSequence
 from omegagj.canon import _dict_sub_scaled as _sub_scaled
 from omegagj.canon import dense_reduce  # noqa: F401  (re-exported for the tests)
 from omegagj.engine import certified_floor
+from omegagj.scalars import check_same_field
+from omegagj.solver import PARAMETER_NAMESPACE
 
 
 def matmul_check(passage, inputs, outputs, p=None):
@@ -282,3 +288,125 @@ def particular_solution(state, k, horizon=None):
         horizon = max(state.pivots) if state.pivots else -1
     entries = {col: k[i] for col, i in state.pivots.items() if col <= horizon}
     return SymbolicSequence(state.field, entries, [], horizon, state.stage, certified_floor(state))
+
+
+def form_combination(field, pairs):
+    """Sum of lam * form over (lam, form) pairs of LinForms, built in one
+    dict through the field's add and mul."""
+    add, mul = field.add, field.mul
+    zero = field.zero()
+    constant = zero
+    terms = {}
+    for lam, form in pairs:
+        if not lam:
+            continue
+        check_same_field(field, form.field)
+        if form.constant:
+            constant = add(constant, mul(lam, form.constant))
+        for s, c in form.terms.items():
+            v = add(terms.get(s, zero), mul(lam, c))
+            if v:
+                terms[s] = v
+            else:
+                terms.pop(s, None)
+    return LinForm(field, constant, terms)
+
+
+def substitute(form, values, p=None):
+    """The value of a form over one namespace once each symbol ns_j is
+    replaced by values[j] (zero past the end of the sequence), with
+    Fraction operators (or int arithmetic mod p)."""
+    acc = form.constant
+    for (_, j), coeff in form.terms.items():
+        if j < len(values):
+            acc = acc + coeff * values[j]
+    return acc if p is None else acc % p
+
+
+def _leads(constraints):
+    """Constraints spanning the same forms as the given ones, keyed by
+    their distinct leading (largest) symbols.
+
+    Each constraint is reduced by the ones kept before it, so its lead is
+    new; one that reduces to a constant has no lead and is dropped.
+    """
+    leads = {}
+    for c in constraints:
+        c = _reduce_modulo(c, leads)
+        if c.terms:
+            leads[max(c.terms)] = c
+    return leads
+
+
+def _reduce_modulo(form, leads):
+    """Subtract from the form the multiple of leads[s] that clears s, for
+    each lead s, largest first; a lead's constraint has no larger symbol,
+    so no cleared symbol comes back."""
+    F = form.field
+    for sym in sorted(leads, reverse=True):
+        coeff = form.terms.get(sym)
+        if coeff is None:
+            continue
+        c = leads[sym]
+        # form - (coeff / c[sym]) * c has no sym term
+        lam = F.neg(F.mul(coeff, F.inv(c.terms[sym])))
+        form = form_combination(F, ((F.one(), form), (lam, c)))
+    return form
+
+
+def _rhs_form(F, c, i):
+    """Entry i of a right-hand side as a form: the symbol c_i for a
+    namespace, c(i) for a callable, c[i] for a sequence (zero past its end)."""
+    if isinstance(c, str):
+        return LinForm.symbol(F, c, i)
+    return LinForm.const(F, c(i) if callable(c) else c[i] if i < len(c) else F.zero())
+
+
+def verify_solution(matrix, x, c, horizon, constraints=None):
+    """Check rows 0..horizon of the system against a candidate solution.
+
+    The residual of each row must vanish identically after reduction
+    modulo the constraints, that is, lie in their span. A symbolic ``c`` in
+    the parameter namespace raises ValueError, as in transform_rhs.
+    """
+    if c == PARAMETER_NAMESPACE:
+        raise ValueError("rhs namespace %r is reserved for the solution parameters" % c)
+    F = x.field
+    minus_one = F.neg(F.one())
+    leads = _leads(constraints or [])
+    for i in range(horizon + 1):
+        try:
+            pairs = [(v, x.entry(j)) for j, v in matrix.row_at(i).support]
+        except IndexOutOfRange:
+            return False
+        pairs.append((minus_one, _rhs_form(F, c, i)))
+        if not _reduce_modulo(form_combination(F, pairs), leads).is_zero():
+            return False
+    return True
+
+
+def pairs_text(pairs):
+    """Space-separated 'index:value' tokens of (index, raw value) pairs."""
+    return " ".join("%d:%s" % (i, format_value(v)) for i, v in pairs)
+
+
+def render_spec(spec):
+    """Canonical text for a cli.MatrixSpec: parse_spec(render_spec(s))
+    has the attributes of s."""
+    F = spec.field
+    lines = [
+        "field rational" if F.p is None else "field gf %d" % F.p,
+        "kind %s" % spec.kind,
+    ]
+    if spec.kind == "stencil":
+        lines.append("stencil " + pairs_text(sorted(spec.body)))
+    elif spec.kind == "explicit":
+        for k in sorted(spec.body):
+            lines.append(("row %d " % k + pairs_text(sorted(spec.body[k]))).rstrip())
+        lines.append("tail zero")
+    else:
+        lines.append("builtin %s" % spec.body)
+    if spec.floor is not None:
+        a, b = spec.floor
+        lines.append("floor m*%d%s" % (a, "%+d" % b if b else ""))
+    return "\n".join(lines) + "\n"

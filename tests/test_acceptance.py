@@ -26,7 +26,6 @@ from omegagj import (
     step,
     transform_rhs,
     verify_row_equivalence,
-    verify_solution,
 )
 from omegagj.cli import main
 from fixtures import (
@@ -49,6 +48,7 @@ from oracles import (
     homogeneous_solution,
     matmul_check,
     particular_solution,
+    verify_solution,
 )
 from util import field_for, mk_rows, random_dict_rows, row_dict, rows_dicts
 

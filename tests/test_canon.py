@@ -11,6 +11,7 @@ from omegagj import (
     is_lrrf,
     is_qhf,
     make_explicit,
+    make_stencil,
     run_to,
     step,
     verify_row_equivalence,
@@ -26,7 +27,8 @@ from oracles import (
     is_uref_dict,
     is_urrf_dict,
 )
-from util import mk_row, mk_rows, random_dict_rows, rows_dicts
+from omegagj.rows import PackedRow, ScaledRow, passage_unit
+from util import field_for, mk_row, mk_rows, random_dict_rows, rows_dicts
 
 F1 = Fraction(1)
 
@@ -124,6 +126,25 @@ def test_verify_row_equivalence_needs_every_row_through_horizon():
     assert not verify_row_equivalence(state.passage, m, state.rows[:9], 9)
     assert verify_row_equivalence(state.passage, m, state.rows, 4)
     assert not verify_row_equivalence(state.passage, m, state.rows, 10)
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_verify_row_equivalence_rejects_one_changed_passage_entry(p):
+    # Q . A = H through horizon 12 on a stencil whose every row is nonzero,
+    # so adding one at any column of one passage row breaks its product
+    F = field_for(p)
+    m = make_stencil(F, [(0, 1), (1, 3), (2, 5)])
+    state = run_to(m, 12)
+    passage = state.passage
+    assert all(type(q) is (ScaledRow if p is None else PackedRow) for q in passage)
+    assert verify_row_equivalence(passage, m, state.rows, 12)
+    for i in (0, 5, 12):
+        # an entry the row holds, and one it does not
+        for j in (passage[i].support[0][0], i + 1):
+            tampered = list(passage)
+            tampered[i] = passage[i].add_combination([(0, F.one())], [passage_unit(F, j)])
+            assert tampered[i] != passage[i]
+            assert not verify_row_equivalence(tampered, m, state.rows, 12)
 
 
 def test_form_predicates_agree_with_dict_oracles(rng):

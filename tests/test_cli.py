@@ -21,12 +21,11 @@ from omegagj.cli import (
     main,
     parse_rhs,
     parse_spec,
-    render_spec,
     resolve_matrix,
     resolve_rhs,
 )
 from fixtures import bidiag_lps_row, bidiag_reduced_row
-from oracles import format_value
+from oracles import format_value, render_spec
 from util import gf_band_text, parse_row, row_dict, scaled_row
 
 F1 = Fraction(1)
@@ -106,7 +105,7 @@ def test_explicit_spec_builds_only_listed_rows(monkeypatch):
 @pytest.mark.parametrize("text", [STENCIL_TEXT, EXPLICIT_TEXT, BUILTIN_TEXT])
 def test_render_round_trip(text):
     spec = parse_spec(text)
-    assert parse_spec(render_spec(spec)) == spec
+    assert vars(parse_spec(render_spec(spec))) == vars(spec)
     assert render_spec(parse_spec(render_spec(spec))) == render_spec(spec)
 
 
@@ -140,7 +139,7 @@ def specs(draw):
 @given(specs())
 def test_render_round_trip_fuzz(spec):
     text = render_spec(spec)
-    assert parse_spec(text) == spec
+    assert vars(parse_spec(text)) == vars(spec)
     assert render_spec(parse_spec(text)) == text
 
 

@@ -1,7 +1,9 @@
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegagj import (
     BUILTINS,
@@ -17,11 +19,9 @@ from omegagj import (
     run_to,
     step,
     transform_rhs,
-    verify_solution,
 )
 from omegagj.engine import certified_floor
-from omegagj import solver
-from omegagj.solver import SymbolicSequence, _leads, _reduce_modulo
+from omegagj.solver import SymbolicSequence
 from fixtures import (
     BIDIAG_GENERAL,
     BIDIAG_K,
@@ -31,7 +31,15 @@ from fixtures import (
     FULKERSON_XP,
     PDE_XH_PREFIX,
 )
-from oracles import homogeneous_solution, particular_solution
+from oracles import (
+    _leads,
+    _reduce_modulo,
+    form_combination,
+    homogeneous_solution,
+    particular_solution,
+    substitute,
+    verify_solution,
+)
 from util import dict_matrices, field_for, mk_row, mk_rows
 
 F1 = Fraction(1)
@@ -74,22 +82,30 @@ def test_transform_rhs_symbolic_shares_keys_and_reads_any_column():
     assert form_terms(k[1]) == {("s", 9): F1}
 
 
-def test_transform_rhs_reads_a_sequence_only_up_to_its_end(monkeypatch):
+class CountedReads(Sequence):
+    """A sequence that records every index it is read at."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.reads = []
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return self.values[i]
+
+
+def test_transform_rhs_reads_a_sequence_only_up_to_its_end():
     # bidiag's passage is dense lower-triangular (1,891 nonzeros at 60
     # stages); a sequence is zero past its end, so no entry there is read
     passage = run_to(BUILTINS["bidiag"](), 60).passage
     vals = [Fraction(1, 2), -3, Fraction(5, 7), 0, 2]
-    calls = []
-    rhs_at = solver._rhs_at
-
-    def counted(F, rhs, i):
-        calls.append(i)
-        return rhs_at(F, rhs, i)
-
-    monkeypatch.setattr(solver, "_rhs_at", counted)
-    k = transform_rhs(passage, vals)
-    assert len(calls) <= 5 * len(passage)
-    assert all(i < len(vals) for i in calls)
+    rhs = CountedReads(vals)
+    k = transform_rhs(passage, rhs)
+    assert 0 < len(rhs.reads) <= 5 * len(passage)
+    assert all(i < len(vals) for i in rhs.reads)
     assert k == transform_rhs(passage, lambda i: vals[i] if i < len(vals) else 0)
 
 
@@ -105,6 +121,38 @@ def test_transform_rhs_explicit_and_callable():
     assert all(f.is_zero() for f in k3)
 
 
+@st.composite
+def explicit_systems(draw):
+    """(p, rows, rhs): up to 20 zero-free {column: value} rows over the
+    rationals (p None) or GF(7), empty ones included, and an explicit rhs
+    shorter than, as long as or longer than the rows, whose values include
+    plain ints (and, over GF(7), ints outside [0, 7))."""
+    p = draw(st.sampled_from([None, 7]))
+    if p is None:
+        values = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+        rhs_values = st.one_of(values, st.integers(-5, 5))
+    else:
+        values, rhs_values = st.integers(0, 6), st.integers(-20, 20)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, 24), values, max_size=5),
+                         min_size=1, max_size=20))
+    rows = [{c: v for c, v in r.items() if v} for r in rows]
+    n = len(rows)
+    size = draw(st.sampled_from([0, n // 2, n - 1, n, n + 3]))
+    return p, rows, draw(st.lists(rhs_values, min_size=size, max_size=size))
+
+
+@settings(max_examples=150, deadline=None)
+@given(explicit_systems())
+def test_explicit_transform_is_the_symbolic_one_evaluated(case):
+    # Q[i] . rhs is Q[i] . (c_0, c_1, ...) with each c_j replaced by rhs_j
+    p, dicts, vals = case
+    F = field_for(p)
+    passage = run_to(make_explicit(F, mk_rows(F, dicts)), len(dicts) - 1).passage
+    expect = [LinForm.const(F, substitute(f, vals, p)) for f in transform_rhs(passage, "c")]
+    assert transform_rhs(passage, vals) == expect
+    assert transform_rhs(passage, lambda j: vals[j] if j < len(vals) else 0) == expect
+
+
 def test_rhs_in_the_parameter_namespace_is_rejected():
     # its symbols t_i would merge with the homogeneous parameters t_i
     matrix = BUILTINS["bidiag"]()
@@ -116,11 +164,15 @@ def test_rhs_in_the_parameter_namespace_is_rejected():
         verify_solution(matrix, x, "t", 2)
 
 
-def test_transform_rhs_mixed_form_values():
-    state = run_to(BUILTINS["bidiag"](), 2)
-    forms = [LinForm.symbol(RATIONAL, "u", 9), LinForm.zero(RATIONAL), LinForm.zero(RATIONAL)]
-    k = transform_rhs(state.passage, lambda i: forms[i])
-    assert form_terms(k[2]) == {("u", 9): F1}
+def test_transform_rhs_rejects_form_values():
+    # an explicit rhs holds field values; a LinForm entry is none
+    for F in (RATIONAL, GF7):
+        state = run_to(make_explicit(F, mk_rows(F, [{0: 1}, {0: 1, 1: 1}])), 1)
+        forms = [LinForm.symbol(F, "u", 9), LinForm.zero(F)]
+        with pytest.raises(TypeError):
+            transform_rhs(state.passage, lambda i: forms[i])
+        with pytest.raises(TypeError):
+            transform_rhs(state.passage, forms)
 
 
 # -- constraints --------------------------------------------------------------
@@ -414,7 +466,7 @@ def _s(i):
 
 
 def _lin(*pairs):
-    return LinForm.combination(RATIONAL, [(Fraction(lam), f) for lam, f in pairs])
+    return form_combination(RATIONAL, [(Fraction(lam), f) for lam, f in pairs])
 
 
 def test_reduce_modulo_constraints_that_share_a_lead():

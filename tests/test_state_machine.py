@@ -31,9 +31,8 @@ from omegagj import (
     prefix_stability,
     step,
     transform_rhs,
-    verify_solution,
 )
-from oracles import ReorderReference
+from oracles import ReorderReference, verify_solution
 from util import field_for, mk_row, mk_rows, rows_dicts
 
 WIDTH = 10  # columns 0..WIDTH-1
