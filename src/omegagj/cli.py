@@ -397,7 +397,7 @@ def cmd_solve(args, out) -> int:
         print("deficiency = %d" % result.deficiency_over_horizon, file=out)
     # a zero row whose right-hand side is a nonzero constant has no solution
     inconsistent = [
-        w for w, r in enumerate(state.rows) if r.is_zero() and not k[w].terms and k[w].constant
+        w for w, r in enumerate(state.rows) if r.is_zero() and not k[w].blocks and k[w].constant
     ]
     for w in inconsistent:
         print(
@@ -408,7 +408,11 @@ def cmd_solve(args, out) -> int:
 
 
 def _constraint_text(f: LinForm) -> str:
-    lead = max(f.terms) if f.terms else None
+    # the greatest symbol leads: the last of the greatest namespace's block
+    lead = None
+    if f.blocks:
+        ns = max(f.blocks)
+        lead = (ns, f.blocks[ns][-1][0])
     return f.render(leading=lead) + " = 0"
 
 

@@ -3,14 +3,18 @@
 Every value in the library is either a raw value of a Field (a Fraction over
 the rationals, an int residue over GF(p)), operated on only through that
 Field's methods, or a LinForm (affine combination of indexed symbols with
-raw coefficients). No floating point is used anywhere. Over the rationals
-every operation, scalar or sparse, works on the numerator/denominator ints
-of its Fractions, so none goes through Fraction's operators.
+raw coefficients). A LinForm holds, for each symbol namespace, one sorted
+zero-free (index, coefficient) support, the invariant of a row's support,
+so the field's row kernels add and format forms too. No floating point is
+used anywhere. Over the rationals every operation, scalar or sparse, works
+on the numerator/denominator ints of its Fractions, so none goes through
+Fraction's operators.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 from typing import Optional
@@ -204,37 +208,26 @@ class RationalField(Field):
             for v in values
         ]
 
-    def render_terms(self, keys, terms, constant) -> str:
-        """The text of a form: the terms[key] * key terms in the order of
-        keys, then the constant if it is nonzero or there are no terms.
-
-        Each term is one ' + ' or ' - ' piece with its sign read from the
-        numerator, and a coefficient of one is left out; the pieces are
-        joined once, after the first loses its leading ' + ' (or ' - '
-        becomes '-').
-        """
+    def render_terms(self, ns: str, support) -> list:
+        """The text of the v * ns_i terms of one sorted (i, v) support of a
+        form, one ' + ' or ' - ' piece per term with its sign read from the
+        numerator; a coefficient of one is left out."""
+        name = ns + "_"
+        star = "*" + name
         pieces = []
         append = pieces.append
-        for (ns, i), v in zip(keys, map(terms.__getitem__, keys)):
+        for i, v in support:
             n, d = v._numerator, v._denominator
             sign = " + "
             if n < 0:
                 sign, n = " - ", -n
             if d != 1:
-                append(f"{sign}{n}/{d}*{ns}_{i}")
+                append(f"{sign}{n}/{d}{star}{i}")
             elif n == 1:
-                append(f"{sign}{ns}_{i}")
+                append(f"{sign}{name}{i}")
             else:
-                append(f"{sign}{n}*{ns}_{i}")
-        if constant or not pieces:
-            n, d = constant._numerator, constant._denominator
-            sign = " + "
-            if n < 0:
-                sign, n = " - ", -n
-            append(f"{sign}{n}" if d == 1 else f"{sign}{n}/{d}")
-        first = pieces[0]
-        pieces[0] = "-" + first[3:] if first[1] == "-" else first[3:]
-        return "".join(pieces)
+                append(f"{sign}{n}{star}{i}")
+        return pieces
 
     def accepts(self, v) -> bool:
         """Whether Row.from_pairs takes v as a value: an int or a Fraction."""
@@ -457,18 +450,13 @@ class PrimeField(Field):
         """Parse a residue: any integer text, reduced mod p."""
         return int(text) % self.p
 
-    def render_terms(self, keys, terms, constant) -> str:
-        """The text of a form: the terms[key] * key terms in the order of
-        keys, then the constant if it is nonzero or there are no terms.
-        Residues are never negative, so every term is joined by ' + ', and
-        a coefficient of one is left out."""
-        pieces = [
-            f"{ns}_{i}" if v == 1 else f"{v}*{ns}_{i}"
-            for (ns, i), v in zip(keys, map(terms.__getitem__, keys))
-        ]
-        if constant or not pieces:
-            pieces.append(str(constant))
-        return " + ".join(pieces)
+    def render_terms(self, ns: str, support) -> list:
+        """The text of the v * ns_i terms of one sorted (i, v) support of a
+        form, one ' + ' piece per term (residues are never negative); a
+        coefficient of one is left out."""
+        # the fixed parts of a term are joined once per block, not per term
+        plus, star = " + " + ns + "_", "*" + ns + "_"
+        return [f"{plus}{i}" if v == 1 else f" + {v}{star}{i}" for i, v in support]
 
     def accepts(self, v) -> bool:
         """Whether Row.from_pairs takes v as a value: any int (reduced mod p)."""
@@ -552,56 +540,79 @@ def check_same_field(a: Field, b: Field) -> None:
 class LinForm:
     """An affine form over indexed symbols: constant + sum of coeff * ns_i.
 
-    Canonical: the term table never stores zero coefficients, so two forms
-    are equal iff their fields, constants, and term tables are equal.
+    blocks maps each namespace ns to one support: the (i, coeff) pairs of
+    its symbols ns_i, sorted by i and free of zero coefficients, as in
+    Row.support. No block is empty, so two forms are equal iff their
+    fields, constants and block tables are equal. Sums merge a namespace
+    that both forms hold with the field's combination_support and share
+    every other block, so no coefficient is copied one by one.
     """
 
-    __slots__ = ("field", "constant", "terms")
+    __slots__ = ("field", "constant", "blocks")
 
     def __init__(self, field: Field, constant=None, terms=None):
+        """The form constant + sum of terms[(ns, i)] * ns_i; a flat terms
+        mapping is grouped by namespace once, and zero coefficients are
+        dropped."""
         self.field = field
         self.constant = field.zero() if constant is None else constant
-        self.terms = {} if terms is None else terms
+        grouped: dict = {}
+        for (ns, i), v in (terms or {}).items():
+            if v:
+                grouped.setdefault(ns, []).append((i, v))
+        self.blocks = {ns: tuple(sorted(pairs)) for ns, pairs in grouped.items()}
 
     @classmethod
     def zero(cls, field: Field) -> "LinForm":
-        return cls(field)
+        return _form(field, field.zero(), {})
 
     @classmethod
     def const(cls, field: Field, value) -> "LinForm":
         """The constant form value; a plain int is read through field.from_int."""
         if isinstance(value, int):
             value = field.from_int(value)
-        return cls(field, constant=value)
+        return _form(field, value, {})
 
     @classmethod
     def symbol(cls, field: Field, namespace: str, index: int) -> "LinForm":
-        return cls(field, terms={(namespace, index): field.one()})
+        return _form(field, field.zero(), {namespace: ((index, field.one()),)})
+
+    @classmethod
+    def block(cls, field: Field, namespace: str, support) -> "LinForm":
+        """The form sum of v * namespace_i over a sorted zero-free support of
+        (i, v) pairs, which it holds as given (a tuple is not copied)."""
+        support = tuple(support)
+        return _form(field, field.zero(), {namespace: support} if support else {})
+
+    @property
+    def terms(self) -> dict:
+        """The flat {(ns, i): coeff} view of the blocks, built when read."""
+        return {(ns, i): v for ns, support in self.blocks.items() for i, v in support}
 
     def is_zero(self) -> bool:
-        return not self.constant and not self.terms
+        return not self.constant and not self.blocks
 
     def __add__(self, other):
         check_same_field(self.field, other.field)
         F = self.field
-        terms = dict(self.terms)
-        for s, c in other.terms.items():
-            old = terms.get(s)
-            if old is None:
-                terms[s] = c
+        blocks = dict(self.blocks)
+        for ns, ys in other.blocks.items():
+            xs = blocks.get(ns)
+            if xs is None:
+                blocks[ns] = ys
                 continue
-            v = F.add(old, c)
-            if v:
-                terms[s] = v
+            merged = F.combination_support(xs, ((F.one(), ys),))
+            if merged:
+                blocks[ns] = merged
             else:
-                del terms[s]
-        return LinForm(F, F.add(self.constant, other.constant), terms)
+                del blocks[ns]
+        return _form(F, F.add(self.constant, other.constant), blocks)
 
     def __eq__(self, other):
         if not isinstance(other, LinForm):
             return NotImplemented
         check_same_field(self.field, other.field)
-        return self.constant == other.constant and self.terms == other.terms
+        return self.constant == other.constant and self.blocks == other.blocks
 
     def __str__(self):
         return self.render()
@@ -610,16 +621,42 @@ class LinForm:
         """Text form with terms sorted by (namespace, index), constant last.
 
         leading, if given, is a symbol pulled to the front (used for
-        constraints written as c_w - ... = 0).
+        constraints written as c_w - ... = 0). Only the namespaces are
+        sorted; each block is already in index order.
         """
-        terms = self.terms
-        keys = sorted(terms)
-        if leading is not None and leading in terms:
-            keys.remove(leading)
-            keys.insert(0, leading)
-        return self.field.render_terms(keys, terms, self.constant)
+        F = self.field
+        blocks = self.blocks
+        render_terms = F.render_terms
+        pieces = []
+        lead = None
+        for ns in sorted(blocks):
+            support = blocks[ns]
+            block = render_terms(ns, support)
+            if leading is not None and leading[0] == ns:
+                pos = bisect_left(support, (leading[1],))
+                if pos < len(support) and support[pos][0] == leading[1]:
+                    lead = block.pop(pos)
+            pieces += block
+        if lead is not None:
+            pieces.insert(0, lead)
+        constant = self.constant
+        if constant or not pieces:
+            text = F.format_values((constant,))[0]
+            pieces.append(" - " + text[1:] if text[0] == "-" else " + " + text)
+        # the first piece loses its ' + ', or its ' - ' becomes '-'
+        text = "".join(pieces)
+        return "-" + text[3:] if text[1] == "-" else text[3:]
 
     def __repr__(self):
         return "LinForm(%s)" % self
 
     __hash__ = None
+
+
+def _form(field: Field, constant, blocks: dict) -> LinForm:
+    """The LinForm of a checked constant and block table, built directly."""
+    f = _new_object(LinForm)
+    f.field = field
+    f.constant = constant
+    f.blocks = blocks
+    return f

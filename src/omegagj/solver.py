@@ -72,40 +72,34 @@ def transform_rhs(
     """Push a right-hand side through the passage rows, k[i] = Q[i] . rhs.
 
     ``passage`` is a state's passage rows, rebuilt from its stage log when
-    state.passage is first read. ``rhs`` may be a symbol namespace (each
-    input row i contributes the symbol ``ns_i``), an explicit list of field
-    values, or a callable giving the value for index i; an explicit one
-    makes each k[i] a constant form. The namespace PARAMETER_NAMESPACE is
-    reserved and raises ValueError.
+    state.passage is first read. ``rhs`` may be a symbol namespace, an
+    explicit list of field values, or a callable giving the value for index
+    i. A namespace ns makes k[i] the form sum of v * ns_j over Q[i]'s
+    support: one block that holds that support itself, with no per-entry
+    work. An explicit rhs makes each k[i] a constant form; a value that the
+    field does not accept raises TypeError naming its index. The namespace
+    PARAMETER_NAMESPACE is reserved and raises ValueError.
     """
     if rhs == PARAMETER_NAMESPACE:
         raise ValueError("rhs namespace %r is reserved for the solution parameters" % rhs)
-    out: List[LinForm] = []
     if isinstance(rhs, str):
-        # distinct symbols rhs_j, one per nonzero passage entry; the key of
-        # column j is one tuple shared by every row, made for the columns
-        # below len(passage) (all of a state's), and per entry past them
-        keys = [(rhs, j) for j in range(len(passage))]
-        for prow in passage:
-            support = prow.support
-            if support and support[-1][0] >= len(keys):
-                terms = {(rhs, j): v for j, v in support}
-            else:
-                terms = {keys[j]: v for j, v in support}
-            out.append(LinForm(prow.field, terms=terms))
-        return out
+        return [LinForm.block(prow.field, rhs, prow.support) for prow in passage]
     # an explicit rhs makes constant forms; a sequence is zero past its
     # end, so each sorted support is cut there
     at, end = (rhs, None) if callable(rhs) else (rhs.__getitem__, (len(rhs),))
+    out: List[LinForm] = []
     for prow in passage:
         F = prow.field
-        add, mul = F.add, F.mul
+        add, mul, accepts = F.add, F.mul, F.accepts
         support = prow.support
         if end is not None:
             support = support[:bisect_left(support, end)]
         total = F.zero()
         for j, v in support:
-            total = add(total, mul(v, at(j)))
+            x = at(j)
+            if not accepts(x):
+                raise TypeError("rhs value %r at index %d is not a value of %r" % (x, j, F))
+            total = add(total, mul(v, x))
         out.append(LinForm.const(F, total))
     return out
 
@@ -126,17 +120,23 @@ def _solution(state: EliminationState, horizon: int, k: Sequence[LinForm]) -> Sy
     if state.strategy != "rps":
         raise ValueError("symbolic solutions need rightmost pivots")
     F = state.field
-    neg, one = F.neg, F.one()
+    neg = F.neg
     free = [j for j in range(horizon + 1) if j not in state.pivots]
-    param = {j: (PARAMETER_NAMESPACE, idx) for idx, j in enumerate(free)}
-    entries: Dict[int, LinForm] = {j: LinForm(F, terms={s: one}) for j, s in param.items()}
+    param = {j: idx for idx, j in enumerate(free)}
+    entries: Dict[int, LinForm] = {
+        j: LinForm.symbol(F, PARAMETER_NAMESPACE, idx) for j, idx in param.items()
+    }
     for col, i in state.pivots.items():
         if col > horizon:
             continue
-        # the row's off-pivot columns are free and its parameters distinct,
-        # so the homogeneous part is one term per entry, with nothing to sum
-        h = LinForm(F, terms={param[c]: neg(v) for c, v in state.rows[i].support if c != col})
-        # k[i] on the left: + copies the left term table, and k[i] is dense
+        # the row's off-pivot columns are free and their parameters increase
+        # with the column, so the homogeneous part is one sorted block with
+        # one term per entry and nothing to sum
+        h = LinForm.block(
+            F, PARAMETER_NAMESPACE,
+            [(param[c], neg(v)) for c, v in state.rows[i].support if c != col],
+        )
+        # k[i] holds no parameter, so + only joins the two block tables
         entries[col] = k[i] + h
     return SymbolicSequence(F, entries, free, horizon, state.stage, certified_floor(state))
 

@@ -11,9 +11,7 @@ from omegagj import (
     BUILTINS,
     CertificateViolation,
     EliminationState,
-    Field,
     PivotFloor,
-    RATIONAL,
     certified_stable,
     extended_run,
     general_solution,

@@ -7,7 +7,9 @@ QHF change log was rebuilt on the rightmost-index order. The `solve --format
 json` ones and the explicit right-hand-side ones (which alone print
 constants, signs and non-integral coefficients in forms) were recorded
 before the field-level formatter replaced the per-term rendering. Any change
-to the text a user sees shows up here as a digest mismatch.
+to the text a user sees shows up here as a digest mismatch. The
+`--rhs symbolic:u` ones, whose rhs namespace sorts after the parameters'
+`t`, were recorded before forms kept one support per namespace.
 """
 
 import contextlib
@@ -79,6 +81,16 @@ GOLDEN_RHS = {
 }
 
 
+# `solve --rhs symbolic:u`: the t block of each solution entry renders before
+# the u block, and fulkerson's constraints lead with a u_w term.
+GOLDEN_U = {
+    ("bidiag", "tsv"): "301cb91776e185fa2a9bf4e4dc47abe32ad46b58139bf71ceec1ca32ed04b929",
+    ("bidiag", "json"): "2d2206faa33f2fefbc33ae1dad29d35a3783083a26e15248e4b447c93e8ae67d",
+    ("fulkerson", "tsv"): "ea15588b3a5af1a8a5fdb08e454870b5376493c3218c965a94ed5e1cece59019",
+    ("fulkerson", "json"): "b7e7efdd2bbbcf79f2050a9452dc484fc2bb81caceeb24d88424e43eec58d52c",
+}
+
+
 def _matrix_arg(name, tmp_path):
     if name != "gf-band":
         return name
@@ -106,3 +118,9 @@ def test_solve_explicit_rhs_digest(name, fmt, tmp_path):
     rhs.write_text(_rhs_text("gf" if name == "gf-band" else "rational", 40))
     argv = _argv("solve", _matrix_arg(name, tmp_path), 40, fmt, rhs=str(rhs))
     assert _digest(argv) == GOLDEN_RHS[(name, fmt)]
+
+
+@pytest.mark.parametrize("name,fmt", sorted(GOLDEN_U))
+def test_solve_rhs_namespace_after_parameters_digest(name, fmt):
+    argv = _argv("solve", name, 40, fmt, rhs="symbolic:u")
+    assert _digest(argv) == (GOLDEN_U[(name, fmt)], 0)

@@ -18,7 +18,7 @@ from omegagj import (
 )
 from fixtures import FULKERSON_INPUT, PDE_INPUT
 from oracles import enumerate_pairs, fulkerson_row, prec1_key, prec2_key
-from util import mk_row, mk_rows, row_dict
+from util import mk_rows, row_dict
 
 GF7 = Field.gf(7)
 

@@ -10,7 +10,6 @@ from omegagj import (
     PivotFloor,
     RATIONAL,
     ReorderState,
-    Row,
     certified_stable,
     dense_reduce,
     extended_run,

@@ -423,31 +423,48 @@ def test_linform_cross_field_raises():
         sym("c", 0) + sym("c", 0, GF7)
 
 
+def _form_terms(values):
+    return st.lists(st.tuples(st.sampled_from("cst"), st.integers(0, 5), values), max_size=8)
+
+
 @settings(deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.sampled_from("cst"), st.integers(0, 5), rationals),
-        max_size=8,
-    ),
-    st.lists(
-        st.tuples(st.sampled_from("cst"), st.integers(0, 5), rationals),
-        max_size=8,
-    ),
-)
-def test_linform_group_laws(terms_a, terms_b):
+@given(st.sampled_from([RATIONAL, GF7]).flatmap(
+    lambda F: st.tuples(
+        st.just(F),
+        *[_form_terms(rationals if F is RATIONAL else st.integers(0, 6))] * 2,
+    )
+))
+def test_linform_group_laws(field_and_terms):
+    F, terms_a, terms_b = field_and_terms
+    one = F.one()
+    minus_one = F.neg(one)
+
     def build(terms):
-        return comb(*((v, sym(ns, i)) for ns, i, v in terms))
+        return comb(*((v, sym(ns, i, F)) for ns, i, v in terms), field=F)
+
+    def neg(f):
+        return comb((minus_one, f), field=F)
 
     a, b = build(terms_a), build(terms_b)
     # one combination equals adding the scaled forms one by one
-    one_by_one = LinForm.zero(RATIONAL)
+    one_by_one = LinForm.zero(F)
     for ns, i, v in terms_a:
-        one_by_one = one_by_one + comb((v, sym(ns, i)))
+        one_by_one = one_by_one + comb((v, sym(ns, i, F)), field=F)
     assert one_by_one == a
-    assert comb((F1, a + b), (-F1, b)) == a
+    assert a + b == comb((one, a), (one, b), field=F)
+    assert comb((one, a + b), (minus_one, b), field=F) == a
     assert a + b == b + a
-    assert comb((F1, a), (-F1, a)).is_zero()
-    assert all(v != 0 for v in (a + b).terms.values())
+    assert comb((one, a), (minus_one, a), field=F).is_zero()
+    # a + b and -b hold every namespace of b, so each of b's blocks is
+    # merged (and cancelled) through the field's combination_support
+    assert (a + b) + neg(b) == a
+    assert (a + neg(a)).is_zero() and not (a + neg(a)).blocks
+    for f in (a + b, (a + b) + neg(b)):
+        for support in f.blocks.values():
+            assert support and all(v for _, v in support)
+            assert [i for i, _ in support] == sorted({i for i, _ in support})
+        # the flat view groups back into the same form
+        assert LinForm(F, f.constant, f.terms) == f
 
 
 # -- the field-level formatter against the one-term-at-a-time reference -------

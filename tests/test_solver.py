@@ -16,6 +16,7 @@ from omegagj import (
     consistency_constraints,
     general_solution,
     make_explicit,
+    make_stencil,
     run_to,
     step,
     transform_rhs,
@@ -68,13 +69,15 @@ def test_transform_rhs_symbolic_fulkerson():
         assert form_terms(k[i]) == expect
 
 
-def test_transform_rhs_symbolic_shares_keys_and_reads_any_column():
-    state = run_to(BUILTINS["bidiag"](), 6)
-    k = transform_rhs(state.passage, "s")
-    keys = {}
-    for f in k:
-        for key in f.terms:
-            assert keys.setdefault(key, key) is key
+def test_transform_rhs_symbolic_holds_the_passage_support_and_reads_any_column():
+    # k[i] is one block holding Q[i]'s support itself, over the rationals
+    # (scaled passage rows) and over GF(7) (packed ones)
+    for matrix in (BUILTINS["bidiag"](), make_stencil(GF7, {0: 1, 1: 3, 2: 5})):
+        passage = run_to(matrix, 6).passage
+        k = transform_rhs(passage, "s")
+        for f, prow in zip(k, passage):
+            assert f.blocks == ({"s": prow.support} if prow.support else {})
+            assert len(f.terms) == len(prow.support)
     # passage rows need not stay below their own count
     rows = mk_rows(RATIONAL, [{0: F1, 5: Fraction(-1, 2)}, {9: F1}])
     k = transform_rhs(rows, "s")
@@ -173,6 +176,23 @@ def test_transform_rhs_rejects_form_values():
             transform_rhs(state.passage, lambda i: forms[i])
         with pytest.raises(TypeError):
             transform_rhs(state.passage, forms)
+
+
+def test_transform_rhs_rejects_values_outside_the_field():
+    # over GF(7) a Fraction is no residue (the sum used to print 5/2), and
+    # over the rationals a float is no exact value (0.1 used to become
+    # 3602879701896397/36028797018963968); the error names the index
+    passage = run_to(make_stencil(GF7, {0: 1, 1: 3}), 2).passage
+    for rhs in ([Fraction(1, 2), 1, 1], lambda i: Fraction(1, 2) if i == 0 else 1):
+        with pytest.raises(TypeError, match="index 0"):
+            transform_rhs(passage, rhs)
+    passage = run_to(BUILTINS["bidiag"](), 3).passage
+    for rhs in ([1, 0.1, 2], lambda i: 0.1 if i == 1 else i):
+        with pytest.raises(TypeError, match="index 1"):
+            transform_rhs(passage, rhs)
+    # ints are values of both fields
+    assert transform_rhs(passage, [1, 2, 3]) == transform_rhs(
+        passage, [Fraction(1), Fraction(2), Fraction(3)])
 
 
 # -- constraints --------------------------------------------------------------
