@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 from typing import Callable, List, Tuple
 
-from .rows import Row, axpy_raw, check_row
+from .rows import Row, check_row
 from .scalars import RATIONAL, Field
 
 
@@ -160,9 +160,9 @@ def builtin_fulkerson() -> RowFiniteMatrix:
         if summed > n:
             summed, even_sum = 0, Row.zero(RATIONAL)
         while summed < n:
-            even_sum = axpy_raw(RATIONAL.one(), _fulkerson_even(summed), even_sum)
+            even_sum = even_sum.add_combination(((0, RATIONAL.one()),), (_fulkerson_even(summed),))
             summed += 1
-        return axpy_raw(Fraction(n + 1), _fulkerson_even(n), even_sum)
+        return even_sum.add_combination(((0, Fraction(n + 1)),), (_fulkerson_even(n),))
 
     return RowFiniteMatrix(RATIONAL, gen)
 

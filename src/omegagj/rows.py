@@ -113,12 +113,14 @@ class Row:
 
     def add_combination(self, pairs, rows) -> "Row":
         """This row plus the sum of lam * rows[i] over a list of (i, lam)
-        pairs, every lam nonzero.
-
-        One pair is one merge (axpy_raw); more go into one sparse
-        accumulator seeded with this row (the field's combination_support),
-        so the entries a pair does not reach are not copied once per pair.
+        pairs, every lam nonzero, in one sparse accumulator seeded with this
+        row (the field's combination_support), so the entries a pair does
+        not reach are not copied once per pair.
         """
+        # one pair goes through axpy_raw, the same kernel call, only so that
+        # the benchmark's tracer, which wraps rows.axpy_raw, counts it in
+        # rows.axpy_calls (until it reads a per-stage record: ROADMAP.md,
+        # items 1 and 4)
         if len(pairs) == 1:
             (i, lam), = pairs
             return axpy_raw(lam, rows[i], self)
@@ -177,12 +179,12 @@ def check_row(field: Field, k: int, r) -> None:
 
 
 def axpy_raw(lam, x: Row, y: Row) -> Row:
-    """Return y + lam * x by merging the two sorted supports."""
+    """Return y + lam * x: one pair of the field's combination_support."""
     F = x.field
     check_same_field(F, y.field)
     if not lam:
         return y
-    return _row(F, F.axpy_support(lam, x.support, y.support))
+    return _row(F, F.combination_support(y.support, ((lam, x.support),)))
 
 
 class PackedRow:

@@ -643,13 +643,14 @@ def test_verify_oracle_passes_over_gf_and_lps(name, stages, strategy, tmp_path, 
 
 
 def test_verify_oracle_rejects_rows_with_explicit_zeros(monkeypatch, capsys):
-    def keeps_cancelled_zeros(self, lam, xs, ys):
+    def keeps_cancelled_zeros(self, ys, pairs):
         out = dict(ys)
-        for c, v in xs:
-            out[c] = out.get(c, 0) + lam * v
+        for lam, xs in pairs:
+            for c, v in xs:
+                out[c] = out.get(c, 0) + lam * v
         return tuple(sorted(out.items()))
 
-    monkeypatch.setattr(RationalField, "axpy_support", keeps_cancelled_zeros)
+    monkeypatch.setattr(RationalField, "combination_support", keeps_cancelled_zeros)
     assert main(["verify", "bidiag", "--stages", "12", "--check", "oracle"]) == 1
     assert capsys.readouterr().out == "check oracle: failed\n"
 

@@ -53,7 +53,7 @@ def test_axpy_chain_past_the_headroom_matches_the_sparse_kernel(p):
         y = y.sub_scaled(1, x)
         assert y.bound < 2**F.slot_bits
         reductions += y.bound < before
-        ref = F.axpy_support(F.neg(1), x.support, ref)
+        ref = F.combination_support(ref, ((F.neg(1), x.support),))
         if k % 4096 == 0:
             assert y.support == ref
     assert reductions >= 1

@@ -178,9 +178,9 @@ def _assert_lowest_term_fractions(support):
 @given(kernel_inputs())
 def test_rational_kernels_match_fraction_arithmetic(inputs):
     lam, xs, ys = inputs
-    got = RATIONAL.axpy_support(lam, xs, ys)
+    got = RATIONAL.combination_support(ys, ((lam, xs),))
     assert got == tuple(sorted(combination_dict(ys, [(lam, xs)]).items()))
-    assert RATIONAL.combination_support(ys, [(lam, xs)]) == got
+    assert [c for c, _ in got] == sorted({c for c, _ in got})
     _assert_lowest_term_fractions(got)
     if lam != 1:
         scaled = RATIONAL.scale_support(lam, xs)
@@ -188,10 +188,10 @@ def test_rational_kernels_match_fraction_arithmetic(inputs):
         _assert_lowest_term_fractions(scaled)
 
 
-def _fold_axpy(field, ys, pairs):
+def _fold_one_pair_calls(field, ys, pairs):
     acc = ys
     for lam, xs in pairs:
-        acc = field.axpy_support(lam, xs, acc)
+        acc = field.combination_support(acc, ((lam, xs),))
     return acc
 
 
@@ -226,13 +226,13 @@ def combination_inputs(draw, field):
 
 
 @pytest.mark.parametrize("field", [RATIONAL, GF7], ids=["rational", "gf7"])
-def test_combination_support_is_the_fold_of_axpy_support(field):
+def test_combination_support_is_the_fold_of_one_pair_calls(field):
     @settings(deadline=None, max_examples=150)
     @given(combination_inputs(field))
     def check(inputs):
         ys, pairs = inputs
         got = field.combination_support(ys, pairs)
-        assert got == _fold_axpy(field, ys, pairs)
+        assert got == _fold_one_pair_calls(field, ys, pairs)
         assert got == tuple(sorted(combination_dict(ys, pairs, field.p).items()))
         assert [c for c, _ in got] == sorted({c for c, _ in got})
         if field is RATIONAL:
@@ -411,6 +411,22 @@ def test_linform_const_reads_plain_ints_through_the_field():
     assert str(LinForm.const(GF7, 9)) == "2"
     assert LinForm.const(GF7, 9) == LinForm.const(GF7, 2)
     assert str(LinForm.const(GF7, -1)) == "6"
+
+
+def test_linform_constructor_reads_values_as_const_does():
+    three = LinForm(RATIONAL, 3)
+    assert str(three) == "3" and three == LinForm.const(RATIONAL, 3)
+    two_c = LinForm(RATIONAL, None, {("c", 0): 2})
+    assert str(two_c) == "2*c_0" and type(two_c.blocks["c"][0][1]) is Fraction
+    nines = LinForm(GF7, 9, {("c", 0): 9, ("c", 1): 7})
+    assert str(nines) == "2*c_0 + 2" and nines == LinForm(GF7, 2, {("c", 0): 2})
+    for field, bad in [(RATIONAL, 0.5), (RATIONAL, "3"), (GF7, Fraction(1, 2))]:
+        with pytest.raises(TypeError):
+            LinForm(field, bad)
+        with pytest.raises(TypeError):
+            LinForm(field, None, {("c", 0): bad})
+        with pytest.raises(TypeError):
+            LinForm.const(field, bad)
 
 
 def test_linform_namespace_ordering_in_render():
