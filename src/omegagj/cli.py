@@ -420,12 +420,14 @@ def cmd_verify(args, out) -> int:
     matrix = resolve_matrix(args.matrix)
     if args.check != "oracle" and args.strategy != "rps":
         raise ParseError(None, "check %s is defined for the rps strategy only" % args.check)
+    # a failed form check names its first offending entry
+    report = None
     if args.check == "lrrf":
-        state = run_to(matrix, args.stages, args.strategy)
-        ok = bool(is_lrrf(state.rows))
+        report = is_lrrf(run_to(matrix, args.stages, args.strategy).rows)
+        ok = report.holds
     elif args.check == "qhf":
-        rs = extended_run(matrix, args.stages)
-        ok = bool(is_qhf(rs.q_rows))
+        report = is_qhf(extended_run(matrix, args.stages).q_rows)
+        ok = report.holds
     elif args.check == "roweq":
         rs = extended_run(matrix, args.stages)
         ok = verify_row_equivalence(rs.q_passage, matrix, rs.q_rows, args.stages)
@@ -442,7 +444,10 @@ def cmd_verify(args, out) -> int:
             and state.pivot_history == history
             and state.pivots == {c: i for i, c in enumerate(history) if c is not None}
         )
-    print("check %s: %s" % (args.check, "ok" if ok else "failed"), file=out)
+    status = "ok" if ok else "failed"
+    if report is not None and not ok:
+        status += " at row %d, column %d" % report.witness
+    print("check %s: %s" % (args.check, status), file=out)
     return 0 if ok else 1
 
 

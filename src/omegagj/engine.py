@@ -39,9 +39,11 @@ Tables Aids Comput. 8, 1954). So a run that never reads Q builds no passage
 row, and one that reads Q now and then replays only the stages since the
 last read. Over GF(p) the passage rows are rows.PackedRow, over the
 rationals rows.ScaledRow (integer numerators over one row denominator);
-both have the canonical, sub_scaled, add_combination and scaled_raw that
-the replay uses, so the field picks the representation (rows.passage_unit)
-and there is one replay.
+the replay needs only canonical and add_combination from a passage row,
+and rows.passage_unit builds each stage's first one, so the field picks
+the representation and there is one replay. add_combination is the one
+row update, on H as on Q: a Jordan patch is the pair (n, -mu) against the
+new row n.
 
 step (with jordan_update) is the package's only elimination: run_to and
 reorder.extended_run both go through it. The dense dict-based
@@ -132,9 +134,10 @@ class EliminationState:
 def _replay(state: EliminationState) -> None:
     """Rebuild the passage rows of the logged stages, in order, emptying the log.
 
-    Stage n's row is inv * (e_n - sum val * Q[idx]) over its hits, then each
-    Jordan patch (i, mu) subtracts mu times it from Q[i]. A source is used
-    reduced and written back reduced, as is the new row before it patches.
+    Stage n's row is inv * e_n plus the hits scaled by inv, one
+    add_combination on passage_unit(F, n, inv); then each Jordan patch
+    (i, mu) adds the pair (n, -mu) to Q[i]. A source is used reduced and
+    written back reduced, as is the new row before it patches.
     Each entry is dropped as it is replayed, so the log and the rows built
     from it are not held at their full sizes at once.
     """
@@ -149,11 +152,11 @@ def _replay(state: EliminationState) -> None:
             q[idx] = q[idx].canonical()
         if inv != 1:
             hits = F.scale_support(inv, hits)
-        q.append(passage_unit(F, n).scaled_raw(inv).add_combination(hits, q))
+        q.append(passage_unit(F, n, inv).add_combination(hits, q))
         if patches:
-            src = q[n] = q[n].canonical()
+            q[n] = q[n].canonical()
             for i, mu in patches:
-                q[i] = q[i].sub_scaled(mu, src)
+                q[i] = q[i].add_combination(((n, F.neg(mu)),), q)
 
 
 def _index_row(index: Dict[int, Set[int]], i: int, r: Row) -> None:
@@ -178,8 +181,9 @@ def jordan_update(state: EliminationState, g: Row) -> None:
 
     step calls this once g, its pivot column (the last pivot_history entry)
     and its log entry are appended; the earlier rows the column index lists
-    for that column are patched in step, logged as (i, mu) on the stage's
-    entry and recorded in last_changed, and g itself is indexed last.
+    for that column are patched in step, each by the one pair (n, -mu)
+    against g = rows[n], logged as (i, mu) on the stage's entry and
+    recorded in last_changed, and g itself is indexed last.
     """
     n = state.stage
     col = state.pivot_history[-1]
@@ -190,7 +194,7 @@ def jordan_update(state: EliminationState, g: Row) -> None:
         for i in sorted(holders):
             old = state.rows[i]
             mu = old.raw(col)
-            new = old.sub_scaled(mu, g)
+            new = old.add_combination(((n, state.field.neg(mu)),), state.rows)
             state.rows[i] = new
             patches.append((i, mu))
             state.last_changed[i] = n
@@ -223,7 +227,7 @@ def step(state: EliminationState, c: Row) -> EliminationState:
     reduced = c.add_combination(hits, state.rows)
 
     col = None
-    inv = F.one()
+    lead_inv = F.one()
     if not reduced.is_zero():
         col, lead = reduced.support[-1] if state.strategy == "rps" else reduced.support[0]
         if state._floor_max is not None and col < state._floor_max:
@@ -232,10 +236,10 @@ def step(state: EliminationState, c: Row) -> EliminationState:
             raise PivotCollision(
                 "column %d already pinned by row %d" % (col, pivots[col])
             )
-        inv = F.inv(lead)
-        reduced = reduced.scaled_raw(inv)
+        lead_inv = F.inv(lead)
+        reduced = reduced.scaled_raw(lead_inv)
     state.rows.append(reduced)
-    state._log.append((hits, inv, []))
+    state._log.append((hits, lead_inv, []))
     state.pivot_history.append(col)
     state.last_changed.append(n)
     if col is not None:

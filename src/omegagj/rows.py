@@ -105,12 +105,6 @@ class Row:
             return self
         return _row(self.field, self.field.scale_support(lam, self.support))
 
-    def sub_scaled(self, lam, x: "Row") -> "Row":
-        """This row minus lam * x."""
-        # axpy_raw is looked up on the module at call time, so a wrapper
-        # installed on rows.axpy_raw sees every engine call
-        return axpy_raw(self.field.neg(lam), x, self)
-
     def add_combination(self, pairs, rows) -> "Row":
         """This row plus the sum of lam * rows[i] over a list of (i, lam)
         pairs, every lam nonzero, in one sparse accumulator seeded with this
@@ -120,7 +114,8 @@ class Row:
         # one pair goes through axpy_raw, the same kernel call, only so that
         # the benchmark's tracer, which wraps rows.axpy_raw, counts it in
         # rows.axpy_calls (until it reads a per-stage record: ROADMAP.md,
-        # items 1 and 4)
+        # items 1 and 4); axpy_raw is looked up on the module at call time,
+        # so a wrapper installed there sees every engine call
         if len(pairs) == 1:
             (i, lam), = pairs
             return axpy_raw(lam, rows[i], self)
@@ -193,13 +188,13 @@ class PackedRow:
     Slot i of bits, field.slot_bits wide with the lowest column in the
     lowest bits, holds the entry at column lo + i as a nonnegative integer
     that is congruent to it mod p but not always reduced; bound is an
-    upper bound on every slot. Row operations are then a few big-int
-    operations in C rather than a Python loop over entries. A row is
-    reduced mod p only before an operation whose result could carry out of
-    a slot, and before it is used as a source (canonical): the delayed
-    modular reduction of Dumas, Giorgi and Pernet (ACM TOMS 35(3), 2008).
-    A row costs slot_bits / 8 bytes per column from lo to its last
-    slot, zero or not.
+    upper bound on every slot. Its one row operation, add_combination, is
+    then a few big-int operations in C per source rather than a Python loop
+    over entries. A row is reduced mod p only before a sum that could carry
+    out of a slot, and before it is used as a source (canonical): the
+    delayed modular reduction of Dumas, Giorgi and Pernet (ACM TOMS 35(3),
+    2008). A row costs slot_bits / 8 bytes per column from lo to its last
+    slot, zero or not; passage_unit builds the first one of each stage.
 
     It reads like a Row: field, support, is_zero, maxs, str, and equality
     with a Row, built on demand from the reduced slots.
@@ -213,10 +208,6 @@ class PackedRow:
         self.bits = bits
         self.bound = bound
 
-    @classmethod
-    def unit(cls, field: Field, col: int) -> "PackedRow":
-        return cls(field, col, 1, 1)
-
     def canonical(self) -> "PackedRow":
         """This row with every slot reduced mod p; itself if it is already."""
         F = self.field
@@ -224,44 +215,28 @@ class PackedRow:
             return self
         return PackedRow(F, self.lo, F.reduce_slots(self.bits), F.p - 1)
 
-    def scaled_raw(self, lam) -> "PackedRow":
-        """lam times this row; lam is a residue, and one returns the row itself."""
-        if lam == 1:
-            return self
-        x = self
-        if lam * x.bound >> x.field.slot_bits:
-            x = x.canonical()
-        return PackedRow(x.field, x.lo, lam * x.bits, lam * x.bound)
-
-    def sub_scaled(self, lam, x: "PackedRow") -> "PackedRow":
-        """This row minus lam * x, for a residue lam.
-
-        It adds (p - lam) * x, so no slot goes negative; when the result
-        could carry out of a slot, both rows are reduced first.
-        """
-        F = self.field
-        check_same_field(F, x.field)
-        if not lam:
-            return self
-        w = F.slot_bits
-        m = F.p - lam
-        y = self
-        bound = y.bound + m * x.bound
-        if bound >> w:
-            y, x = y.canonical(), x.canonical()
-            bound = y.bound + m * x.bound
-        shift = (x.lo - y.lo) * w
-        if shift >= 0:
-            return PackedRow(F, y.lo, y.bits + (m * x.bits << shift), bound)
-        return PackedRow(F, x.lo, (y.bits << -shift) + m * x.bits, bound)
-
     def add_combination(self, pairs, rows) -> "PackedRow":
         """This row plus the sum of lam * rows[i] over (i, lam) pairs of
-        indices into packed rows and residues, one sub_scaled each."""
-        p = self.field.p
+        indices into packed rows and residues, one multiply-add of packed
+        ints each: a residue is nonnegative, so no slot goes negative, and
+        when a sum could carry out of a slot both rows are reduced first.
+        """
+        F = self.field
+        w = F.slot_bits
         y = self
         for i, lam in pairs:
-            y = y.sub_scaled(p - lam, rows[i])
+            x = rows[i]
+            if x.field is not F:
+                check_same_field(F, x.field)
+            bound = y.bound + lam * x.bound
+            if bound >> w:
+                y, x = y.canonical(), x.canonical()
+                bound = y.bound + lam * x.bound
+            shift = (x.lo - y.lo) * w
+            if shift >= 0:
+                y = PackedRow(F, y.lo, y.bits + (lam * x.bits << shift), bound)
+            else:
+                y = PackedRow(F, x.lo, (y.bits << -shift) + lam * x.bits, bound)
         return y
 
     @property
@@ -301,10 +276,11 @@ class ScaledRow:
     nums is a tuple of (column, int numerator) pairs with strictly
     increasing columns and no zero numerator, and den is a positive int
     with gcd(den, *numerators) == 1, so equal rows have equal den and nums,
-    and an integral row holds plain ints over den 1. Row operations bring
-    the rows to one common denominator and multiply-add ints, with one
-    multi-argument gcd per result row, where a Row of Fractions builds a
-    Fraction (and takes a gcd) per entry.
+    and an integral row holds plain ints over den 1. Its one row operation,
+    add_combination, brings the rows to one common denominator and
+    multiply-adds ints, with one multi-argument gcd per result row, where a
+    Row of Fractions builds a Fraction (and takes a gcd) per entry;
+    passage_unit builds the first row of each stage.
 
     It reads like a Row: field, support (lowest-terms Fractions, built on
     demand), entry_texts (read off the numerators), is_zero, maxs, str,
@@ -318,30 +294,9 @@ class ScaledRow:
         self.den = den
         self.nums = nums
 
-    @classmethod
-    def unit(cls, field: Field, col: int) -> "ScaledRow":
-        return cls(field, 1, ((col, 1),))
-
     def canonical(self) -> "ScaledRow":
         """The row itself: a ScaledRow is canonical by construction (see PackedRow)."""
         return self
-
-    def scaled_raw(self, lam) -> "ScaledRow":
-        """lam times this row; scaling by one returns the row itself."""
-        if not lam:
-            return ScaledRow(self.field, 1, ())
-        if lam == 1:
-            return self
-        a = lam.numerator
-        return _scaled(self.field, lam.denominator * self.den,
-                       tuple([(c, a * v) for c, v in self.nums]))
-
-    def sub_scaled(self, lam, x: "ScaledRow") -> "ScaledRow":
-        """This row minus lam * x."""
-        check_same_field(self.field, x.field)
-        if not lam:
-            return self
-        return self.add_combination(((0, self.field.neg(lam)),), (x,))
 
     def add_combination(self, pairs, rows) -> "ScaledRow":
         """This row plus the sum of lam * rows[i] over a list of (i, lam)
@@ -441,14 +396,14 @@ def _scaled(field: Field, den: int, nums: tuple) -> ScaledRow:
     return ScaledRow(field, den, nums)
 
 
-def passage_unit(field: Field, col: int):
-    """The passage row e_col: a PackedRow over GF(p), where passage rows
-    fill in densely and every value fits a fixed width, and a ScaledRow
-    over the rationals, whose values have no fixed width but share one
-    denominator per row."""
+def passage_unit(field: Field, col: int, lam):
+    """lam times the passage row e_col, for a nonzero lam: a PackedRow over
+    GF(p), where passage rows fill in densely and every value fits a fixed
+    width, and a ScaledRow over the rationals, whose values have no fixed
+    width but share one denominator per row."""
     if field.p is None:
-        return ScaledRow.unit(field, col)
-    return PackedRow.unit(field, col)
+        return ScaledRow(field, lam.denominator, ((col, lam.numerator),))
+    return PackedRow(field, col, lam, lam)
 
 
 def dense_width(rows: Iterable[Row]) -> int:

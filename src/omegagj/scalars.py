@@ -479,11 +479,16 @@ class LinForm:
     def __init__(self, field: Field, constant=None, terms=None):
         """The form constant + sum of terms[(ns, i)] * ns_i; each value is
         read as const reads it, a flat terms mapping is grouped by namespace
-        once, and zero coefficients are dropped."""
+        once, zero coefficients are dropped, and a key that is not a
+        (str, natural) pair raises ValueError."""
         self.field = field
         self.constant = field.zero() if constant is None else _value(field, constant)
         grouped: dict = {}
-        for (ns, i), v in (terms or {}).items():
+        for key, v in (terms or {}).items():
+            if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], str)
+                    and type(key[1]) is int and key[1] >= 0):
+                raise ValueError("symbol %r: not a (namespace, natural index) pair" % (key,))
+            ns, i = key
             v = _value(field, v)
             if v:
                 grouped.setdefault(ns, []).append((i, v))

@@ -142,7 +142,7 @@ def test_verify_row_equivalence_rejects_one_changed_passage_entry(p):
         # an entry the row holds, and one it does not
         for j in (passage[i].support[0][0], i + 1):
             tampered = list(passage)
-            tampered[i] = passage[i].add_combination([(0, F.one())], [passage_unit(F, j)])
+            tampered[i] = passage[i].add_combination([(0, F.one())], [passage_unit(F, j, F.one())])
             assert tampered[i] != passage[i]
             assert not verify_row_equivalence(tampered, m, state.rows, 12)
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from omegagj import Field, RATIONAL, RationalField, Row
 from omegagj.matrices import BUILTINS
-from omegagj import cli
+from omegagj import cli, engine
 from omegagj.rows import PackedRow, ScaledRow
 from omegagj.cli import (
     MatrixSpec,
@@ -464,14 +464,14 @@ def test_only_commands_that_read_q_build_passage_rows(argv, units, tmp_path, mon
     argv = [str(path) if a == "GF_BAND" else a for a in argv]
     kind = PackedRow if str(path) in argv else ScaledRow
     calls = []
-    for cls in (Row, ScaledRow, PackedRow):
-        unit = cls.unit.__func__
+    passage_unit = engine.passage_unit
 
-        def counting(cls, field, col, unit=unit):
-            calls.append(cls)
-            return unit(cls, field, col)
+    def counting(field, col, lam):
+        r = passage_unit(field, col, lam)
+        calls.append(type(r))
+        return r
 
-        monkeypatch.setattr(cls, "unit", classmethod(counting))
+    monkeypatch.setattr(engine, "passage_unit", counting)
     assert main(argv) == 0
     assert calls == [kind] * units
 
@@ -640,6 +640,31 @@ def test_verify_oracle_passes_over_gf_and_lps(name, stages, strategy, tmp_path, 
     argv = ["verify", matrix, "--stages", str(stages), "--strategy", strategy]
     assert main(argv + ["--check", "oracle"]) == 0
     assert capsys.readouterr().out == "check oracle: ok\n"
+
+
+@pytest.mark.parametrize("check", ["lrrf", "qhf"])
+def test_verify_form_check_prints_its_witness(check, monkeypatch, capsys):
+    # H row 3 scaled by 2 leads with 2, not 1, so the form predicate itself
+    # finds the offending row (its place in rows or q_rows) and column
+    built = []
+
+    def tampering(build, base):
+        def wrapper(*args):
+            result = build(*args)
+            rows = base(result).rows
+            rows[3] = rows[3].scaled_raw(Fraction(2))
+            built.append((result, rows[3]))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(cli, "run_to", tampering(cli.run_to, lambda state: state))
+    monkeypatch.setattr(cli, "extended_run", tampering(cli.extended_run, lambda rs: rs.base))
+    assert main(["verify", "pde", "--stages", "9", "--check", check]) == 1
+    (result, bad), = built
+    rows = result.rows if check == "lrrf" else result.q_rows
+    (i,) = [k for k, r in enumerate(rows) if r is bad]
+    assert capsys.readouterr().out == "check %s: failed at row %d, column %d\n" % (
+        check, i, bad.maxs)
 
 
 def test_verify_oracle_rejects_rows_with_explicit_zeros(monkeypatch, capsys):

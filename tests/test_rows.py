@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from math import gcd
 
 from omegagj import Field, FieldMismatch, RATIONAL, Row
-from omegagj.rows import ScaledRow, axpy_raw, dense_width
+from omegagj.rows import ScaledRow, axpy_raw, dense_width, passage_unit
 from util import mk_row, parse_row, row_dict, scaled_row
 
 GF7 = Field.gf(7)
@@ -246,12 +246,20 @@ def test_scaled_row_kernels_match_the_row_kernels(dy, dx, dz, right, lam, pairs)
     y, x, z = mk_row(RATIONAL, dy), mk_row(RATIONAL, dx), mk_row(RATIONAL, dz)
     rows, scaled_rows = [x, z, y], [scaled_row(x), scaled_row(z), scaled_row(y)]
     sy = scaled_rows[2]
-    for got, want in [
-        (sy.scaled_raw(lam), y.scaled_raw(lam)),
-        (sy.sub_scaled(lam, scaled_rows[0]), y.sub_scaled(lam, x)),
+    cases = [
         (sy.add_combination(pairs, scaled_rows), y.add_combination(pairs, rows)),
         (sy.add_combination(pairs[:1], scaled_rows), y.add_combination(pairs[:1], rows)),
-    ]:
+    ]
+    if lam:
+        # a Jordan patch, lam times a row from zero, and a stage's first
+        # passage row lam * e_5
+        cases += [
+            (sy.add_combination(((0, -lam),), scaled_rows), y.add_combination(((0, -lam),), rows)),
+            (ScaledRow(RATIONAL, 1, ()).add_combination(((2, lam),), scaled_rows),
+             y.scaled_raw(lam)),
+            (passage_unit(RATIONAL, 5, lam), Row.unit(RATIONAL, 5).scaled_raw(lam)),
+        ]
+    for got, want in cases:
         assert got.support == want.support
         _assert_canonical(got)
         assert got == scaled_row(want) and got == want and want == got
@@ -265,14 +273,13 @@ def test_scaled_row_reads_like_the_row():
     assert (r.den, r.nums) == (12, ((1, -2), (4, 24), (9, 9)))
     assert r.support == row.support and str(r) == "1:-1/6 4:2 9:3/4"
     assert repr(r) == "ScaledRow(1:-1/6 4:2 9:3/4)"
-    assert r.canonical() is r and r.scaled_raw(1) is r and r.sub_scaled(0, r) is r
-    zero = r.sub_scaled(1, r)
+    assert r.canonical() is r and r.add_combination((), [r]) is r
+    zero = r.add_combination(((0, Fraction(-1)),), [r])
     assert zero.is_zero() and zero.maxs is None and (zero.den, zero.nums) == (1, ())
     assert zero == Row.zero(RATIONAL) and repr(zero) == "ScaledRow(0)"
-    assert r.scaled_raw(Fraction(0)) == zero
-    # an integral row is plain ints over den 1, and equal values share one
-    # Fraction in its support
-    ints = r.scaled_raw(Fraction(12))
+    # an integral row (here r + 11 * r) is plain ints over den 1, and equal
+    # values share one Fraction in its support
+    ints = r.add_combination(((0, Fraction(11)),), [r])
     assert (ints.den, ints.nums) == (1, ((1, -2), (4, 24), (9, 9)))
     (_, a), (_, b) = ScaledRow(RATIONAL, 1, ((0, -1), (2, -1))).support
     assert a == -1 and a is b

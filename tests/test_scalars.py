@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 import time
 from fractions import Fraction
 
@@ -427,6 +428,21 @@ def test_linform_constructor_reads_values_as_const_does():
             LinForm(field, None, {("c", 0): bad})
         with pytest.raises(TypeError):
             LinForm.const(field, bad)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [(1, 0), ("c", "x"), ("c", -1), ("c", True), ("c", 1.0), ("c",), ("c", 0, 1), "c_0"],
+    ids=repr,
+)
+def test_linform_constructor_rejects_bad_symbol_keys(key):
+    # a namespace is a str and an index a natural, as LinForm.symbol builds
+    # them; another key would build a form that cannot be printed or fail
+    # inside the constructor's sort
+    for terms in ({key: 1}, {("c", 0): 1, key: 1}):
+        with pytest.raises(ValueError, match=r"symbol %s" % re.escape(repr(key))):
+            LinForm(RATIONAL, None, terms)
+    assert str(LinForm(RATIONAL, None, {("c", 0): 1, ("c", 2): -1})) == "c_0 - c_2"
 
 
 def test_linform_namespace_ordering_in_render():
