@@ -13,14 +13,25 @@ index; with the leftmost strategy it is the leftmost one.
 The reduction of the incoming row c is one linear combination. Every pivot
 row is one at its own pivot column and zero at the other pivot columns, so
 the reduced row is c - sum val * H[idx] over the hits: (idx, val) for each
-column of c that pivot row idx pins, val being c's entry there. Row's
-add_combination builds it in one sparse accumulator seeded with c
-(combination_support, the field's one sparse row-sum kernel, for one hit as
-for many), not one merge per hit that copies the running row each time. The
-passage row inv * e_n - sum (val * inv) * Q[idx] is one combination too,
-built by the passage rows' own add_combination when the log is replayed,
-with the inverse inv of the new pivot entry folded into the multipliers, so
-no pass rescales the finished passage row.
+column of c that pivot row idx pins, val being c's entry there. The row's
+add_combination builds it in one sparse accumulator seeded with c, for one
+hit as for many, not one merge per hit that copies the running row each
+time. The passage row inv * e_n - sum (val * inv) * Q[idx] is one
+combination too, built by the passage rows' own add_combination when the
+log is replayed, with the inverse inv of the new pivot entry folded into
+the multipliers, so no pass rescales the finished passage row.
+
+Over GF(p) the reduced rows H are sparse Rows (combination_support, the
+field's one sparse row-sum kernel). Over the rationals they are
+rows.ScaledRow, integer numerators over one row denominator, as Q is: c is
+converted once, without a gcd, and the reduced row is made unit at its
+pivot by taking the pivot numerator as its denominator, with one
+multi-argument gcd per row (ScaledRow.normalized), not one per entry. The
+engine reads an H row through its stored, sorted, zero-free (column, x)
+pairs, a Row's support or a ScaledRow's numerators, to find the pivot,
+index the columns and certify a prefix; it never builds a ScaledRow's
+Fractions. The hits, pivot inverses and Jordan multipliers it logs are
+field values either way, so the log and Q do not depend on how H is held.
 
 The state keeps a column index, column_rows: for every column, the set of
 row indices whose reduced row holds a nonzero entry there. The column clear
@@ -53,6 +64,7 @@ that verification compares against.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from .rows import PackedRow, Row, ScaledRow, check_row, passage_unit
@@ -106,7 +118,10 @@ class EliminationState:
             raise ValueError("unknown strategy: %r" % (strategy,))
         self.field = field
         self.strategy = strategy
-        self.rows: List[Row] = []
+        # H: sparse Rows over GF(p), ScaledRows over the rationals, read
+        # through their stored pairs, so no ScaledRow builds its Fractions
+        self.rows: List[Union[Row, ScaledRow]] = []
+        self._entries = attrgetter("support" if field.p is not None else "nums")
         self._passage: List[Union[ScaledRow, PackedRow]] = []
         # one (hits, inv, patches) per stage not yet replayed into _passage
         self._log: List[Tuple[list, object, list]] = []
@@ -159,14 +174,14 @@ def _replay(state: EliminationState) -> None:
                 q[i] = q[i].add_combination(((n, F.neg(mu)),), q)
 
 
-def _index_row(index: Dict[int, Set[int]], i: int, r: Row) -> None:
-    for c, _ in r.support:
+def _index_row(index: Dict[int, Set[int]], i: int, entries: tuple) -> None:
+    for c, _ in entries:
         index.setdefault(c, set()).add(i)
 
 
-def _reindex_row(index: Dict[int, Set[int]], i: int, old: Row, new: Row) -> None:
-    old_cols = {c for c, _ in old.support}
-    new_cols = {c for c, _ in new.support}
+def _reindex_row(index: Dict[int, Set[int]], i: int, old: tuple, new: tuple) -> None:
+    old_cols = {c for c, _ in old}
+    new_cols = {c for c, _ in new}
     for c in new_cols - old_cols:
         index.setdefault(c, set()).add(i)
     for c in old_cols - new_cols:
@@ -176,7 +191,7 @@ def _reindex_row(index: Dict[int, Set[int]], i: int, old: Row, new: Row) -> None
             del index[c]
 
 
-def jordan_update(state: EliminationState, g: Row) -> None:
+def jordan_update(state: EliminationState, g: Union[Row, ScaledRow]) -> None:
     """Clear the pivot column of the newly appended pivot row g everywhere.
 
     step calls this once g, its pivot column (the last pivot_history entry)
@@ -188,6 +203,7 @@ def jordan_update(state: EliminationState, g: Row) -> None:
     n = state.stage
     col = state.pivot_history[-1]
     index = state.column_rows
+    entries = state._entries
     holders = index.get(col)
     if holders:
         patches = state._log[-1][2]
@@ -198,8 +214,8 @@ def jordan_update(state: EliminationState, g: Row) -> None:
             state.rows[i] = new
             patches.append((i, mu))
             state.last_changed[i] = n
-            _reindex_row(index, i, old, new)
-    _index_row(index, n, g)
+            _reindex_row(index, i, entries(old), entries(new))
+    _index_row(index, n, entries(g))
     state.pivots[col] = n
 
 
@@ -224,20 +240,22 @@ def step(state: EliminationState, c: Row) -> EliminationState:
         idx = pivots.get(col)
         if idx is not None:
             hits.append((idx, neg(val)))
+    if F.p is None:
+        c = ScaledRow.of_row(c)
     reduced = c.add_combination(hits, state.rows)
 
     col = None
     lead_inv = F.one()
-    if not reduced.is_zero():
-        col, lead = reduced.support[-1] if state.strategy == "rps" else reduced.support[0]
+    entries = state._entries(reduced)
+    if entries:
+        col, lead = entries[-1] if state.strategy == "rps" else entries[0]
         if state._floor_max is not None and col < state._floor_max:
             raise CertificateViolation(n, col, state._floor_max)
         if col in pivots:
             raise PivotCollision(
                 "column %d already pinned by row %d" % (col, pivots[col])
             )
-        lead_inv = F.inv(lead)
-        reduced = reduced.scaled_raw(lead_inv)
+        reduced, lead_inv = reduced.normalized(lead)
     state.rows.append(reduced)
     state._log.append((hits, lead_inv, []))
     state.pivot_history.append(col)
@@ -297,8 +315,9 @@ def certified_stable(state: EliminationState, k: int) -> str:
     if floor is None:
         return "provisional"
     pivots = state.pivots
+    entries = state._entries
     for r in state.rows[: k + 1]:
-        for c, _ in reversed(r.support):
+        for c, _ in reversed(entries(r)):
             if c < floor:
                 break
             if c not in pivots:

@@ -1,9 +1,11 @@
 """Finitely supported rows: sorted (column, value) support lists over a
-field, and the passage rows: scaled integer rows over the rationals and
-packed rows over GF(p)."""
+field; scaled integer rows, in which the engine holds both the reduced rows
+and the passage rows over the rationals; and packed passage rows over
+GF(p)."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import gcd, lcm
 from typing import Iterable, Optional, Tuple
 
@@ -105,29 +107,42 @@ class Row:
             return self
         return _row(self.field, self.field.scale_support(lam, self.support))
 
+    def normalized(self, lead) -> tuple:
+        """This row divided by its entry lead, so that entry becomes one,
+        and lead's inverse."""
+        inv = self.field.inv(lead)
+        return self.scaled_raw(inv), inv
+
     def add_combination(self, pairs, rows) -> "Row":
         """This row plus the sum of lam * rows[i] over a list of (i, lam)
-        pairs, every lam nonzero, in one sparse accumulator seeded with this
-        row (the field's combination_support), so the entries a pair does
-        not reach are not copied once per pair.
+        pairs, made by the row's own kernel, _add_rows; a zero lam adds
+        nothing. ScaledRow shares this method.
         """
-        # one pair goes through axpy_raw, the same kernel call, only so that
-        # the benchmark's tracer, which wraps rows.axpy_raw, counts it in
-        # rows.axpy_calls (until it reads a per-stage record: ROADMAP.md,
-        # items 1 and 4); axpy_raw is looked up on the module at call time,
-        # so a wrapper installed there sees every engine call
+        # one pair goes through axpy_raw, which calls the same _add_rows,
+        # only so that the benchmark's tracer, which wraps rows.axpy_raw,
+        # counts it in rows.axpy_calls (until it reads a per-stage record:
+        # ROADMAP.md, items 1 and 4); axpy_raw is looked up on the module at
+        # call time, so a wrapper installed there sees every engine call
         if len(pairs) == 1:
             (i, lam), = pairs
             return axpy_raw(lam, rows[i], self)
-        if not pairs:
-            return self
+        return self._add_rows(pairs, rows)
+
+    def _add_rows(self, pairs, rows) -> "Row":
+        """This row plus the sum of lam * rows[i] over (i, lam) pairs, in
+        one sparse accumulator seeded with this row (the field's
+        combination_support), so the entries a pair does not reach are not
+        copied once per pair."""
         F = self.field
         terms = []
         for i, lam in pairs:
             x = rows[i]
             if x.field is not F:
                 check_same_field(F, x.field)
-            terms.append((lam, x.support))
+            if lam:
+                terms.append((lam, x.support))
+        if not terms:
+            return self
         return _row(F, F.combination_support(self.support, terms))
 
     def canonical(self) -> "Row":
@@ -173,13 +188,10 @@ def check_row(field: Field, k: int, r) -> None:
         raise ValueError("row %d is over %r, not %r" % (k, r.field, field))
 
 
-def axpy_raw(lam, x: Row, y: Row) -> Row:
-    """Return y + lam * x: one pair of the field's combination_support."""
-    F = x.field
-    check_same_field(F, y.field)
-    if not lam:
-        return y
-    return _row(F, F.combination_support(y.support, ((lam, x.support),)))
+def axpy_raw(lam, x, y):
+    """Return y + lam * x for two Rows or two ScaledRows: the one-pair row
+    update, which y's own kernel (_add_rows) makes."""
+    return y._add_rows(((0, lam),), (x,))
 
 
 class PackedRow:
@@ -269,9 +281,9 @@ class PackedRow:
 
 
 class ScaledRow:
-    """A passage row over the rationals: integer numerators over one row
+    """A row over the rationals: integer numerators over one row
     denominator (the common-denominator rows of Bareiss, Math. Comp. 22,
-    1968).
+    1968). The engine holds both H and Q over the rationals this way.
 
     nums is a tuple of (column, int numerator) pairs with strictly
     increasing columns and no zero numerator, and den is a positive int
@@ -279,12 +291,13 @@ class ScaledRow:
     and an integral row holds plain ints over den 1. Its one row operation,
     add_combination, brings the rows to one common denominator and
     multiply-adds ints, with one multi-argument gcd per result row, where a
-    Row of Fractions builds a Fraction (and takes a gcd) per entry;
-    passage_unit builds the first row of each stage.
+    Row of Fractions builds a Fraction (and takes a gcd) per entry. of_row
+    converts an incoming Row, normalized makes a pivot entry one, and
+    passage_unit builds the first passage row of each stage.
 
     It reads like a Row: field, support (lowest-terms Fractions, built on
-    demand), entry_texts (read off the numerators), is_zero, maxs, str,
-    and equality with a Row.
+    demand), raw, entry_texts (read off the numerators), is_zero, maxs,
+    str, and equality with a Row.
     """
 
     __slots__ = ("field", "den", "nums")
@@ -294,38 +307,70 @@ class ScaledRow:
         self.den = den
         self.nums = nums
 
+    @classmethod
+    def of_row(cls, row: Row) -> "ScaledRow":
+        """The ScaledRow of a Row over the rationals: its numerators over
+        the lcm of its denominators, which is canonical already, so no gcd
+        is taken, and no lcm either for an integral row."""
+        return ScaledRow(row.field, *row.field.over_common_denominator(row.support))
+
     def canonical(self) -> "ScaledRow":
         """The row itself: a ScaledRow is canonical by construction (see PackedRow)."""
         return self
 
-    def add_combination(self, pairs, rows) -> "ScaledRow":
-        """This row plus the sum of lam * rows[i] over a list of (i, lam)
-        pairs, every lam nonzero.
+    def normalized(self, lead: int) -> tuple:
+        """This row divided by its entry of numerator lead, so that entry
+        becomes one, and that entry's inverse den / lead in lowest terms.
 
-        Over the common denominator L of the row and every lam * rows[i],
-        each row contributes its numerators times one int factor, summed in
-        one dict; one gcd then brings the result to lowest terms. A single
-        source that lies wholly left of the row's entries (the passage row
-        of a one-hit stage, whose own entry e_n is right of every earlier
-        passage column) is concatenated instead.
+        The result is the same numerators over lead, divided by their
+        common factor (one multi-argument gcd, which lead's own numerator
+        is in), so its pivot numerator equals its denominator.
         """
-        if not pairs:
-            return self
+        den, nums = self.den, self.nums
+        F = self.field
+        if lead == den:
+            return self, F.one()
+        g = gcd(*[v for _, v in nums])
+        if lead < 0:
+            g = -g
+        if g != 1:
+            nums = tuple([(c, v // g) for c, v in nums])
+        return ScaledRow(F, lead // g, nums), F.quotient(den, lead)
+
+    add_combination = Row.add_combination
+
+    def _add_rows(self, pairs, rows) -> "ScaledRow":
+        """This row plus the sum of lam * rows[i] over (i, lam) pairs.
+
+        Over the common denominator L of the row and every lam * x, each
+        row contributes its numerators times one int factor, summed in one
+        dict; one gcd then brings the result to lowest terms, none over L 1.
+        A zero lam adds nothing. A single source that lies wholly left of
+        the row's entries (the passage row of a one-hit stage, whose own
+        entry e_n is right of every earlier passage column) is concatenated
+        instead.
+        """
         F = self.field
         den = self.den
-        terms = []
+        parts = []
         L = den
         for i, lam in pairs:
             x = rows[i]
             if x.field is not F:
                 check_same_field(F, x.field)
+            a = lam.numerator
+            if not a:
+                continue
             d = lam.denominator * x.den
-            L = lcm(L, d)
-            terms.append((lam.numerator, d, x.nums))
+            if L % d:
+                L = lcm(L, d)
+            parts.append((a, d, x.nums))
+        if not parts:
+            return self
         f = L // den
         ys = self.nums
-        if len(terms) == 1:
-            (a, d, xs), = terms
+        if len(parts) == 1:
+            (a, d, xs), = parts
             if xs and ys and xs[-1][0] < ys[0][0]:
                 g = a * (L // d)
                 left = xs if g == 1 else [(c, g * v) for c, v in xs]
@@ -333,7 +378,7 @@ class ScaledRow:
                 return _scaled(F, L, tuple(left) + tuple(right))
         acc = dict(ys) if f == 1 else {c: f * v for c, v in ys}
         get = acc.get
-        for a, d, xs in terms:
+        for a, d, xs in parts:
             g = a * (L // d)
             for c, v in xs:
                 s = get(c, 0) + g * v
@@ -347,6 +392,15 @@ class ScaledRow:
     def support(self) -> tuple:
         """The (column, lowest-terms Fraction) pairs; built, not stored."""
         return self.field.scaled_support(self.den, self.nums)
+
+    def raw(self, col: int):
+        """The lowest-terms Fraction at a column (field zero when absent),
+        found by bisection on the numerators."""
+        nums = self.nums
+        k = bisect_left(nums, (col,))
+        if k < len(nums) and nums[k][0] == col:
+            return self.field.quotient(nums[k][1], self.den)
+        return self.field.zero()
 
     def entry_texts(self) -> tuple:
         """The (column, numerator) pairs and the canonical text of each
@@ -378,6 +432,10 @@ class ScaledRow:
             return NotImplemented
         check_same_field(self.field, other.field)
         return self.support == other.support
+
+    def __hash__(self):
+        # equal to the Row of the same values, so hashed as that Row is
+        return hash((self.field, self.support))
 
     __str__ = Row.__str__
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 # Packed rows are little-endian 64-bit words; array("Q") holds native ones.
@@ -273,6 +273,32 @@ class RationalField(Field):
                 append((c, _rational(v // g, den // g)))
         return tuple(out)
 
+    def quotient(self, n: int, d: int):
+        """The lowest-terms Fraction n/d of two ints, d nonzero."""
+        if d < 0:
+            n, d = -n, -d
+        g = gcd(n, d)
+        return _rational(n // g, d // g)
+
+    def over_common_denominator(self, xs: tuple) -> tuple:
+        """(den, nums): the (key, lowest-terms Fraction) pairs xs as int
+        numerators over den, the lcm of their denominators, the inverse of
+        scaled_support. gcd(den, *numerators) is 1 already: a prime power
+        that divides den exactly divides some denominator exactly, and that
+        entry's numerator is prime to it. No lcm is taken for an integral xs.
+        """
+        # a plain loop, not a comprehension: most rows are short and integral
+        nums = []
+        append = nums.append
+        for c, v in xs:
+            if v._denominator != 1:
+                break
+            append((c, v._numerator))
+        else:
+            return 1, tuple(nums)
+        den = lcm(*[v._denominator for _, v in xs])
+        return den, tuple([(c, v._numerator * (den // v._denominator)) for c, v in xs])
+
     def combination_support(self, ys: tuple, pairs) -> tuple:
         """ys plus the sum of lam * xs over (lam, xs) pairs of nonzero
         multipliers, for sorted zero-free supports ys and xs, built in one
@@ -485,10 +511,10 @@ class LinForm:
         self.constant = field.zero() if constant is None else _value(field, constant)
         grouped: dict = {}
         for key, v in (terms or {}).items():
-            if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], str)
-                    and type(key[1]) is int and key[1] >= 0):
+            if not (isinstance(key, tuple) and len(key) == 2):
                 raise ValueError("symbol %r: not a (namespace, natural index) pair" % (key,))
             ns, i = key
+            _check_symbol(ns, i)
             v = _value(field, v)
             if v:
                 grouped.setdefault(ns, []).append((i, v))
@@ -507,13 +533,23 @@ class LinForm:
 
     @classmethod
     def symbol(cls, field: Field, namespace: str, index: int) -> "LinForm":
+        """The form namespace_index; a key that is not a (str, natural)
+        pair raises ValueError, as in the constructor."""
+        _check_symbol(namespace, index)
         return _form(field, field.zero(), {namespace: ((index, field.one()),)})
 
     @classmethod
     def block(cls, field: Field, namespace: str, support) -> "LinForm":
         """The form sum of v * namespace_i over a sorted zero-free support of
-        (i, v) pairs, which it holds as given (a tuple is not copied)."""
+        (i, v) pairs, which it holds as given (a tuple is not copied).
+
+        The namespace and the first index are checked as the constructor
+        checks a key; the rest of the support is taken as sorted, so the
+        check costs the same for any length, and an empty support builds
+        the zero form."""
         support = tuple(support)
+        if support:
+            _check_symbol(namespace, support[0][0])
         return _form(field, field.zero(), {namespace: support} if support else {})
 
     @property
@@ -583,6 +619,13 @@ class LinForm:
         return "LinForm(%s)" % self
 
     __hash__ = None
+
+
+def _check_symbol(namespace, index) -> None:
+    """Raise ValueError unless (namespace, index) is a (str, natural) symbol."""
+    if not (isinstance(namespace, str) and type(index) is int and index >= 0):
+        raise ValueError(
+            "symbol %r: not a (namespace, natural index) pair" % ((namespace, index),))
 
 
 def _value(field: Field, v):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegagj import Field, RATIONAL, RationalField, Row
+from omegagj import Field, RATIONAL, Row
 from omegagj.matrices import BUILTINS
 from omegagj import cli, engine
 from omegagj.rows import PackedRow, ScaledRow
@@ -644,15 +644,16 @@ def test_verify_oracle_passes_over_gf_and_lps(name, stages, strategy, tmp_path, 
 
 @pytest.mark.parametrize("check", ["lrrf", "qhf"])
 def test_verify_form_check_prints_its_witness(check, monkeypatch, capsys):
-    # H row 3 scaled by 2 leads with 2, not 1, so the form predicate itself
-    # finds the offending row (its place in rows or q_rows) and column
+    # H row 3 scaled by 2 (as a Row: H over the rationals holds ScaledRows)
+    # leads with 2, not 1, so the form predicate itself finds the offending
+    # row (its place in rows or q_rows) and column
     built = []
 
     def tampering(build, base):
         def wrapper(*args):
             result = build(*args)
             rows = base(result).rows
-            rows[3] = rows[3].scaled_raw(Fraction(2))
+            rows[3] = Row(RATIONAL, rows[3].support).scaled_raw(Fraction(2))
             built.append((result, rows[3]))
             return result
         return wrapper
@@ -668,14 +669,18 @@ def test_verify_form_check_prints_its_witness(check, monkeypatch, capsys):
 
 
 def test_verify_oracle_rejects_rows_with_explicit_zeros(monkeypatch, capsys):
-    def keeps_cancelled_zeros(self, ys, pairs):
-        out = dict(ys)
-        for lam, xs in pairs:
-            for c, v in xs:
-                out[c] = out.get(c, 0) + lam * v
-        return tuple(sorted(out.items()))
+    # H over the rationals is built by the ScaledRow kernel; bidiag's rows
+    # are integral, so every denominator is one and the sum needs no lcm
+    def keeps_cancelled_zeros(self, pairs, rows):
+        out = dict(self.nums)
+        for i, lam in pairs:
+            x = rows[i]
+            assert self.den == x.den == lam.denominator == 1
+            for c, v in x.nums:
+                out[c] = out.get(c, 0) + lam.numerator * v
+        return ScaledRow(self.field, 1, tuple(sorted(out.items())))
 
-    monkeypatch.setattr(RationalField, "combination_support", keeps_cancelled_zeros)
+    monkeypatch.setattr(ScaledRow, "_add_rows", keeps_cancelled_zeros)
     assert main(["verify", "bidiag", "--stages", "12", "--check", "oracle"]) == 1
     assert capsys.readouterr().out == "check oracle: failed\n"
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from omegagj import (
 )
 from omegagj.cli import parse_spec
 from omegagj.engine import certified_floor
+from omegagj.rows import ScaledRow
 from fixtures import (
     FULKERSON_NULLSPACE,
     FULKERSON_PASSAGE,
@@ -418,6 +420,58 @@ def test_seeded_runs_keep_index_exact_and_match_oracle(case):
     rs = extended_run(make_explicit(F, mk_rows(F, dicts)), len(dicts) - 1)
     assert rs.base.column_rows == _recomputed_index(rs.base.rows)
     _assert_matches_oracle(rs.base, dicts, p)
+
+
+# -- H over the rationals: ScaledRows with a unit pivot -------------------------
+
+
+rational_matrices = st.lists(
+    st.dictionaries(
+        st.integers(0, 11),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool),
+        max_size=5,
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices, st.booleans(), st.none() | st.tuples(st.integers(0, 2), st.integers(-2, 4)))
+def test_rational_h_rows_are_canonical_scaled_rows_with_a_unit_pivot(dicts, leftmost, floor):
+    # zero rows, non-integral entries and rows a floor rejects all occur;
+    # after each stage every H row is a canonical ScaledRow whose pivot
+    # numerator is its denominator and equals the dense reference's row
+    strategy = "lps" if leftmost else "rps"
+    certificate = None if floor is None else PivotFloor.affine(*floor)
+    state = EliminationState(RATIONAL, strategy, certificate=certificate)
+    for k, d in enumerate(dicts):
+        before = list(state.rows)
+        try:
+            step(state, mk_row(RATIONAL, d))
+        except CertificateViolation:
+            assert state.rows == before and state.stage == k - 1
+            break
+        want, _, history = dense_reduce(dicts[: k + 1], None, leftmost)
+        assert state.pivot_history == history
+        for i, (r, w) in enumerate(zip(state.rows, want)):
+            assert type(r) is ScaledRow
+            assert type(r.den) is int and r.den > 0
+            assert all(type(v) is int and v for _, v in r.nums)
+            cols = [c for c, _ in r.nums]
+            assert cols == sorted(set(cols))
+            assert gcd(r.den, *[v for _, v in r.nums]) == 1
+            if history[i] is not None:
+                assert dict(r.nums)[history[i]] == r.den
+            row = mk_row(RATIONAL, w)
+            assert r == row and row == r
+        # the engine reads the numerators; the answer is the one the
+        # Fraction support gives
+        floor_now = certified_floor(state)
+        for j in range(k + 1):
+            open_cols = floor_now is None or any(
+                c >= floor_now and c not in state.pivots for w in want[: j + 1] for c in w)
+            assert certified_stable(state, j) == ("provisional" if open_cols else "certified")
 
 
 # -- Q rebuilt from the stage log ----------------------------------------------

@@ -285,3 +285,50 @@ def test_scaled_row_reads_like_the_row():
     assert a == -1 and a is b
     with pytest.raises(FieldMismatch):
         r == mk_row(GF7, {1: 2})
+
+
+def test_zero_multiplier_adds_nothing_on_every_row_type():
+    # a zero lam leaves the row's value unchanged, one pair or many, even
+    # where the source holds columns the row does not
+    y = ScaledRow(RATIONAL, 1, ((0, 1),))
+    x = ScaledRow(RATIONAL, 1, ((3, 1),))
+    zero = Fraction(0)
+    assert y.add_combination(((0, zero),), [x]) is y
+    assert axpy_raw(zero, x, y) is y
+    two = y.add_combination(((0, zero), (1, Fraction(1, 2))), [x, x])
+    assert two == mk_row(RATIONAL, {0: 1, 3: Fraction(1, 2)})
+    _assert_canonical(two)
+    r, s = mk_row(RATIONAL, {0: 1}), mk_row(RATIONAL, {3: 1})
+    assert r.add_combination(((0, zero),), [s]) is r
+    assert r.add_combination(((0, zero), (0, zero)), [s]) is r
+    assert r.add_combination(((0, zero), (0, Fraction(2))), [s]).support == (
+        (0, Fraction(1)), (3, Fraction(2)))
+    p, q = mk_row(GF7, {0: 1}), mk_row(GF7, {3: 1})
+    assert p.add_combination(((0, 0), (0, 0)), [q]) is p
+    packed = passage_unit(GF7, 0, 1)
+    assert packed.add_combination(((0, 0),), [passage_unit(GF7, 3, 1)]) == p
+
+
+def test_scaled_row_of_row_raw_and_normalized():
+    # of_row: numerators over the lcm of the denominators, canonical
+    # without a gcd; an integral row stays over den 1
+    row = mk_row(RATIONAL, {1: Fraction(-1, 6), 4: 2, 9: Fraction(3, 4)})
+    r = ScaledRow.of_row(row)
+    assert (r.den, r.nums) == (12, ((1, -2), (4, 24), (9, 9)))
+    assert ScaledRow.of_row(mk_row(RATIONAL, {2: 3, 5: -1})).nums == ((2, 3), (5, -1))
+    assert ScaledRow.of_row(Row.zero(RATIONAL)) == Row.zero(RATIONAL)
+    # raw reads one lowest-terms Fraction
+    assert [r.raw(c) for c in (0, 1, 4, 9, 10)] == [0, Fraction(-1, 6), 2, Fraction(3, 4), 0]
+    assert type(r.raw(0)) is Fraction
+    # normalized: the pivot numerator becomes the denominator, also for a
+    # negative lead, and the inverse of the pivot entry comes back
+    for col in (1, 4, 9):
+        unit, inv = r.normalized(dict(r.nums)[col])
+        _assert_canonical(unit)
+        assert dict(unit.nums)[col] == unit.den
+        assert inv == 1 / row.raw(col)
+        assert unit == mk_row(RATIONAL, {c: v * inv for c, v in row.support})
+    # a ScaledRow of H hashes as the equal Row does
+    assert hash(r) == hash(row) and {r, row} == {row}
+    ones = ScaledRow(RATIONAL, 1, ((0, 2), (3, 1)))
+    assert ones.normalized(1) == (ones, 1) and ones.normalized(1)[0] is ones

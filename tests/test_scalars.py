@@ -445,6 +445,30 @@ def test_linform_constructor_rejects_bad_symbol_keys(key):
     assert str(LinForm(RATIONAL, None, {("c", 0): 1, ("c", 2): -1})) == "c_0 - c_2"
 
 
+@pytest.mark.parametrize(
+    "namespace,index",
+    [(1, 0), (None, 0), ("c", -1), ("c", "x"), ("c", True), ("c", 1.0)],
+    ids=repr,
+)
+def test_linform_symbol_and_block_reject_bad_symbols(namespace, index):
+    # the constructor's check, at the boundary: a bad key would otherwise
+    # fail inside rendering or print as c_-1
+    match = r"symbol %s" % re.escape(repr((namespace, index)))
+    with pytest.raises(ValueError, match=match):
+        LinForm.symbol(RATIONAL, namespace, index)
+    with pytest.raises(ValueError, match=match):
+        LinForm.block(RATIONAL, namespace, [(index, Fraction(1)), (7, Fraction(2))])
+    # only the namespace and the first index are read: an empty block is
+    # the zero form
+    assert LinForm.block(RATIONAL, namespace, ()).is_zero()
+
+
+def test_linform_symbol_and_block_accept_natural_symbols():
+    assert str(LinForm.symbol(RATIONAL, "c", 0)) == "c_0"
+    assert str(LinForm.block(RATIONAL, "c", [(0, Fraction(1)), (2, Fraction(-3))])) == "c_0 - 3*c_2"
+    assert str(LinForm.block(GF7, "t", ((1, 2),))) == "2*t_1"
+
+
 def test_linform_namespace_ordering_in_render():
     f = sym("t", 0) + sym("s", 2)
     assert str(f) == "s_2 + t_0"
