@@ -250,6 +250,41 @@ def render_form(form, leading=None):
     return "".join(parts)
 
 
+def render_fraction_blocks(constant, blocks, leading=None):
+    """The text of constant + sum of v * ns_i over {ns: [(i, v)]} blocks of
+    nonzero Fractions, written from each value's numerator and denominator
+    in lowest terms: a sign joins each term (a leading '-' on the first),
+    a magnitude of one is left out, terms follow (ns, i) order with leading
+    pulled to the front, and the constant comes last when it is nonzero or
+    there is no term."""
+
+    def magnitude(v):
+        v = Fraction(v)
+        n, d = abs(v.numerator), v.denominator
+        return "%d" % n if d == 1 else "%d/%d" % (n, d)
+
+    coeffs = {(ns, i): v for ns, support in blocks.items() for i, v in support}
+    order = sorted(coeffs)
+    if leading in coeffs:
+        order.remove(leading)
+        order.insert(0, leading)
+    parts = []
+    for ns, i in order:
+        v = coeffs[(ns, i)]
+        body = magnitude(v)
+        sym = "%s_%d" % (ns, i)
+        parts.append((v < 0, sym if body == "1" else "%s*%s" % (body, sym)))
+    if constant or not parts:
+        parts.append((constant < 0, magnitude(constant)))
+    out = []
+    for k, (negative, text) in enumerate(parts):
+        if k == 0:
+            out.append("-" + text if negative else text)
+        else:
+            out.append((" - " if negative else " + ") + text)
+    return "".join(out)
+
+
 def format_value(v):
     """The canonical text of a raw value, built from its parts: 'p/q' for a
     non-integral rational in lowest terms, otherwise the bare integer (an

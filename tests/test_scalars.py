@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import combination_dict, form_combination, format_value, render_form
+from oracles import (
+    combination_dict,
+    form_combination,
+    format_value,
+    render_form,
+    render_fraction_blocks,
+)
 from omegagj import (
     RATIONAL,
     DivisionByZero,
@@ -561,6 +567,47 @@ def test_render_matches_the_reference(form_and_leading):
     form, leading = form_and_leading
     assert form.render() == str(form) == render_form(form)
     assert form.render(leading=leading) == render_form(form, leading)
+
+
+@st.composite
+def scaled_blocks(draw):
+    """(constant, {ns: [(i, Fraction)]}, leading): each block drawn as
+    nonzero int numerators over one denominator (one, small or large), so a
+    non-integral block holds entries of magnitude one, entries that are
+    integral in lowest terms and negative ones; a namespace may be drawn
+    with no entries (the zero form), and leading is None, a symbol of the
+    form or one it lacks."""
+    blocks = {}
+    for ns in draw(st.sets(st.sampled_from(["c", "s", "t", "rhs"]), max_size=3)):
+        den = draw(st.one_of(st.just(1), st.integers(2, 12), st.integers(2, 10**30)))
+        numerators = st.one_of(
+            st.sampled_from([den, -den]),
+            st.integers(-4, 4).filter(bool).map(lambda m, d=den: m * d),
+            st.integers(-(10**30), 10**30).filter(bool),
+        )
+        indices = sorted(draw(st.sets(st.integers(0, 10**6), max_size=6)))
+        blocks[ns] = [(i, Fraction(draw(numerators), den)) for i in indices]
+    constant = draw(st.one_of(st.just(Fraction(0)), nonzero_rationals))
+    symbols_held = [(ns, i) for ns, support in blocks.items() for i, _ in support]
+    leading = draw(st.one_of(st.none(), symbols, st.sampled_from(symbols_held or [None])))
+    return constant, blocks, leading
+
+
+@settings(deadline=None, max_examples=300)
+@given(scaled_blocks())
+def test_render_of_scaled_blocks_matches_the_fraction_reference(drawn):
+    constant, blocks, leading = drawn
+    form = LinForm.const(RATIONAL, constant)
+    for ns, support in blocks.items():
+        form = form + LinForm.block(RATIONAL, ns, support)
+    assert form.render() == str(form) == render_fraction_blocks(constant, blocks)
+    assert form.render(leading=leading) == render_fraction_blocks(constant, blocks, leading)
+    # the flat view round-trips to the Fraction supports the blocks were built from
+    expect = {(ns, i): v for ns, support in blocks.items() for i, v in support}
+    assert form.terms == expect
+    assert all(type(v) is Fraction for v in form.terms.values())
+    assert LinForm(RATIONAL, constant, expect) == form
+    assert form.is_zero() == (not expect and not constant)
 
 
 @settings(deadline=None)
