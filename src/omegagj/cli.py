@@ -412,7 +412,7 @@ def _constraint_text(f: LinForm) -> str:
     lead = None
     if f.blocks:
         ns = max(f.blocks)
-        lead = (ns, f.blocks[ns][-1][0])
+        lead = (ns, f.field.block_entries(f.blocks[ns])[-1][0])
     return f.render(leading=lead) + " = 0"
 
 

@@ -234,14 +234,17 @@ def step(state: EliminationState, c: Row) -> EliminationState:
     # c - sum val * H[idx] over the hits: (idx, -val) for each column of c
     # that a pivot pins
     pivots = state.pivots
-    neg = F.neg
-    hits = []
-    for col, val in c.support:
-        idx = pivots.get(col)
-        if idx is not None:
-            hits.append((idx, neg(val)))
     if F.p is None:
-        c = ScaledRow.of_row(c)
+        # the hits and the row's numerators, in one pass over its support
+        hits, den, nums = F.scaled_hits(c.support, pivots)
+        c = ScaledRow(F, den, nums)
+    else:
+        neg = F.neg
+        hits = []
+        for col, val in c.support:
+            idx = pivots.get(col)
+            if idx is not None:
+                hits.append((idx, neg(val)))
     reduced = c.add_combination(hits, state.rows)
 
     col = None

@@ -283,7 +283,8 @@ class PackedRow:
 class ScaledRow:
     """A row over the rationals: integer numerators over one row
     denominator (the common-denominator rows of Bareiss, Math. Comp. 22,
-    1968). The engine holds both H and Q over the rationals this way.
+    1968). The engine holds both H and Q over the rationals this way, and
+    a LinForm holds each of its blocks there as a (den, nums) pair.
 
     nums is a tuple of (column, int numerator) pairs with strictly
     increasing columns and no zero numerator, and den is a positive int
@@ -291,9 +292,10 @@ class ScaledRow:
     and an integral row holds plain ints over den 1. Its one row operation,
     add_combination, brings the rows to one common denominator and
     multiply-adds ints, with one multi-argument gcd per result row, where a
-    Row of Fractions builds a Fraction (and takes a gcd) per entry. of_row
-    converts an incoming Row, normalized makes a pivot entry one, and
-    passage_unit builds the first passage row of each stage.
+    Row of Fractions builds a Fraction (and takes a gcd) per entry.
+    RationalField.scaled_hits converts an incoming Row, normalized makes a
+    pivot entry one, and passage_unit builds the first passage row of each
+    stage.
 
     It reads like a Row: field, support (lowest-terms Fractions, built on
     demand), raw, entry_texts (read off the numerators), is_zero, maxs,
@@ -306,13 +308,6 @@ class ScaledRow:
         self.field = field
         self.den = den
         self.nums = nums
-
-    @classmethod
-    def of_row(cls, row: Row) -> "ScaledRow":
-        """The ScaledRow of a Row over the rationals: its numerators over
-        the lcm of its denominators, which is canonical already, so no gcd
-        is taken, and no lcm either for an integral row."""
-        return ScaledRow(row.field, *row.field.over_common_denominator(row.support))
 
     def canonical(self) -> "ScaledRow":
         """The row itself: a ScaledRow is canonical by construction (see PackedRow)."""
@@ -405,16 +400,8 @@ class ScaledRow:
     def entry_texts(self) -> tuple:
         """The (column, numerator) pairs and the canonical text of each
         entry ('p/q' or 'p', as a Row's Fraction prints), read off the
-        numerators without a Fraction."""
-        den = self.den
-        if den == 1:
-            return self.nums, [str(v) for _, v in self.nums]
-        texts = []
-        append = texts.append
-        for _, v in self.nums:
-            g = gcd(v, den)
-            append(str(v // g) if g == den else f"{v // g}/{den // g}")
-        return self.nums, texts
+        numerators without a Fraction (RationalField.format_quotients)."""
+        return self.nums, self.field.format_quotients(self.den, self.nums)
 
     def is_zero(self) -> bool:
         return not self.nums

@@ -3,12 +3,14 @@
 Every value in the library is either a raw value of a Field (a Fraction over
 the rationals, an int residue over GF(p)), operated on only through that
 Field's methods, or a LinForm (affine combination of indexed symbols with
-raw coefficients). A LinForm holds, for each symbol namespace, one sorted
-zero-free (index, coefficient) support, the invariant of a row's support,
-so the field's row kernels add and format forms too. No floating point is
-used anywhere. Over the rationals every operation, scalar or sparse, works
-on the numerator/denominator ints of its Fractions, so none goes through
-Fraction's operators.
+raw coefficients). A LinForm holds, for each symbol namespace, one block in
+its field's row layout (Field.block_of): int numerators over one block
+denominator over the rationals, as the engine holds its rows there, and a
+sorted zero-free (index, coefficient) support over GF(p). So the row
+kernels add forms too, and a block can hold a row's entries as they are.
+No floating point is used anywhere. Over the rationals every operation,
+scalar or sparse, works on the numerator/denominator ints of its
+Fractions, so none goes through Fraction's operators.
 """
 
 from __future__ import annotations
@@ -208,26 +210,66 @@ class RationalField(Field):
             for v in values
         ]
 
-    def render_terms(self, ns: str, support) -> list:
-        """The text of the v * ns_i terms of one sorted (i, v) support of a
-        form, one ' + ' or ' - ' piece per term with its sign read from the
-        numerator; a coefficient of one is left out."""
+    def format_quotients(self, den: int, nums) -> list:
+        """The canonical text of each v / den in lowest terms ('p/q' or
+        'p', as str prints its Fraction) over (key, int numerator) pairs
+        and one positive denominator: the text of a rows.ScaledRow's
+        entries and of a form's block, with one gcd per entry, none over
+        den 1."""
+        if den == 1:
+            return [str(v) for _, v in nums]
+        texts = []
+        append = texts.append
+        for _, v in nums:
+            g = gcd(v, den)
+            append(str(v // g) if g == den else f"{v // g}/{den // g}")
+        return texts
+
+    def render_terms(self, ns: str, block) -> list:
+        """The text of the v * ns_i terms of one block of a form, one
+        ' + ' or ' - ' piece per term with its sign read from the numerator;
+        a coefficient of one is left out. An integral block prints its
+        numerators; any other is read off them by format_quotients."""
         name = ns + "_"
         star = "*" + name
         pieces = []
         append = pieces.append
-        for i, v in support:
-            n, d = v._numerator, v._denominator
+        den, nums = block
+        if den == 1:
+            for i, v in nums:
+                if v < 0:
+                    append(f" - {name}{i}" if v == -1 else f" - {-v}{star}{i}")
+                else:
+                    append(f" + {name}{i}" if v == 1 else f" + {v}{star}{i}")
+            return pieces
+        for (i, v), text in zip(nums, self.format_quotients(den, nums)):
             sign = " + "
-            if n < 0:
-                sign, n = " - ", -n
-            if d != 1:
-                append(f"{sign}{n}/{d}{star}{i}")
-            elif n == 1:
-                append(f"{sign}{name}{i}")
-            else:
-                append(f"{sign}{n}{star}{i}")
+            if v < 0:
+                sign, text = " - ", text[1:]
+            append(f"{sign}{name}{i}" if text == "1" else f"{sign}{text}{star}{i}")
         return pieces
+
+    def block_of(self, support) -> tuple:
+        """The block of a form (LinForm) that holds a sorted zero-free
+        support of (i, Fraction) pairs: (den, nums), its int numerators over
+        the lcm of its denominators, as a rows.ScaledRow holds them."""
+        return self.over_common_denominator(support)
+
+    def block_entries(self, block) -> tuple:
+        """A block's sorted (i, int numerator) pairs."""
+        return block[1]
+
+    def block_support(self, block) -> tuple:
+        """A block's sorted (i, lowest-terms Fraction) pairs, built when read."""
+        return self.scaled_support(*block)
+
+    def block_sum(self, xs, ys):
+        """The sum of two blocks of one namespace, made by the ScaledRow
+        kernel (add_combination), or None when it cancels."""
+        from .rows import ScaledRow  # rows imports this module
+
+        s = ScaledRow(self, *xs).add_combination(((0, self._ONE),), (ScaledRow(self, *ys),))
+        return (s.den, s.nums) if s.nums else None
 
     def accepts(self, v) -> bool:
         """Whether Row.from_pairs takes v as a value: an int or a Fraction."""
@@ -298,6 +340,28 @@ class RationalField(Field):
             return 1, tuple(nums)
         den = lcm(*[v._denominator for _, v in xs])
         return den, tuple([(c, v._numerator * (den // v._denominator)) for c, v in xs])
+
+    def scaled_hits(self, support: tuple, pivots: dict) -> tuple:
+        """(hits, den, nums) of the support of a row that engine.step
+        takes in: the pair (pivots[c], -v) of each entry (c, v) at a pivot
+        column, and the support as int numerators over the lcm of its
+        denominators, read in one pass over an integral support (the
+        common case), which needs no lcm."""
+        get = pivots.get
+        hits = []
+        nums = []
+        integral = True
+        for c, v in support:
+            n, d = v._numerator, v._denominator
+            idx = get(c)
+            if idx is not None:
+                hits.append((idx, _rational(-n, d)))
+            if d != 1:
+                integral = False
+            nums.append((c, n))
+        if integral:
+            return hits, 1, tuple(nums)
+        return (hits, *self.over_common_denominator(support))
 
     def combination_support(self, ys: tuple, pairs) -> tuple:
         """ys plus the sum of lam * xs over (lam, xs) pairs of nonzero
@@ -431,13 +495,29 @@ class PrimeField(Field):
         """Parse a residue: any integer text, reduced mod p."""
         return int(text) % self.p
 
-    def render_terms(self, ns: str, support) -> list:
-        """The text of the v * ns_i terms of one sorted (i, v) support of a
-        form, one ' + ' piece per term (residues are never negative); a
-        coefficient of one is left out."""
+    def render_terms(self, ns: str, block) -> list:
+        """The text of the v * ns_i terms of one block of a form, one
+        ' + ' piece per term (residues are never negative); a coefficient
+        of one is left out."""
         # the fixed parts of a term are joined once per block, not per term
         plus, star = " + " + ns + "_", "*" + ns + "_"
-        return [f"{plus}{i}" if v == 1 else f" + {v}{star}{i}" for i, v in support]
+        return [f"{plus}{i}" if v == 1 else f" + {v}{star}{i}" for i, v in block]
+
+    def block_of(self, support) -> tuple:
+        """The block of a form (LinForm) that holds a sorted zero-free
+        support of (i, residue) pairs: that support itself."""
+        return support
+
+    def block_entries(self, block) -> tuple:
+        """A block's sorted (i, residue) pairs: the block itself."""
+        return block
+
+    block_support = block_entries
+
+    def block_sum(self, xs, ys):
+        """The sum of two blocks of one namespace, made by
+        combination_support, or None when it cancels."""
+        return self.combination_support(xs, ((1, ys),)) or None
 
     def accepts(self, v) -> bool:
         """Whether Row.from_pairs takes v as a value: any int (reduced mod p)."""
@@ -492,12 +572,16 @@ def check_same_field(a: Field, b: Field) -> None:
 class LinForm:
     """An affine form over indexed symbols: constant + sum of coeff * ns_i.
 
-    blocks maps each namespace ns to one support: the (i, coeff) pairs of
-    its symbols ns_i, sorted by i and free of zero coefficients, as in
-    Row.support. No block is empty, so two forms are equal iff their
-    fields, constants and block tables are equal. Sums merge a namespace
-    that both forms hold with the field's combination_support and share
-    every other block, so no coefficient is copied one by one.
+    blocks maps each namespace ns to one block in the field's row layout
+    (Field.block_of) holding the coefficients of its symbols ns_i, sorted by
+    i and free of zeros: over the rationals a (den, nums) pair, the
+    (i, int numerator) pairs over one block denominator of a
+    rows.ScaledRow, and over GF(p) the sorted (i, coeff) support of a Row.
+    No block is empty, and a block is canonical, so two forms are equal iff
+    their fields, constants and block tables are equal. Sums merge a
+    namespace that both forms hold with the field's row kernel
+    (Field.block_sum) and share every other block, so no coefficient is
+    copied one by one; rendering reads a rational block's numerators.
     """
 
     __slots__ = ("field", "constant", "blocks")
@@ -518,7 +602,7 @@ class LinForm:
             v = _value(field, v)
             if v:
                 grouped.setdefault(ns, []).append((i, v))
-        self.blocks = {ns: tuple(sorted(pairs)) for ns, pairs in grouped.items()}
+        self.blocks = {ns: field.block_of(tuple(sorted(pairs))) for ns, pairs in grouped.items()}
 
     @classmethod
     def zero(cls, field: Field) -> "LinForm":
@@ -536,26 +620,38 @@ class LinForm:
         """The form namespace_index; a key that is not a (str, natural)
         pair raises ValueError, as in the constructor."""
         _check_symbol(namespace, index)
-        return _form(field, field.zero(), {namespace: ((index, field.one()),)})
+        return _form(field, field.zero(), {namespace: field.block_of(((index, field.one()),))})
 
     @classmethod
     def block(cls, field: Field, namespace: str, support) -> "LinForm":
         """The form sum of v * namespace_i over a sorted zero-free support of
-        (i, v) pairs, which it holds as given (a tuple is not copied).
+        (i, v) pairs, held as the field's block of it (over GF(p) the
+        support itself: a tuple is not copied).
 
         The namespace and the first index are checked as the constructor
         checks a key; the rest of the support is taken as sorted, so the
         check costs the same for any length, and an empty support builds
         the zero form."""
-        support = tuple(support)
-        if support:
-            _check_symbol(namespace, support[0][0])
-        return _form(field, field.zero(), {namespace: support} if support else {})
+        return cls.of_block(field, namespace, field.block_of(tuple(support)))
+
+    @classmethod
+    def of_block(cls, field: Field, namespace: str, block) -> "LinForm":
+        """The form of one block already in the field's layout (the
+        (den, nums) pair of a rows.ScaledRow over the rationals, a sorted
+        zero-free support over GF(p)), held as given, with block's check of
+        the namespace and the first index; an empty block builds the zero
+        form."""
+        entries = field.block_entries(block)
+        if not entries:
+            return _form(field, field.zero(), {})
+        _check_symbol(namespace, entries[0][0])
+        return _form(field, field.zero(), {namespace: block})
 
     @property
     def terms(self) -> dict:
         """The flat {(ns, i): coeff} view of the blocks, built when read."""
-        return {(ns, i): v for ns, support in self.blocks.items() for i, v in support}
+        support = self.field.block_support
+        return {(ns, i): v for ns, block in self.blocks.items() for i, v in support(block)}
 
     def is_zero(self) -> bool:
         return not self.constant and not self.blocks
@@ -569,11 +665,11 @@ class LinForm:
             if xs is None:
                 blocks[ns] = ys
                 continue
-            merged = F.combination_support(xs, ((F.one(), ys),))
-            if merged:
-                blocks[ns] = merged
-            else:
+            merged = F.block_sum(xs, ys)
+            if merged is None:
                 del blocks[ns]
+            else:
+                blocks[ns] = merged
         return _form(F, F.add(self.constant, other.constant), blocks)
 
     def __eq__(self, other):
@@ -598,13 +694,14 @@ class LinForm:
         pieces = []
         lead = None
         for ns in sorted(blocks):
-            support = blocks[ns]
-            block = render_terms(ns, support)
+            block = blocks[ns]
+            texts = render_terms(ns, block)
             if leading is not None and leading[0] == ns:
-                pos = bisect_left(support, (leading[1],))
-                if pos < len(support) and support[pos][0] == leading[1]:
-                    lead = block.pop(pos)
-            pieces += block
+                entries = F.block_entries(block)
+                pos = bisect_left(entries, (leading[1],))
+                if pos < len(entries) and entries[pos][0] == leading[1]:
+                    lead = texts.pop(pos)
+            pieces += texts
         if lead is not None:
             pieces.insert(0, lead)
         constant = self.constant

@@ -6,6 +6,7 @@ from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .engine import EliminationState, IndexOutOfRange, certified_floor
+from .rows import ScaledRow
 from .scalars import LinForm
 
 # Symbol namespace of the homogeneous solution's free parameters t_0, t_1, ...
@@ -75,15 +76,24 @@ def transform_rhs(
     state.passage is first read. ``rhs`` may be a symbol namespace, an
     explicit list of field values, or a callable giving the value for index
     i. A namespace ns makes k[i] the form sum of v * ns_j over Q[i]'s
-    support: one block that holds that support itself, with no per-entry
-    work. An explicit rhs makes each k[i] a constant form; a value that the
-    field does not accept raises TypeError naming its index. The namespace
+    entries, one block in the field's layout: over the rationals the
+    numerators and the denominator of the ScaledRow Q[i] themselves, with
+    no per-entry work, and over GF(p) the support of the packed row. An
+    explicit rhs makes each k[i] a constant form; a value that the field
+    does not accept raises TypeError naming its index. The namespace
     PARAMETER_NAMESPACE is reserved and raises ValueError.
     """
     if rhs == PARAMETER_NAMESPACE:
         raise ValueError("rhs namespace %r is reserved for the solution parameters" % rhs)
     if isinstance(rhs, str):
-        return [LinForm.block(prow.field, rhs, prow.support) for prow in passage]
+        return [
+            LinForm.of_block(
+                prow.field, rhs,
+                (prow.den, prow.nums) if type(prow) is ScaledRow
+                else prow.field.block_of(prow.support),
+            )
+            for prow in passage
+        ]
     # an explicit rhs makes constant forms; a sequence is zero past its
     # end, so each sorted support is cut there
     at, end = (rhs, None) if callable(rhs) else (rhs.__getitem__, (len(rhs),))
@@ -132,10 +142,14 @@ def _solution(state: EliminationState, horizon: int, k: Sequence[LinForm]) -> Sy
         # the row's off-pivot columns are free and their parameters increase
         # with the column, so the homogeneous part is one sorted block with
         # one term per entry and nothing to sum
-        h = LinForm.block(
-            F, PARAMETER_NAMESPACE,
-            [(param[c], neg(v)) for c, v in state.rows[i].support if c != col],
-        )
+        row = state.rows[i]
+        if F.p is None:
+            # a ScaledRow whose pivot numerator is its denominator: the other
+            # numerators, negated, stay in lowest terms over it
+            block = row.den, tuple([(param[c], -v) for c, v in row.nums if c != col])
+        else:
+            block = tuple([(param[c], neg(v)) for c, v in row.support if c != col])
+        h = LinForm.of_block(F, PARAMETER_NAMESPACE, block)
         # k[i] holds no parameter, so + only joins the two block tables
         entries[col] = k[i] + h
     return SymbolicSequence(F, entries, free, horizon, state.stage, certified_floor(state))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegagj import Field, RATIONAL, Row
+from omegagj import Field, RATIONAL, RationalField, Row
 from omegagj.matrices import BUILTINS
 from omegagj import cli, engine
 from omegagj.rows import PackedRow, ScaledRow
@@ -513,6 +513,26 @@ def test_no_command_runs_a_fraction_operator(matrix, tmp_path, monkeypatch, caps
         # an explicit rhs is inconsistent on some matrices, which exits 1
         assert main(argv + stages) in (0, 1)
         assert calls == [], argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("matrix", ["bidiag", "pde"])
+def test_symbolic_solve_builds_no_lowest_terms_support(matrix, monkeypatch, capsys):
+    # over the rationals k[i] holds the ScaledRow Q[i] itself, the
+    # homogeneous block holds H[i]'s numerators, and both print from their
+    # numerators, so no ScaledRow's Fraction support is built
+    calls = []
+    scaled_support = RationalField.scaled_support
+
+    def counting(self, den, nums):
+        calls.append(len(nums))
+        return scaled_support(self, den, nums)
+
+    monkeypatch.setattr(RationalField, "scaled_support", counting)
+    for fmt in ("tsv", "json"):
+        argv = ["solve", matrix, "--stages", "40", "--rhs", "symbolic:c", "--format", fmt]
+        assert main(argv) == 0
+        assert calls == [], fmt
     capsys.readouterr()
 
 

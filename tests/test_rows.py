@@ -309,14 +309,20 @@ def test_zero_multiplier_adds_nothing_on_every_row_type():
     assert packed.add_combination(((0, 0),), [passage_unit(GF7, 3, 1)]) == p
 
 
-def test_scaled_row_of_row_raw_and_normalized():
-    # of_row: numerators over the lcm of the denominators, canonical
-    # without a gcd; an integral row stays over den 1
+def test_scaled_hits_raw_and_normalized():
+    # scaled_hits, the conversion of the row a stage takes in: the negated
+    # entries at pivot columns, keyed by their pivot rows, and the
+    # numerators over the lcm of the denominators, canonical without a gcd;
+    # an integral row stays over den 1
     row = mk_row(RATIONAL, {1: Fraction(-1, 6), 4: 2, 9: Fraction(3, 4)})
-    r = ScaledRow.of_row(row)
+    hits, den, nums = RATIONAL.scaled_hits(row.support, {4: 0, 5: 1, 9: 2})
+    assert hits == [(0, -2), (2, Fraction(-3, 4))]
+    assert all(type(v) is Fraction for _, v in hits)
+    r = ScaledRow(RATIONAL, den, nums)
     assert (r.den, r.nums) == (12, ((1, -2), (4, 24), (9, 9)))
-    assert ScaledRow.of_row(mk_row(RATIONAL, {2: 3, 5: -1})).nums == ((2, 3), (5, -1))
-    assert ScaledRow.of_row(Row.zero(RATIONAL)) == Row.zero(RATIONAL)
+    integral = mk_row(RATIONAL, {2: 3, 5: -1})
+    assert RATIONAL.scaled_hits(integral.support, {5: 7}) == ([(7, 1)], 1, ((2, 3), (5, -1)))
+    assert RATIONAL.scaled_hits(Row.zero(RATIONAL).support, {}) == ([], 1, ())
     # raw reads one lowest-terms Fraction
     assert [r.raw(c) for c in (0, 1, 4, 9, 10)] == [0, Fraction(-1, 6), 2, Fraction(3, 4), 0]
     assert type(r.raw(0)) is Fraction

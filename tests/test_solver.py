@@ -76,7 +76,7 @@ def test_transform_rhs_symbolic_holds_the_passage_support_and_reads_any_column()
         passage = run_to(matrix, 6).passage
         k = transform_rhs(passage, "s")
         for f, prow in zip(k, passage):
-            assert f.blocks == ({"s": prow.support} if prow.support else {})
+            assert f.terms == {("s", j): v for j, v in prow.support}
             assert len(f.terms) == len(prow.support)
     # passage rows need not stay below their own count
     rows = mk_rows(RATIONAL, [{0: F1, 5: Fraction(-1, 2)}, {9: F1}])
