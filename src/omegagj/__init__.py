@@ -40,11 +40,11 @@ from .scalars import (
     DivisionByZero,
     Field,
     FieldMismatch,
-    LinForm,
     PrimeField,
     RationalField,
 )
 from .solver import (
+    LinForm,
     SolveResult,
     SymbolicSequence,
     consistency_constraints,

@@ -22,8 +22,8 @@ from .engine import (
 from .matrices import BUILTINS, RowFiniteMatrix, make_explicit, make_stencil
 from .reorder import extended_run
 from .rows import PackedRow, Row, ScaledRow, dense_width
-from .scalars import RATIONAL, Field, LinForm
-from .solver import PARAMETER_NAMESPACE, general_solution, transform_rhs
+from .scalars import RATIONAL, Field
+from .solver import PARAMETER_NAMESPACE, LinForm, general_solution, transform_rhs
 
 
 class ParseError(Exception):
@@ -408,11 +408,11 @@ def cmd_solve(args, out) -> int:
 
 
 def _constraint_text(f: LinForm) -> str:
-    # the greatest symbol leads: the last of the greatest namespace's block
+    # the greatest symbol leads: the last of the greatest namespace's row
     lead = None
     if f.blocks:
         ns = max(f.blocks)
-        lead = (ns, f.field.block_entries(f.blocks[ns])[-1][0])
+        lead = (ns, f.blocks[ns].maxs)
     return f.render(leading=lead) + " = 0"
 
 

@@ -284,7 +284,9 @@ class ScaledRow:
     """A row over the rationals: integer numerators over one row
     denominator (the common-denominator rows of Bareiss, Math. Comp. 22,
     1968). The engine holds both H and Q over the rationals this way, and
-    a LinForm holds each of its blocks there as a (den, nums) pair.
+    a symbolic form (solver.LinForm) holds one ScaledRow per namespace: Q[i]
+    itself for a symbolic k[i], and H[i]'s negated numerators for its
+    homogeneous part.
 
     nums is a tuple of (column, int numerator) pairs with strictly
     increasing columns and no zero numerator, and den is a positive int

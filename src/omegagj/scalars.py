@@ -1,22 +1,18 @@
-"""Exact fields (the rationals and prime fields) and affine symbolic forms.
+"""Exact fields: the rationals and prime fields.
 
-Every value in the library is either a raw value of a Field (a Fraction over
-the rationals, an int residue over GF(p)), operated on only through that
-Field's methods, or a LinForm (affine combination of indexed symbols with
-raw coefficients). A LinForm holds, for each symbol namespace, one block in
-its field's row layout (Field.block_of): int numerators over one block
-denominator over the rationals, as the engine holds its rows there, and a
-sorted zero-free (index, coefficient) support over GF(p). So the row
-kernels add forms too, and a block can hold a row's entries as they are.
-No floating point is used anywhere. Over the rationals every operation,
-scalar or sparse, works on the numerator/denominator ints of its
-Fractions, so none goes through Fraction's operators.
+Every value in the library is a raw value of a Field (a Fraction over the
+rationals, an int residue over GF(p)), operated on only through that
+Field's methods. Each field also owns the sparse kernels that rows
+(rows.Row, rows.ScaledRow, rows.PackedRow) are built from, and the text of
+a symbolic form's terms (render_terms), which reads one row of the form
+(solver.LinForm). No floating point is used anywhere. Over the rationals
+every operation, scalar or sparse, works on the numerator/denominator ints
+of its Fractions, so none goes through Fraction's operators.
 """
 
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
@@ -214,8 +210,7 @@ class RationalField(Field):
         """The canonical text of each v / den in lowest terms ('p/q' or
         'p', as str prints its Fraction) over (key, int numerator) pairs
         and one positive denominator: the text of a rows.ScaledRow's
-        entries and of a form's block, with one gcd per entry, none over
-        den 1."""
+        entries, with one gcd per entry, none over den 1."""
         if den == 1:
             return [str(v) for _, v in nums]
         texts = []
@@ -225,16 +220,17 @@ class RationalField(Field):
             append(str(v // g) if g == den else f"{v // g}/{den // g}")
         return texts
 
-    def render_terms(self, ns: str, block) -> list:
-        """The text of the v * ns_i terms of one block of a form, one
-        ' + ' or ' - ' piece per term with its sign read from the numerator;
-        a coefficient of one is left out. An integral block prints its
-        numerators; any other is read off them by format_quotients."""
+    def render_terms(self, ns: str, row) -> list:
+        """The text of the v * ns_i terms of a form's ScaledRow for the
+        namespace ns, one ' + ' or ' - ' piece per term with its sign read
+        from the numerator; a coefficient of one is left out. An integral
+        row prints its numerators; any other is read off them by
+        format_quotients."""
         name = ns + "_"
         star = "*" + name
         pieces = []
         append = pieces.append
-        den, nums = block
+        den, nums = row.den, row.nums
         if den == 1:
             for i, v in nums:
                 if v < 0:
@@ -248,28 +244,6 @@ class RationalField(Field):
                 sign, text = " - ", text[1:]
             append(f"{sign}{name}{i}" if text == "1" else f"{sign}{text}{star}{i}")
         return pieces
-
-    def block_of(self, support) -> tuple:
-        """The block of a form (LinForm) that holds a sorted zero-free
-        support of (i, Fraction) pairs: (den, nums), its int numerators over
-        the lcm of its denominators, as a rows.ScaledRow holds them."""
-        return self.over_common_denominator(support)
-
-    def block_entries(self, block) -> tuple:
-        """A block's sorted (i, int numerator) pairs."""
-        return block[1]
-
-    def block_support(self, block) -> tuple:
-        """A block's sorted (i, lowest-terms Fraction) pairs, built when read."""
-        return self.scaled_support(*block)
-
-    def block_sum(self, xs, ys):
-        """The sum of two blocks of one namespace, made by the ScaledRow
-        kernel (add_combination), or None when it cancels."""
-        from .rows import ScaledRow  # rows imports this module
-
-        s = ScaledRow(self, *xs).add_combination(((0, self._ONE),), (ScaledRow(self, *ys),))
-        return (s.den, s.nums) if s.nums else None
 
     def accepts(self, v) -> bool:
         """Whether Row.from_pairs takes v as a value: an int or a Fraction."""
@@ -495,29 +469,13 @@ class PrimeField(Field):
         """Parse a residue: any integer text, reduced mod p."""
         return int(text) % self.p
 
-    def render_terms(self, ns: str, block) -> list:
-        """The text of the v * ns_i terms of one block of a form, one
-        ' + ' piece per term (residues are never negative); a coefficient
-        of one is left out."""
-        # the fixed parts of a term are joined once per block, not per term
+    def render_terms(self, ns: str, row) -> list:
+        """The text of the v * ns_i terms of a form's Row for the namespace
+        ns, one ' + ' piece per term (residues are never negative); a
+        coefficient of one is left out."""
+        # the fixed parts of a term are joined once per row, not per term
         plus, star = " + " + ns + "_", "*" + ns + "_"
-        return [f"{plus}{i}" if v == 1 else f" + {v}{star}{i}" for i, v in block]
-
-    def block_of(self, support) -> tuple:
-        """The block of a form (LinForm) that holds a sorted zero-free
-        support of (i, residue) pairs: that support itself."""
-        return support
-
-    def block_entries(self, block) -> tuple:
-        """A block's sorted (i, residue) pairs: the block itself."""
-        return block
-
-    block_support = block_entries
-
-    def block_sum(self, xs, ys):
-        """The sum of two blocks of one namespace, made by
-        combination_support, or None when it cancels."""
-        return self.combination_support(xs, ((1, ys),)) or None
+        return [f"{plus}{i}" if v == 1 else f" + {v}{star}{i}" for i, v in row.support]
 
     def accepts(self, v) -> bool:
         """Whether Row.from_pairs takes v as a value: any int (reduced mod p)."""
@@ -564,178 +522,3 @@ RATIONAL = RationalField()
 def check_same_field(a: Field, b: Field) -> None:
     if a is not b and a != b:
         raise FieldMismatch("%r vs %r" % (a, b))
-
-
-# Symbols are (namespace, index) pairs: ("t", 3) prints as t_3.
-
-
-class LinForm:
-    """An affine form over indexed symbols: constant + sum of coeff * ns_i.
-
-    blocks maps each namespace ns to one block in the field's row layout
-    (Field.block_of) holding the coefficients of its symbols ns_i, sorted by
-    i and free of zeros: over the rationals a (den, nums) pair, the
-    (i, int numerator) pairs over one block denominator of a
-    rows.ScaledRow, and over GF(p) the sorted (i, coeff) support of a Row.
-    No block is empty, and a block is canonical, so two forms are equal iff
-    their fields, constants and block tables are equal. Sums merge a
-    namespace that both forms hold with the field's row kernel
-    (Field.block_sum) and share every other block, so no coefficient is
-    copied one by one; rendering reads a rational block's numerators.
-    """
-
-    __slots__ = ("field", "constant", "blocks")
-
-    def __init__(self, field: Field, constant=None, terms=None):
-        """The form constant + sum of terms[(ns, i)] * ns_i; each value is
-        read as const reads it, a flat terms mapping is grouped by namespace
-        once, zero coefficients are dropped, and a key that is not a
-        (str, natural) pair raises ValueError."""
-        self.field = field
-        self.constant = field.zero() if constant is None else _value(field, constant)
-        grouped: dict = {}
-        for key, v in (terms or {}).items():
-            if not (isinstance(key, tuple) and len(key) == 2):
-                raise ValueError("symbol %r: not a (namespace, natural index) pair" % (key,))
-            ns, i = key
-            _check_symbol(ns, i)
-            v = _value(field, v)
-            if v:
-                grouped.setdefault(ns, []).append((i, v))
-        self.blocks = {ns: field.block_of(tuple(sorted(pairs))) for ns, pairs in grouped.items()}
-
-    @classmethod
-    def zero(cls, field: Field) -> "LinForm":
-        return _form(field, field.zero(), {})
-
-    @classmethod
-    def const(cls, field: Field, value) -> "LinForm":
-        """The constant form value; a plain int is read through
-        field.from_int, and a value the field does not accept raises
-        TypeError."""
-        return _form(field, _value(field, value), {})
-
-    @classmethod
-    def symbol(cls, field: Field, namespace: str, index: int) -> "LinForm":
-        """The form namespace_index; a key that is not a (str, natural)
-        pair raises ValueError, as in the constructor."""
-        _check_symbol(namespace, index)
-        return _form(field, field.zero(), {namespace: field.block_of(((index, field.one()),))})
-
-    @classmethod
-    def block(cls, field: Field, namespace: str, support) -> "LinForm":
-        """The form sum of v * namespace_i over a sorted zero-free support of
-        (i, v) pairs, held as the field's block of it (over GF(p) the
-        support itself: a tuple is not copied).
-
-        The namespace and the first index are checked as the constructor
-        checks a key; the rest of the support is taken as sorted, so the
-        check costs the same for any length, and an empty support builds
-        the zero form."""
-        return cls.of_block(field, namespace, field.block_of(tuple(support)))
-
-    @classmethod
-    def of_block(cls, field: Field, namespace: str, block) -> "LinForm":
-        """The form of one block already in the field's layout (the
-        (den, nums) pair of a rows.ScaledRow over the rationals, a sorted
-        zero-free support over GF(p)), held as given, with block's check of
-        the namespace and the first index; an empty block builds the zero
-        form."""
-        entries = field.block_entries(block)
-        if not entries:
-            return _form(field, field.zero(), {})
-        _check_symbol(namespace, entries[0][0])
-        return _form(field, field.zero(), {namespace: block})
-
-    @property
-    def terms(self) -> dict:
-        """The flat {(ns, i): coeff} view of the blocks, built when read."""
-        support = self.field.block_support
-        return {(ns, i): v for ns, block in self.blocks.items() for i, v in support(block)}
-
-    def is_zero(self) -> bool:
-        return not self.constant and not self.blocks
-
-    def __add__(self, other):
-        check_same_field(self.field, other.field)
-        F = self.field
-        blocks = dict(self.blocks)
-        for ns, ys in other.blocks.items():
-            xs = blocks.get(ns)
-            if xs is None:
-                blocks[ns] = ys
-                continue
-            merged = F.block_sum(xs, ys)
-            if merged is None:
-                del blocks[ns]
-            else:
-                blocks[ns] = merged
-        return _form(F, F.add(self.constant, other.constant), blocks)
-
-    def __eq__(self, other):
-        if not isinstance(other, LinForm):
-            return NotImplemented
-        check_same_field(self.field, other.field)
-        return self.constant == other.constant and self.blocks == other.blocks
-
-    def __str__(self):
-        return self.render()
-
-    def render(self, leading=None) -> str:
-        """Text form with terms sorted by (namespace, index), constant last.
-
-        leading, if given, is a symbol pulled to the front (used for
-        constraints written as c_w - ... = 0). Only the namespaces are
-        sorted; each block is already in index order.
-        """
-        F = self.field
-        blocks = self.blocks
-        render_terms = F.render_terms
-        pieces = []
-        lead = None
-        for ns in sorted(blocks):
-            block = blocks[ns]
-            texts = render_terms(ns, block)
-            if leading is not None and leading[0] == ns:
-                entries = F.block_entries(block)
-                pos = bisect_left(entries, (leading[1],))
-                if pos < len(entries) and entries[pos][0] == leading[1]:
-                    lead = texts.pop(pos)
-            pieces += texts
-        if lead is not None:
-            pieces.insert(0, lead)
-        constant = self.constant
-        if constant or not pieces:
-            text = F.format_values((constant,))[0]
-            pieces.append(" - " + text[1:] if text[0] == "-" else " + " + text)
-        # the first piece loses its ' + ', or its ' - ' becomes '-'
-        text = "".join(pieces)
-        return "-" + text[3:] if text[1] == "-" else text[3:]
-
-    def __repr__(self):
-        return "LinForm(%s)" % self
-
-    __hash__ = None
-
-
-def _check_symbol(namespace, index) -> None:
-    """Raise ValueError unless (namespace, index) is a (str, natural) symbol."""
-    if not (isinstance(namespace, str) and type(index) is int and index >= 0):
-        raise ValueError(
-            "symbol %r: not a (namespace, natural index) pair" % ((namespace, index),))
-
-
-def _value(field: Field, v):
-    """v as a raw value of field: a plain int through field.from_int."""
-    if not field.accepts(v):
-        raise TypeError("%r is not a value of %r" % (v, field))
-    return field.from_int(v) if isinstance(v, int) else v
-
-
-def _form(field: Field, constant, blocks: dict) -> LinForm:
-    """The LinForm of a checked constant and block table, built directly."""
-    f = _new_object(LinForm)
-    f.field = field
-    f.constant = constant
-    f.blocks = blocks
-    return f

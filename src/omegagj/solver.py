@@ -1,4 +1,5 @@
-"""Symbolic solutions of row-finite systems from a reduced elimination state."""
+"""Symbolic solutions of row-finite systems from a reduced elimination
+state, written as affine forms over indexed symbols (LinForm)."""
 
 from __future__ import annotations
 
@@ -6,13 +7,178 @@ from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .engine import EliminationState, IndexOutOfRange, certified_floor
-from .rows import ScaledRow
-from .scalars import LinForm
+from .rows import Row, ScaledRow, _row
+from .scalars import Field, check_same_field
 
 # Symbol namespace of the homogeneous solution's free parameters t_0, t_1, ...
 # A symbolic right-hand side in the same namespace would merge its symbols
 # with them, so transform_rhs rejects it.
 PARAMETER_NAMESPACE = "t"
+
+
+# Symbols are (namespace, index) pairs: ("t", 3) prints as t_3.
+
+
+class LinForm:
+    """An affine form over indexed symbols: constant + sum of coeff * ns_i.
+
+    blocks maps each namespace ns to one row holding the coefficients of
+    its symbols ns_i at columns i (_block picks its type): a
+    rows.ScaledRow over the rationals, int numerators over one
+    denominator, and a sparse rows.Row over GF(p). No row is zero, and
+    rows are canonical, so two forms are equal iff their fields, constants
+    and block tables are equal. A symbolic k[i] holds the passage row Q[i]
+    itself. Sums merge a namespace that both forms hold with the rows' own
+    add_combination and share every other row, so no coefficient is
+    copied one by one; rendering reads a rational row's numerators.
+    """
+
+    __slots__ = ("field", "constant", "blocks")
+
+    def __init__(self, field: Field, constant=None, terms=None):
+        """The form constant + sum of terms[(ns, i)] * ns_i; each value is
+        read as const reads it, a flat terms mapping is grouped by namespace
+        once, zero coefficients are dropped, and a key that is not a
+        (str, natural) pair raises ValueError."""
+        self.field = field
+        self.constant = field.zero() if constant is None else _value(field, constant)
+        grouped: dict = {}
+        for key, v in (terms or {}).items():
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise ValueError("symbol %r: not a (namespace, natural index) pair" % (key,))
+            ns, i = key
+            _check_symbol(ns, i)
+            v = _value(field, v)
+            if v:
+                grouped.setdefault(ns, []).append((i, v))
+        self.blocks = {ns: _block(_row(field, tuple(sorted(pairs))))
+                       for ns, pairs in grouped.items()}
+
+    @classmethod
+    def zero(cls, field: Field) -> "LinForm":
+        return _form(field, field.zero(), {})
+
+    @classmethod
+    def const(cls, field: Field, value) -> "LinForm":
+        """The constant form value; a plain int is read through
+        field.from_int, and a value the field does not accept raises
+        TypeError."""
+        return _form(field, _value(field, value), {})
+
+    @classmethod
+    def symbol(cls, field: Field, namespace: str, index: int) -> "LinForm":
+        """The form namespace_index; a key that is not a (str, natural)
+        pair raises ValueError, as in the constructor."""
+        _check_symbol(namespace, index)
+        row = _block(_row(field, ((index, field.one()),)))
+        return _form(field, field.zero(), {namespace: row})
+
+    @property
+    def terms(self) -> dict:
+        """The flat {(ns, i): coeff} view of the blocks, built when read."""
+        return {(ns, i): v for ns, row in self.blocks.items() for i, v in row.support}
+
+    def is_zero(self) -> bool:
+        return not self.constant and not self.blocks
+
+    def __add__(self, other):
+        check_same_field(self.field, other.field)
+        F = self.field
+        one = ((0, F.one()),)
+        blocks = dict(self.blocks)
+        for ns, ys in other.blocks.items():
+            xs = blocks.get(ns)
+            if xs is None:
+                blocks[ns] = ys
+                continue
+            merged = xs.add_combination(one, (ys,))
+            if merged.is_zero():
+                del blocks[ns]
+            else:
+                blocks[ns] = merged
+        return _form(F, F.add(self.constant, other.constant), blocks)
+
+    def __eq__(self, other):
+        if not isinstance(other, LinForm):
+            return NotImplemented
+        check_same_field(self.field, other.field)
+        return self.constant == other.constant and self.blocks == other.blocks
+
+    def __str__(self):
+        return self.render()
+
+    def render(self, leading=None) -> str:
+        """Text form with terms sorted by (namespace, index), constant last.
+
+        leading, if given, is a symbol pulled to the front (used for
+        constraints written as c_w - ... = 0). Only the namespaces are
+        sorted; each row is already in index order.
+        """
+        F = self.field
+        blocks = self.blocks
+        render_terms = F.render_terms
+        pieces = []
+        lead = None
+        for ns in sorted(blocks):
+            row = blocks[ns]
+            texts = render_terms(ns, row)
+            if leading is not None and leading[0] == ns:
+                # the row's stored pairs: numerators over the rationals
+                entries = row.nums if F.p is None else row.support
+                pos = bisect_left(entries, (leading[1],))
+                if pos < len(entries) and entries[pos][0] == leading[1]:
+                    lead = texts.pop(pos)
+            pieces += texts
+        if lead is not None:
+            pieces.insert(0, lead)
+        constant = self.constant
+        if constant or not pieces:
+            text = F.format_values((constant,))[0]
+            pieces.append(" - " + text[1:] if text[0] == "-" else " + " + text)
+        # the first piece loses its ' + ', or its ' - ' becomes '-'
+        text = "".join(pieces)
+        return "-" + text[3:] if text[1] == "-" else text[3:]
+
+    def __repr__(self):
+        return "LinForm(%s)" % self
+
+    __hash__ = None
+
+
+def _check_symbol(namespace, index) -> None:
+    """Raise ValueError unless (namespace, index) is a (str, natural) symbol."""
+    if not (isinstance(namespace, str) and type(index) is int and index >= 0):
+        raise ValueError(
+            "symbol %r: not a (namespace, natural index) pair" % ((namespace, index),))
+
+
+def _value(field: Field, v):
+    """v as a raw value of field: a plain int through field.from_int."""
+    if not field.accepts(v):
+        raise TypeError("%r is not a value of %r" % (v, field))
+    return field.from_int(v) if isinstance(v, int) else v
+
+
+def _form(field: Field, constant, blocks: dict) -> LinForm:
+    """The LinForm of a checked constant and block table, built directly."""
+    f = object.__new__(LinForm)
+    f.field = field
+    f.constant = constant
+    f.blocks = blocks
+    return f
+
+
+def _block(row):
+    """row as a form holds one namespace: a ScaledRow over the rationals
+    and a Row over GF(p), the types the engine holds H in. A row of that
+    type is held as it is; a Row of Fractions is brought over one
+    denominator, and a packed passage row is read out to its support."""
+    F = row.field
+    if F.p is None:
+        if isinstance(row, ScaledRow):
+            return row
+        return ScaledRow(F, *F.over_common_denominator(row.support))
+    return row if isinstance(row, Row) else _row(F, row.support)
 
 
 class SymbolicSequence:
@@ -76,24 +242,22 @@ def transform_rhs(
     state.passage is first read. ``rhs`` may be a symbol namespace, an
     explicit list of field values, or a callable giving the value for index
     i. A namespace ns makes k[i] the form sum of v * ns_j over Q[i]'s
-    entries, one block in the field's layout: over the rationals the
-    numerators and the denominator of the ScaledRow Q[i] themselves, with
-    no per-entry work, and over GF(p) the support of the packed row. An
-    explicit rhs makes each k[i] a constant form; a value that the field
-    does not accept raises TypeError naming its index. The namespace
-    PARAMETER_NAMESPACE is reserved and raises ValueError.
+    entries, held as one row (_block): over the rationals the ScaledRow
+    Q[i] itself, with no per-entry work, and over GF(p) the Row of the
+    packed row's support. An explicit rhs makes each k[i] a constant form;
+    a value that the field does not accept raises TypeError naming its
+    index. The namespace PARAMETER_NAMESPACE is reserved and raises
+    ValueError.
     """
     if rhs == PARAMETER_NAMESPACE:
         raise ValueError("rhs namespace %r is reserved for the solution parameters" % rhs)
     if isinstance(rhs, str):
-        return [
-            LinForm.of_block(
-                prow.field, rhs,
-                (prow.den, prow.nums) if type(prow) is ScaledRow
-                else prow.field.block_of(prow.support),
-            )
-            for prow in passage
-        ]
+        forms = []
+        for prow in passage:
+            row = _block(prow)
+            F = row.field
+            forms.append(_form(F, F.zero(), {} if row.is_zero() else {rhs: row}))
+        return forms
     # an explicit rhs makes constant forms; a sequence is zero past its
     # end, so each sorted support is cut there
     at, end = (rhs, None) if callable(rhs) else (rhs.__getitem__, (len(rhs),))
@@ -140,16 +304,16 @@ def _solution(state: EliminationState, horizon: int, k: Sequence[LinForm]) -> Sy
         if col > horizon:
             continue
         # the row's off-pivot columns are free and their parameters increase
-        # with the column, so the homogeneous part is one sorted block with
-        # one term per entry and nothing to sum
+        # with the column, so the homogeneous part is one sorted row of H's
+        # type with one term per entry and nothing to sum
         row = state.rows[i]
         if F.p is None:
             # a ScaledRow whose pivot numerator is its denominator: the other
             # numerators, negated, stay in lowest terms over it
-            block = row.den, tuple([(param[c], -v) for c, v in row.nums if c != col])
+            t = ScaledRow(F, row.den, tuple([(param[c], -v) for c, v in row.nums if c != col]))
         else:
-            block = tuple([(param[c], neg(v)) for c, v in row.support if c != col])
-        h = LinForm.of_block(F, PARAMETER_NAMESPACE, block)
+            t = _row(F, tuple([(param[c], neg(v)) for c, v in row.support if c != col]))
+        h = _form(F, F.zero(), {} if t.is_zero() else {PARAMETER_NAMESPACE: t})
         # k[i] holds no parameter, so + only joins the two block tables
         entries[col] = k[i] + h
     return SymbolicSequence(F, entries, free, horizon, state.stage, certified_floor(state))

@@ -824,6 +824,22 @@ def test_cold_import_loads_no_dataclasses():
     assert out.strip() == "[]"
 
 
+def test_cold_import_loads_only_the_package_modules():
+    # every command pays for each module a cold import of the CLI loads;
+    # symbolic forms live in solver, which the CLI imports anyway
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        "import sys; sys.path.insert(0, %r); import omegagj.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'omegagj'))" % src
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == repr(sorted(
+        ["omegagj"] + ["omegagj." + m for m in (
+            "canon", "cli", "engine", "matrices", "reorder", "rows", "scalars", "solver")]))
+
+
 @pytest.mark.parametrize("command", ["qhf", "solve"])
 def test_strategy_is_not_an_option_of_rps_only_commands(command, capsys):
     # the reorder and the symbolic solution are defined for rightmost pivots

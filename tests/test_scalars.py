@@ -463,16 +463,16 @@ def test_linform_symbol_and_block_reject_bad_symbols(namespace, index):
     with pytest.raises(ValueError, match=match):
         LinForm.symbol(RATIONAL, namespace, index)
     with pytest.raises(ValueError, match=match):
-        LinForm.block(RATIONAL, namespace, [(index, Fraction(1)), (7, Fraction(2))])
-    # only the namespace and the first index are read: an empty block is
-    # the zero form
-    assert LinForm.block(RATIONAL, namespace, ()).is_zero()
+        LinForm(RATIONAL, None, {(namespace, index): Fraction(1), (namespace, 7): Fraction(2)})
+    # the symbol of a zero coefficient is checked too, though no row holds it
+    with pytest.raises(ValueError, match=match):
+        LinForm(RATIONAL, None, {(namespace, index): 0})
 
 
 def test_linform_symbol_and_block_accept_natural_symbols():
     assert str(LinForm.symbol(RATIONAL, "c", 0)) == "c_0"
-    assert str(LinForm.block(RATIONAL, "c", [(0, Fraction(1)), (2, Fraction(-3))])) == "c_0 - 3*c_2"
-    assert str(LinForm.block(GF7, "t", ((1, 2),))) == "2*t_1"
+    assert str(LinForm(RATIONAL, None, {("c", 0): F1, ("c", 2): Fraction(-3)})) == "c_0 - 3*c_2"
+    assert str(LinForm(GF7, None, {("t", 1): 2})) == "2*t_1"
 
 
 def test_linform_namespace_ordering_in_render():
@@ -517,13 +517,13 @@ def test_linform_group_laws(field_and_terms):
     assert comb((one, a + b), (minus_one, b), field=F) == a
     assert a + b == b + a
     assert comb((one, a), (minus_one, a), field=F).is_zero()
-    # a + b and -b hold every namespace of b, so each of b's blocks is
-    # merged (and cancelled) through the field's combination_support
+    # a + b and -b hold every namespace of b, so each of b's rows is
+    # merged (and cancelled) through the rows' add_combination
     assert (a + b) + neg(b) == a
     assert (a + neg(a)).is_zero() and not (a + neg(a)).blocks
     for f in (a + b, (a + b) + neg(b)):
         for block in f.blocks.values():
-            support = F.block_entries(block)
+            support = block.support
             assert support and all(v for _, v in support)
             assert [i for i, _ in support] == sorted({i for i, _ in support})
         # the flat view groups back into the same form
@@ -600,7 +600,7 @@ def test_render_of_scaled_blocks_matches_the_fraction_reference(drawn):
     constant, blocks, leading = drawn
     form = LinForm.const(RATIONAL, constant)
     for ns, support in blocks.items():
-        form = form + LinForm.block(RATIONAL, ns, support)
+        form = form + LinForm(RATIONAL, None, {(ns, i): v for i, v in support})
     assert form.render() == str(form) == render_fraction_blocks(constant, blocks)
     assert form.render(leading=leading) == render_fraction_blocks(constant, blocks, leading)
     # the flat view round-trips to the Fraction supports the blocks were built from

@@ -13,6 +13,7 @@ from omegagj import (
     LinForm,
     PivotFloor,
     RATIONAL,
+    Row,
     consistency_constraints,
     general_solution,
     make_explicit,
@@ -22,6 +23,7 @@ from omegagj import (
     transform_rhs,
 )
 from omegagj.engine import certified_floor
+from omegagj.rows import ScaledRow
 from omegagj.solver import SymbolicSequence
 from fixtures import (
     BIDIAG_GENERAL,
@@ -41,7 +43,7 @@ from oracles import (
     substitute,
     verify_solution,
 )
-from util import dict_matrices, field_for, mk_row, mk_rows
+from util import dict_matrices, field_for, mk_row, mk_rows, scaled_row
 
 F1 = Fraction(1)
 GF7 = Field.gf(7)
@@ -83,6 +85,32 @@ def test_transform_rhs_symbolic_holds_the_passage_support_and_reads_any_column()
     k = transform_rhs(rows, "s")
     assert form_terms(k[0]) == {("s", 0): F1, ("s", 5): Fraction(-1, 2)}
     assert form_terms(k[1]) == {("s", 9): F1}
+    # a plain Row of Fractions is brought over one denominator: its forms
+    # print, compare and add as those of the same values as ScaledRows
+    assert [str(f) for f in k] == ["s_0 - 1/2*s_5", "s_9"]
+    assert k == transform_rhs([scaled_row(r) for r in rows], "s")
+    assert str(k[0] + k[1]) == "s_0 - 1/2*s_5 + s_9"
+    assert k[0] + LinForm(RATIONAL, None, {("s", 5): Fraction(1, 2)}) == LinForm.symbol(
+        RATIONAL, "s", 0)
+
+
+def test_symbolic_forms_hold_rows_of_the_fields_row_type():
+    # over the rationals k[i] holds the ScaledRow Q[i] itself, so nothing
+    # is copied; over GF(7) a sparse Row of the packed Q[i]; and each
+    # homogeneous t block is a row of the same type
+    for matrix, row_type in ((BUILTINS["pde"](), ScaledRow),
+                             (make_stencil(GF7, {0: 1, 1: 3, 2: 5}), Row)):
+        state = run_to(matrix, 12)
+        k = transform_rhs(state.passage, "c")
+        for f, prow in zip(k, state.passage):
+            block = f.blocks["c"]
+            assert type(block) is row_type and block == prow
+            if row_type is ScaledRow:
+                assert block is prow
+        general = general_solution(state, k, 12).general
+        t_blocks = [general.entry(j).blocks["t"] for j in range(13)
+                    if "t" in general.entry(j).blocks]
+        assert t_blocks and all(type(b) is row_type for b in t_blocks)
 
 
 class CountedReads(Sequence):
