@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Callable, List, Tuple
 
-from .rows import Row, check_row
+from .rows import Row, _row, check_row
 from .scalars import RATIONAL, Field
 
 
@@ -48,23 +47,35 @@ def make_stencil(field: Field, offsets) -> RowFiniteMatrix:
     """Banded matrix: row k has value v at column k+off for each (off, v).
 
     offsets is a mapping or an iterable of (offset, value) pairs; a repeated
-    offset raises DuplicateOffset. Columns that would fall below zero are
-    dropped.
+    offset raises DuplicateOffset, and an offset that is not an int or a
+    value the field does not accept raises ValueError naming the offset.
+    Each value is checked and made a stored value here, once (ints become
+    Fractions over the rationals and residues over GF(p)), and zero values
+    are dropped, so every row is built canonical with no further check.
+    Columns that would fall below zero are dropped.
     """
     if hasattr(offsets, "items"):
         pairs = list(offsets.items())
     else:
         pairs = list(offsets)
+    add, accepts, zero = field.add, field.accepts, field.zero()
     seen = set()
-    for off, _ in pairs:
+    band = []
+    for off, v in pairs:
+        if not isinstance(off, int):
+            raise ValueError("offset %r: not an int" % (off,))
         if off in seen:
             raise DuplicateOffset("offset %d listed twice" % off)
         seen.add(off)
+        if not accepts(v):
+            raise ValueError("offset %d: %r is not a value of %r" % (off, v, field))
+        v = add(zero, v)
+        if v:
+            band.append((off, v))
+    band.sort()  # offsets are distinct, so no two values are compared
 
     def gen(k: int) -> Row:
-        return Row.from_pairs(
-            field, [(k + off, v) for off, v in pairs if k + off >= 0]
-        )
+        return _row(field, tuple([(k + off, v) for off, v in band if off >= -k]))
 
     return RowFiniteMatrix(field, gen)
 
@@ -114,30 +125,26 @@ class MonomialOrdering:
 
 def builtin_bidiag() -> RowFiniteMatrix:
     """Row k = e_k + e_{k+1} over the rationals."""
-    return make_stencil(RATIONAL, {0: Fraction(1), 1: Fraction(1)})
+    return make_stencil(RATIONAL, {0: 1, 1: 1})
 
 
 def builtin_repeated() -> RowFiniteMatrix:
     """Every row equals e_0, so every row after the first reduces to zero."""
+    e0 = Row.unit(RATIONAL, 0)
 
     def gen(k: int) -> Row:
-        return Row.unit(RATIONAL, 0)
+        return e0
 
     return RowFiniteMatrix(RATIONAL, gen)
 
 
-def _fulkerson_even(n: int) -> Row:
+def _fulkerson_even(n: int) -> Tuple[int, ...]:
+    """The columns of row 2n of Fulkerson's matrix, increasing; each holds one."""
     if n == 0:
-        return Row.from_pairs(RATIONAL, [(2, Fraction(1)), (3, Fraction(1))])
+        return (2, 3)
     if n == 1:
-        return Row.from_pairs(
-            RATIONAL, [(3, Fraction(1)), (5, Fraction(1)), (6, Fraction(1))]
-        )
-    return Row.from_pairs(
-        RATIONAL,
-        [(3, Fraction(1)), (6, Fraction(1)), (3 * n + 2, Fraction(1)),
-         (3 * (n + 1), Fraction(1))],
-    )
+        return (3, 5, 6)
+    return (3, 6, 3 * n + 2, 3 * (n + 1))
 
 
 def builtin_fulkerson() -> RowFiniteMatrix:
@@ -145,24 +152,39 @@ def builtin_fulkerson() -> RowFiniteMatrix:
 
     Row 1 is zero; row 2n+1 = (n+1) * row 2n + sum of rows 0, 2, ..., 2(n-1)
     for n >= 1, which makes every odd row a combination of earlier even rows.
-    The generator keeps the running sum of the even rows, so rows asked for
-    in order cost time linear in their length.
+    The generator keeps the running sum of the even rows as a {column: int}
+    dict, so rows asked for in order cost time linear in their length: an
+    odd row is one copy of that dict. A row asked for out of order restarts
+    the sum. Each even row meets at most two columns past those of the rows
+    before it, 3n+2 < 3n+3 (and 5 < 6 for n = 1), so the dict's insertion
+    order is column order and needs no sort. Every entry of row 2n+1 is an
+    integer in [1, 2n+1] (n+1 from row 2n, at most one from each earlier
+    even row), so each row is built canonical, with no further check, from
+    Fractions made once per value and shared by every row.
     """
-    summed, even_sum = 0, Row.zero(RATIONAL)  # sum of even rows 0, 2, ..., 2(summed-1)
+    from_int = RATIONAL.from_int
+    values = [RATIONAL.zero(), RATIONAL.one()]  # values[v] is the Fraction v
+    summed, even_sum = 0, {}  # column -> sum of even rows 0, 2, ..., 2(summed-1)
 
     def gen(k: int) -> Row:
         nonlocal summed, even_sum
-        if k % 2 == 0:
-            return _fulkerson_even(k // 2)
         n = k // 2
+        if k % 2 == 0:
+            return _row(RATIONAL, tuple([(c, values[1]) for c in _fulkerson_even(n)]))
         if n == 0:
-            return Row.zero(RATIONAL)
+            return _row(RATIONAL, ())
         if summed > n:
-            summed, even_sum = 0, Row.zero(RATIONAL)
+            summed, even_sum = 0, {}
         while summed < n:
-            even_sum = even_sum.add_combination(((0, RATIONAL.one()),), (_fulkerson_even(summed),))
+            for c in _fulkerson_even(summed):
+                even_sum[c] = even_sum.get(c, 0) + 1
             summed += 1
-        return even_sum.add_combination(((0, Fraction(n + 1)),), (_fulkerson_even(n),))
+        acc = even_sum.copy()
+        for c in _fulkerson_even(n):
+            acc[c] = acc.get(c, 0) + n + 1
+        while len(values) <= 2 * n + 1:
+            values.append(from_int(len(values)))
+        return _row(RATIONAL, tuple([(c, values[v]) for c, v in acc.items()]))
 
     return RowFiniteMatrix(RATIONAL, gen)
 
@@ -171,24 +193,25 @@ def builtin_pde_operator() -> RowFiniteMatrix:
     """Matrix of the operator sending x^i y^j to
     ij x^{i+1} y^{j-1} + ij x^i y^j + ij x^{i-1} y^{j+1} + j x^{i+1} y^j
     + i x^i y^{j+1}, with domain monomials enumerated in prec2 order and
-    image coordinates taken in prec1 order."""
+    image coordinates taken in prec1 order. prec1 ranks by degree, then by
+    the exponent of y, so the five image monomials, listed below by degree
+    and then by that exponent, have strictly increasing columns: a row is
+    its nonzero terms as listed."""
     domain = MonomialOrdering("prec2")
-    codomain = MonomialOrdering("prec1")
+    rank = MonomialOrdering("prec1").rank
+    from_int = RATIONAL.from_int
 
     def gen(k: int) -> Row:
         i, j = domain.unrank(k)
-        terms = [
+        terms = (
             (i * j, i + 1, j - 1),
             (i * j, i, j),
             (i * j, i - 1, j + 1),
             (j, i + 1, j),
             (i, i, j + 1),
-        ]
-        pairs = []
-        for coeff, a, b in terms:
-            if coeff and a >= 0 and b >= 0:
-                pairs.append((codomain.rank(a, b), Fraction(coeff)))
-        return Row.from_pairs(RATIONAL, pairs)
+        )
+        return _row(RATIONAL, tuple([(rank(a, b), from_int(coeff)) for coeff, a, b in terms
+                                     if coeff and a >= 0 and b >= 0]))
 
     return RowFiniteMatrix(RATIONAL, gen)
 

@@ -121,8 +121,8 @@ class RationalField(Field):
     Row values are lowest-terms Fractions. The scalar operations and the
     sparse kernels work on their numerator/denominator pairs in integers and
     build each result with _rational, so they never go through Fraction's
-    operators; a plain int operand is read through Fraction, as from_int
-    reads it, and every result is a lowest-terms Fraction.
+    operators; a plain int operand is read through Fraction, the value
+    from_int builds, and every result is a lowest-terms Fraction.
     """
 
     __slots__ = ()
@@ -143,7 +143,9 @@ class RationalField(Field):
         return self._ONE
 
     def from_int(self, n: int):
-        return Fraction(n)
+        # n/1 is in lowest terms; a bool (or another int type) goes through
+        # Fraction, so the numerator is always a plain int
+        return _rational(n, 1) if type(n) is int else Fraction(n)
 
     # gcd-reduced sums and products of numerator/denominator pairs (Henrici,
     # J. ACM 3(1), 1956): one gcd per sum, none of its cross products over

@@ -185,20 +185,30 @@ def test_builtin_fulkerson_matches_recurrence_oracle():
         assert row_dict(m.row_at(k)) == fulkerson_row(k)
 
 
+def _fulkerson_even_row(n):
+    """Row 2n of Fulkerson's matrix, as documented: e_2 + e_3 for n = 0,
+    e_3 + e_5 + e_6 for n = 1, and e_3 + e_6 + e_{3n+2} + e_{3n+3} after."""
+    if n == 0:
+        cols = (2, 3)
+    elif n == 1:
+        cols = (3, 5, 6)
+    else:
+        cols = (3, 6, 3 * n + 2, 3 * n + 3)
+    return Row.from_pairs(RATIONAL, [(c, 1) for c in cols])
+
+
 def _cubic_fulkerson_row(k):
     """The odd-row recurrence as first written: rebuild (n+1) * row 2n plus
     every earlier even row, re-sorting the running row after each one."""
-    from omegagj.matrices import _fulkerson_even
-
     if k % 2 == 0:
-        return _fulkerson_even(k // 2)
+        return _fulkerson_even_row(k // 2)
     n = k // 2
     if n == 0:
         return Row.zero(RATIONAL)
-    acc = _fulkerson_even(n).scaled_raw(Fraction(n + 1))
+    acc = _fulkerson_even_row(n).scaled_raw(Fraction(n + 1))
     for i in range(n):
         acc = Row.from_pairs(
-            RATIONAL, list(acc.support) + list(_fulkerson_even(i).support)
+            RATIONAL, list(acc.support) + list(_fulkerson_even_row(i).support)
         )
     return acc
 
@@ -230,3 +240,72 @@ def test_builtin_pde_rows_are_finite_and_structured():
         for col, _ in m.row_at(k).support:
             oi, oj = order_out.unrank(col)
             assert oi + oj in (d, d + 1)
+
+
+def _pde_rows(count):
+    """Rows 0..count-1 of the pde operator, from its formula, with both
+    monomial orders read off the oracle's sorted enumeration."""
+    domain = enumerate_pairs(prec2_key, 30)[:count]
+    codomain = {pair: n for n, pair in enumerate(enumerate_pairs(prec1_key, 31))}
+    rows = []
+    for i, j in domain:
+        image = [(i * j, i + 1, j - 1), (i * j, i, j), (i * j, i - 1, j + 1),
+                 (j, i + 1, j), (i, i, j + 1)]
+        rows.append(Row.from_pairs(RATIONAL, [
+            (codomain[(a, b)], coeff) for coeff, a, b in image
+            if coeff and a >= 0 and b >= 0]))
+    return rows
+
+
+@pytest.mark.parametrize("name", ["bidiag", "pde", "fulkerson", "repeated"])
+def test_builtin_rows_are_canonical_and_match_their_definitions(name):
+    # the builtins build their rows without the checking constructor, so
+    # each row must still be one it accepts: sorted natural columns and
+    # nonzero lowest-terms Fractions whose numerators are ints, never bools
+    count = 301
+    if name == "bidiag":
+        want = [Row.from_pairs(RATIONAL, [(k, 1), (k + 1, 1)]) for k in range(count)]
+    elif name == "pde":
+        want = _pde_rows(count)
+    elif name == "fulkerson":
+        want = [_cubic_fulkerson_row(k) for k in range(count)]
+    else:
+        want = [Row.from_pairs(RATIONAL, [(0, 1)])] * count
+    m = BUILTINS[name]()
+    for k in range(count):
+        r = m.row_at(k)
+        assert Row(RATIONAL, r.support).support == r.support
+        for _, v in r.support:
+            assert type(v) is Fraction
+            assert type(v.numerator) is int and type(v.denominator) is int
+        assert r == want[k], k
+    first = {"pde": PDE_INPUT, "fulkerson": FULKERSON_INPUT}.get(name, [])
+    for k, expect in enumerate(first):
+        assert row_dict(want[k]) == expect
+
+
+def test_stencil_checks_and_converts_its_values_once():
+    # a value the field does not accept fails when the stencil is made,
+    # naming its offset, not at the first row_at
+    for bad in (0.5, "1"):
+        with pytest.raises(ValueError, match="offset -2") as info:
+            make_stencil(RATIONAL, [(0, 1), (-2, bad)])
+        assert repr(bad) in str(info.value)
+    with pytest.raises(ValueError, match="offset 1"):
+        make_stencil(GF7, {0: 1, 1: Fraction(1, 2)})
+    with pytest.raises(ValueError, match="offset 0.5"):
+        make_stencil(RATIONAL, {0: 1, 0.5: 1})
+    # ints over the rationals become Fractions with int numerators
+    m = make_stencil(RATIONAL, {1: 3, -1: -2, 0: Fraction(4, 6)})
+    assert m.row_at(0).support == ((0, Fraction(2, 3)), (1, Fraction(3)))
+    assert m.row_at(3).support == (
+        (2, Fraction(-2)), (3, Fraction(2, 3)), (4, Fraction(3)))
+    for _, v in m.row_at(3).support:
+        assert type(v) is Fraction and type(v.numerator) is int
+    # values over GF(7) are reduced, and a multiple of 7 is dropped
+    g = make_stencil(GF7, [(2, 7), (-1, -3), (0, 1)])
+    assert g.row_at(0).support == ((0, 1),)
+    assert g.row_at(5).support == ((4, 4), (5, 1))
+    for k in range(6):
+        r = g.row_at(k)
+        assert Row(GF7, r.support).support == r.support

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -304,6 +304,23 @@ def test_rational_scalar_operations_read_ints_as_fractions():
         _assert_lowest_terms(got)
     with pytest.raises(DivisionByZero):
         RATIONAL.inv(0)
+
+
+@example(True)
+@example(False)
+@example(0)
+@example(-1)
+@example(-(10**30))
+@example(10**30)
+@given(st.one_of(st.booleans(), st.integers()))
+def test_rational_from_int_is_the_fraction_of_an_int(n):
+    # from_int builds n/1 without Fraction's constructor; a bool still comes
+    # out with a plain int numerator, never True or False
+    got = RATIONAL.from_int(n)
+    assert got == Fraction(n)
+    assert type(got) is Fraction
+    assert type(got.numerator) is int and type(got.denominator) is int
+    _assert_lowest_terms(got)
 
 
 @pytest.mark.parametrize("field", [RATIONAL, GF7], ids=["rational", "gf7"])
