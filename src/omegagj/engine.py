@@ -22,16 +22,17 @@ log is replayed, with the inverse inv of the new pivot entry folded into
 the multipliers, so no pass rescales the finished passage row.
 
 Over GF(p) the reduced rows H are sparse Rows (combination_support, the
-field's one sparse row-sum kernel). Over the rationals they are
-rows.ScaledRow, integer numerators over one row denominator, as Q is: c is
-converted once, without a gcd, and the reduced row is made unit at its
-pivot by taking the pivot numerator as its denominator, with one
-multi-argument gcd per row (ScaledRow.normalized), not one per entry. The
-engine reads an H row through its stored, sorted, zero-free (column, x)
-pairs, a Row's support or a ScaledRow's numerators, to find the pivot,
-index the columns and certify a prefix; it never builds a ScaledRow's
-Fractions. The hits, pivot inverses and Jordan multipliers it logs are
-field values either way, so the log and Q do not depend on how H is held.
+prime field's one sparse row-sum kernel). Over the rationals they are
+rows.ScaledRow, integer numerators over one row denominator, as Q is, and
+ScaledRow is the only row arithmetic: c is converted once, without a gcd,
+and the reduced row is made unit at its pivot by taking the pivot
+numerator as its denominator, with one multi-argument gcd per row
+(ScaledRow.normalized), not one per entry. The engine reads an H row
+through its stored, sorted, zero-free (column, x) pairs, a Row's support or
+a ScaledRow's numerators, to find the pivot, index the columns and certify
+a prefix; it never builds a ScaledRow's Fractions. The hits, pivot
+inverses and Jordan multipliers it logs are field values either way, so
+the log and Q do not depend on how H is held.
 
 The state keeps a column index, column_rows: for every column, the set of
 row indices whose reduced row holds a nonzero entry there. The column clear
@@ -149,9 +150,9 @@ class EliminationState:
 def _replay(state: EliminationState) -> None:
     """Rebuild the passage rows of the logged stages, in order, emptying the log.
 
-    Stage n's row is inv * e_n plus the hits scaled by inv, one
-    add_combination on passage_unit(F, n, inv); then each Jordan patch
-    (i, mu) adds the pair (n, -mu) to Q[i]. A source is used reduced and
+    Stage n's row is inv * e_n plus the hits scaled by inv (F.mul on each
+    multiplier), one add_combination on passage_unit(F, n, inv); then each
+    Jordan patch (i, mu) adds the pair (n, -mu) to Q[i]. A source is used reduced and
     written back reduced, as is the new row before it patches.
     Each entry is dropped as it is replayed, so the log and the rows built
     from it are not held at their full sizes at once.
@@ -166,7 +167,7 @@ def _replay(state: EliminationState) -> None:
         for idx, _ in hits:
             q[idx] = q[idx].canonical()
         if inv != 1:
-            hits = F.scale_support(inv, hits)
+            hits = [(idx, F.mul(inv, v)) for idx, v in hits]
         q.append(passage_unit(F, n, inv).add_combination(hits, q))
         if patches:
             q[n] = q[n].canonical()

@@ -1,7 +1,7 @@
 """Finitely supported rows: sorted (column, value) support lists over a
-field; scaled integer rows, in which the engine holds both the reduced rows
-and the passage rows over the rationals; and packed passage rows over
-GF(p)."""
+field (input rows, and H over GF(p)); scaled integer rows, in which the
+engine holds H and Q over the rationals; packed passage rows over GF(p);
+and working_row and passage_unit, which pick each field's row type."""
 
 from __future__ import annotations
 
@@ -21,7 +21,9 @@ class Row:
     [1, p) over GF(p); from_pairs converts ints. The constructor rejects,
     with a ValueError naming the entry, a support that breaks any of this or
     is not a tuple of 2-tuples; the field kernels' results are canonical
-    already and skip the check.
+    already and skip the check. Its arithmetic (scaled_raw, normalized,
+    add_combination) is over GF(p) only; over the rationals a Row holds
+    input rows, text and equality, and working_row makes the ScaledRow.
     """
 
     __slots__ = ("field", "support")
@@ -100,7 +102,7 @@ class Row:
         return self.field.zero()
 
     def scaled_raw(self, lam) -> "Row":
-        """lam times this row; scaling by one returns the row itself."""
+        """lam times this row over GF(p); scaling by one returns the row itself."""
         if not lam:
             return _row(self.field, ())
         if lam == 1:
@@ -116,7 +118,7 @@ class Row:
     def add_combination(self, pairs, rows) -> "Row":
         """This row plus the sum of lam * rows[i] over a list of (i, lam)
         pairs, made by the row's own kernel, _add_rows; a zero lam adds
-        nothing. ScaledRow shares this method.
+        nothing. ScaledRow shares this method; for a Row it is over GF(p).
         """
         # one pair goes through axpy_raw, which calls the same _add_rows,
         # only so that the benchmark's tracer, which wraps rows.axpy_raw,
@@ -129,10 +131,10 @@ class Row:
         return self._add_rows(pairs, rows)
 
     def _add_rows(self, pairs, rows) -> "Row":
-        """This row plus the sum of lam * rows[i] over (i, lam) pairs, in
-        one sparse accumulator seeded with this row (the field's
-        combination_support), so the entries a pair does not reach are not
-        copied once per pair."""
+        """This row plus the sum of lam * rows[i] over (i, lam) pairs of
+        residues, in one sparse accumulator seeded with this row
+        (PrimeField.combination_support), so the entries a pair does not
+        reach are not copied once per pair."""
         F = self.field
         terms = []
         for i, lam in pairs:
@@ -189,8 +191,8 @@ def check_row(field: Field, k: int, r) -> None:
 
 
 def axpy_raw(lam, x, y):
-    """Return y + lam * x for two Rows or two ScaledRows: the one-pair row
-    update, which y's own kernel (_add_rows) makes."""
+    """Return y + lam * x for two Rows over GF(p) or two ScaledRows: the
+    one-pair row update, which y's own kernel (_add_rows) makes."""
     return y._add_rows(((0, lam),), (x,))
 
 
@@ -293,11 +295,11 @@ class ScaledRow:
     with gcd(den, *numerators) == 1, so equal rows have equal den and nums,
     and an integral row holds plain ints over den 1. Its one row operation,
     add_combination, brings the rows to one common denominator and
-    multiply-adds ints, with one multi-argument gcd per result row, where a
-    Row of Fractions builds a Fraction (and takes a gcd) per entry.
-    RationalField.scaled_hits converts an incoming Row, normalized makes a
-    pivot entry one, and passage_unit builds the first passage row of each
-    stage.
+    multiply-adds ints, with one multi-argument gcd per result row, not a
+    gcd per entry; it is the only row sum and row scale over the rationals.
+    RationalField.scaled_hits converts an incoming Row, working_row any
+    other, normalized makes a pivot entry one, and passage_unit builds the
+    first passage row of each stage.
 
     It reads like a Row: field, support (lowest-terms Fractions, built on
     demand), raw, entry_texts (read off the numerators), is_zero, maxs,
@@ -451,6 +453,19 @@ def passage_unit(field: Field, col: int, lam):
     if field.p is None:
         return ScaledRow(field, lam.denominator, ((col, lam.numerator),))
     return PackedRow(field, col, lam, lam)
+
+
+def working_row(row):
+    """row as the type that does its field's row arithmetic, the type of H:
+    a ScaledRow over the rationals (a Row of Fractions brought over one
+    denominator) and a Row over GF(p) (a packed row read out to its
+    support); a row of that type is returned as it is."""
+    F = row.field
+    if F.p is None:
+        if isinstance(row, ScaledRow):
+            return row
+        return ScaledRow(F, *F.over_common_denominator(row.support))
+    return row if isinstance(row, Row) else _row(F, row.support)
 
 
 def dense_width(rows: Iterable[Row]) -> int:

@@ -2,12 +2,13 @@
 
 Every value in the library is a raw value of a Field (a Fraction over the
 rationals, an int residue over GF(p)), operated on only through that
-Field's methods. Each field also owns the sparse kernels that rows
-(rows.Row, rows.ScaledRow, rows.PackedRow) are built from, and the text of
-a symbolic form's terms (render_terms), which reads one row of the form
-(solver.LinForm). No floating point is used anywhere. Over the rationals
-every operation, scalar or sparse, works on the numerator/denominator ints
-of its Fractions, so none goes through Fraction's operators.
+Field's methods. A prime field also owns the sparse kernels of rows.Row
+and the slots of rows.PackedRow; the rationals own the conversions to and
+from rows.ScaledRow, which makes every rational row sum itself. Each field
+writes the text of a symbolic form's terms (render_terms) from one row of
+the form (solver.LinForm). No floating point is used anywhere. Over the
+rationals every operation works on the numerator/denominator ints of its
+Fractions, so none goes through Fraction's operators.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _rational(n: int, d: int) -> Fraction:
     """The Fraction n/d for coprime n and d > 0, without re-normalising.
 
     Fraction(n, d) checks types and divides out a gcd on every call; the
-    rational kernels have already reduced their results, so they set
+    rational operations have already reduced their results, so they set
     Fraction's two slots (_numerator, _denominator on Python 3.10-3.13)
     directly on a bare instance.
     """
@@ -81,10 +82,10 @@ class Field:
     """A coefficient field: exact rationals, or integers mod a prime.
 
     The fields are RATIONAL (the one RationalField) and Field.gf(p) (a
-    PrimeField). Each subclass owns its scalar operations and the sparse
-    kernels that rows are built from, so no operation dispatches on the
-    field. Raw values are Fraction for the rationals and int residues in
-    [0, p) for GF(p); p is None for the rationals.
+    PrimeField). Each subclass owns its scalar operations and what its
+    row types are built from, so no operation dispatches on the field.
+    Raw values are Fraction for the rationals and int residues in [0, p)
+    for GF(p); p is None for the rationals.
     """
 
     __slots__ = ("p",)
@@ -119,10 +120,10 @@ class RationalField(Field):
     """The rationals, with Fraction values.
 
     Row values are lowest-terms Fractions. The scalar operations and the
-    sparse kernels work on their numerator/denominator pairs in integers and
-    build each result with _rational, so they never go through Fraction's
-    operators; a plain int operand is read through Fraction, the value
-    from_int builds, and every result is a lowest-terms Fraction.
+    ScaledRow conversions work on their numerator/denominator pairs in
+    integers and build each result with _rational, so they never go through
+    Fraction's operators; a plain int operand is read through Fraction, the
+    value from_int builds, and every result is a lowest-terms Fraction.
     """
 
     __slots__ = ()
@@ -200,14 +201,6 @@ class RationalField(Field):
         """Parse the canonical text form: 'p/q' or 'p'."""
         return Fraction(text)
 
-    def format_values(self, values) -> list:
-        """The text of many Fractions, as str gives each, read from their
-        numerator and denominator slots."""
-        return [
-            str(v._numerator) if v._denominator == 1 else f"{v._numerator}/{v._denominator}"
-            for v in values
-        ]
-
     def format_quotients(self, den: int, nums) -> list:
         """The canonical text of each v / den in lowest terms ('p/q' or
         'p', as str prints its Fraction) over (key, int numerator) pairs
@@ -257,20 +250,6 @@ class RationalField(Field):
         if type(v) is not Fraction:
             return "value must be a Fraction"
         return None if v else "zero value"
-
-    def scale_support(self, lam, xs: tuple) -> tuple:
-        """lam times the values of (key, value) pairs; lam is nonzero."""
-        a, b = lam.numerator, lam.denominator
-        if a == -1 and b == 1:
-            return tuple([(c, _rational(-v._numerator, v._denominator)) for c, v in xs])
-        out = []
-        append = out.append
-        for c, v in xs:
-            n = a * v._numerator
-            d = b * v._denominator
-            g = gcd(n, d)
-            append((c, _rational(n // g, d // g)))
-        return tuple(out)
 
     def scaled_support(self, den: int, nums: tuple) -> tuple:
         """The (key, lowest-terms Fraction) pairs of (key, int numerator)
@@ -338,48 +317,6 @@ class RationalField(Field):
         if integral:
             return hits, 1, tuple(nums)
         return (hits, *self.over_common_denominator(support))
-
-    def combination_support(self, ys: tuple, pairs) -> tuple:
-        """ys plus the sum of lam * xs over (lam, xs) pairs of nonzero
-        multipliers, for sorted zero-free supports ys and xs, built in one
-        dict seeded with ys and sorted once.
-
-        The sparse accumulator of Gilbert, Moler and Schreiber (SIAM J.
-        Matrix Anal. Appl. 13(1), 1992): the one sparse row-sum kernel over
-        the rationals, for one pair as for many, so the running row is never
-        copied once per pair. Each value is worked on as its
-        numerator/denominator pair: with lam = a/b, vx = p/q and vy = r/s
-        the sum is (r*b*q + a*p*s) / (s*b*q), reduced by one gcd; a
-        multiplier of 1 or -1 passes a new entry through or flips its sign
-        without one.
-        """
-        acc = dict(ys)
-        get = acc.get
-        for lam, xs in pairs:
-            a, b = lam.numerator, lam.denominator
-            sign = a if b == 1 and (a == 1 or a == -1) else 0
-            for c, vx in xs:
-                vy = get(c)
-                if vy is None:
-                    if sign == 1:
-                        acc[c] = vx
-                    elif sign:
-                        acc[c] = _rational(-vx._numerator, vx._denominator)
-                    else:
-                        n = a * vx._numerator
-                        d = b * vx._denominator
-                        g = gcd(n, d)
-                        acc[c] = _rational(n // g, d // g)
-                    continue
-                q, s = vx._denominator, vy._denominator
-                n = vy._numerator * b * q + a * vx._numerator * s
-                if n:
-                    d = s * b * q
-                    g = gcd(n, d)
-                    acc[c] = _rational(n // g, d // g)
-                else:
-                    del acc[c]
-        return tuple(sorted(acc.items()))
 
     def __repr__(self):
         return "Field(rational)"
@@ -497,9 +434,10 @@ class PrimeField(Field):
 
     def combination_support(self, ys: tuple, pairs) -> tuple:
         """ys plus the sum of lam * xs mod p over (lam, xs) pairs of
-        nonzero residues, for sorted zero-free supports ys and xs, built in
-        one dict seeded with ys and sorted once; each column is summed as a
-        plain int and reduced once, at the end."""
+        nonzero residues, for sorted zero-free supports ys and xs: one
+        sparse accumulator (Gilbert, Moler and Schreiber, SIAM J. Matrix
+        Anal. Appl. 13(1), 1992), a dict seeded with ys and sorted once,
+        each column summed as a plain int and reduced at the end."""
         p = self.p
         acc = dict(ys)
         get = acc.get

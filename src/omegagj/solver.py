@@ -7,7 +7,7 @@ from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .engine import EliminationState, IndexOutOfRange, certified_floor
-from .rows import Row, ScaledRow, _row
+from .rows import ScaledRow, _row, working_row
 from .scalars import Field, check_same_field
 
 # Symbol namespace of the homogeneous solution's free parameters t_0, t_1, ...
@@ -23,7 +23,7 @@ class LinForm:
     """An affine form over indexed symbols: constant + sum of coeff * ns_i.
 
     blocks maps each namespace ns to one row holding the coefficients of
-    its symbols ns_i at columns i (_block picks its type): a
+    its symbols ns_i at columns i (rows.working_row picks its type): a
     rows.ScaledRow over the rationals, int numerators over one
     denominator, and a sparse rows.Row over GF(p). No row is zero, and
     rows are canonical, so two forms are equal iff their fields, constants
@@ -51,7 +51,7 @@ class LinForm:
             v = _value(field, v)
             if v:
                 grouped.setdefault(ns, []).append((i, v))
-        self.blocks = {ns: _block(_row(field, tuple(sorted(pairs))))
+        self.blocks = {ns: working_row(_row(field, tuple(sorted(pairs))))
                        for ns, pairs in grouped.items()}
 
     @classmethod
@@ -70,7 +70,7 @@ class LinForm:
         """The form namespace_index; a key that is not a (str, natural)
         pair raises ValueError, as in the constructor."""
         _check_symbol(namespace, index)
-        row = _block(_row(field, ((index, field.one()),)))
+        row = working_row(_row(field, ((index, field.one()),)))
         return _form(field, field.zero(), {namespace: row})
 
     @property
@@ -168,19 +168,6 @@ def _form(field: Field, constant, blocks: dict) -> LinForm:
     return f
 
 
-def _block(row):
-    """row as a form holds one namespace: a ScaledRow over the rationals
-    and a Row over GF(p), the types the engine holds H in. A row of that
-    type is held as it is; a Row of Fractions is brought over one
-    denominator, and a packed passage row is read out to its support."""
-    F = row.field
-    if F.p is None:
-        if isinstance(row, ScaledRow):
-            return row
-        return ScaledRow(F, *F.over_common_denominator(row.support))
-    return row if isinstance(row, Row) else _row(F, row.support)
-
-
 class SymbolicSequence:
     """A column-indexed sequence of linear forms, defined up to a horizon.
 
@@ -242,9 +229,9 @@ def transform_rhs(
     state.passage is first read. ``rhs`` may be a symbol namespace, an
     explicit list of field values, or a callable giving the value for index
     i. A namespace ns makes k[i] the form sum of v * ns_j over Q[i]'s
-    entries, held as one row (_block): over the rationals the ScaledRow
-    Q[i] itself, with no per-entry work, and over GF(p) the Row of the
-    packed row's support. An explicit rhs makes each k[i] a constant form;
+    entries, held as one row (rows.working_row): over the rationals the
+    ScaledRow Q[i] itself, with no per-entry work, and over GF(p) the Row
+    of the packed row's support. An explicit rhs makes each k[i] a constant form;
     a value that the field does not accept raises TypeError naming its
     index. The namespace PARAMETER_NAMESPACE is reserved and raises
     ValueError.
@@ -254,7 +241,7 @@ def transform_rhs(
     if isinstance(rhs, str):
         forms = []
         for prow in passage:
-            row = _block(prow)
+            row = working_row(prow)
             F = row.field
             forms.append(_form(F, F.zero(), {} if row.is_zero() else {rhs: row}))
         return forms

@@ -147,6 +147,27 @@ def test_verify_row_equivalence_rejects_one_changed_passage_entry(p):
             assert not verify_row_equivalence(tampered, m, state.rows, 12)
 
 
+def test_verify_row_equivalence_on_non_integral_rows(rng):
+    # seeded random input rows of non-integral Fractions, zero rows among
+    # them: Q . A = H holds, and adding one to one passage entry, at a
+    # column whose input row is nonzero, breaks it
+    F = RATIONAL
+    for _ in range(8):
+        dicts = random_dict_rows(rng, 10, 12, 4)
+        m = make_explicit(F, mk_rows(F, dicts))
+        state = run_to(m, 9)
+        passage = state.passage
+        assert verify_row_equivalence(passage, m, state.rows, 9)
+        nonzero = [j for j, d in enumerate(dicts) if d]
+        for i in (0, 4, 9):
+            j = rng.choice(nonzero)
+            tampered = list(passage)
+            tampered[i] = passage[i].add_combination([(0, F.one())], [passage_unit(F, j, F.one())])
+            assert not verify_row_equivalence(tampered, m, state.rows, 9)
+    assert any(v.denominator != 1 for d in dicts for v in d.values())
+    assert any(q.den != 1 for q in passage)
+
+
 def test_form_predicates_agree_with_dict_oracles(rng):
     for trial in range(60):
         p = 7 if trial % 2 else None

@@ -673,7 +673,7 @@ def test_verify_form_check_prints_its_witness(check, monkeypatch, capsys):
         def wrapper(*args):
             result = build(*args)
             rows = base(result).rows
-            rows[3] = Row(RATIONAL, rows[3].support).scaled_raw(Fraction(2))
+            rows[3] = Row.from_pairs(RATIONAL, [(c, 2 * v) for c, v in rows[3].support])
             built.append((result, rows[3]))
             return result
         return wrapper

@@ -205,7 +205,7 @@ def _cubic_fulkerson_row(k):
     n = k // 2
     if n == 0:
         return Row.zero(RATIONAL)
-    acc = _fulkerson_even_row(n).scaled_raw(Fraction(n + 1))
+    acc = Row.from_pairs(RATIONAL, [(c, (n + 1) * v) for c, v in _fulkerson_even_row(n).support])
     for i in range(n):
         acc = Row.from_pairs(
             RATIONAL, list(acc.support) + list(_fulkerson_even_row(i).support)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from math import gcd
 
 from omegagj import Field, FieldMismatch, RATIONAL, Row
-from omegagj.rows import ScaledRow, axpy_raw, dense_width, passage_unit
+from omegagj.rows import PackedRow, ScaledRow, axpy_raw, dense_width, passage_unit, working_row
+from oracles import combination_dict
 from util import mk_row, parse_row, row_dict, scaled_row
 
 GF7 = Field.gf(7)
@@ -107,8 +108,9 @@ def test_equality_hash_and_cross_field():
 
 
 def test_add_combination_gathers_rows_by_index():
-    y = mk_row(RATIONAL, {0: 1, 3: 2})
-    rows = [mk_row(RATIONAL, {0: 1, 1: 1}), mk_row(RATIONAL, {3: 1}), mk_row(RATIONAL, {1: 1})]
+    # over the rationals rows are summed as ScaledRows
+    y = scaled_row(mk_row(RATIONAL, {0: 1, 3: 2}))
+    rows = [scaled_row(mk_row(RATIONAL, d)) for d in ({0: 1, 1: 1}, {3: 1}, {1: 1})]
     got = y.add_combination([(0, Fraction(-1)), (1, Fraction(-2)), (2, Fraction(1))], rows)
     assert got.is_zero()
     assert y.add_combination([], rows) is y
@@ -119,14 +121,22 @@ def test_add_combination_gathers_rows_by_index():
 
 
 def test_scaled_raw():
-    r = mk_row(RATIONAL, {0: Fraction(2), 4: Fraction(-3)})
-    assert row_dict(r.scaled_raw(Fraction(1, 2))) == {0: Fraction(1), 4: Fraction(-3, 2)}
-    assert r.scaled_raw(Fraction(0)).is_zero()
+    # a Row scales over GF(p); over the rationals a ScaledRow is scaled by
+    # adding it, times lam, to the zero row
+    r = mk_row(GF7, {0: 2, 4: 3})
+    assert row_dict(r.scaled_raw(4)) == {0: 1, 4: 5}
+    assert r.scaled_raw(0).is_zero() and r.scaled_raw(1) is r
+    s = scaled_row(mk_row(RATIONAL, {0: Fraction(2), 4: Fraction(-3)}))
+    zero = ScaledRow(RATIONAL, 1, ())
+    half = zero.add_combination(((0, Fraction(1, 2)),), [s])
+    assert row_dict(half) == {0: Fraction(1), 4: Fraction(-3, 2)}
+    assert (half.den, half.nums) == (2, ((0, 2), (4, -3)))
+    assert zero.add_combination(((0, Fraction(0)),), [s]).is_zero()
 
 
 def test_axpy_cancellation():
-    x = mk_row(RATIONAL, {0: Fraction(1), 2: Fraction(1)})
-    y = mk_row(RATIONAL, {2: Fraction(3), 5: Fraction(1)})
+    x = scaled_row(mk_row(RATIONAL, {0: Fraction(1), 2: Fraction(1)}))
+    y = scaled_row(mk_row(RATIONAL, {2: Fraction(3), 5: Fraction(1)}))
     out = axpy_raw(Fraction(-3), x, y)
     assert row_dict(out) == {0: Fraction(-3), 5: Fraction(1)}
     assert axpy_raw(Fraction(0), x, y) is y
@@ -141,15 +151,10 @@ def test_axpy_gf_wraps():
 @settings(deadline=None)
 @given(sparse_dicts, sparse_dicts, st.fractions(max_denominator=6))
 def test_axpy_matches_dict_arithmetic(dx, dy, lam):
-    x, y = mk_row(RATIONAL, dx), mk_row(RATIONAL, dy)
-    expect = dict(dy)
-    for c, v in dx.items():
-        nv = expect.get(c, Fraction(0)) + lam * v
-        if nv:
-            expect[c] = nv
-        else:
-            expect.pop(c, None)
-    assert row_dict(axpy_raw(lam, x, y)) == expect
+    x, y = scaled_row(mk_row(RATIONAL, dx)), scaled_row(mk_row(RATIONAL, dy))
+    out = axpy_raw(lam, x, y)
+    assert row_dict(out) == combination_dict(dy, [(lam, dx.items())] if lam else [])
+    _assert_canonical(out)
 
 
 def _field_dicts(p):
@@ -165,7 +170,9 @@ def _field_dicts(p):
 
 @pytest.mark.parametrize("p", [None, 2, 32003], ids=["rational", "gf2", "gf32003"])
 def test_field_kernels_match_dict_arithmetic(p):
-    """axpy and scaling, including the lam = 1 and lam = -1 shortcuts."""
+    """axpy and scaling, including the lam = 1 and lam = -1 shortcuts, on
+    each field's working row: a ScaledRow over the rationals, a Row over
+    GF(p), where scaled_raw scales too."""
     field = RATIONAL if p is None else Field.gf(p)
     lams = st.sampled_from([1, -1, 2, Fraction(-7, 3)]) if p is None else st.integers(0, p - 1)
 
@@ -176,7 +183,7 @@ def test_field_kernels_match_dict_arithmetic(p):
     @given(_field_dicts(p), _field_dicts(p), lams)
     def check(dx, dy, lam):
         lam = field.from_int(lam) if isinstance(lam, int) else lam
-        x, y = mk_row(field, dx), mk_row(field, dy)
+        x, y = working_row(mk_row(field, dx)), working_row(mk_row(field, dy))
         expect = dict(dy)
         for c, v in dx.items():
             nv = reduce(expect.get(c, 0) + lam * v)
@@ -184,12 +191,16 @@ def test_field_kernels_match_dict_arithmetic(p):
                 expect[c] = nv
             else:
                 expect.pop(c, None)
-        out, scaled_row = axpy_raw(lam, x, y), x.scaled_raw(lam)
+        out = axpy_raw(lam, x, y)
+        scaled_rows = [working_row(Row.zero(field)).add_combination(((0, lam),), [x])]
+        if p is not None:
+            scaled_rows.append(x.scaled_raw(lam))
         assert row_dict(out) == expect
         scaled = {c: reduce(lam * v) for c, v in dx.items()} if lam else {}
-        assert row_dict(scaled_row) == scaled
-        # built without the constructor's check, so it must pass it
-        Row(field, out.support), Row(field, scaled_row.support)
+        for r in [out] + scaled_rows:
+            # built without the constructor's check, so it must pass it
+            Row(field, r.support)
+        assert all(row_dict(r) == scaled for r in scaled_rows)
 
     check()
 
@@ -237,27 +248,33 @@ nonzero_fractions = st.fractions(
 @given(sparse_dicts, sparse_dicts, sparse_dicts, st.booleans(),
        st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=12),
        st.lists(st.tuples(st.integers(0, 2), nonzero_fractions), max_size=4))
-def test_scaled_row_kernels_match_the_row_kernels(dy, dx, dz, right, lam, pairs):
+def test_scaled_row_kernels_match_fraction_arithmetic(dy, dx, dz, right, lam, pairs):
     # with right, y lies wholly right of the sources, the one-source
     # concatenation of add_combination; pairs may repeat a source and the
     # third source is y itself, so columns cancel
     if right:
         dy = {c + 31: v for c, v in dy.items()}
-    y, x, z = mk_row(RATIONAL, dy), mk_row(RATIONAL, dx), mk_row(RATIONAL, dz)
-    rows, scaled_rows = [x, z, y], [scaled_row(x), scaled_row(z), scaled_row(y)]
+    dicts = [dx, dz, dy]
+    scaled_rows = [scaled_row(mk_row(RATIONAL, d)) for d in dicts]
     sy = scaled_rows[2]
+
+    def expect(pairs, ys=dy):
+        # the Row of ys plus the pairs' sum, made with Fraction operators
+        terms = [(mu, dicts[i].items()) for i, mu in pairs]
+        return mk_row(RATIONAL, combination_dict(ys, terms))
+
     cases = [
-        (sy.add_combination(pairs, scaled_rows), y.add_combination(pairs, rows)),
-        (sy.add_combination(pairs[:1], scaled_rows), y.add_combination(pairs[:1], rows)),
+        (sy.add_combination(pairs, scaled_rows), expect(pairs)),
+        (sy.add_combination(pairs[:1], scaled_rows), expect(pairs[:1])),
     ]
     if lam:
         # a Jordan patch, lam times a row from zero, and a stage's first
         # passage row lam * e_5
         cases += [
-            (sy.add_combination(((0, -lam),), scaled_rows), y.add_combination(((0, -lam),), rows)),
+            (sy.add_combination(((0, -lam),), scaled_rows), expect(((0, -lam),))),
             (ScaledRow(RATIONAL, 1, ()).add_combination(((2, lam),), scaled_rows),
-             y.scaled_raw(lam)),
-            (passage_unit(RATIONAL, 5, lam), Row.unit(RATIONAL, 5).scaled_raw(lam)),
+             expect(((2, lam),), {})),
+            (passage_unit(RATIONAL, 5, lam), mk_row(RATIONAL, {5: lam})),
         ]
     for got, want in cases:
         assert got.support == want.support
@@ -298,13 +315,10 @@ def test_zero_multiplier_adds_nothing_on_every_row_type():
     two = y.add_combination(((0, zero), (1, Fraction(1, 2))), [x, x])
     assert two == mk_row(RATIONAL, {0: 1, 3: Fraction(1, 2)})
     _assert_canonical(two)
-    r, s = mk_row(RATIONAL, {0: 1}), mk_row(RATIONAL, {3: 1})
-    assert r.add_combination(((0, zero),), [s]) is r
-    assert r.add_combination(((0, zero), (0, zero)), [s]) is r
-    assert r.add_combination(((0, zero), (0, Fraction(2))), [s]).support == (
-        (0, Fraction(1)), (3, Fraction(2)))
     p, q = mk_row(GF7, {0: 1}), mk_row(GF7, {3: 1})
+    assert p.add_combination(((0, 0),), [q]) is p and axpy_raw(0, q, p) is p
     assert p.add_combination(((0, 0), (0, 0)), [q]) is p
+    assert p.add_combination(((0, 0), (0, 2)), [q]).support == ((0, 1), (3, 2))
     packed = passage_unit(GF7, 0, 1)
     assert packed.add_combination(((0, 0),), [passage_unit(GF7, 3, 1)]) == p
 
@@ -338,3 +352,20 @@ def test_scaled_hits_raw_and_normalized():
     assert hash(r) == hash(row) and {r, row} == {row}
     ones = ScaledRow(RATIONAL, 1, ((0, 2), (3, 1)))
     assert ones.normalized(1) == (ones, 1) and ones.normalized(1)[0] is ones
+
+
+def test_working_row_picks_each_fields_row_type():
+    # a Row of Fractions becomes the ScaledRow of its numerators over the
+    # lcm of its denominators, a packed row the Row of its support, and a
+    # row of the working type is returned as it is
+    row = mk_row(RATIONAL, {1: Fraction(-1, 6), 4: 2, 9: Fraction(3, 4)})
+    s = working_row(row)
+    assert type(s) is ScaledRow and (s.den, s.nums) == (12, ((1, -2), (4, 24), (9, 9)))
+    assert working_row(s) is s and s == scaled_row(row)
+    zero = working_row(Row.zero(RATIONAL))
+    assert type(zero) is ScaledRow and (zero.den, zero.nums) == (1, ())
+    g = mk_row(GF7, {0: 3, 2: 5})
+    assert working_row(g) is g
+    packed = passage_unit(GF7, 2, 5).add_combination(((0, 3),), [passage_unit(GF7, 0, 1)])
+    assert type(packed) is PackedRow
+    assert type(working_row(packed)) is Row and working_row(packed) == g

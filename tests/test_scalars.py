@@ -23,7 +23,10 @@ from omegagj import (
     LinForm,
     PrimeField,
     RationalField,
+    Row,
 )
+from omegagj.rows import ScaledRow
+from util import scaled_row
 
 GF7 = Field.gf(7)
 F1 = Fraction(1)
@@ -184,15 +187,30 @@ def _assert_lowest_term_fractions(support):
 @settings(deadline=None, max_examples=150)
 @given(kernel_inputs())
 def test_rational_kernels_match_fraction_arithmetic(inputs):
+    # over the rationals a ScaledRow makes every row sum and row scale
     lam, xs, ys = inputs
-    got = RATIONAL.combination_support(ys, ((lam, xs),))
-    assert got == tuple(sorted(combination_dict(ys, [(lam, xs)]).items()))
-    assert [c for c, _ in got] == sorted({c for c, _ in got})
-    _assert_lowest_term_fractions(got)
-    if lam != 1:
-        scaled = RATIONAL.scale_support(lam, xs)
-        assert scaled == tuple((c, lam * v) for c, v in xs)
-        _assert_lowest_term_fractions(scaled)
+    x, y = _scaled(xs), _scaled(ys)
+    got = y.add_combination(((0, lam),), [x])
+    assert got.support == tuple(sorted(combination_dict(ys, [(lam, xs)]).items()))
+    _assert_scaled_canonical(got)
+    scaled = ScaledRow(RATIONAL, 1, ()).add_combination(((0, lam),), [x])
+    assert scaled.support == tuple((c, lam * v) for c, v in xs)
+    _assert_scaled_canonical(scaled)
+
+
+def _scaled(support):
+    return scaled_row(Row(RATIONAL, support))
+
+
+def _assert_scaled_canonical(r):
+    """r is a canonical ScaledRow: sorted columns, nonzero int numerators
+    over a positive denominator with no common factor, and lowest-terms
+    Fractions in its support."""
+    cols = [c for c, _ in r.nums]
+    assert cols == sorted(set(cols)) and r.den > 0
+    assert all(type(v) is int and v for _, v in r.nums)
+    assert math.gcd(r.den, *[v for _, v in r.nums]) == 1
+    _assert_lowest_term_fractions(r.support)
 
 
 def _fold_one_pair_calls(field, ys, pairs):
@@ -204,7 +222,7 @@ def _fold_one_pair_calls(field, ys, pairs):
 
 @st.composite
 def combination_inputs(draw, field):
-    """ys and (lam, xs) pairs for combination_support: 200-bit values over
+    """ys and (lam, xs) pairs for one row sum: 200-bit values over
     the rationals, multipliers of 1 and -1 among others, maybe no pair,
     maybe one source used twice, and maybe one last pair that cancels some
     columns of the running sum, of ys and of the first source included."""
@@ -232,7 +250,7 @@ def combination_inputs(draw, field):
     return ys, pairs
 
 
-@pytest.mark.parametrize("field", [RATIONAL, GF7], ids=["rational", "gf7"])
+@pytest.mark.parametrize("field", [GF7, Field.gf(32003)], ids=["gf7", "gf32003"])
 def test_combination_support_is_the_fold_of_one_pair_calls(field):
     @settings(deadline=None, max_examples=150)
     @given(combination_inputs(field))
@@ -242,15 +260,32 @@ def test_combination_support_is_the_fold_of_one_pair_calls(field):
         assert got == _fold_one_pair_calls(field, ys, pairs)
         assert got == tuple(sorted(combination_dict(ys, pairs, field.p).items()))
         assert [c for c, _ in got] == sorted({c for c, _ in got})
-        if field is RATIONAL:
-            _assert_lowest_term_fractions(got)
-        else:
-            assert all(0 < v < field.p for _, v in got)
+        assert all(0 < v < field.p for _, v in got)
         if not pairs:
             assert got == ys
 
     check()
     assert field.combination_support((), []) == ()
+
+
+@settings(deadline=None, max_examples=150)
+@given(combination_inputs(RATIONAL))
+def test_scaled_row_combination_is_the_fold_of_one_pair_calls(inputs):
+    # the ScaledRow sum of many pairs at once equals one pair at a time,
+    # and both equal the sum made with Fraction operators
+    ys, pairs = inputs
+    y = _scaled(ys)
+    rows = [_scaled(xs) for _, xs in pairs]
+    indexed = [(i, lam) for i, (lam, _) in enumerate(pairs)]
+    got = y.add_combination(indexed, rows)
+    folded = y
+    for pair in indexed:
+        folded = folded.add_combination((pair,), rows)
+    assert (got.den, got.nums) == (folded.den, folded.nums)
+    assert got.support == tuple(sorted(combination_dict(ys, pairs).items()))
+    _assert_scaled_canonical(got)
+    if not pairs:
+        assert got is y
 
 
 @st.composite
@@ -352,7 +387,7 @@ def test_scalar_gf_wraps_modulus():
 
 
 def test_cross_field_operations_raise():
-    from omegagj.rows import Row, axpy_raw
+    from omegagj.rows import axpy_raw
 
     x, y = Row.unit(RATIONAL, 0), Row.unit(GF7, 0)
     with pytest.raises(FieldMismatch):
