@@ -190,26 +190,20 @@ def test_rational_kernels_match_fraction_arithmetic(inputs):
     # over the rationals a ScaledRow makes every row sum and row scale
     lam, xs, ys = inputs
     x, y = _scaled(xs), _scaled(ys)
-    got = y.add_combination(((0, lam),), [x])
-    assert got.support == tuple(sorted(combination_dict(ys, [(lam, xs)]).items()))
-    _assert_scaled_canonical(got)
+    _assert_scaled_is(y.add_combination(((0, lam),), [x]), combination_dict(ys, [(lam, xs)]))
     scaled = ScaledRow(RATIONAL, 1, ()).add_combination(((0, lam),), [x])
-    assert scaled.support == tuple((c, lam * v) for c, v in xs)
-    _assert_scaled_canonical(scaled)
+    _assert_scaled_is(scaled, {c: lam * v for c, v in xs})
 
 
 def _scaled(support):
     return scaled_row(Row(RATIONAL, support))
 
 
-def _assert_scaled_canonical(r):
-    """r is a canonical ScaledRow: sorted columns, nonzero int numerators
-    over a positive denominator with no common factor, and lowest-terms
-    Fractions in its support."""
-    cols = [c for c, _ in r.nums]
-    assert cols == sorted(set(cols)) and r.den > 0
-    assert all(type(v) is int and v for _, v in r.nums)
-    assert math.gcd(r.den, *[v for _, v in r.nums]) == 1
+def _assert_scaled_is(r, want):
+    """r is the canonical ScaledRow of the {column: Fraction} dict want,
+    and its support holds lowest-terms Fractions."""
+    ref = _scaled(tuple(sorted(want.items())))
+    assert (r.den, r.nums) == (ref.den, ref.nums)
     _assert_lowest_term_fractions(r.support)
 
 
@@ -282,8 +276,7 @@ def test_scaled_row_combination_is_the_fold_of_one_pair_calls(inputs):
     for pair in indexed:
         folded = folded.add_combination((pair,), rows)
     assert (got.den, got.nums) == (folded.den, folded.nums)
-    assert got.support == tuple(sorted(combination_dict(ys, pairs).items()))
-    _assert_scaled_canonical(got)
+    _assert_scaled_is(got, combination_dict(ys, pairs))
     if not pairs:
         assert got is y
 
