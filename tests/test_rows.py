@@ -120,12 +120,40 @@ def test_add_combination_gathers_rows_by_index():
         y.add_combination([(0, Fraction(1)), (1, Fraction(1))], [rows[0], mk_row(GF7, {3: 1})])
 
 
-def test_scaled_raw():
-    # a Row scales over GF(p); over the rationals a ScaledRow is scaled by
-    # adding it, times lam, to the zero row
+def test_rational_row_arithmetic_names_the_field_and_working_row():
+    # a Row over the rationals holds input rows, text and equality; its
+    # arithmetic fails at the field's kernel with an error that names the
+    # field and the conversion to the row type that does the arithmetic
+    x = mk_row(RATIONAL, {0: 1, 2: Fraction(1, 2)})
+    y = mk_row(RATIONAL, {1: 3})
+    match = r"Field\(rational\).*rows\.working_row"
+    calls = [
+        lambda: y.add_combination(((0, Fraction(2)),), [x]),
+        lambda: y.add_combination(((0, Fraction(2)), (1, Fraction(-1))), [x, x]),
+        lambda: axpy_raw(Fraction(-1, 3), x, y),
+        lambda: x.normalized(Fraction(1, 2)),
+        lambda: y.normalized(Fraction(3)),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match=match):
+            call()
+    # the same sums on the working rows
+    wx, wy = working_row(x), working_row(y)
+    assert row_dict(wy.add_combination(((0, Fraction(2)),), [wx])) == {0: 2, 1: 3, 2: 1}
+    assert row_dict(wx.normalized(1)[0]) == {0: 2, 2: 1}
+
+
+def test_normalized_scales_by_the_inverse_lead():
+    # a Row over GF(p) is divided by its lead entry, which returns the
+    # inverse; a lead of one returns the row itself. Over the rationals a
+    # ScaledRow is scaled by adding it, times lam, to the zero row
     r = mk_row(GF7, {0: 2, 4: 3})
-    assert row_dict(r.scaled_raw(4)) == {0: 1, 4: 5}
-    assert r.scaled_raw(0).is_zero() and r.scaled_raw(1) is r
+    unit, inv = r.normalized(2)
+    assert inv == 4 and row_dict(unit) == {0: 1, 4: 5}
+    # built without the constructor's check, so it must pass it
+    Row(GF7, unit.support)
+    assert row_dict(r.normalized(3)[0]) == {0: 3, 4: 1}
+    assert r.normalized(1) == (r, 1) and r.normalized(1)[0] is r
     s = scaled_row(mk_row(RATIONAL, {0: Fraction(2), 4: Fraction(-3)}))
     zero = ScaledRow(RATIONAL, 1, ())
     half = zero.add_combination(((0, Fraction(1, 2)),), [s])
