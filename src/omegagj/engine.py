@@ -24,15 +24,18 @@ the multipliers, so no pass rescales the finished passage row.
 Over GF(p) the reduced rows H are sparse Rows (combination_support, the
 prime field's one sparse row-sum kernel). Over the rationals they are
 rows.ScaledRow, integer numerators over one row denominator, as Q is, and
-ScaledRow is the only row arithmetic: c is converted once, without a gcd,
-and the reduced row is made unit at its pivot by taking the pivot
-numerator as its denominator, with one multi-argument gcd per row
-(ScaledRow.normalized), not one per entry. The engine reads an H row
-through its stored, sorted, zero-free (column, x) pairs, a Row's support or
-a ScaledRow's numerators, to find the pivot, index the columns and certify
-a prefix; it never builds a ScaledRow's Fractions. The hits, pivot
-inverses and Jordan multipliers it logs are field values either way, so
-the log and Q do not depend on how H is held.
+ScaledRow is the only row arithmetic. c is read once, without a gcd, as
+int numerators C over den, the lcm of its denominators
+(RationalField.scaled_hits), and the stage reduces the integer row
+den * c, whose hits are the ints (idx, -C) at the pinned columns: no
+Fraction per hit. The reduced row is made unit at its pivot by taking the
+pivot numerator as its denominator, with one multi-argument gcd per row
+(ScaledRow.normalized), not one per entry, which also divides the factor
+den out, so H is the same as for c; the inverse it returns is that of
+den * lead. Over GF(p) den is 1 and the hits are residues. The engine
+reads an H row through its stored, sorted, zero-free (column, x) pairs, a
+Row's support or a ScaledRow's numerators, to find the pivot, index the
+columns and certify a prefix; it never builds a ScaledRow's Fractions.
 
 The state keeps a column index, column_rows: for every column, the set of
 row indices whose reduced row holds a nonzero entry there. The column clear
@@ -42,20 +45,23 @@ entries and never appear in the index.
 
 Only row equivalence and the general solution read the passage rows, and
 they are most of the work, so step builds H only. Once a stage's checks
-pass it appends one entry to the state's log: the hits, the pivot inverse
-inv, and the Jordan patches (i, mu) that jordan_update adds. The passage
-rows are rebuilt from that log the first time state.passage is read, by
-replaying the pending entries in order and dropping each: the
-product form of the inverse, or eta file (Dantzig and Orchard-Hays, Math.
-Tables Aids Comput. 8, 1954). So a run that never reads Q builds no passage
-row, and one that reads Q now and then replays only the stages since the
-last read. Over GF(p) the passage rows are rows.PackedRow, over the
-rationals rows.ScaledRow (integer numerators over one row denominator);
-the replay needs only canonical and add_combination from a passage row,
-and rows.passage_unit builds each stage's first one, so the field picks
-the representation and there is one replay. add_combination is the one
-row update, on H as on Q: a Jordan patch is the pair (n, -mu) against the
-new row n.
+pass it appends one entry to the state's log: the hits of den * c, den,
+the inverse inv of den * lead (of den for a zero row), and the Jordan
+patches (i, mu) that jordan_update adds. The passage rows are rebuilt
+from that log the first time state.passage is read, by replaying the
+pending entries in order and dropping each: the product form of the
+inverse, or eta file (Dantzig and Orchard-Hays, Math. Tables Aids Comput.
+8, 1954). Stage n's passage row starts from passage_unit(F, n, den * inv),
+the inverse of the stage's own pivot entry times e_n, and inv is folded
+into each hit with one F.mul, an int times a Fraction over the rationals.
+So a run that never reads Q builds no passage row, and one that reads Q
+now and then replays only the stages since the last read. Over GF(p) the
+passage rows are rows.PackedRow, over the rationals rows.ScaledRow
+(integer numerators over one row denominator); the replay needs only
+canonical and add_combination from a passage row, and rows.passage_unit
+builds each stage's first one, so the field picks the representation and
+there is one replay. add_combination is the one row update, on H as on Q:
+a Jordan patch is the pair (n, -mu) against the new row n.
 
 step (with jordan_update) is the package's only elimination: run_to and
 reorder.extended_run both go through it. The dense dict-based
@@ -124,8 +130,8 @@ class EliminationState:
         self.rows: List[Union[Row, ScaledRow]] = []
         self._entries = attrgetter("support" if field.p is not None else "nums")
         self._passage: List[Union[ScaledRow, PackedRow]] = []
-        # one (hits, inv, patches) per stage not yet replayed into _passage
-        self._log: List[Tuple[list, object, list]] = []
+        # one (hits, den, inv, patches) per stage not yet replayed into _passage
+        self._log: List[Tuple[list, int, object, list]] = []
         self.pivots: Dict[int, int] = {}
         self.pivot_history: List[Optional[int]] = []
         self.last_changed: List[int] = []
@@ -150,10 +156,12 @@ class EliminationState:
 def _replay(state: EliminationState) -> None:
     """Rebuild the passage rows of the logged stages, in order, emptying the log.
 
-    Stage n's row is inv * e_n plus the hits scaled by inv (F.mul on each
-    multiplier), one add_combination on passage_unit(F, n, inv); then each
-    Jordan patch (i, mu) adds the pair (n, -mu) to Q[i]. A source is used reduced and
-    written back reduced, as is the new row before it patches.
+    Stage n reduced den * c_n, so its row is (den * inv) * e_n plus the
+    hits scaled by inv (F.mul on each multiplier, an int over the
+    rationals), one add_combination on passage_unit(F, n, den * inv); then
+    each Jordan patch (i, mu) adds the pair (n, -mu) to Q[i]. A source is
+    used reduced and written back reduced, as is the new row before it
+    patches.
     Each entry is dropped as it is replayed, so the log and the rows built
     from it are not held at their full sizes at once.
     """
@@ -162,13 +170,14 @@ def _replay(state: EliminationState) -> None:
     log = state._log
     log.reverse()
     while log:
-        hits, inv, patches = log.pop()
+        hits, den, inv, patches = log.pop()
         n = len(q)
         for idx, _ in hits:
             q[idx] = q[idx].canonical()
         if inv != 1:
-            hits = [(idx, F.mul(inv, v)) for idx, v in hits]
-        q.append(passage_unit(F, n, inv).add_combination(hits, q))
+            hits = [(idx, F.mul(inv, h)) for idx, h in hits]
+        unit = passage_unit(F, n, inv if den == 1 else F.mul(inv, den))
+        q.append(unit.add_combination(hits, q))
         if patches:
             q[n] = q[n].canonical()
             for i, mu in patches:
@@ -207,7 +216,7 @@ def jordan_update(state: EliminationState, g: Union[Row, ScaledRow]) -> None:
     entries = state._entries
     holders = index.get(col)
     if holders:
-        patches = state._log[-1][2]
+        patches = state._log[-1][3]
         for i in sorted(holders):
             old = state.rows[i]
             mu = old.raw(col)
@@ -236,10 +245,12 @@ def step(state: EliminationState, c: Row) -> EliminationState:
     # that a pivot pins
     pivots = state.pivots
     if F.p is None:
-        # the hits and the row's numerators, in one pass over its support
+        # c is reduced as the integer row den * c, its numerators, with int
+        # hits, read in one pass over its support
         hits, den, nums = F.scaled_hits(c.support, pivots)
-        c = ScaledRow(F, den, nums)
+        c = ScaledRow(F, 1, nums)
     else:
+        den = 1
         neg = F.neg
         hits = []
         for col, val in c.support:
@@ -248,8 +259,10 @@ def step(state: EliminationState, c: Row) -> EliminationState:
                 hits.append((idx, neg(val)))
     reduced = c.add_combination(hits, state.rows)
 
+    # the inverse of den * lead, the pivot entry of den * c reduced, or of
+    # den for a zero row; den times it is the inverse of c's own pivot entry
     col = None
-    lead_inv = F.one()
+    lead_inv = F.one() if den == 1 else F.quotient(1, den)
     entries = state._entries(reduced)
     if entries:
         col, lead = entries[-1] if state.strategy == "rps" else entries[0]
@@ -261,7 +274,7 @@ def step(state: EliminationState, c: Row) -> EliminationState:
             )
         reduced, lead_inv = reduced.normalized(lead)
     state.rows.append(reduced)
-    state._log.append((hits, lead_inv, []))
+    state._log.append((hits, den, lead_inv, []))
     state.pivot_history.append(col)
     state.last_changed.append(n)
     if col is not None:

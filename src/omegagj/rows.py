@@ -21,9 +21,10 @@ class Row:
     [1, p) over GF(p); from_pairs converts ints. The constructor rejects,
     with a ValueError naming the entry, a support that breaks any of this or
     is not a tuple of 2-tuples; the field kernels' results are canonical
-    already and skip the check. Its arithmetic (scaled_raw, normalized,
-    add_combination) is over GF(p) only; over the rationals a Row holds
-    input rows, text and equality, and working_row makes the ScaledRow.
+    already and skip the check. Its arithmetic (normalized, add_combination)
+    is over GF(p) only; over the rationals a Row holds input rows, text and
+    equality, its arithmetic raises a TypeError from the field, and
+    working_row makes the ScaledRow.
     """
 
     __slots__ = ("field", "support")
@@ -101,19 +102,15 @@ class Row:
                 break
         return self.field.zero()
 
-    def scaled_raw(self, lam) -> "Row":
-        """lam times this row over GF(p); scaling by one returns the row itself."""
-        if not lam:
-            return _row(self.field, ())
-        if lam == 1:
-            return self
-        return _row(self.field, self.field.scale_support(lam, self.support))
-
     def normalized(self, lead) -> tuple:
-        """This row divided by its entry lead, so that entry becomes one,
-        and lead's inverse."""
-        inv = self.field.inv(lead)
-        return self.scaled_raw(inv), inv
+        """This row over GF(p) divided by its entry lead, so that entry
+        becomes one, and lead's inverse; a lead of one returns the row
+        itself."""
+        F = self.field
+        inv = F.inv(lead)
+        if inv == 1:
+            return self, inv
+        return _row(F, F.scale_support(inv, self.support)), inv
 
     def add_combination(self, pairs, rows) -> "Row":
         """This row plus the sum of lam * rows[i] over a list of (i, lam)

@@ -102,6 +102,17 @@ class Field:
             cls._gf_cache[p] = f
             return f
 
+    def combination_support(self, ys: tuple, pairs) -> tuple:
+        """The sparse kernels of rows.Row, this and scale_support, are
+        PrimeField's. Over the rationals a Row holds values only, and this
+        TypeError points to the ScaledRow that does the arithmetic."""
+        raise TypeError(
+            "%r does no Row arithmetic; convert the row with rows.working_row"
+            % (self,)
+        )
+
+    scale_support = combination_support
+
     def format_values(self, values) -> list:
         """The canonical text of each raw value: lowest-terms 'p/q' (or 'p'),
         a bare residue over GF(p)."""
@@ -123,7 +134,8 @@ class RationalField(Field):
     ScaledRow conversions work on their numerator/denominator pairs in
     integers and build each result with _rational, so they never go through
     Fraction's operators; a plain int operand is read through Fraction, the
-    value from_int builds, and every result is a lowest-terms Fraction.
+    value from_int builds (mul reads an int second operand as it is), and
+    every result is a lowest-terms Fraction.
     """
 
     __slots__ = ()
@@ -173,11 +185,17 @@ class RationalField(Field):
         return _rational(n // g, d // g)
 
     def mul(self, a, b):
+        """a * b; a plain int b (not a bool, which goes through Fraction)
+        takes one gcd with a's denominator and builds no Fraction of its
+        own: the replay folds a pivot inverse into each int hit this way."""
         if type(a) is not Fraction:
             a = Fraction(a)
+        na, da = a._numerator, a._denominator
+        if type(b) is int:
+            g = gcd(b, da)
+            return _rational(na * (b // g), da // g)
         if type(b) is not Fraction:
             b = Fraction(b)
-        na, da = a._numerator, a._denominator
         nb, db = b._numerator, b._denominator
         g1 = gcd(na, db)
         g2 = gcd(nb, da)
@@ -297,26 +315,28 @@ class RationalField(Field):
         return den, tuple([(c, v._numerator * (den // v._denominator)) for c, v in xs])
 
     def scaled_hits(self, support: tuple, pivots: dict) -> tuple:
-        """(hits, den, nums) of the support of a row that engine.step
-        takes in: the pair (pivots[c], -v) of each entry (c, v) at a pivot
-        column, and the support as int numerators over the lcm of its
-        denominators, read in one pass over an integral support (the
-        common case), which needs no lcm."""
+        """(hits, den, nums) of the support of a row c that engine.step
+        takes in: c as int numerators nums over den, the lcm of its
+        denominators, and the int pair (pivots[col], -C) of each numerator
+        C at a pivot column col, the hit of den * c, which step reduces.
+        An integral support (the common case) is read in one pass and
+        needs no lcm; any other is read again over den."""
         get = pivots.get
         hits = []
         nums = []
         integral = True
         for c, v in support:
-            n, d = v._numerator, v._denominator
+            n = v._numerator
             idx = get(c)
             if idx is not None:
-                hits.append((idx, _rational(-n, d)))
-            if d != 1:
+                hits.append((idx, -n))
+            if v._denominator != 1:
                 integral = False
             nums.append((c, n))
         if integral:
             return hits, 1, tuple(nums)
-        return (hits, *self.over_common_denominator(support))
+        den, nums = self.over_common_denominator(support)
+        return [(pivots[c], -n) for c, n in nums if c in pivots], den, nums
 
     def __repr__(self):
         return "Field(rational)"

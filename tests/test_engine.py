@@ -1,8 +1,8 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omegagj import (
@@ -308,7 +308,7 @@ def _h_image(state):
 def _log_image(state):
     """The pending log entries, copied: jordan_update appends to the patch
     list of the last one."""
-    return [(list(hits), inv, list(patches)) for hits, inv, patches in state._log]
+    return [(list(hits), den, inv, list(patches)) for hits, den, inv, patches in state._log]
 
 
 def _assert_rejected(state, row, exc, match=None):
@@ -501,13 +501,83 @@ def test_q_read_midway_matches_q_read_once_and_the_oracle(name, strategy, patche
     for j in range(k + 1, n + 1):
         step(state, m.row_at(j))
     assert len(state._log) == n - k
-    patched = {i for _, _, patches in state._log for i, _ in patches}
+    patched = {i for *_, patches in state._log for i, _ in patches}
     assert bool(patched & set(range(k + 1))) == patches_replayed
     once = run_to(m, n, strategy)
     assert len(once._log) == n + 1
     assert state.passage == once.passage
     assert rows_dicts(state.passage) == dense_reduce(dicts, m.field.p, leftmost)[1]
     assert state._log == once._log == []
+
+
+@st.composite
+def rational_rows_with_dependent_ones(draw):
+    """Rows over the rationals with denominators up to 6, some of them
+    rational combinations of earlier rows, which reduce to zero rows over a
+    denominator other than 1; empty rows included."""
+    values = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        if rows and draw(st.booleans()):
+            d = {}
+            for i, lam in draw(st.lists(
+                    st.tuples(st.integers(0, len(rows) - 1), values), min_size=1, max_size=3)):
+                for c, v in rows[i].items():
+                    d[c] = d.get(c, 0) + lam * v
+        else:
+            d = draw(st.dictionaries(st.integers(0, 11), values, max_size=5))
+        rows.append({c: v for c, v in d.items() if v})
+    return rows
+
+
+def _den(d):
+    return lcm(1, *[v.denominator for v in d.values()])
+
+
+@settings(max_examples=150, deadline=None)
+# row 1 is half of row 0: a zero row over den 2, met through one int hit
+@example([{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(1, 2), 1: Fraction(1)}], False, 1)
+@example([{0: Fraction(1, 3), 1: Fraction(2)}, {0: Fraction(1, 2), 1: Fraction(1, 6)},
+          {0: Fraction(5, 6), 1: Fraction(13, 6)}], True, 0)
+@given(rational_rows_with_dependent_ones(), st.booleans(), st.integers(0, 9))
+def test_rational_stages_log_int_hits_over_the_row_denominator(rows, leftmost, k):
+    # each stage over the rationals reduces den * c, den the lcm of c's
+    # denominators, and logs den, the int hits -den * c at the pinned
+    # columns and the inverse of den * lead (of den for a zero row); the
+    # replay, with Q read midway, must give the oracle's H, Q and pivots
+    k = min(k, len(rows) - 1)
+    state = EliminationState(RATIONAL, "lps" if leftmost else "rps")
+    for j, d in enumerate(rows):
+        pinned = dict(state.pivots)
+        step(state, mk_row(RATIONAL, d))
+        hits, den, inv, _ = state._log[-1]
+        assert den == _den(d)
+        assert all(type(h) is int for _, h in hits)
+        assert hits == [(pinned[c], -v * den) for c, v in sorted(d.items()) if c in pinned]
+        if state.pivot_history[-1] is None:
+            assert inv == Fraction(1, den)
+        if j == k:
+            _assert_matches_oracle(state, rows[: k + 1], None, leftmost)
+            assert state._log == []
+            # den * inv is the inverse of the stage's own pivot entry, the
+            # coefficient of e_k in Q[k] as the stage left it
+            assert state.passage[k].raw(k) == den * inv
+    assert len(state._log) == len(rows) - 1 - k
+    _assert_matches_oracle(state, rows, None, leftmost)
+    assert state._log == []
+
+
+@pytest.mark.parametrize("name", ["bidiag", "pde", "fulkerson", "repeated"])
+@pytest.mark.parametrize("strategy", ["rps", "lps"])
+def test_rational_run_logs_no_fraction_per_hit(name, strategy):
+    # the builtins' rows are integral: every stage is logged over den 1,
+    # and no logged hit is a Fraction (bidiag's leftmost pivots meet none)
+    state = run_to(BUILTINS[name](), 40, strategy)
+    assert len(state._log) == 41
+    assert all(den == 1 for _, den, _, _ in state._log)
+    hits = [h for entry in state._log for _, h in entry[0]]
+    assert hits or (name, strategy) == ("bidiag", "lps")
+    assert all(type(h) is int for h in hits)
 
 
 # -- QHF change log -------------------------------------------------------------

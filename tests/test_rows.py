@@ -200,7 +200,7 @@ def _field_dicts(p):
 def test_field_kernels_match_dict_arithmetic(p):
     """axpy and scaling, including the lam = 1 and lam = -1 shortcuts, on
     each field's working row: a ScaledRow over the rationals, a Row over
-    GF(p), where scaled_raw scales too."""
+    GF(p), where the field's scale_support scales too."""
     field = RATIONAL if p is None else Field.gf(p)
     lams = st.sampled_from([1, -1, 2, Fraction(-7, 3)]) if p is None else st.integers(0, p - 1)
 
@@ -221,8 +221,8 @@ def test_field_kernels_match_dict_arithmetic(p):
                 expect.pop(c, None)
         out = axpy_raw(lam, x, y)
         scaled_rows = [working_row(Row.zero(field)).add_combination(((0, lam),), [x])]
-        if p is not None:
-            scaled_rows.append(x.scaled_raw(lam))
+        if p is not None and lam:
+            scaled_rows.append(Row(field, field.scale_support(lam, x.support)))
         assert row_dict(out) == expect
         scaled = {c: reduce(lam * v) for c, v in dx.items()} if lam else {}
         for r in [out] + scaled_rows:
@@ -352,18 +352,23 @@ def test_zero_multiplier_adds_nothing_on_every_row_type():
 
 
 def test_scaled_hits_raw_and_normalized():
-    # scaled_hits, the conversion of the row a stage takes in: the negated
-    # entries at pivot columns, keyed by their pivot rows, and the
-    # numerators over the lcm of the denominators, canonical without a gcd;
-    # an integral row stays over den 1
+    # scaled_hits, the conversion of the row a stage takes in: the
+    # numerators over the lcm of the denominators, canonical without a gcd,
+    # and the negated numerators at pivot columns, keyed by their pivot
+    # rows: the int hits of den times the row, in column order; an
+    # integral row stays over den 1
     row = mk_row(RATIONAL, {1: Fraction(-1, 6), 4: 2, 9: Fraction(3, 4)})
     hits, den, nums = RATIONAL.scaled_hits(row.support, {4: 0, 5: 1, 9: 2})
-    assert hits == [(0, -2), (2, Fraction(-3, 4))]
-    assert all(type(v) is Fraction for _, v in hits)
+    assert hits == [(0, -24), (2, -9)]
+    assert all(type(v) is int for _, v in hits)
+    assert [Fraction(v, den) for _, v in hits] == [-row.raw(4), -row.raw(9)]
     r = ScaledRow(RATIONAL, den, nums)
     assert (r.den, r.nums) == (12, ((1, -2), (4, 24), (9, 9)))
+    assert RATIONAL.scaled_hits(row.support, {}) == ([], 12, nums)
     integral = mk_row(RATIONAL, {2: 3, 5: -1})
-    assert RATIONAL.scaled_hits(integral.support, {5: 7}) == ([(7, 1)], 1, ((2, 3), (5, -1)))
+    hits = RATIONAL.scaled_hits(integral.support, {5: 7, 2: 0})
+    assert hits == ([(0, -3), (7, 1)], 1, ((2, 3), (5, -1)))
+    assert all(type(v) is int for _, v in hits[0])
     assert RATIONAL.scaled_hits(Row.zero(RATIONAL).support, {}) == ([], 1, ())
     # raw reads one lowest-terms Fraction
     assert [r.raw(c) for c in (0, 1, 4, 9, 10)] == [0, Fraction(-1, 6), 2, Fraction(3, 4), 0]

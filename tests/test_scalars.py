@@ -334,6 +334,31 @@ def test_rational_scalar_operations_read_ints_as_fractions():
         RATIONAL.inv(0)
 
 
+@example(Fraction(3, 4), 0)
+@example(Fraction(-5, 6), -4)
+@example(Fraction(7, 10**30 + 1), -(10**30))
+@example(Fraction(-(10**30), 9), 10**30)
+@example(Fraction(0), -3)
+@given(kernel_values, st.one_of(st.integers(-_BIG, _BIG), st.integers(-12, 12)))
+def test_rational_mul_by_an_int_matches_fraction_mul(a, b):
+    # the int path (one gcd with a's denominator, no Fraction of b), which
+    # the replay folds a pivot inverse into an int hit with
+    got = RATIONAL.mul(a, b)
+    assert got == a * b == Fraction.__mul__(a, b)
+    _assert_lowest_terms(got)
+
+
+def test_rational_mul_by_a_bool_goes_through_fraction():
+    # a bool is not read on the int path: its product is the Fraction
+    # product, with plain int slots, never True or False
+    for a in (Fraction(3, 4), Fraction(-2), Fraction(0)):
+        for b in (True, False):
+            got = RATIONAL.mul(a, b)
+            assert got == a * Fraction(b)
+            assert type(got._numerator) is int and type(got._denominator) is int
+            _assert_lowest_terms(got)
+
+
 @example(True)
 @example(False)
 @example(0)
