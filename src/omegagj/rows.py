@@ -336,7 +336,8 @@ class ScaledRow:
     add_combination = Row.add_combination
 
     def _add_rows(self, pairs, rows) -> "ScaledRow":
-        """This row plus the sum of lam * rows[i] over (i, lam) pairs.
+        """This row plus the sum of lam * rows[i] over (i, lam) pairs, each
+        lam a Fraction or a plain int (the hits of engine.step).
 
         Over the common denominator L of the row and every lam * x, each
         row contributes its numerators times one int factor, summed in one
