@@ -54,6 +54,18 @@ def test_gf_requires_prime():
     assert Field.gf(2).p == 2
 
 
+@pytest.mark.parametrize("modulus", [7.0, "7", None, Fraction(7)], ids=repr)
+def test_gf_rejects_a_modulus_that_is_not_an_int(modulus):
+    # the check comes before the cache is read, so 7.0 fails the same way
+    # whether or not GF(7) was made first
+    for make in (Field.gf, PrimeField):
+        with pytest.raises(ValueError, match="must be an int, got %s" % re.escape(repr(modulus))):
+            make(modulus)
+    assert Field.gf(7) is GF7
+    with pytest.raises(ValueError, match="must be an int"):
+        Field.gf(modulus)
+
+
 def test_gf_cache_returns_same_object():
     assert Field.gf(7) is Field.gf(7)
     assert Field.gf(7) == PrimeField(7)
