@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .rows import Row, dense_width, working_row
+from .rows import Row, dense_width
 
 
 class FormReport:
@@ -65,15 +65,13 @@ def verify_row_equivalence(passage: List[Row], matrix, out_rows: List[Row], hori
 
     Checks rows 0..horizon exactly; False on the first mismatch, and False
     when either list stops before row horizon. Each Q[i]·A is one
-    add_combination on a zero row of the matrix rows Q reaches, converted
-    once by rows.working_row (ScaledRows over the rationals).
+    add_combination on a zero row of the matrix rows Q reaches, as they are.
     """
     if min(len(passage), len(out_rows)) <= horizon:
         return False
     # Jordan patches give a passage row columns past its own index
-    top = matrix.top_submatrix(dense_width(passage[: horizon + 1]) - 1)
-    rows = [working_row(r) for r in top]
-    zero = working_row(Row.zero(passage[0].field))
+    rows = matrix.top_submatrix(dense_width(passage[: horizon + 1]) - 1)
+    zero = Row.zero(passage[0].field)
     for i in range(horizon + 1):
         if zero.add_combination(passage[i].support, rows) != out_rows[i]:
             return False

@@ -21,7 +21,7 @@ from .engine import (
 )
 from .matrices import BUILTINS, RowFiniteMatrix, make_explicit, make_stencil
 from .reorder import extended_run
-from .rows import PackedRow, Row, ScaledRow, dense_width
+from .rows import PackedRow, Row, dense_width
 from .scalars import RATIONAL, Field
 from .solver import PARAMETER_NAMESPACE, LinForm, general_solution, transform_rhs
 
@@ -262,7 +262,7 @@ def _write_packed_line(out, row: PackedRow, width: int) -> None:
     out.write("\n")
 
 
-def _emit_rows(out, label: str, rows: List[Union[Row, ScaledRow, PackedRow]]) -> None:
+def _emit_rows(out, label: str, rows: List[Union[Row, PackedRow]]) -> None:
     rows = [r.canonical() for r in rows]
     width = max(1, dense_width(rows))
     print("# %s" % label, file=out)

@@ -21,21 +21,20 @@ combination too, built by the passage rows' own add_combination when the
 log is replayed, with the inverse inv of the new pivot entry folded into
 the multipliers, so no pass rescales the finished passage row.
 
-Over GF(p) the reduced rows H are sparse Rows (combination_support, the
-prime field's one sparse row-sum kernel). Over the rationals they are
-rows.ScaledRow, integer numerators over one row denominator, as Q is, and
-ScaledRow is the only row arithmetic. c is read once, without a gcd, as
-int numerators C over den, the lcm of its denominators
-(RationalField.scaled_hits), and the stage reduces the integer row
-den * c, whose hits are the ints (idx, -C) at the pinned columns: no
-Fraction per hit. The reduced row is made unit at its pivot by taking the
-pivot numerator as its denominator, with one multi-argument gcd per row
-(ScaledRow.normalized), not one per entry, which also divides the factor
-den out, so H is the same as for c; the inverse it returns is that of
-den * lead. Over GF(p) den is 1 and the hits are residues. The engine
-reads an H row through its stored, sorted, zero-free (column, x) pairs, a
-Row's support or a ScaledRow's numerators, to find the pivot, index the
-columns and certify a prefix; it never builds a ScaledRow's Fractions.
+H, like every sparse row, is rows.Row: int numerators nums over one row
+denominator den, 1 over GF(p), where the numerators are the residues. The
+stage reads the incoming row c through c.nums and c.den on either field
+and reduces the row den * c, the numerators over 1, whose hits are the
+negated numerators (idx, -C) at the pinned columns (F.neg_numerator, an
+int over the rationals, a residue over GF(p)): no Fraction per hit. Each row sum
+is one pass of the field's kernel on the numerators (one multi-argument
+gcd per result row over the rationals, not one per entry). The reduced
+row is made unit at its pivot by the field's normalized_support, which
+over the rationals takes the pivot numerator as its denominator and also
+divides the factor den out, so H is the same as for c; the inverse it
+returns is that of den * lead. The engine reads an H row through its
+numerators to find the pivot, index the columns and certify a prefix; it
+never builds the Fractions of a row's support.
 
 The state keeps a column index, column_rows: for every column, the set of
 row indices whose reduced row holds a nonzero entry there. The column clear
@@ -56,11 +55,10 @@ the inverse of the stage's own pivot entry times e_n, and inv is folded
 into each hit with one F.mul, an int times a Fraction over the rationals.
 So a run that never reads Q builds no passage row, and one that reads Q
 now and then replays only the stages since the last read. Over GF(p) the
-passage rows are rows.PackedRow, over the rationals rows.ScaledRow
-(integer numerators over one row denominator); the replay needs only
-canonical and add_combination from a passage row, and rows.passage_unit
-builds each stage's first one, so the field picks the representation and
-there is one replay. add_combination is the one row update, on H as on Q:
+passage rows are rows.PackedRow, over the rationals rows.Row; the replay
+needs only canonical and add_combination from a passage row, and
+rows.passage_unit builds each stage's first one, so the field picks the
+representation and there is one replay. add_combination is the one row update, on H as on Q:
 a Jordan patch is the pair (n, -mu) against the new row n.
 
 step (with jordan_update) is the package's only elimination: run_to and
@@ -71,10 +69,9 @@ that verification compares against.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
-from .rows import PackedRow, Row, ScaledRow, check_row, passage_unit
+from .rows import PackedRow, Row, _row, check_row, passage_unit
 from .scalars import Field
 
 
@@ -125,11 +122,9 @@ class EliminationState:
             raise ValueError("unknown strategy: %r" % (strategy,))
         self.field = field
         self.strategy = strategy
-        # H: sparse Rows over GF(p), ScaledRows over the rationals, read
-        # through their stored pairs, so no ScaledRow builds its Fractions
-        self.rows: List[Union[Row, ScaledRow]] = []
-        self._entries = attrgetter("support" if field.p is not None else "nums")
-        self._passage: List[Union[ScaledRow, PackedRow]] = []
+        # H, read through its numerators, so no row builds its Fractions
+        self.rows: List[Row] = []
+        self._passage: List[Union[Row, PackedRow]] = []
         # one (hits, den, inv, patches) per stage not yet replayed into _passage
         self._log: List[Tuple[list, int, object, list]] = []
         self.pivots: Dict[int, int] = {}
@@ -145,7 +140,7 @@ class EliminationState:
         return len(self.rows) - 1
 
     @property
-    def passage(self) -> List[Union[ScaledRow, PackedRow]]:
+    def passage(self) -> List[Union[Row, PackedRow]]:
         """The passage rows Q, with Q[i] applied to the input rows giving
         rows[i]; the stages logged since the last read are replayed first."""
         if self._log:
@@ -201,7 +196,7 @@ def _reindex_row(index: Dict[int, Set[int]], i: int, old: tuple, new: tuple) -> 
             del index[c]
 
 
-def jordan_update(state: EliminationState, g: Union[Row, ScaledRow]) -> None:
+def jordan_update(state: EliminationState, g: Row) -> None:
     """Clear the pivot column of the newly appended pivot row g everywhere.
 
     step calls this once g, its pivot column (the last pivot_history entry)
@@ -213,7 +208,6 @@ def jordan_update(state: EliminationState, g: Union[Row, ScaledRow]) -> None:
     n = state.stage
     col = state.pivot_history[-1]
     index = state.column_rows
-    entries = state._entries
     holders = index.get(col)
     if holders:
         patches = state._log[-1][3]
@@ -224,8 +218,8 @@ def jordan_update(state: EliminationState, g: Union[Row, ScaledRow]) -> None:
             state.rows[i] = new
             patches.append((i, mu))
             state.last_changed[i] = n
-            _reindex_row(index, i, entries(old), entries(new))
-    _index_row(index, n, entries(g))
+            _reindex_row(index, i, old.nums, new.nums)
+    _index_row(index, n, g.nums)
     state.pivots[col] = n
 
 
@@ -242,28 +236,25 @@ def step(state: EliminationState, c: Row) -> EliminationState:
     # pivot columns, so the multiplier against pivot row idx is c's original
     # entry there, and the reduced row is the one combination
     # c - sum val * H[idx] over the hits: (idx, -val) for each column of c
-    # that a pivot pins
+    # that a pivot pins; c is reduced as the integer row den * c, its
+    # numerators over 1, whose hits are the negated numerators
     pivots = state.pivots
-    if F.p is None:
-        # c is reduced as the integer row den * c, its numerators, with int
-        # hits, read in one pass over its support
-        hits, den, nums = F.scaled_hits(c.support, pivots)
-        c = ScaledRow(F, 1, nums)
-    else:
-        den = 1
-        neg = F.neg
-        hits = []
-        for col, val in c.support:
-            idx = pivots.get(col)
-            if idx is not None:
-                hits.append((idx, neg(val)))
+    neg = F.neg_numerator
+    hits = []
+    for col, v in c.nums:
+        idx = pivots.get(col)
+        if idx is not None:
+            hits.append((idx, neg(v)))
+    den = c.den
+    if den != 1:
+        c = _row(F, 1, c.nums)
     reduced = c.add_combination(hits, state.rows)
 
     # the inverse of den * lead, the pivot entry of den * c reduced, or of
     # den for a zero row; den times it is the inverse of c's own pivot entry
     col = None
     lead_inv = F.one() if den == 1 else F.quotient(1, den)
-    entries = state._entries(reduced)
+    entries = reduced.nums
     if entries:
         col, lead = entries[-1] if state.strategy == "rps" else entries[0]
         if state._floor_max is not None and col < state._floor_max:
@@ -332,9 +323,8 @@ def certified_stable(state: EliminationState, k: int) -> str:
     if floor is None:
         return "provisional"
     pivots = state.pivots
-    entries = state._entries
     for r in state.rows[: k + 1]:
-        for c, _ in reversed(entries(r)):
+        for c, _ in reversed(r.nums):
             if c < floor:
                 break
             if c not in pivots:

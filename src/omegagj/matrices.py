@@ -50,9 +50,11 @@ def make_stencil(field: Field, offsets) -> RowFiniteMatrix:
     offset raises DuplicateOffset, and an offset that is not an int or a
     value the field does not accept raises ValueError naming the offset.
     Each value is checked and made a stored value here, once (ints become
-    Fractions over the rationals and residues over GF(p)), and zero values
-    are dropped, so every row is built canonical with no further check.
-    Columns that would fall below zero are dropped.
+    Fractions over the rationals and residues over GF(p)), zero values are
+    dropped, and the band is brought over one denominator, so every row is
+    its numerators, built canonical with no further check. Columns that
+    would fall below zero are dropped; a row cut there over a denominator
+    other than 1 is brought to lowest terms again.
     """
     if hasattr(offsets, "items"):
         pairs = list(offsets.items())
@@ -73,9 +75,14 @@ def make_stencil(field: Field, offsets) -> RowFiniteMatrix:
         if v:
             band.append((off, v))
     band.sort()  # offsets are distinct, so no two values are compared
+    den, band = field.over_common_denominator(tuple(band))
+    full = len(band)
 
     def gen(k: int) -> Row:
-        return _row(field, tuple([(k + off, v) for off, v in band if off >= -k]))
+        nums = tuple([(k + off, v) for off, v in band if off >= -k])
+        if den != 1 and len(nums) < full:
+            return _row(field, *field.over_common_denominator(field.scaled_support(den, nums)))
+        return _row(field, den, nums)
 
     return RowFiniteMatrix(field, gen)
 
@@ -159,20 +166,18 @@ def builtin_fulkerson() -> RowFiniteMatrix:
     before it, 3n+2 < 3n+3 (and 5 < 6 for n = 1), so the dict's insertion
     order is column order and needs no sort. Every entry of row 2n+1 is an
     integer in [1, 2n+1] (n+1 from row 2n, at most one from each earlier
-    even row), so each row is built canonical, with no further check, from
-    Fractions made once per value and shared by every row.
+    even row), so each row is built canonical, with no further check, as
+    its int numerators over 1.
     """
-    from_int = RATIONAL.from_int
-    values = [RATIONAL.zero(), RATIONAL.one()]  # values[v] is the Fraction v
     summed, even_sum = 0, {}  # column -> sum of even rows 0, 2, ..., 2(summed-1)
 
     def gen(k: int) -> Row:
         nonlocal summed, even_sum
         n = k // 2
         if k % 2 == 0:
-            return _row(RATIONAL, tuple([(c, values[1]) for c in _fulkerson_even(n)]))
+            return _row(RATIONAL, 1, tuple([(c, 1) for c in _fulkerson_even(n)]))
         if n == 0:
-            return _row(RATIONAL, ())
+            return _row(RATIONAL, 1, ())
         if summed > n:
             summed, even_sum = 0, {}
         while summed < n:
@@ -182,9 +187,7 @@ def builtin_fulkerson() -> RowFiniteMatrix:
         acc = even_sum.copy()
         for c in _fulkerson_even(n):
             acc[c] = acc.get(c, 0) + n + 1
-        while len(values) <= 2 * n + 1:
-            values.append(from_int(len(values)))
-        return _row(RATIONAL, tuple([(c, values[v]) for c, v in acc.items()]))
+        return _row(RATIONAL, 1, tuple(acc.items()))
 
     return RowFiniteMatrix(RATIONAL, gen)
 
@@ -196,10 +199,9 @@ def builtin_pde_operator() -> RowFiniteMatrix:
     image coordinates taken in prec1 order. prec1 ranks by degree, then by
     the exponent of y, so the five image monomials, listed below by degree
     and then by that exponent, have strictly increasing columns: a row is
-    its nonzero terms as listed."""
+    its nonzero terms as listed, int numerators over 1."""
     domain = MonomialOrdering("prec2")
     rank = MonomialOrdering("prec1").rank
-    from_int = RATIONAL.from_int
 
     def gen(k: int) -> Row:
         i, j = domain.unrank(k)
@@ -210,8 +212,8 @@ def builtin_pde_operator() -> RowFiniteMatrix:
             (j, i + 1, j),
             (i, i, j + 1),
         )
-        return _row(RATIONAL, tuple([(rank(a, b), from_int(coeff)) for coeff, a, b in terms
-                                     if coeff and a >= 0 and b >= 0]))
+        return _row(RATIONAL, 1, tuple([(rank(a, b), coeff) for coeff, a, b in terms
+                                        if coeff and a >= 0 and b >= 0]))
 
     return RowFiniteMatrix(RATIONAL, gen)
 

@@ -1,12 +1,12 @@
-"""Finitely supported rows: sorted (column, value) support lists over a
-field (input rows, and H over GF(p)); scaled integer rows, in which the
-engine holds H and Q over the rationals; packed passage rows over GF(p);
-and working_row and passage_unit, which pick each field's row type."""
+"""Finitely supported rows: Row, one sparse row type over either field,
+int numerators over one row denominator, in which the engine holds the
+input rows, H, Q over the rationals and the rows of symbolic forms;
+PackedRow, the passage row over GF(p); and passage_unit, which picks each
+field's passage row type."""
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import gcd, lcm
 from typing import Iterable, Optional, Tuple
 
 from .scalars import Field, check_same_field
@@ -15,19 +15,25 @@ from .scalars import Field, check_same_field
 class Row:
     """An immutable finitely supported sequence indexed by naturals.
 
-    support is a tuple of (column, raw value) pairs with strictly increasing
-    natural columns and no zero values, so equal rows have equal supports.
-    Raw values are lowest-terms Fractions over the rationals and ints in
-    [1, p) over GF(p); from_pairs converts ints. The constructor rejects,
-    with a ValueError naming the entry, a support that breaks any of this or
-    is not a tuple of 2-tuples; the field kernels' results are canonical
-    already and skip the check. Its arithmetic (normalized, add_combination)
-    is over GF(p) only; over the rationals a Row holds input rows, text and
-    equality, its arithmetic raises a TypeError from the field, and
-    working_row makes the ScaledRow.
+    nums is a tuple of (column, int numerator) pairs with strictly
+    increasing natural columns and no zero numerator, over den, a positive
+    int with gcd(den, *numerators) == 1, so equal rows have equal den and
+    nums. Over the rationals den is the lcm of the values' denominators
+    (the common-denominator rows of Bareiss, Math. Comp. 22, 1968), so an
+    integral row holds plain ints over den 1; over GF(p) den is always 1
+    and the numerators are residues in [1, p). support, the (column, raw
+    value) pairs, is the read-only value view, built on demand from the
+    numerators over the rationals.
+
+    The constructor takes a support of raw values (lowest-terms Fractions
+    over the rationals, ints in [1, p) over GF(p); from_pairs converts
+    ints) and rejects, with a ValueError naming the entry, one that breaks
+    any of this or is not a tuple of 2-tuples; the field kernels' results
+    are canonical already and skip the check. Its arithmetic
+    (add_combination, normalized) is the field's kernels on the numerators.
     """
 
-    __slots__ = ("field", "support")
+    __slots__ = ("field", "den", "nums")
 
     def __init__(self, field: Field, support: Tuple[Tuple[int, object], ...] = ()):
         if not isinstance(support, tuple):
@@ -47,7 +53,7 @@ class Row:
                 raise ValueError("entry %r: %s" % (entry, reason))
             prev = c
         self.field = field
-        self.support = support
+        self.den, self.nums = field.over_common_denominator(support)
 
     @classmethod
     def from_pairs(cls, field: Field, pairs: Iterable[Tuple[int, object]]) -> "Row":
@@ -69,54 +75,53 @@ class Row:
                 acc[col] = v
             else:
                 acc.pop(col, None)
-        return _row(field, tuple(sorted(acc.items())))
+        return _row(field, *field.over_common_denominator(tuple(sorted(acc.items()))))
 
     @classmethod
     def zero(cls, field: Field) -> "Row":
-        return cls(field, ())
+        return _row(field, 1, ())
 
     @classmethod
     def unit(cls, field: Field, col: int) -> "Row":
         return cls(field, ((col, field.one()),))
 
+    @property
+    def support(self) -> tuple:
+        """The (column, raw value) pairs: the numerators over GF(p), and
+        lowest-terms Fractions, built on demand, over the rationals."""
+        return self.field.scaled_support(self.den, self.nums)
+
     def is_zero(self) -> bool:
-        return not self.support
+        return not self.nums
 
     @property
     def maxs(self) -> Optional[int]:
         """Rightmost support index; None for the zero row."""
-        return self.support[-1][0] if self.support else None
+        return self.nums[-1][0] if self.nums else None
 
     def raw(self, col: int):
-        """Raw value at a column (field zero when absent).
-
-        A linear scan that stops at the first column past col. Supports are
-        not always short (passage rows can be dense lower-triangular), so
-        the engine's column clear does not probe every row with this: it
-        reads only the rows its column index lists for the column.
-        """
-        for c, v in self.support:
-            if c == col:
-                return v
-            if c > col:
-                break
+        """The raw value at a column (field zero when absent), found by
+        bisection on the numerators."""
+        nums = self.nums
+        k = bisect_left(nums, (col,))
+        if k < len(nums) and nums[k][0] == col:
+            return self.field.quotient(nums[k][1], self.den)
         return self.field.zero()
 
     def normalized(self, lead) -> tuple:
-        """This row over GF(p) divided by its entry lead, so that entry
-        becomes one, and lead's inverse; a lead of one returns the row
-        itself."""
+        """This row divided by its entry of numerator lead, so that entry
+        becomes one, and that entry's inverse (field.normalized_support);
+        a row whose entry is one already is returned itself."""
         F = self.field
-        inv = F.inv(lead)
-        if inv == 1:
+        den, nums, inv = F.normalized_support(self.den, self.nums, lead)
+        if den == self.den and nums is self.nums:
             return self, inv
-        return _row(F, F.scale_support(inv, self.support)), inv
+        return _row(F, den, nums), inv
 
     def add_combination(self, pairs, rows) -> "Row":
         """This row plus the sum of lam * rows[i] over a list of (i, lam)
         pairs, made by the row's own kernel, _add_rows; a zero lam adds
-        nothing. ScaledRow shares this method; for a Row it is over GF(p).
-        """
+        nothing."""
         # one pair goes through axpy_raw, which calls the same _add_rows,
         # only so that the benchmark's tracer, which wraps rows.axpy_raw,
         # counts it in rows.axpy_calls (until it reads a per-stage record:
@@ -128,21 +133,12 @@ class Row:
         return self._add_rows(pairs, rows)
 
     def _add_rows(self, pairs, rows) -> "Row":
-        """This row plus the sum of lam * rows[i] over (i, lam) pairs of
-        residues, in one sparse accumulator seeded with this row
-        (PrimeField.combination_support), so the entries a pair does not
-        reach are not copied once per pair."""
+        """This row plus the sum of lam * rows[i] over (i, lam) pairs, in
+        one pass of the field's kernel (field.combination_support); the
+        row itself when every lam is zero."""
         F = self.field
-        terms = []
-        for i, lam in pairs:
-            x = rows[i]
-            if x.field is not F:
-                check_same_field(F, x.field)
-            if lam:
-                terms.append((lam, x.support))
-        if not terms:
-            return self
-        return _row(F, F.combination_support(self.support, terms))
+        summed = F.combination_support(self.den, self.nums, pairs, rows)
+        return self if summed is None else _row(F, *summed)
 
     def canonical(self) -> "Row":
         """The row itself: a Row is canonical by construction (see PackedRow)."""
@@ -152,30 +148,34 @@ class Row:
         if not isinstance(other, Row):
             return NotImplemented
         check_same_field(self.field, other.field)
-        return self.support == other.support
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.field, self.support))
+        return hash((self.field, self.den, self.nums))
 
     def entry_texts(self) -> tuple:
-        """The sorted (column, value) pairs of the row and the canonical
-        text of each value, formatted in one call: what a writer needs."""
-        support = self.support
-        return support, self.field.format_values([v for _, v in support])
+        """The (column, numerator) pairs of the row and the canonical text
+        of each value ('p/q' or 'p' over the rationals, a bare residue
+        over GF(p)), read off the numerators in one call
+        (field.format_quotients): what a writer needs."""
+        nums = self.nums
+        return nums, self.field.format_quotients(self.den, nums)
 
     def __str__(self):
         pairs, texts = self.entry_texts()
         return " ".join(["%d:%s" % (i, t) for (i, _), t in zip(pairs, texts)])
 
     def __repr__(self):
-        return "Row(%s)" % (self if self.support else "0")
+        return "Row(%s)" % (self if self.nums else "0")
 
 
-def _row(field: Field, support: tuple) -> Row:
-    """A Row whose support a field kernel built canonical: sets the slots only."""
+def _row(field: Field, den: int, nums: tuple) -> Row:
+    """The Row of den over numerators a field kernel or a generator built
+    canonical: sets the slots only."""
     r = object.__new__(Row)
     r.field = field
-    r.support = support
+    r.den = den
+    r.nums = nums
     return r
 
 
@@ -188,8 +188,8 @@ def check_row(field: Field, k: int, r) -> None:
 
 
 def axpy_raw(lam, x, y):
-    """Return y + lam * x for two Rows over GF(p) or two ScaledRows: the
-    one-pair row update, which y's own kernel (_add_rows) makes."""
+    """Return y + lam * x for two Rows: the one-pair row update, which y's
+    own kernel (_add_rows) makes."""
     return y._add_rows(((0, lam),), (x,))
 
 
@@ -272,198 +272,25 @@ class PackedRow:
         check_same_field(self.field, other.field)
         return self.support == other.support
 
-    entry_texts = Row.entry_texts
+    def entry_texts(self) -> tuple:
+        """The sorted (column, residue) pairs and the text of each residue."""
+        support = self.support
+        return support, self.field.format_values([v for _, v in support])
+
     __str__ = Row.__str__
 
     def __repr__(self):
         return "PackedRow(%s)" % (str(self) or "0")
 
 
-class ScaledRow:
-    """A row over the rationals: integer numerators over one row
-    denominator (the common-denominator rows of Bareiss, Math. Comp. 22,
-    1968). The engine holds both H and Q over the rationals this way, and
-    a symbolic form (solver.LinForm) holds one ScaledRow per namespace: Q[i]
-    itself for a symbolic k[i], and H[i]'s negated numerators for its
-    homogeneous part.
-
-    nums is a tuple of (column, int numerator) pairs with strictly
-    increasing columns and no zero numerator, and den is a positive int
-    with gcd(den, *numerators) == 1, so equal rows have equal den and nums,
-    and an integral row holds plain ints over den 1. Its one row operation,
-    add_combination, brings the rows to one common denominator and
-    multiply-adds ints, with one multi-argument gcd per result row, not a
-    gcd per entry; it is the only row sum and row scale over the rationals.
-    RationalField.scaled_hits converts an incoming Row, working_row any
-    other, normalized makes a pivot entry one, and passage_unit builds the
-    first passage row of each stage.
-
-    It reads like a Row: field, support (lowest-terms Fractions, built on
-    demand), raw, entry_texts (read off the numerators), is_zero, maxs,
-    str, and equality with a Row.
-    """
-
-    __slots__ = ("field", "den", "nums")
-
-    def __init__(self, field: Field, den: int, nums: Tuple[Tuple[int, int], ...]):
-        self.field = field
-        self.den = den
-        self.nums = nums
-
-    def canonical(self) -> "ScaledRow":
-        """The row itself: a ScaledRow is canonical by construction (see PackedRow)."""
-        return self
-
-    def normalized(self, lead: int) -> tuple:
-        """This row divided by its entry of numerator lead, so that entry
-        becomes one, and that entry's inverse den / lead in lowest terms.
-
-        The result is the same numerators over lead, divided by their
-        common factor (one multi-argument gcd, which lead's own numerator
-        is in), so its pivot numerator equals its denominator.
-        """
-        den, nums = self.den, self.nums
-        F = self.field
-        if lead == den:
-            return self, F.one()
-        g = gcd(*[v for _, v in nums])
-        if lead < 0:
-            g = -g
-        if g != 1:
-            nums = tuple([(c, v // g) for c, v in nums])
-        return ScaledRow(F, lead // g, nums), F.quotient(den, lead)
-
-    add_combination = Row.add_combination
-
-    def _add_rows(self, pairs, rows) -> "ScaledRow":
-        """This row plus the sum of lam * rows[i] over (i, lam) pairs, each
-        lam a Fraction or a plain int (the hits of engine.step).
-
-        Over the common denominator L of the row and every lam * x, each
-        row contributes its numerators times one int factor, summed in one
-        dict; one gcd then brings the result to lowest terms, none over L 1.
-        A zero lam adds nothing. A single source that lies wholly left of
-        the row's entries (the passage row of a one-hit stage, whose own
-        entry e_n is right of every earlier passage column) is concatenated
-        instead.
-        """
-        F = self.field
-        den = self.den
-        parts = []
-        L = den
-        for i, lam in pairs:
-            x = rows[i]
-            if x.field is not F:
-                check_same_field(F, x.field)
-            a = lam.numerator
-            if not a:
-                continue
-            d = lam.denominator * x.den
-            if L % d:
-                L = lcm(L, d)
-            parts.append((a, d, x.nums))
-        if not parts:
-            return self
-        f = L // den
-        ys = self.nums
-        if len(parts) == 1:
-            (a, d, xs), = parts
-            if xs and ys and xs[-1][0] < ys[0][0]:
-                g = a * (L // d)
-                left = xs if g == 1 else [(c, g * v) for c, v in xs]
-                right = ys if f == 1 else [(c, f * v) for c, v in ys]
-                return _scaled(F, L, tuple(left) + tuple(right))
-        acc = dict(ys) if f == 1 else {c: f * v for c, v in ys}
-        get = acc.get
-        for a, d, xs in parts:
-            g = a * (L // d)
-            for c, v in xs:
-                s = get(c, 0) + g * v
-                if s:
-                    acc[c] = s
-                else:
-                    del acc[c]
-        return _scaled(F, L, tuple(sorted(acc.items())))
-
-    @property
-    def support(self) -> tuple:
-        """The (column, lowest-terms Fraction) pairs; built, not stored."""
-        return self.field.scaled_support(self.den, self.nums)
-
-    def raw(self, col: int):
-        """The lowest-terms Fraction at a column (field zero when absent),
-        found by bisection on the numerators."""
-        nums = self.nums
-        k = bisect_left(nums, (col,))
-        if k < len(nums) and nums[k][0] == col:
-            return self.field.quotient(nums[k][1], self.den)
-        return self.field.zero()
-
-    def entry_texts(self) -> tuple:
-        """The (column, numerator) pairs and the canonical text of each
-        entry ('p/q' or 'p', as a Row's Fraction prints), read off the
-        numerators without a Fraction (RationalField.format_quotients)."""
-        return self.nums, self.field.format_quotients(self.den, self.nums)
-
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    @property
-    def maxs(self) -> Optional[int]:
-        """Rightmost support index; None for the zero row."""
-        return self.nums[-1][0] if self.nums else None
-
-    def __eq__(self, other):
-        if isinstance(other, ScaledRow):
-            check_same_field(self.field, other.field)
-            return self.den == other.den and self.nums == other.nums
-        if not isinstance(other, (Row, PackedRow)):
-            return NotImplemented
-        check_same_field(self.field, other.field)
-        return self.support == other.support
-
-    def __hash__(self):
-        # equal to the Row of the same values, so hashed as that Row is
-        return hash((self.field, self.support))
-
-    __str__ = Row.__str__
-
-    def __repr__(self):
-        return "ScaledRow(%s)" % (str(self) or "0")
-
-
-def _scaled(field: Field, den: int, nums: tuple) -> ScaledRow:
-    """The ScaledRow of den over zero-free, sorted (column, numerator)
-    pairs, with their common factor divided out: one gcd, none over den 1."""
-    if den != 1:
-        g = gcd(den, *[v for _, v in nums])
-        if g != 1:
-            den //= g
-            nums = tuple([(c, v // g) for c, v in nums])
-    return ScaledRow(field, den, nums)
-
-
 def passage_unit(field: Field, col: int, lam):
     """lam times the passage row e_col, for a nonzero lam: a PackedRow over
     GF(p), where passage rows fill in densely and every value fits a fixed
-    width, and a ScaledRow over the rationals, whose values have no fixed
-    width but share one denominator per row."""
+    width, and a Row over the rationals, whose values have no fixed width
+    but share one denominator per row."""
     if field.p is None:
-        return ScaledRow(field, lam.denominator, ((col, lam.numerator),))
+        return _row(field, lam.denominator, ((col, lam.numerator),))
     return PackedRow(field, col, lam, lam)
-
-
-def working_row(row):
-    """row as the type that does its field's row arithmetic, the type of H:
-    a ScaledRow over the rationals (a Row of Fractions brought over one
-    denominator) and a Row over GF(p) (a packed row read out to its
-    support); a row of that type is returned as it is."""
-    F = row.field
-    if F.p is None:
-        if isinstance(row, ScaledRow):
-            return row
-        return ScaledRow(F, *F.over_common_denominator(row.support))
-    return row if isinstance(row, Row) else _row(F, row.support)
 
 
 def dense_width(rows: Iterable[Row]) -> int:

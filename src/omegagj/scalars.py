@@ -2,13 +2,16 @@
 
 Every value in the library is a raw value of a Field (a Fraction over the
 rationals, an int residue over GF(p)), operated on only through that
-Field's methods. A prime field also owns the sparse kernels of rows.Row
-and the slots of rows.PackedRow; the rationals own the conversions to and
-from rows.ScaledRow, which makes every rational row sum itself. Each field
-writes the text of a symbolic form's terms (render_terms) from one row of
-the form (solver.LinForm). No floating point is used anywhere. Over the
-rationals every operation works on the numerator/denominator ints of its
-Fractions, so none goes through Fraction's operators.
+Field's methods. A row (rows.Row) holds its values as int numerators over
+one row denominator, and each field owns the kernels on those ints: the
+row sum (combination_support), the pivot scale (normalized_support), and
+the conversions to and from lowest-terms values. Over GF(p) the
+denominator is always 1 and the numerators are the residues; a prime field
+also owns the slots of rows.PackedRow. Each field writes the text of a
+symbolic form's terms (render_terms) from one row of the form
+(solver.LinForm). No floating point is used anywhere. Over the rationals
+every operation works on the numerator/denominator ints of its Fractions,
+so none goes through Fraction's operators.
 """
 
 from __future__ import annotations
@@ -61,6 +64,12 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _check_modulus(p) -> None:
+    """Raise ValueError, naming p, unless p is an int."""
+    if type(p) is not int:
+        raise ValueError("gf modulus must be an int, got %r" % (p,))
+
+
 _new_object = object.__new__
 
 
@@ -78,14 +87,26 @@ def _rational(n: int, d: int) -> Fraction:
     return f
 
 
+def _lowest_terms(den: int, nums: tuple) -> tuple:
+    """(den, nums) for den over zero-free (key, int numerator) pairs, with
+    their common factor divided out: one gcd, none over den 1."""
+    if den != 1:
+        g = gcd(den, *[v for _, v in nums])
+        if g != 1:
+            den //= g
+            nums = tuple([(c, v // g) for c, v in nums])
+    return den, nums
+
+
 class Field:
     """A coefficient field: exact rationals, or integers mod a prime.
 
     The fields are RATIONAL (the one RationalField) and Field.gf(p) (a
-    PrimeField). Each subclass owns its scalar operations and what its
-    row types are built from, so no operation dispatches on the field.
-    Raw values are Fraction for the rationals and int residues in [0, p)
-    for GF(p); p is None for the rationals.
+    PrimeField). Each subclass owns its scalar operations and the kernels
+    of rows.Row, whose entries are int numerators over one positive row
+    denominator, under the same names and signatures, so no operation
+    dispatches on the field. Raw values are Fraction for the rationals and
+    int residues in [0, p) for GF(p); p is None for the rationals.
     """
 
     __slots__ = ("p",)
@@ -94,24 +115,16 @@ class Field:
 
     @classmethod
     def gf(cls, p: int) -> "PrimeField":
-        """The field GF(p), one object per modulus."""
+        """The field GF(p), one object per modulus; a modulus that is not
+        an int raises ValueError before the cache is read, so 7.0 is
+        rejected whether or not GF(7) was made before."""
+        _check_modulus(p)
         try:
             return cls._gf_cache[p]
         except KeyError:
             f = PrimeField(p)
             cls._gf_cache[p] = f
             return f
-
-    def combination_support(self, ys: tuple, pairs) -> tuple:
-        """The sparse kernels of rows.Row, this and scale_support, are
-        PrimeField's. Over the rationals a Row holds values only, and this
-        TypeError points to the ScaledRow that does the arithmetic."""
-        raise TypeError(
-            "%r does no Row arithmetic; convert the row with rows.working_row"
-            % (self,)
-        )
-
-    scale_support = combination_support
 
     def format_values(self, values) -> list:
         """The canonical text of each raw value: lowest-terms 'p/q' (or 'p'),
@@ -130,12 +143,16 @@ class Field:
 class RationalField(Field):
     """The rationals, with Fraction values.
 
-    Row values are lowest-terms Fractions. The scalar operations and the
-    ScaledRow conversions work on their numerator/denominator pairs in
-    integers and build each result with _rational, so they never go through
-    Fraction's operators; a plain int operand is read through Fraction, the
-    value from_int builds (mul reads an int second operand as it is), and
-    every result is a lowest-terms Fraction.
+    Raw values are lowest-terms Fractions. The scalar operations and the
+    row kernels work on their numerator/denominator pairs in integers and
+    build each result with _rational, so they never go through Fraction's
+    operators; a plain int operand is read through Fraction, the value
+    from_int builds (mul reads an int second operand as it is), and every
+    result is a lowest-terms Fraction. A row is int numerators over the
+    lcm of its values' denominators, with gcd(den, *numerators) == 1 (the
+    common-denominator rows of Bareiss, Math. Comp. 22, 1968): a row sum
+    multiply-adds ints with one multi-argument gcd per result row, not a
+    gcd per entry.
     """
 
     __slots__ = ()
@@ -207,6 +224,10 @@ class RationalField(Field):
             a = Fraction(a)
         return _rational(-a._numerator, a._denominator)
 
+    def neg_numerator(self, v: int) -> int:
+        """-v for an int numerator v of a row (Row.nums), an int too."""
+        return -v
+
     def inv(self, a):
         if type(a) is not Fraction:
             a = Fraction(a)
@@ -222,8 +243,8 @@ class RationalField(Field):
     def format_quotients(self, den: int, nums) -> list:
         """The canonical text of each v / den in lowest terms ('p/q' or
         'p', as str prints its Fraction) over (key, int numerator) pairs
-        and one positive denominator: the text of a rows.ScaledRow's
-        entries, with one gcd per entry, none over den 1."""
+        and one positive denominator: the text of a rows.Row's entries,
+        with one gcd per entry, none over den 1."""
         if den == 1:
             return [str(v) for _, v in nums]
         texts = []
@@ -234,7 +255,7 @@ class RationalField(Field):
         return texts
 
     def render_terms(self, ns: str, row) -> list:
-        """The text of the v * ns_i terms of a form's ScaledRow for the
+        """The text of the v * ns_i terms of a form's Row for the
         namespace ns, one ' + ' or ' - ' piece per term with its sign read
         from the numerator; a coefficient of one is left out. An integral
         row prints its numerators; any other is read off them by
@@ -271,7 +292,7 @@ class RationalField(Field):
 
     def scaled_support(self, den: int, nums: tuple) -> tuple:
         """The (key, lowest-terms Fraction) pairs of (key, int numerator)
-        pairs over one positive denominator (a rows.ScaledRow). Over den 1
+        pairs over one positive denominator (Row.support). Over den 1
         each distinct numerator makes one Fraction."""
         out = []
         append = out.append
@@ -314,29 +335,70 @@ class RationalField(Field):
         den = lcm(*[v._denominator for _, v in xs])
         return den, tuple([(c, v._numerator * (den // v._denominator)) for c, v in xs])
 
-    def scaled_hits(self, support: tuple, pivots: dict) -> tuple:
-        """(hits, den, nums) of the support of a row c that engine.step
-        takes in: c as int numerators nums over den, the lcm of its
-        denominators, and the int pair (pivots[col], -C) of each numerator
-        C at a pivot column col, the hit of den * c, which step reduces.
-        An integral support (the common case) is read in one pass and
-        needs no lcm; any other is read again over den."""
-        get = pivots.get
-        hits = []
-        nums = []
-        integral = True
-        for c, v in support:
-            n = v._numerator
-            idx = get(c)
-            if idx is not None:
-                hits.append((idx, -n))
-            if v._denominator != 1:
-                integral = False
-            nums.append((c, n))
-        if integral:
-            return hits, 1, tuple(nums)
-        den, nums = self.over_common_denominator(support)
-        return [(pivots[c], -n) for c, n in nums if c in pivots], den, nums
+    def normalized_support(self, den: int, nums: tuple, lead: int) -> tuple:
+        """(den', nums', inv): the row nums over den divided by its entry
+        of numerator lead, so that entry becomes one, and that entry's
+        inverse den / lead in lowest terms.
+
+        The result is the same numerators over lead, divided by their
+        common factor (one multi-argument gcd, which lead's own numerator
+        is in), so its pivot numerator equals its denominator.
+        """
+        if lead == den:
+            return den, nums, self._ONE
+        g = gcd(*[v for _, v in nums])
+        if lead < 0:
+            g = -g
+        if g != 1:
+            nums = tuple([(c, v // g) for c, v in nums])
+        return lead // g, nums, self.quotient(den, lead)
+
+    def combination_support(self, den: int, ys: tuple, pairs, rows):
+        """(den', nums') of the row ys over den plus the sum of lam * rows[i]
+        over (i, lam) pairs, each lam a Fraction or a plain int (the hits of
+        engine.step); None when every lam is zero.
+
+        Over the common denominator L of the row and every lam * x, each
+        row contributes its numerators times one int factor, summed in one
+        dict; one gcd then brings the result to lowest terms, none over L 1.
+        A single source that lies wholly left of the row's entries (the
+        passage row of a one-hit stage, whose own entry e_n is right of
+        every earlier passage column) is concatenated instead.
+        """
+        parts = []
+        L = den
+        for i, lam in pairs:
+            x = rows[i]
+            if x.field is not self:
+                check_same_field(self, x.field)
+            a = lam.numerator
+            if not a:
+                continue
+            d = lam.denominator * x.den
+            if L % d:
+                L = lcm(L, d)
+            parts.append((a, d, x.nums))
+        if not parts:
+            return None
+        f = L // den
+        if len(parts) == 1:
+            (a, d, xs), = parts
+            if xs and ys and xs[-1][0] < ys[0][0]:
+                g = a * (L // d)
+                left = xs if g == 1 else [(c, g * v) for c, v in xs]
+                right = ys if f == 1 else [(c, f * v) for c, v in ys]
+                return _lowest_terms(L, tuple(left) + tuple(right))
+        acc = dict(ys) if f == 1 else {c: f * v for c, v in ys}
+        get = acc.get
+        for a, d, xs in parts:
+            g = a * (L // d)
+            for c, v in xs:
+                s = get(c, 0) + g * v
+                if s:
+                    acc[c] = s
+                else:
+                    del acc[c]
+        return _lowest_terms(L, tuple(sorted(acc.items())))
 
     def __repr__(self):
         return "Field(rational)"
@@ -345,7 +407,10 @@ class RationalField(Field):
 class PrimeField(Field):
     """Integers modulo a prime p, with residues in [0, p).
 
-    The field also owns the slots of packed rows (rows.PackedRow): an int
+    The kernels of rows.Row take its denominator and return one, as the
+    rationals' do, but over GF(p) a row's denominator is always 1 and its
+    numerators are its residues. The field also owns the slots of packed
+    rows (rows.PackedRow): an int
     holding one nonnegative slot_bits-wide slot per column, lowest column in
     the lowest bits. slot_bits is the smallest multiple of 64 that is at
     least 2 * bitlen(p) + 16, so a slot holds (p - 1) + (p - 1)^2, one
@@ -355,6 +420,7 @@ class PrimeField(Field):
     __slots__ = ("slot_bits",)
 
     def __init__(self, p: int):
+        _check_modulus(p)
         if p >= _MR_BOUND:
             raise ValueError(
                 "gf modulus must be below %d, where primality is decided exactly"
@@ -419,6 +485,9 @@ class PrimeField(Field):
     def neg(self, a):
         return (-a) % self.p
 
+    # a row's numerators are its residues
+    neg_numerator = neg
+
     def inv(self, a):
         if not a:
             raise DivisionByZero("inverse of zero")
@@ -434,7 +503,7 @@ class PrimeField(Field):
         coefficient of one is left out."""
         # the fixed parts of a term are joined once per row, not per term
         plus, star = " + " + ns + "_", "*" + ns + "_"
-        return [f"{plus}{i}" if v == 1 else f" + {v}{star}{i}" for i, v in row.support]
+        return [f"{plus}{i}" if v == 1 else f" + {v}{star}{i}" for i, v in row.nums]
 
     def accepts(self, v) -> bool:
         """Whether Row.from_pairs takes v as a value: any int (reduced mod p)."""
@@ -447,21 +516,52 @@ class PrimeField(Field):
             return "value must be an int in [0, %d)" % self.p
         return None if v else "zero value"
 
-    def scale_support(self, lam, xs: tuple) -> tuple:
-        """lam times the values of (key, value) pairs; lam is a nonzero residue."""
-        p = self.p
-        return tuple([(c, lam * v % p) for c, v in xs])
+    def over_common_denominator(self, xs: tuple) -> tuple:
+        """(1, xs): residues are their own numerators over den 1."""
+        return 1, xs
 
-    def combination_support(self, ys: tuple, pairs) -> tuple:
-        """ys plus the sum of lam * xs mod p over (lam, xs) pairs of
-        nonzero residues, for sorted zero-free supports ys and xs: one
+    def scaled_support(self, den: int, nums: tuple) -> tuple:
+        """The (key, residue) pairs of a row: its numerators over den 1."""
+        return nums
+
+    def format_quotients(self, den: int, nums) -> list:
+        """The text of each residue of (key, residue) pairs over den 1."""
+        return [str(v) for _, v in nums]
+
+    def quotient(self, n: int, d: int):
+        """The residue of n / d, d prime to p."""
+        return n * pow(d, -1, self.p) % self.p
+
+    def normalized_support(self, den: int, nums: tuple, lead: int) -> tuple:
+        """(1, nums', inv): the row divided by its entry lead, so that
+        entry becomes one, and lead's inverse; a lead of one returns nums
+        itself."""
+        inv = self.inv(lead)
+        if inv != 1:
+            p = self.p
+            nums = tuple([(c, inv * v % p) for c, v in nums])
+        return 1, nums, inv
+
+    def combination_support(self, den: int, ys: tuple, pairs, rows):
+        """(1, nums') of the row ys plus the sum of lam * rows[i] mod p
+        over (i, lam) pairs of residues; None when every lam is zero. One
         sparse accumulator (Gilbert, Moler and Schreiber, SIAM J. Matrix
         Anal. Appl. 13(1), 1992), a dict seeded with ys and sorted once,
-        each column summed as a plain int and reduced at the end."""
+        each column summed as a plain int and reduced at the end, so the
+        entries a pair does not reach are not copied once per pair."""
+        terms = []
+        for i, lam in pairs:
+            x = rows[i]
+            if x.field is not self:
+                check_same_field(self, x.field)
+            if lam:
+                terms.append((lam, x.nums))
+        if not terms:
+            return None
         p = self.p
         acc = dict(ys)
         get = acc.get
-        for lam, xs in pairs:
+        for lam, xs in terms:
             for c, v in xs:
                 acc[c] = get(c, 0) + lam * v
         out = []
@@ -470,7 +570,7 @@ class PrimeField(Field):
             v = acc[c] % p
             if v:
                 append((c, v))
-        return tuple(out)
+        return 1, tuple(out)
 
     def __repr__(self):
         return "Field(gf %d)" % self.p

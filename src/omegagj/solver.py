@@ -4,10 +4,11 @@ state, written as affine forms over indexed symbols (LinForm)."""
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence as SequenceType
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .engine import EliminationState, IndexOutOfRange, certified_floor
-from .rows import ScaledRow, _row, working_row
+from .rows import Row, _row
 from .scalars import Field, check_same_field
 
 # Symbol namespace of the homogeneous solution's free parameters t_0, t_1, ...
@@ -22,15 +23,14 @@ PARAMETER_NAMESPACE = "t"
 class LinForm:
     """An affine form over indexed symbols: constant + sum of coeff * ns_i.
 
-    blocks maps each namespace ns to one row holding the coefficients of
-    its symbols ns_i at columns i (rows.working_row picks its type): a
-    rows.ScaledRow over the rationals, int numerators over one
-    denominator, and a sparse rows.Row over GF(p). No row is zero, and
-    rows are canonical, so two forms are equal iff their fields, constants
-    and block tables are equal. A symbolic k[i] holds the passage row Q[i]
-    itself. Sums merge a namespace that both forms hold with the rows' own
+    blocks maps each namespace ns to one rows.Row holding the
+    coefficients of its symbols ns_i at columns i, as int numerators over
+    one denominator. No row is zero, and rows are canonical, so two forms
+    are equal iff their fields, constants and block tables are equal. A
+    symbolic k[i] holds the passage row Q[i] itself over the rationals.
+    Sums merge a namespace that both forms hold with the rows' own
     add_combination and share every other row, so no coefficient is
-    copied one by one; rendering reads a rational row's numerators.
+    copied one by one; rendering reads a row's numerators.
     """
 
     __slots__ = ("field", "constant", "blocks")
@@ -51,7 +51,7 @@ class LinForm:
             v = _value(field, v)
             if v:
                 grouped.setdefault(ns, []).append((i, v))
-        self.blocks = {ns: working_row(_row(field, tuple(sorted(pairs))))
+        self.blocks = {ns: _row(field, *field.over_common_denominator(tuple(sorted(pairs))))
                        for ns, pairs in grouped.items()}
 
     @classmethod
@@ -70,8 +70,8 @@ class LinForm:
         """The form namespace_index; a key that is not a (str, natural)
         pair raises ValueError, as in the constructor."""
         _check_symbol(namespace, index)
-        row = working_row(_row(field, ((index, field.one()),)))
-        return _form(field, field.zero(), {namespace: row})
+        # the value one is the numerator 1 over 1 on either field
+        return _form(field, field.zero(), {namespace: _row(field, 1, ((index, 1),))})
 
     @property
     def terms(self) -> dict:
@@ -84,7 +84,7 @@ class LinForm:
     def __add__(self, other):
         check_same_field(self.field, other.field)
         F = self.field
-        one = ((0, F.one()),)
+        one = ((0, 1),)
         blocks = dict(self.blocks)
         for ns, ys in other.blocks.items():
             xs = blocks.get(ns)
@@ -123,8 +123,7 @@ class LinForm:
             row = blocks[ns]
             texts = render_terms(ns, row)
             if leading is not None and leading[0] == ns:
-                # the row's stored pairs: numerators over the rationals
-                entries = row.nums if F.p is None else row.support
+                entries = row.nums
                 pos = bisect_left(entries, (leading[1],))
                 if pos < len(entries) and entries[pos][0] == leading[1]:
                     lead = texts.pop(pos)
@@ -229,22 +228,25 @@ def transform_rhs(
     state.passage is first read. ``rhs`` may be a symbol namespace, an
     explicit list of field values, or a callable giving the value for index
     i. A namespace ns makes k[i] the form sum of v * ns_j over Q[i]'s
-    entries, held as one row (rows.working_row): over the rationals the
-    ScaledRow Q[i] itself, with no per-entry work, and over GF(p) the Row
-    of the packed row's support. An explicit rhs makes each k[i] a constant form;
-    a value that the field does not accept raises TypeError naming its
-    index. The namespace PARAMETER_NAMESPACE is reserved and raises
-    ValueError.
+    entries, held as one Row: over the rationals Q[i] itself, with no
+    per-entry work, and over GF(p) the Row of the packed row's support. An
+    explicit rhs makes each k[i] a constant form; a value that the field
+    does not accept raises TypeError naming its index. The namespace
+    PARAMETER_NAMESPACE is reserved and raises ValueError; an rhs of any
+    other type raises TypeError.
     """
     if rhs == PARAMETER_NAMESPACE:
         raise ValueError("rhs namespace %r is reserved for the solution parameters" % rhs)
     if isinstance(rhs, str):
         forms = []
         for prow in passage:
-            row = working_row(prow)
-            F = row.field
+            F = prow.field
+            row = prow if isinstance(prow, Row) else _row(F, 1, prow.support)
             forms.append(_form(F, F.zero(), {} if row.is_zero() else {rhs: row}))
         return forms
+    if not (callable(rhs) or isinstance(rhs, SequenceType)):
+        raise TypeError("rhs is a %s, not a namespace, a sequence or a callable"
+                        % type(rhs).__name__)
     # an explicit rhs makes constant forms; a sequence is zero past its
     # end, so each sorted support is cut there
     at, end = (rhs, None) if callable(rhs) else (rhs.__getitem__, (len(rhs),))
@@ -281,7 +283,7 @@ def _solution(state: EliminationState, horizon: int, k: Sequence[LinForm]) -> Sy
     if state.strategy != "rps":
         raise ValueError("symbolic solutions need rightmost pivots")
     F = state.field
-    neg = F.neg
+    neg = F.neg_numerator
     free = [j for j in range(horizon + 1) if j not in state.pivots]
     param = {j: idx for idx, j in enumerate(free)}
     entries: Dict[int, LinForm] = {
@@ -291,15 +293,12 @@ def _solution(state: EliminationState, horizon: int, k: Sequence[LinForm]) -> Sy
         if col > horizon:
             continue
         # the row's off-pivot columns are free and their parameters increase
-        # with the column, so the homogeneous part is one sorted row of H's
-        # type with one term per entry and nothing to sum
+        # with the column, so the homogeneous part is one sorted row with one
+        # term per entry and nothing to sum: the other numerators, negated,
+        # over the row's denominator, which its pivot numerator equals, so
+        # they stay in lowest terms
         row = state.rows[i]
-        if F.p is None:
-            # a ScaledRow whose pivot numerator is its denominator: the other
-            # numerators, negated, stay in lowest terms over it
-            t = ScaledRow(F, row.den, tuple([(param[c], -v) for c, v in row.nums if c != col]))
-        else:
-            t = _row(F, tuple([(param[c], neg(v)) for c, v in row.support if c != col]))
+        t = _row(F, row.den, tuple([(param[c], neg(v)) for c, v in row.nums if c != col]))
         h = _form(F, F.zero(), {} if t.is_zero() else {PARAMETER_NAMESPACE: t})
         # k[i] holds no parameter, so + only joins the two block tables
         entries[col] = k[i] + h
@@ -310,5 +309,10 @@ def general_solution(
     state: EliminationState, k: Sequence[LinForm], horizon: int
 ) -> SolveResult:
     """Constraints and the general solution, the particular solution plus
-    the homogeneous one, built in one pass."""
+    the homogeneous one, built in one pass. A negative horizon, or a k
+    that does not hold one form per row of the state, raises ValueError."""
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0, got %d" % horizon)
+    if len(k) != len(state.rows):
+        raise ValueError("k holds %d forms for %d rows" % (len(k), len(state.rows)))
     return SolveResult(consistency_constraints(state, k), _solution(state, horizon, k))

@@ -27,7 +27,7 @@ from oracles import (
     is_uref_dict,
     is_urrf_dict,
 )
-from omegagj.rows import PackedRow, ScaledRow, passage_unit
+from omegagj.rows import PackedRow, Row, passage_unit
 from util import field_for, mk_row, mk_rows, random_dict_rows, rows_dicts
 
 F1 = Fraction(1)
@@ -136,7 +136,7 @@ def test_verify_row_equivalence_rejects_one_changed_passage_entry(p):
     m = make_stencil(F, [(0, 1), (1, 3), (2, 5)])
     state = run_to(m, 12)
     passage = state.passage
-    assert all(type(q) is (ScaledRow if p is None else PackedRow) for q in passage)
+    assert all(type(q) is (Row if p is None else PackedRow) for q in passage)
     assert verify_row_equivalence(passage, m, state.rows, 12)
     for i in (0, 5, 12):
         # an entry the row holds, and one it does not

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from omegagj import Field, RATIONAL, RationalField, Row
 from omegagj.matrices import BUILTINS
 from omegagj import cli, engine
-from omegagj.rows import PackedRow, ScaledRow
+from omegagj.rows import PackedRow, _row
 from omegagj.cli import (
     MatrixSpec,
     ParseError,
@@ -26,7 +26,7 @@ from omegagj.cli import (
 )
 from fixtures import bidiag_lps_row, bidiag_reduced_row
 from oracles import format_value, render_spec
-from util import gf_band_text, parse_row, row_dict, scaled_row
+from util import gf_band_text, parse_row, row_dict
 
 F1 = Fraction(1)
 
@@ -245,20 +245,26 @@ def test_wide_tsv_line_is_written_in_bounded_memory():
 
 
 def test_scaled_tsv_lines_equal_the_row_lines():
-    # a ScaledRow line is written from its numerators, over a shared
-    # denominator and over den 1; the wide rows put entries on both sides of
-    # window edges and far right, the short ones fit one window
+    # a Row's line is written from its numerators, over a shared
+    # denominator and over den 1, and equals the line of its values' text;
+    # the wide rows put entries on both sides of window edges and far right,
+    # the short ones fit one window
     cols = [0, 4095, 4096, 8191, 8192, 10**5]
     wide = [Row.from_pairs(RATIONAL, [(c, Fraction(c + 1, 6) - 3) for c in cols]),
             Row.from_pairs(RATIONAL, [(c, -c - 1) for c in cols])]
     short = [Row.from_pairs(RATIONAL, [(1, Fraction(-2, 3)), (3, 1)]), Row.unit(RATIONAL, 3)]
     for rows in (wide, short):
-        scaled = [scaled_row(r) for r in rows]
-        assert scaled[0].den > 1 and scaled[1].den == 1
-        got, want = io.StringIO(), io.StringIO()
-        cli._emit_rows(got, "passage", scaled)
-        cli._emit_rows(want, "passage", rows)
-        assert got.getvalue() == want.getvalue()
+        assert rows[0].den > 1 and rows[1].den == 1
+        got = io.StringIO()
+        cli._emit_rows(got, "passage", rows)
+        width = max(r.maxs for r in rows) + 1
+        want = ["# passage"]
+        for r in rows:
+            cells = ["0"] * width
+            for c, v in r.support:
+                cells[c] = str(v)
+            want.append("\t".join(cells))
+        assert got.getvalue() == "\n".join(want) + "\n"
 
 
 def test_reduce_band_rows_tsv(capsys):
@@ -442,7 +448,7 @@ def test_qhf_json(capsys):
         (["verify", "pde", "--stages", "9", "--check", "qhf"], 0),
         (["stability", "pde", "--stages", "9", "--prefix", "3"], 0),
         # the commands that print or read Q start one passage row per stage,
-        # a ScaledRow over the rationals
+        # a Row over the rationals
         (["reduce", "pde", "--stages", "9", "--emit", "pivots,passage"], 10),
         (["qhf", "pde", "--stages", "9", "--format", "json"], 10),
         (["verify", "pde", "--stages", "9", "--check", "roweq"], 10),
@@ -462,7 +468,7 @@ def test_only_commands_that_read_q_build_passage_rows(argv, units, tmp_path, mon
     path = tmp_path / "band.txt"
     path.write_text(gf_band_text())
     argv = [str(path) if a == "GF_BAND" else a for a in argv]
-    kind = PackedRow if str(path) in argv else ScaledRow
+    kind = PackedRow if str(path) in argv else Row
     calls = []
     passage_unit = engine.passage_unit
 
@@ -518,9 +524,9 @@ def test_no_command_runs_a_fraction_operator(matrix, tmp_path, monkeypatch, caps
 
 @pytest.mark.parametrize("matrix", ["bidiag", "pde"])
 def test_symbolic_solve_builds_no_lowest_terms_support(matrix, monkeypatch, capsys):
-    # over the rationals k[i] holds the ScaledRow Q[i] itself, the
-    # homogeneous block holds H[i]'s numerators, and both print from their
-    # numerators, so no ScaledRow's Fraction support is built
+    # over the rationals k[i] holds the Row Q[i] itself, the homogeneous
+    # block holds H[i]'s numerators, and both print from their numerators,
+    # so no Row's Fraction support is built
     calls = []
     scaled_support = RationalField.scaled_support
 
@@ -664,9 +670,8 @@ def test_verify_oracle_passes_over_gf_and_lps(name, stages, strategy, tmp_path, 
 
 @pytest.mark.parametrize("check", ["lrrf", "qhf"])
 def test_verify_form_check_prints_its_witness(check, monkeypatch, capsys):
-    # H row 3 scaled by 2 (as a Row: H over the rationals holds ScaledRows)
-    # leads with 2, not 1, so the form predicate itself finds the offending
-    # row (its place in rows or q_rows) and column
+    # H row 3 scaled by 2 leads with 2, not 1, so the form predicate itself
+    # finds the offending row (its place in rows or q_rows) and column
     built = []
 
     def tampering(build, base):
@@ -689,8 +694,8 @@ def test_verify_form_check_prints_its_witness(check, monkeypatch, capsys):
 
 
 def test_verify_oracle_rejects_rows_with_explicit_zeros(monkeypatch, capsys):
-    # H over the rationals is built by the ScaledRow kernel; bidiag's rows
-    # are integral, so every denominator is one and the sum needs no lcm
+    # H is built by the rows' kernel; bidiag's rows are integral, so every
+    # denominator is one and the sum needs no lcm
     def keeps_cancelled_zeros(self, pairs, rows):
         out = dict(self.nums)
         for i, lam in pairs:
@@ -698,9 +703,9 @@ def test_verify_oracle_rejects_rows_with_explicit_zeros(monkeypatch, capsys):
             assert self.den == x.den == lam.denominator == 1
             for c, v in x.nums:
                 out[c] = out.get(c, 0) + lam.numerator * v
-        return ScaledRow(self.field, 1, tuple(sorted(out.items())))
+        return _row(self.field, 1, tuple(sorted(out.items())))
 
-    monkeypatch.setattr(ScaledRow, "_add_rows", keeps_cancelled_zeros)
+    monkeypatch.setattr(Row, "_add_rows", keeps_cancelled_zeros)
     assert main(["verify", "bidiag", "--stages", "12", "--check", "oracle"]) == 1
     assert capsys.readouterr().out == "check oracle: failed\n"
 

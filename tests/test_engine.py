@@ -25,7 +25,6 @@ from omegagj import (
 )
 from omegagj.cli import parse_spec
 from omegagj.engine import certified_floor
-from omegagj.rows import ScaledRow
 from fixtures import (
     FULKERSON_NULLSPACE,
     FULKERSON_PASSAGE,
@@ -422,7 +421,7 @@ def test_seeded_runs_keep_index_exact_and_match_oracle(case):
     _assert_matches_oracle(rs.base, dicts, p)
 
 
-# -- H over the rationals: ScaledRows with a unit pivot -------------------------
+# -- H over the rationals: Rows with a unit pivot ------------------------------
 
 
 rational_matrices = st.lists(
@@ -440,7 +439,7 @@ rational_matrices = st.lists(
 @given(rational_matrices, st.booleans(), st.none() | st.tuples(st.integers(0, 2), st.integers(-2, 4)))
 def test_rational_h_rows_are_canonical_scaled_rows_with_a_unit_pivot(dicts, leftmost, floor):
     # zero rows, non-integral entries and rows a floor rejects all occur;
-    # after each stage every H row is a canonical ScaledRow whose pivot
+    # after each stage every H row is a canonical Row whose pivot
     # numerator is its denominator and equals the dense reference's row
     strategy = "lps" if leftmost else "rps"
     certificate = None if floor is None else PivotFloor.affine(*floor)
@@ -455,7 +454,7 @@ def test_rational_h_rows_are_canonical_scaled_rows_with_a_unit_pivot(dicts, left
         want, _, history = dense_reduce(dicts[: k + 1], None, leftmost)
         assert state.pivot_history == history
         for i, (r, w) in enumerate(zip(state.rows, want)):
-            assert type(r) is ScaledRow
+            assert type(r) is Row
             assert type(r.den) is int and r.den > 0
             assert all(type(v) is int and v for _, v in r.nums)
             cols = [c for c, _ in r.nums]

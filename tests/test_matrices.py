@@ -302,6 +302,12 @@ def test_stencil_checks_and_converts_its_values_once():
         (2, Fraction(-2)), (3, Fraction(2, 3)), (4, Fraction(3)))
     for _, v in m.row_at(3).support:
         assert type(v) is Fraction and type(v.numerator) is int
+    # every row is held canonical, also a row cut at column 0 that loses
+    # the entry which set the band's denominator
+    h = make_stencil(RATIONAL, {-1: Fraction(1, 2), 0: 2, 2: Fraction(1, 3)})
+    assert [h.row_at(k).den for k in range(3)] == [3, 6, 6]
+    for k in range(3):
+        assert h.row_at(k) == Row(RATIONAL, h.row_at(k).support)
     # values over GF(7) are reduced, and a multiple of 7 is dropped
     g = make_stencil(GF7, [(2, 7), (-1, -3), (0, 1)])
     assert g.row_at(0).support == ((0, 1),)

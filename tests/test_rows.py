@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from math import gcd
 
 from omegagj import Field, FieldMismatch, RATIONAL, Row
-from omegagj.rows import PackedRow, ScaledRow, axpy_raw, dense_width, passage_unit, working_row
+from omegagj.rows import axpy_raw, dense_width, passage_unit
 from oracles import combination_dict
-from util import mk_row, parse_row, row_dict, scaled_row
+from util import mk_row, parse_row, row_dict
 
 GF7 = Field.gf(7)
 
@@ -108,9 +108,8 @@ def test_equality_hash_and_cross_field():
 
 
 def test_add_combination_gathers_rows_by_index():
-    # over the rationals rows are summed as ScaledRows
-    y = scaled_row(mk_row(RATIONAL, {0: 1, 3: 2}))
-    rows = [scaled_row(mk_row(RATIONAL, d)) for d in ({0: 1, 1: 1}, {3: 1}, {1: 1})]
+    y = mk_row(RATIONAL, {0: 1, 3: 2})
+    rows = [mk_row(RATIONAL, d) for d in ({0: 1, 1: 1}, {3: 1}, {1: 1})]
     got = y.add_combination([(0, Fraction(-1)), (1, Fraction(-2)), (2, Fraction(1))], rows)
     assert got.is_zero()
     assert y.add_combination([], rows) is y
@@ -120,33 +119,10 @@ def test_add_combination_gathers_rows_by_index():
         y.add_combination([(0, Fraction(1)), (1, Fraction(1))], [rows[0], mk_row(GF7, {3: 1})])
 
 
-def test_rational_row_arithmetic_names_the_field_and_working_row():
-    # a Row over the rationals holds input rows, text and equality; its
-    # arithmetic fails at the field's kernel with an error that names the
-    # field and the conversion to the row type that does the arithmetic
-    x = mk_row(RATIONAL, {0: 1, 2: Fraction(1, 2)})
-    y = mk_row(RATIONAL, {1: 3})
-    match = r"Field\(rational\).*rows\.working_row"
-    calls = [
-        lambda: y.add_combination(((0, Fraction(2)),), [x]),
-        lambda: y.add_combination(((0, Fraction(2)), (1, Fraction(-1))), [x, x]),
-        lambda: axpy_raw(Fraction(-1, 3), x, y),
-        lambda: x.normalized(Fraction(1, 2)),
-        lambda: y.normalized(Fraction(3)),
-    ]
-    for call in calls:
-        with pytest.raises(TypeError, match=match):
-            call()
-    # the same sums on the working rows
-    wx, wy = working_row(x), working_row(y)
-    assert row_dict(wy.add_combination(((0, Fraction(2)),), [wx])) == {0: 2, 1: 3, 2: 1}
-    assert row_dict(wx.normalized(1)[0]) == {0: 2, 2: 1}
-
-
 def test_normalized_scales_by_the_inverse_lead():
     # a Row over GF(p) is divided by its lead entry, which returns the
-    # inverse; a lead of one returns the row itself. Over the rationals a
-    # ScaledRow is scaled by adding it, times lam, to the zero row
+    # inverse; a lead of one returns the row itself. A row is scaled by
+    # adding it, times lam, to the zero row
     r = mk_row(GF7, {0: 2, 4: 3})
     unit, inv = r.normalized(2)
     assert inv == 4 and row_dict(unit) == {0: 1, 4: 5}
@@ -154,8 +130,8 @@ def test_normalized_scales_by_the_inverse_lead():
     Row(GF7, unit.support)
     assert row_dict(r.normalized(3)[0]) == {0: 3, 4: 1}
     assert r.normalized(1) == (r, 1) and r.normalized(1)[0] is r
-    s = scaled_row(mk_row(RATIONAL, {0: Fraction(2), 4: Fraction(-3)}))
-    zero = ScaledRow(RATIONAL, 1, ())
+    s = mk_row(RATIONAL, {0: Fraction(2), 4: Fraction(-3)})
+    zero = Row.zero(RATIONAL)
     half = zero.add_combination(((0, Fraction(1, 2)),), [s])
     assert row_dict(half) == {0: Fraction(1), 4: Fraction(-3, 2)}
     assert (half.den, half.nums) == (2, ((0, 2), (4, -3)))
@@ -163,8 +139,8 @@ def test_normalized_scales_by_the_inverse_lead():
 
 
 def test_axpy_cancellation():
-    x = scaled_row(mk_row(RATIONAL, {0: Fraction(1), 2: Fraction(1)}))
-    y = scaled_row(mk_row(RATIONAL, {2: Fraction(3), 5: Fraction(1)}))
+    x = mk_row(RATIONAL, {0: Fraction(1), 2: Fraction(1)})
+    y = mk_row(RATIONAL, {2: Fraction(3), 5: Fraction(1)})
     out = axpy_raw(Fraction(-3), x, y)
     assert row_dict(out) == {0: Fraction(-3), 5: Fraction(1)}
     assert axpy_raw(Fraction(0), x, y) is y
@@ -179,7 +155,7 @@ def test_axpy_gf_wraps():
 @settings(deadline=None)
 @given(sparse_dicts, sparse_dicts, st.fractions(max_denominator=6))
 def test_axpy_matches_dict_arithmetic(dx, dy, lam):
-    x, y = scaled_row(mk_row(RATIONAL, dx)), scaled_row(mk_row(RATIONAL, dy))
+    x, y = mk_row(RATIONAL, dx), mk_row(RATIONAL, dy)
     out = axpy_raw(lam, x, y)
     assert row_dict(out) == combination_dict(dy, [(lam, dx.items())] if lam else [])
     _assert_canonical(out)
@@ -199,8 +175,7 @@ def _field_dicts(p):
 @pytest.mark.parametrize("p", [None, 2, 32003], ids=["rational", "gf2", "gf32003"])
 def test_field_kernels_match_dict_arithmetic(p):
     """axpy and scaling, including the lam = 1 and lam = -1 shortcuts, on
-    each field's working row: a ScaledRow over the rationals, a Row over
-    GF(p), where the field's scale_support scales too."""
+    each field's Rows; over GF(p) normalized by lam's inverse scales too."""
     field = RATIONAL if p is None else Field.gf(p)
     lams = st.sampled_from([1, -1, 2, Fraction(-7, 3)]) if p is None else st.integers(0, p - 1)
 
@@ -211,7 +186,7 @@ def test_field_kernels_match_dict_arithmetic(p):
     @given(_field_dicts(p), _field_dicts(p), lams)
     def check(dx, dy, lam):
         lam = field.from_int(lam) if isinstance(lam, int) else lam
-        x, y = working_row(mk_row(field, dx)), working_row(mk_row(field, dy))
+        x, y = mk_row(field, dx), mk_row(field, dy)
         expect = dict(dy)
         for c, v in dx.items():
             nv = reduce(expect.get(c, 0) + lam * v)
@@ -220,9 +195,9 @@ def test_field_kernels_match_dict_arithmetic(p):
             else:
                 expect.pop(c, None)
         out = axpy_raw(lam, x, y)
-        scaled_rows = [working_row(Row.zero(field)).add_combination(((0, lam),), [x])]
+        scaled_rows = [Row.zero(field).add_combination(((0, lam),), [x])]
         if p is not None and lam:
-            scaled_rows.append(Row(field, field.scale_support(lam, x.support)))
+            scaled_rows.append(x.normalized(field.inv(lam))[0])
         assert row_dict(out) == expect
         scaled = {c: reduce(lam * v) for c, v in dx.items()} if lam else {}
         for r in [out] + scaled_rows:
@@ -256,7 +231,7 @@ def test_dense_and_width():
     assert dense_width([Row.zero(RATIONAL)]) == 0
 
 
-# -- ScaledRow: the passage row over the rationals ----------------------------
+# -- Rows over the rationals: int numerators over one denominator -------------
 
 
 def _assert_canonical(r):
@@ -276,14 +251,14 @@ nonzero_fractions = st.fractions(
 @given(sparse_dicts, sparse_dicts, sparse_dicts, st.booleans(),
        st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=12),
        st.lists(st.tuples(st.integers(0, 2), nonzero_fractions), max_size=4))
-def test_scaled_row_kernels_match_fraction_arithmetic(dy, dx, dz, right, lam, pairs):
+def test_rational_row_kernels_match_fraction_arithmetic(dy, dx, dz, right, lam, pairs):
     # with right, y lies wholly right of the sources, the one-source
     # concatenation of add_combination; pairs may repeat a source and the
     # third source is y itself, so columns cancel
     if right:
         dy = {c + 31: v for c, v in dy.items()}
     dicts = [dx, dz, dy]
-    scaled_rows = [scaled_row(mk_row(RATIONAL, d)) for d in dicts]
+    scaled_rows = [mk_row(RATIONAL, d) for d in dicts]
     sy = scaled_rows[2]
 
     def expect(pairs, ys=dy):
@@ -300,33 +275,32 @@ def test_scaled_row_kernels_match_fraction_arithmetic(dy, dx, dz, right, lam, pa
         # passage row lam * e_5
         cases += [
             (sy.add_combination(((0, -lam),), scaled_rows), expect(((0, -lam),))),
-            (ScaledRow(RATIONAL, 1, ()).add_combination(((2, lam),), scaled_rows),
+            (Row.zero(RATIONAL).add_combination(((2, lam),), scaled_rows),
              expect(((2, lam),), {})),
             (passage_unit(RATIONAL, 5, lam), mk_row(RATIONAL, {5: lam})),
         ]
     for got, want in cases:
         assert got.support == want.support
         _assert_canonical(got)
-        assert got == scaled_row(want) and got == want and want == got
+        assert got == want and want == got and hash(got) == hash(want)
         assert str(got) == str(want) and got.maxs == want.maxs
         assert got.entry_texts() == (got.nums, want.entry_texts()[1])
 
 
-def test_scaled_row_reads_like_the_row():
-    row = mk_row(RATIONAL, {1: Fraction(-1, 6), 4: 2, 9: Fraction(3, 4)})
-    r = scaled_row(row)
+def test_rational_row_holds_numerators_over_one_denominator():
+    r = mk_row(RATIONAL, {1: Fraction(-1, 6), 4: 2, 9: Fraction(3, 4)})
     assert (r.den, r.nums) == (12, ((1, -2), (4, 24), (9, 9)))
-    assert r.support == row.support and str(r) == "1:-1/6 4:2 9:3/4"
-    assert repr(r) == "ScaledRow(1:-1/6 4:2 9:3/4)"
+    assert r.support == ((1, Fraction(-1, 6)), (4, Fraction(2)), (9, Fraction(3, 4)))
+    assert str(r) == "1:-1/6 4:2 9:3/4" and repr(r) == "Row(1:-1/6 4:2 9:3/4)"
     assert r.canonical() is r and r.add_combination((), [r]) is r
     zero = r.add_combination(((0, Fraction(-1)),), [r])
     assert zero.is_zero() and zero.maxs is None and (zero.den, zero.nums) == (1, ())
-    assert zero == Row.zero(RATIONAL) and repr(zero) == "ScaledRow(0)"
+    assert zero == Row.zero(RATIONAL) and repr(zero) == "Row(0)"
     # an integral row (here r + 11 * r) is plain ints over den 1, and equal
     # values share one Fraction in its support
     ints = r.add_combination(((0, Fraction(11)),), [r])
     assert (ints.den, ints.nums) == (1, ((1, -2), (4, 24), (9, 9)))
-    (_, a), (_, b) = ScaledRow(RATIONAL, 1, ((0, -1), (2, -1))).support
+    (_, a), (_, b) = mk_row(RATIONAL, {0: -1, 2: -1}).support
     assert a == -1 and a is b
     with pytest.raises(FieldMismatch):
         r == mk_row(GF7, {1: 2})
@@ -335,8 +309,8 @@ def test_scaled_row_reads_like_the_row():
 def test_zero_multiplier_adds_nothing_on_every_row_type():
     # a zero lam leaves the row's value unchanged, one pair or many, even
     # where the source holds columns the row does not
-    y = ScaledRow(RATIONAL, 1, ((0, 1),))
-    x = ScaledRow(RATIONAL, 1, ((3, 1),))
+    y = mk_row(RATIONAL, {0: 1})
+    x = mk_row(RATIONAL, {3: 1})
     zero = Fraction(0)
     assert y.add_combination(((0, zero),), [x]) is y
     assert axpy_raw(zero, x, y) is y
@@ -351,54 +325,63 @@ def test_zero_multiplier_adds_nothing_on_every_row_type():
     assert packed.add_combination(((0, 0),), [passage_unit(GF7, 3, 1)]) == p
 
 
-def test_scaled_hits_raw_and_normalized():
-    # scaled_hits, the conversion of the row a stage takes in: the
-    # numerators over the lcm of the denominators, canonical without a gcd,
-    # and the negated numerators at pivot columns, keyed by their pivot
-    # rows: the int hits of den times the row, in column order; an
-    # integral row stays over den 1
+def test_raw_and_normalized_over_the_rationals():
     row = mk_row(RATIONAL, {1: Fraction(-1, 6), 4: 2, 9: Fraction(3, 4)})
-    hits, den, nums = RATIONAL.scaled_hits(row.support, {4: 0, 5: 1, 9: 2})
-    assert hits == [(0, -24), (2, -9)]
-    assert all(type(v) is int for _, v in hits)
-    assert [Fraction(v, den) for _, v in hits] == [-row.raw(4), -row.raw(9)]
-    r = ScaledRow(RATIONAL, den, nums)
-    assert (r.den, r.nums) == (12, ((1, -2), (4, 24), (9, 9)))
-    assert RATIONAL.scaled_hits(row.support, {}) == ([], 12, nums)
-    integral = mk_row(RATIONAL, {2: 3, 5: -1})
-    hits = RATIONAL.scaled_hits(integral.support, {5: 7, 2: 0})
-    assert hits == ([(0, -3), (7, 1)], 1, ((2, 3), (5, -1)))
-    assert all(type(v) is int for _, v in hits[0])
-    assert RATIONAL.scaled_hits(Row.zero(RATIONAL).support, {}) == ([], 1, ())
     # raw reads one lowest-terms Fraction
-    assert [r.raw(c) for c in (0, 1, 4, 9, 10)] == [0, Fraction(-1, 6), 2, Fraction(3, 4), 0]
-    assert type(r.raw(0)) is Fraction
+    assert [row.raw(c) for c in (0, 1, 4, 9, 10)] == [0, Fraction(-1, 6), 2, Fraction(3, 4), 0]
+    assert type(row.raw(0)) is Fraction and type(row.raw(4)) is Fraction
     # normalized: the pivot numerator becomes the denominator, also for a
     # negative lead, and the inverse of the pivot entry comes back
     for col in (1, 4, 9):
-        unit, inv = r.normalized(dict(r.nums)[col])
+        unit, inv = row.normalized(dict(row.nums)[col])
         _assert_canonical(unit)
         assert dict(unit.nums)[col] == unit.den
         assert inv == 1 / row.raw(col)
         assert unit == mk_row(RATIONAL, {c: v * inv for c, v in row.support})
-    # a ScaledRow of H hashes as the equal Row does
-    assert hash(r) == hash(row) and {r, row} == {row}
-    ones = ScaledRow(RATIONAL, 1, ((0, 2), (3, 1)))
+    ones = mk_row(RATIONAL, {0: 2, 3: 1})
     assert ones.normalized(1) == (ones, 1) and ones.normalized(1)[0] is ones
 
 
-def test_working_row_picks_each_fields_row_type():
-    # a Row of Fractions becomes the ScaledRow of its numerators over the
-    # lcm of its denominators, a packed row the Row of its support, and a
-    # row of the working type is returned as it is
-    row = mk_row(RATIONAL, {1: Fraction(-1, 6), 4: 2, 9: Fraction(3, 4)})
-    s = working_row(row)
-    assert type(s) is ScaledRow and (s.den, s.nums) == (12, ((1, -2), (4, 24), (9, 9)))
-    assert working_row(s) is s and s == scaled_row(row)
-    zero = working_row(Row.zero(RATIONAL))
-    assert type(zero) is ScaledRow and (zero.den, zero.nums) == (1, ())
-    g = mk_row(GF7, {0: 3, 2: 5})
-    assert working_row(g) is g
-    packed = passage_unit(GF7, 2, 5).add_combination(((0, 3),), [passage_unit(GF7, 0, 1)])
-    assert type(packed) is PackedRow
-    assert type(working_row(packed)) is Row and working_row(packed) == g
+rational_supports = sparse_dicts.map(lambda d: tuple(sorted(d.items())))
+
+
+@settings(deadline=None)
+@given(rational_supports, rational_supports, st.randoms(use_true_random=False))
+def test_rational_constructor_is_canonical(s1, s2, rng):
+    # the public constructor and from_pairs bring a support of Fractions
+    # over one denominator: canonical, with the support given back as it
+    # was, and equal and hashed alike exactly when the supports are equal
+    pairs = list(s1)
+    rng.shuffle(pairs)
+    a = Row(RATIONAL, s1)
+    rows = [a, Row.from_pairs(RATIONAL, pairs), Row.from_pairs(RATIONAL, s1)]
+    for r in rows:
+        _assert_canonical(r)
+        assert r.support == s1
+        assert r == a and hash(r) == hash(a)
+    b = Row(RATIONAL, s2)
+    assert (a == b) == (s1 == s2)
+    if s1 == s2:
+        assert hash(a) == hash(b)
+
+
+@settings(deadline=None)
+@given(sparse_dicts, st.lists(sparse_dicts, min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(0, 2), st.fractions(min_value=-9, max_value=9,
+                                                         max_denominator=12)),
+                max_size=4))
+def test_rational_add_combination_and_normalized_match_the_oracle(dy, dxs, pairs):
+    # the rational field's kernels on the numerators against the same sums
+    # made one entry at a time with Fraction operators
+    y = mk_row(RATIONAL, dy)
+    xs = [mk_row(RATIONAL, d) for d in dxs]
+    pairs = [(i % len(xs), lam) for i, lam in pairs]
+    got = y.add_combination(pairs, xs)
+    _assert_canonical(got)
+    assert row_dict(got) == combination_dict(dy, [(lam, dxs[i].items()) for i, lam in pairs
+                                                  if lam])
+    for col, lead in got.nums:
+        unit, inv = got.normalized(lead)
+        _assert_canonical(unit)
+        assert inv == 1 / got.raw(col)
+        assert row_dict(unit) == combination_dict({}, [(inv, row_dict(got).items())])

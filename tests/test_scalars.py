@@ -25,8 +25,6 @@ from omegagj import (
     RationalField,
     Row,
 )
-from omegagj.rows import ScaledRow
-from util import scaled_row
 
 GF7 = Field.gf(7)
 F1 = Fraction(1)
@@ -199,30 +197,36 @@ def _assert_lowest_term_fractions(support):
 @settings(deadline=None, max_examples=150)
 @given(kernel_inputs())
 def test_rational_kernels_match_fraction_arithmetic(inputs):
-    # over the rationals a ScaledRow makes every row sum and row scale
+    # over the rationals the field's kernel makes every row sum and row scale
     lam, xs, ys = inputs
-    x, y = _scaled(xs), _scaled(ys)
+    x, y = Row(RATIONAL, xs), Row(RATIONAL, ys)
     _assert_scaled_is(y.add_combination(((0, lam),), [x]), combination_dict(ys, [(lam, xs)]))
-    scaled = ScaledRow(RATIONAL, 1, ()).add_combination(((0, lam),), [x])
+    scaled = Row.zero(RATIONAL).add_combination(((0, lam),), [x])
     _assert_scaled_is(scaled, {c: lam * v for c, v in xs})
 
 
-def _scaled(support):
-    return scaled_row(Row(RATIONAL, support))
-
-
 def _assert_scaled_is(r, want):
-    """r is the canonical ScaledRow of the {column: Fraction} dict want,
-    and its support holds lowest-terms Fractions."""
-    ref = _scaled(tuple(sorted(want.items())))
+    """r is the canonical Row of the {column: Fraction} dict want, and its
+    support holds lowest-terms Fractions."""
+    ref = Row(RATIONAL, tuple(sorted(want.items())))
     assert (r.den, r.nums) == (ref.den, ref.nums)
     _assert_lowest_term_fractions(r.support)
 
 
+def _combination(field, ys, pairs):
+    """The numerators the field's kernel makes of the support ys plus the
+    sum of lam * xs over (lam, xs) pairs of supports (ys itself when no
+    lam is nonzero)."""
+    rows = [Row(field, xs) for _, xs in pairs]
+    indexed = [(i, lam) for i, (lam, _) in enumerate(pairs)]
+    summed = field.combination_support(1, ys, indexed, rows)
+    return ys if summed is None else summed[1]
+
+
 def _fold_one_pair_calls(field, ys, pairs):
     acc = ys
-    for lam, xs in pairs:
-        acc = field.combination_support(acc, ((lam, xs),))
+    for pair in pairs:
+        acc = _combination(field, acc, [pair])
     return acc
 
 
@@ -262,7 +266,7 @@ def test_combination_support_is_the_fold_of_one_pair_calls(field):
     @given(combination_inputs(field))
     def check(inputs):
         ys, pairs = inputs
-        got = field.combination_support(ys, pairs)
+        got = _combination(field, ys, pairs)
         assert got == _fold_one_pair_calls(field, ys, pairs)
         assert got == tuple(sorted(combination_dict(ys, pairs, field.p).items()))
         assert [c for c, _ in got] == sorted({c for c, _ in got})
@@ -271,17 +275,17 @@ def test_combination_support_is_the_fold_of_one_pair_calls(field):
             assert got == ys
 
     check()
-    assert field.combination_support((), []) == ()
+    assert field.combination_support(1, (), [], []) is None
 
 
 @settings(deadline=None, max_examples=150)
 @given(combination_inputs(RATIONAL))
-def test_scaled_row_combination_is_the_fold_of_one_pair_calls(inputs):
-    # the ScaledRow sum of many pairs at once equals one pair at a time,
-    # and both equal the sum made with Fraction operators
+def test_rational_row_combination_is_the_fold_of_one_pair_calls(inputs):
+    # the rational row sum of many pairs at once equals one pair at a
+    # time, and both equal the sum made with Fraction operators
     ys, pairs = inputs
-    y = _scaled(ys)
-    rows = [_scaled(xs) for _, xs in pairs]
+    y = Row(RATIONAL, ys)
+    rows = [Row(RATIONAL, xs) for _, xs in pairs]
     indexed = [(i, lam) for i, (lam, _) in enumerate(pairs)]
     got = y.add_combination(indexed, rows)
     folded = y

@@ -23,7 +23,6 @@ from omegagj import (
     transform_rhs,
 )
 from omegagj.engine import certified_floor
-from omegagj.rows import ScaledRow
 from omegagj.solver import SymbolicSequence
 from fixtures import (
     BIDIAG_GENERAL,
@@ -43,7 +42,7 @@ from oracles import (
     substitute,
     verify_solution,
 )
-from util import dict_matrices, field_for, mk_row, mk_rows, scaled_row
+from util import dict_matrices, field_for, mk_row, mk_rows
 
 F1 = Fraction(1)
 GF7 = Field.gf(7)
@@ -85,32 +84,30 @@ def test_transform_rhs_symbolic_holds_the_passage_support_and_reads_any_column()
     k = transform_rhs(rows, "s")
     assert form_terms(k[0]) == {("s", 0): F1, ("s", 5): Fraction(-1, 2)}
     assert form_terms(k[1]) == {("s", 9): F1}
-    # a plain Row of Fractions is brought over one denominator: its forms
-    # print, compare and add as those of the same values as ScaledRows
+    # each form holds its passage row itself, numerators over one
+    # denominator, and prints, compares and adds from them
     assert [str(f) for f in k] == ["s_0 - 1/2*s_5", "s_9"]
-    assert k == transform_rhs([scaled_row(r) for r in rows], "s")
+    assert [f.blocks["s"] for f in k] == rows and k[0].blocks["s"] is rows[0]
     assert str(k[0] + k[1]) == "s_0 - 1/2*s_5 + s_9"
     assert k[0] + LinForm(RATIONAL, None, {("s", 5): Fraction(1, 2)}) == LinForm.symbol(
         RATIONAL, "s", 0)
 
 
 def test_symbolic_forms_hold_rows_of_the_fields_row_type():
-    # over the rationals k[i] holds the ScaledRow Q[i] itself, so nothing
-    # is copied; over GF(7) a sparse Row of the packed Q[i]; and each
-    # homogeneous t block is a row of the same type
-    for matrix, row_type in ((BUILTINS["pde"](), ScaledRow),
-                             (make_stencil(GF7, {0: 1, 1: 3, 2: 5}), Row)):
+    # over the rationals k[i] holds the Row Q[i] itself, so nothing is
+    # copied; over GF(7) a sparse Row of the packed Q[i]; and each
+    # homogeneous t block is a Row too
+    for matrix in (BUILTINS["pde"](), make_stencil(GF7, {0: 1, 1: 3, 2: 5})):
         state = run_to(matrix, 12)
         k = transform_rhs(state.passage, "c")
         for f, prow in zip(k, state.passage):
             block = f.blocks["c"]
-            assert type(block) is row_type and block == prow
-            if row_type is ScaledRow:
-                assert block is prow
+            assert type(block) is Row and block == prow
+            assert (block is prow) == (matrix.field.p is None)
         general = general_solution(state, k, 12).general
         t_blocks = [general.entry(j).blocks["t"] for j in range(13)
                     if "t" in general.entry(j).blocks]
-        assert t_blocks and all(type(b) is row_type for b in t_blocks)
+        assert t_blocks and all(type(b) is Row for b in t_blocks)
 
 
 class CountedReads(Sequence):
@@ -367,8 +364,10 @@ def test_general_is_particular_plus_homogeneous(case):
     p, dicts = case
     F = field_for(p)
     state = run_to(make_explicit(F, mk_rows(F, dicts)), len(dicts) - 1)
-    for horizon in range(-1, 13):
+    for horizon in range(13):
         _assert_general_is_particular_plus_homogeneous(state, horizon)
+    with pytest.raises(ValueError, match="horizon"):
+        general_solution(state, transform_rhs(state.passage, "c"), -1)
 
 
 def test_solutions_need_rightmost_pivots():
@@ -393,13 +392,29 @@ def test_deficiency_matches_uncovered_columns():
         assert len(res.general.free_columns) == res.deficiency_over_horizon
 
 
-def test_negative_horizon_has_no_deficiency():
-    # a horizon below column 0 covers no column, free or pivot
+def test_general_solution_checks_its_inputs():
+    # a negative horizon, which once gave a solution of deficiency 0, and a
+    # k of another length than the rows, once an IndexError from inside,
+    # are rejected at the boundary
     state = run_to(BUILTINS["bidiag"](), 3)
     k = transform_rhs(state.passage, "c")
-    res = general_solution(state, k, -5)
-    assert res.deficiency_over_horizon == 0
-    assert res.general.free_columns == [] and res.general.entries == {}
+    for horizon in (-1, -5):
+        with pytest.raises(ValueError, match="horizon must be >= 0, got %d" % horizon):
+            general_solution(state, k, horizon)
+    for forms in (k[:3], k + k[:1], []):
+        with pytest.raises(ValueError, match="k holds %d forms for 4 rows" % len(forms)):
+            general_solution(state, forms, 3)
+    assert general_solution(state, k, 0).deficiency_over_horizon == 1
+
+
+@pytest.mark.parametrize("rhs", [5, 2.5, None, {0: 1}, object()],
+                         ids=["int", "float", "none", "dict", "object"])
+def test_transform_rhs_rejects_an_rhs_of_another_type(rhs):
+    # once an AttributeError (no __getitem__) or a TypeError from inside;
+    # now a TypeError naming the rhs type
+    passage = run_to(BUILTINS["bidiag"](), 3).passage
+    with pytest.raises(TypeError, match="rhs is a %s, not" % type(rhs).__name__):
+        transform_rhs(passage, rhs)
 
 
 # -- sequences ----------------------------------------------------------------
