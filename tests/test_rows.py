@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from math import gcd
 
 from omegagj import Field, FieldMismatch, RATIONAL, Row
+from omegagj.engine import EliminationState, step
 from omegagj.rows import axpy_raw, dense_width, passage_unit
 from oracles import combination_dict
 from util import mk_row, parse_row, row_dict
@@ -251,7 +252,7 @@ nonzero_fractions = st.fractions(
 @given(sparse_dicts, sparse_dicts, sparse_dicts, st.booleans(),
        st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=12),
        st.lists(st.tuples(st.integers(0, 2), nonzero_fractions), max_size=4))
-def test_rational_row_kernels_match_fraction_arithmetic(dy, dx, dz, right, lam, pairs):
+def test_scaled_row_kernels_match_fraction_arithmetic(dy, dx, dz, right, lam, pairs):
     # with right, y lies wholly right of the sources, the one-source
     # concatenation of add_combination; pairs may repeat a source and the
     # third source is y itself, so columns cancel
@@ -287,7 +288,9 @@ def test_rational_row_kernels_match_fraction_arithmetic(dy, dx, dz, right, lam, 
         assert got.entry_texts() == (got.nums, want.entry_texts()[1])
 
 
-def test_rational_row_holds_numerators_over_one_denominator():
+def test_scaled_row_reads_like_the_row():
+    # a rational Row is held scaled: int numerators over one denominator,
+    # read back as the lowest-terms Fractions of its values
     r = mk_row(RATIONAL, {1: Fraction(-1, 6), 4: 2, 9: Fraction(3, 4)})
     assert (r.den, r.nums) == (12, ((1, -2), (4, 24), (9, 9)))
     assert r.support == ((1, Fraction(-1, 6)), (4, Fraction(2)), (9, Fraction(3, 4)))
@@ -325,8 +328,25 @@ def test_zero_multiplier_adds_nothing_on_every_row_type():
     assert packed.add_combination(((0, 0),), [passage_unit(GF7, 3, 1)]) == p
 
 
-def test_raw_and_normalized_over_the_rationals():
+def test_scaled_hits_raw_and_normalized():
+    # a stage reduces den times the row it takes in, den the lcm of its
+    # denominators, and logs the negated numerators at pivot columns,
+    # keyed by their pivot rows: the int hits of den times the row, in
+    # column order; an integral row stays over den 1
     row = mk_row(RATIONAL, {1: Fraction(-1, 6), 4: 2, 9: Fraction(3, 4)})
+    assert (row.den, row.nums) == (12, ((1, -2), (4, 24), (9, 9)))
+    state = EliminationState(RATIONAL, "rps")
+    for col in (4, 5, 9, 2):
+        step(state, mk_row(RATIONAL, {col: 1}))
+    step(state, row)
+    hits, den, _, _ = state._log[-1]
+    assert (hits, den) == ([(0, -24), (2, -9)], 12)
+    assert all(type(v) is int for _, v in hits)
+    assert [Fraction(v, den) for _, v in hits] == [-row.raw(4), -row.raw(9)]
+    step(state, mk_row(RATIONAL, {2: 3, 5: -1, 7: 1}))
+    hits, den, _, _ = state._log[-1]
+    assert (hits, den) == ([(3, -3), (1, 1)], 1)
+    assert all(type(v) is int for _, v in hits)
     # raw reads one lowest-terms Fraction
     assert [row.raw(c) for c in (0, 1, 4, 9, 10)] == [0, Fraction(-1, 6), 2, Fraction(3, 4), 0]
     assert type(row.raw(0)) is Fraction and type(row.raw(4)) is Fraction

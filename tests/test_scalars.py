@@ -280,9 +280,10 @@ def test_combination_support_is_the_fold_of_one_pair_calls(field):
 
 @settings(deadline=None, max_examples=150)
 @given(combination_inputs(RATIONAL))
-def test_rational_row_combination_is_the_fold_of_one_pair_calls(inputs):
-    # the rational row sum of many pairs at once equals one pair at a
-    # time, and both equal the sum made with Fraction operators
+def test_scaled_row_combination_is_the_fold_of_one_pair_calls(inputs):
+    # the sum of many pairs at once on rows of numerators over one
+    # denominator equals one pair at a time, and both equal the sum made
+    # with Fraction operators
     ys, pairs = inputs
     y = Row(RATIONAL, ys)
     rows = [Row(RATIONAL, xs) for _, xs in pairs]
