@@ -23,17 +23,19 @@ class FormReport:
 
 def is_lrrf(rows: List[Row]) -> FormReport:
     """Rightmost coefficients are one and each rightmost column is zero in
-    every other row."""
+    every other row; read off the numerators, where a rightmost one is a
+    numerator equal to the row's denominator."""
     owner = {}
     for i, r in enumerate(rows):
-        if r.is_zero():
+        nums = r.nums
+        if not nums:
             continue
-        col, lead = r.support[-1]
-        if lead != r.field.one():
+        col, lead = nums[-1]
+        if lead != r.den:
             return FormReport("lrrf", False, (i, col))
         owner[col] = i
     for i, r in enumerate(rows):
-        for c, _ in r.support:
+        for c, _ in r.nums:
             if c in owner and owner[c] != i:
                 return FormReport("lrrf", False, (i, c))
     return FormReport("lrrf", True)

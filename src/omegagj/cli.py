@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import re
 import sys
@@ -311,6 +310,8 @@ def cmd_reduce(args, out) -> int:
         )
     state = run_to(matrix, args.stages, args.strategy)
     if args.format == "json":
+        import json  # kept out of a cold import of the CLI
+
         doc = {"stage": state.stage, "strategy": state.strategy}
         for s in sections:
             key, value, _ = _REDUCE_SECTIONS[s]
@@ -328,6 +329,8 @@ def cmd_qhf(args, out) -> int:
     # Delta_k and the slot-level change index are one number (see reorder)
     delta = None if args.prefix is None else prefix_stability(rs, args.prefix)
     if args.format == "json":
+        import json  # kept out of a cold import of the CLI
+
         doc = {
             "stage": rs.stage,
             "permutation": rs.permutation,
@@ -369,6 +372,8 @@ def cmd_solve(args, out) -> int:
     horizon = args.horizon if args.horizon is not None else args.stages
     result = general_solution(state, k, horizon)
     if args.format == "json":
+        import json  # kept out of a cold import of the CLI
+
         doc = {
             "constraints": [_constraint_text(f) for f in result.constraints],
             "general": [
@@ -471,12 +476,12 @@ def cmd_stability(args, out) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="omegagj",
-        description="Staged rightmost-pivot elimination of row-finite matrices.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of the five subcommands, or, when command names one of
+    them, of that one alone: each option costs a HelpFormatter, and the
+    other four would show in no text that command can print. Its usage
+    line still lists all five, so help, usage and error text are those of
+    the full parser."""
     handlers = {
         "reduce": cmd_reduce,
         "qhf": cmd_qhf,
@@ -484,6 +489,18 @@ def build_parser() -> argparse.ArgumentParser:
         "verify": cmd_verify,
         "stability": cmd_stability,
     }
+    parser = argparse.ArgumentParser(
+        prog="omegagj",
+        description="Staged rightmost-pivot elimination of row-finite matrices.",
+    )
+    metavar = None
+    if command in handlers:
+        # the metavar argparse builds from all five; the full parser keeps
+        # its own, since this one would rename the argument in its
+        # invalid-choice error
+        metavar = "{%s}" % ",".join(handlers)
+        handlers = {command: handlers[command]}
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, fn in handlers.items():
         p = sub.add_parser(name)
         p.set_defaults(handler=fn)
@@ -509,7 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     matrix = args.matrix or args.matrix_pos
     try:
         if matrix is None:

@@ -16,6 +16,7 @@ so none goes through Fraction's operators.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
@@ -23,6 +24,11 @@ from typing import Optional
 
 # Packed rows are little-endian 64-bit words; array("Q") holds native ones.
 _BIG_ENDIAN = sys.byteorder == "big"
+
+# The text of a rational: 'p' or 'p/q', an optional sign and ASCII digits.
+# Fraction's own grammar also takes decimals, exponents, '_', spaces and
+# other scripts' digits, and '1e100000000' builds a hundred-million-digit int.
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 class FieldMismatch(Exception):
@@ -237,7 +243,11 @@ class RationalField(Field):
         return _rational(d, n) if n > 0 else _rational(-d, -n)
 
     def parse(self, text: str):
-        """Parse the canonical text form: 'p/q' or 'p'."""
+        """Parse the canonical text form: 'p/q' or 'p'. Any other spelling
+        raises ValueError, and a zero q ZeroDivisionError, after work
+        bounded by the length of the text."""
+        if not _RATIONAL_TEXT.fullmatch(text):
+            raise ValueError("not a rational 'p' or 'p/q': %r" % text)
         return Fraction(text)
 
     def format_quotients(self, den: int, nums) -> list:

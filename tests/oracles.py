@@ -51,9 +51,11 @@ def combination_dict(ys, pairs, p=None):
     return acc
 
 
-def is_lrrf_dict(rows, p=None, lead=max):
+def is_lrrf_dict(rows, p=None, lead=max, witness=False):
     """Direct scan: every pivot (rightmost, or lead) coefficient is one and
-    its column is zero in all other rows."""
+    its column is zero in all other rows. With witness, the first offending
+    (row, column) instead, or None: the first row whose pivot is not one,
+    else the least (row, column) of a pivot column held by another row."""
     one = Fraction(1) if p is None else 1 % p
     cols = {}
     for i, r in enumerate(rows):
@@ -61,13 +63,11 @@ def is_lrrf_dict(rows, p=None, lead=max):
             continue
         col = lead(r)
         if r[col] != one:
-            return False
+            return (i, col) if witness else False
         cols[col] = i
-    for col, owner in cols.items():
-        for i, r in enumerate(rows):
-            if i != owner and r.get(col):
-                return False
-    return True
+    held = [(i, col) for col, owner in cols.items()
+            for i, r in enumerate(rows) if i != owner and r.get(col)]
+    return min(held, default=None) if witness else not held
 
 
 def is_lref_dict(rows, lead=max):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegagj import (
     BUILTINS,
@@ -28,7 +30,7 @@ from oracles import (
     is_urrf_dict,
 )
 from omegagj.rows import PackedRow, Row, passage_unit
-from util import field_for, mk_row, mk_rows, random_dict_rows, rows_dicts
+from util import dict_matrices, field_for, mk_row, mk_rows, random_dict_rows, rows_dicts
 
 F1 = Fraction(1)
 
@@ -48,6 +50,34 @@ def test_lrrf_witness_points_at_offender():
     rows = mk_rows(RATIONAL, [{1: F1}, {1: 3 * F1, 2: F1}])
     report = is_lrrf(rows)
     assert not report and report.witness == (1, 1)
+
+
+@settings(deadline=None, max_examples=200)
+@given(dict_matrices(), st.data())
+def test_lrrf_witness_of_a_tampered_entry_matches_the_dict_oracle(matrix, data):
+    # H is read off its numerators: over the rationals a unit pivot is a
+    # numerator equal to the row's denominator; one entry of H set to
+    # another value (zero, one, or any) moves the witness where the direct
+    # scan of the value dicts puts it
+    p, dicts = matrix
+    F = field_for(p)
+    reduced = rows_dicts(run_to(make_explicit(F, mk_rows(F, dicts)), len(dicts) - 1).rows)
+    assert is_lrrf(mk_rows(F, reduced)).witness is None
+    i = data.draw(st.integers(0, len(reduced) - 1))
+    cols = sorted({c for r in reduced for c in r} | {0})
+    c = data.draw(st.sampled_from(cols + [max(cols) + 1]))
+    if p is None:
+        value = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    else:
+        value = data.draw(st.integers(0, p - 1))
+    tampered = [dict(r) for r in reduced]
+    if value:
+        tampered[i][c] = value
+    else:
+        tampered[i].pop(c, None)
+    report = is_lrrf(mk_rows(F, tampered))
+    assert report.witness == is_lrrf_dict(tampered, p, witness=True)
+    assert report.holds == is_lrrf_dict(tampered, p)
 
 
 def test_lref_checks_strict_length_increase():

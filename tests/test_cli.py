@@ -18,6 +18,7 @@ from omegagj.rows import PackedRow, _row
 from omegagj.cli import (
     MatrixSpec,
     ParseError,
+    build_parser,
     main,
     parse_rhs,
     parse_spec,
@@ -805,6 +806,20 @@ def test_bad_rhs_wins_over_a_violated_floor(tmp_path, capsys):
     assert "reserved" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0.5", "5.", "1e3", "1_0", "1/0", "1e100000000"])
+def test_rational_values_outside_the_grammar_exit_2(value, tmp_path, capsys):
+    # only 'p' and 'p/q' are values: Fraction would read the others, and
+    # the 12 bytes of 1e100000000 as a hundred-million-digit int
+    spec = tmp_path / "q.mat"
+    spec.write_text("field rational\nkind stencil\nstencil 0:%s 1:1\n" % value)
+    assert main(["verify", str(spec), "--stages", "3", "--check", "lrrf"]) == 2
+    assert capsys.readouterr().err == "error: line 3: bad entry '0:%s'\n" % value
+    rhs = tmp_path / "rhs.txt"
+    rhs.write_text("rhs explicit 1 %s\n" % value)
+    assert main(["solve", "bidiag", "--stages", "3", "--rhs", str(rhs)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad rhs value: ")
+
+
 def test_exit_3_on_certificate_violation(tmp_path, capsys):
     path = tmp_path / "floor.mat"
     path.write_text(BUILTIN_TEXT)
@@ -843,6 +858,74 @@ def test_cold_import_loads_only_the_package_modules():
     assert out.strip() == repr(sorted(
         ["omegagj"] + ["omegagj." + m for m in (
             "canon", "cli", "engine", "matrices", "reorder", "rows", "scalars", "solver")]))
+
+
+def test_cold_import_leaves_out_json():
+    # only --format json reads json, so its three branches import it; -S
+    # keeps site, which may import it, out too
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        "import sys; sys.path.insert(0, %r); import omegagj.cli; "
+        "print('json' in sys.modules)" % src
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
+
+
+COMMANDS = ("reduce", "qhf", "solve", "verify", "stability")
+
+
+def _exit_text(parse, argv, capsys):
+    """(stdout, stderr, exit code) of a parse that exits."""
+    with pytest.raises(SystemExit) as err:
+        parse(argv)
+    out, errtext = capsys.readouterr()
+    return out, errtext, err.value.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[c, "--help"] for c in COMMANDS] + [
+        ["reduce", "bidiag"],
+        ["verify", "bidiag", "--stages", "3", "--strategy", "x", "--check", "qhf"],
+        # an unrecognized argument is reported in the top-level usage line
+        ["qhf", "bidiag", "--stages", "3", "extra"],
+    ],
+    ids=COMMANDS + ("missing-stages", "bad-strategy", "unrecognized"),
+)
+def test_one_subparser_prints_the_full_parsers_text(argv, capsys):
+    # main builds the subparser of its command alone
+    assert _exit_text(main, argv, capsys) == _exit_text(build_parser().parse_args, argv, capsys)
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), ([], 2), (["bogus"], 2)])
+def test_no_command_or_an_unknown_one_lists_all_five(argv, code, capsys):
+    out, err, got = _exit_text(main, argv, capsys)
+    assert got == code
+    assert "usage: omegagj [-h] {reduce,qhf,solve,verify,stability} ...\n" in out + err
+    assert (out, err, got) == _exit_text(build_parser().parse_args, argv, capsys)
+    if argv == ["bogus"]:
+        # the argument keeps its name in the invalid-choice error
+        assert "argument command: invalid choice: 'bogus'" in err
+
+
+def test_a_one_command_parser_holds_no_other_command(capsys):
+    parser = build_parser("qhf")
+    assert parser.parse_args(["qhf", "bidiag", "--stages", "3"]).handler is cli.cmd_qhf
+    assert _exit_text(parser.parse_args, ["reduce", "bidiag", "--stages", "3"], capsys)[2] == 2
+
+
+def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):
+    # the console script calls main() with no arguments
+    monkeypatch.setattr(sys, "argv", ["omegagj", "qhf", "--help"])
+    assert _exit_text(main, None, capsys) == _exit_text(
+        build_parser().parse_args, ["qhf", "--help"], capsys)
+    monkeypatch.setattr(sys, "argv", ["omegagj", "verify", "bidiag", "--stages", "3",
+                                      "--check", "lrrf"])
+    assert main() == 0
+    assert capsys.readouterr().out == "check lrrf: ok\n"
 
 
 @pytest.mark.parametrize("command", ["qhf", "solve"])

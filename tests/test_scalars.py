@@ -134,6 +134,34 @@ def test_rational_parse_fraction_text():
     assert GF7.parse("9") == 2
 
 
+@pytest.mark.parametrize(
+    "text, value",
+    [("3", 3), ("-3", -3), ("+3", 3), ("-0", 0), ("007", 7), ("6/4", Fraction(3, 2)),
+     ("-6/4", Fraction(-3, 2)), ("+1/3", Fraction(1, 3)), ("0/5", 0)],
+)
+def test_rational_parse_reads_p_and_p_over_q(text, value):
+    got = RATIONAL.parse(text)
+    assert type(got) is Fraction and got == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0.5", ".5", "5.", "1e3", "1E3", "2/4e1", "1_000", "1/1_0", "\u0663", "1/\u0663",
+     " 3", "3 ", "3\n", "1 /2", "+-3", "1/-2", "1/+2", "", "-", "/2", "1/", "1/2/3",
+     "inf", "nan", "0x10"],
+)
+def test_rational_parse_rejects_every_other_spelling(text):
+    # decimals, exponents, digit separators, non-ASCII digits and spaces
+    # are Fraction's grammar, not the documented one
+    with pytest.raises(ValueError):
+        RATIONAL.parse(text)
+
+
+def test_rational_parse_of_a_zero_denominator_divides_by_zero():
+    with pytest.raises(ZeroDivisionError):
+        RATIONAL.parse("1/0")
+
+
 @pytest.mark.parametrize("field", [RATIONAL, GF7], ids=["rational", "gf7"])
 def test_field_axioms(field):
     @settings(deadline=None)
