@@ -820,6 +820,39 @@ def test_rational_values_outside_the_grammar_exit_2(value, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: bad rhs value: ")
 
 
+@pytest.mark.parametrize(
+    "spec, line",
+    [
+        ("field gf 7\nkind stencil\nstencil 0:1 1:1_0\n", 3),
+        ("field gf 7\nkind stencil\nstencil 0:1 1:٣\n", 3),
+        ("field rational\nkind explicit\nrow ٣ 0:1\ntail zero\n", 3),
+        ("field rational\nkind explicit\nrow 0 1_0:1\ntail zero\n", 3),
+        ("field gf ٧\nkind stencil\nstencil 0:1\n", 1),
+        ("field rational\nkind builtin\nbuiltin bidiag\nfloor m*١+1\n", 4),
+    ],
+)
+def test_integers_outside_ascii_digits_exit_2(spec, line, tmp_path, capsys):
+    # an integer is an optional sign and ASCII digits, as in a rational
+    # value; int() would also read '_' separators and other scripts' digits
+    path = tmp_path / "m.mat"
+    path.write_text(spec)
+    assert main(["reduce", str(path), "--stages", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line %d: " % line)
+
+
+def test_gf_rhs_value_outside_ascii_digits_exits_2(tmp_path, capsys):
+    spec = tmp_path / "gf7.mat"
+    spec.write_text("field gf 7\nkind stencil\nstencil 0:1 1:3\n")
+    rhs = tmp_path / "rhs.txt"
+    rhs.write_text("rhs explicit 1_0\n")
+    assert main(["solve", str(spec), "--stages", "2", "--rhs", str(rhs)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad rhs value: ")
+
+
 def test_exit_3_on_certificate_violation(tmp_path, capsys):
     path = tmp_path / "floor.mat"
     path.write_text(BUILTIN_TEXT)

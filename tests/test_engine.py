@@ -509,6 +509,26 @@ def test_q_read_midway_matches_q_read_once_and_the_oracle(name, strategy, patche
     assert state._log == once._log == []
 
 
+@pytest.mark.parametrize("name", ["pde", "fulkerson", "gf-band"])
+def test_logged_patch_is_the_multiplier_applied(name):
+    # leftmost pivots make Jordan patches, over the rationals and over
+    # GF(32003); each logged (i, lam) of stage n is the multiplier applied
+    # to H[i] and replayed on Q[i]: minus row i's entry at stage n's pivot
+    # column, read before the stage
+    m = _replay_matrix(name)
+    F = m.field
+    state = EliminationState(F, "lps")
+    patches = 0
+    for n in range(31):
+        before = list(state.rows)
+        step(state, m.row_at(n))
+        col = state.pivot_history[-1]
+        for i, lam in state._log[-1][3]:
+            assert lam == F.neg(before[i].raw(col)) != F.zero()
+            patches += 1
+    assert patches
+
+
 @st.composite
 def rational_rows_with_dependent_ones(draw):
     """Rows over the rationals with denominators up to 6, some of them

@@ -157,6 +157,21 @@ def test_rational_parse_rejects_every_other_spelling(text):
         RATIONAL.parse(text)
 
 
+@pytest.mark.parametrize("text, value", [("3", 3), ("-3", 4), ("+3", 3), ("-0", 0), ("009", 2)])
+def test_prime_parse_reads_signed_ascii_digits(text, value):
+    assert GF7.parse(text) == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1_0", "٣", "1٣", " 3", "3 ", "3\n", "+-3", "", "-", "1/2", "0.5", "1e3", "0x10"],
+)
+def test_prime_parse_rejects_every_other_spelling(text):
+    # int() would read the separator, the Arabic-Indic digit and the spaces
+    with pytest.raises(ValueError):
+        GF7.parse(text)
+
+
 def test_rational_parse_of_a_zero_denominator_divides_by_zero():
     with pytest.raises(ZeroDivisionError):
         RATIONAL.parse("1/0")
