@@ -60,11 +60,15 @@ class MatrixSpec:
         return matrix
 
 
-_FLOOR_RE = re.compile(r"^m\*(-?\d+)(?:([+-]\d+))?$")
+_FLOOR_RE = re.compile(r"^m\*(-?[0-9]+)(?:([+-][0-9]+))?$")
 
 
 def parse_spec(text: str) -> MatrixSpec:
-    """Parse the line-oriented matrix grammar; '#' starts a comment."""
+    """Parse the line-oriented matrix grammar; '#' starts a comment.
+
+    Integers are an optional sign and ASCII digits, so once a line's own
+    checks pass, a '_' or a non-ASCII character in it (which int() reads
+    in '1_0' and '٣') is rejected."""
     field: Optional[Field] = None
     kind: Optional[str] = None
     stencil: Optional[List[Tuple[int, object]]] = None
@@ -135,6 +139,8 @@ def parse_spec(text: str) -> MatrixSpec:
             floor = (int(m.group(1)), int(m.group(2) or 0))
         else:
             raise ParseError(lineno, "unknown directive %r" % head)
+        if not line.isascii() or "_" in line:
+            raise ParseError(lineno, "non-ASCII character or '_' in %r" % line)
 
     if field is None:
         raise ParseError(None, "missing field line")
@@ -459,9 +465,7 @@ def cmd_verify(args, out) -> int:
 def cmd_stability(args, out) -> int:
     matrix = resolve_matrix(args.matrix)
     state = run_to(matrix, args.stages, args.strategy)
-    print("# last_changed", file=out)
-    for i, n in enumerate(state.last_changed):
-        print("%d\t%d" % (i, n), file=out)
+    _emit_pairs(out, "last_changed", enumerate(state.last_changed))
     if args.prefix is not None:
         print(
             "prefix %d last_change = %d"

@@ -46,7 +46,7 @@ Only row equivalence and the general solution read the passage rows, and
 they are most of the work, so step builds H only. Once a stage's checks
 pass it appends one entry to the state's log: the hits of den * c, den,
 the inverse inv of den * lead (of den for a zero row), and the Jordan
-patches (i, mu) that jordan_update adds. The passage rows are rebuilt
+patches (i, lam) jordan_update applies. The passage rows are rebuilt
 from that log the first time state.passage is read, by replaying the
 pending entries in order and dropping each: the product form of the
 inverse, or eta file (Dantzig and Orchard-Hays, Math. Tables Aids Comput.
@@ -58,8 +58,9 @@ now and then replays only the stages since the last read. Over GF(p) the
 passage rows are rows.PackedRow, over the rationals rows.Row; the replay
 needs only canonical and add_combination from a passage row, and
 rows.passage_unit builds each stage's first one, so the field picks the
-representation and there is one replay. add_combination is the one row update, on H as on Q:
-a Jordan patch is the pair (n, -mu) against the new row n.
+representation and there is one replay. add_combination is the one row
+update, on H as on Q: a Jordan patch is the pair (n, lam) against the new
+row n, logged as it is applied to H and replayed as logged.
 
 step (with jordan_update) is the package's only elimination: run_to and
 reorder.extended_run both go through it. The dense dict-based
@@ -154,7 +155,7 @@ def _replay(state: EliminationState) -> None:
     Stage n reduced den * c_n, so its row is (den * inv) * e_n plus the
     hits scaled by inv (F.mul on each multiplier, an int over the
     rationals), one add_combination on passage_unit(F, n, den * inv); then
-    each Jordan patch (i, mu) adds the pair (n, -mu) to Q[i]. A source is
+    each Jordan patch (i, lam) adds the pair (n, lam) to Q[i]. A source is
     used reduced and written back reduced, as is the new row before it
     patches.
     Each entry is dropped as it is replayed, so the log and the rows built
@@ -175,8 +176,8 @@ def _replay(state: EliminationState) -> None:
         q.append(unit.add_combination(hits, q))
         if patches:
             q[n] = q[n].canonical()
-            for i, mu in patches:
-                q[i] = q[i].add_combination(((n, F.neg(mu)),), q)
+            for i, lam in patches:
+                q[i] = q[i].add_combination(((n, lam),), q)
 
 
 def _index_row(index: Dict[int, Set[int]], i: int, entries: tuple) -> None:
@@ -201,9 +202,9 @@ def jordan_update(state: EliminationState, g: Row) -> None:
 
     step calls this once g, its pivot column (the last pivot_history entry)
     and its log entry are appended; the earlier rows the column index lists
-    for that column are patched in step, each by the one pair (n, -mu)
-    against g = rows[n], logged as (i, mu) on the stage's entry and
-    recorded in last_changed, and g itself is indexed last.
+    for that column are patched in step, each by the one pair (n, lam)
+    against g = rows[n], lam = -rows[i][col], which is logged as (i, lam)
+    on the stage's entry and recorded in last_changed; g is indexed last.
     """
     n = state.stage
     col = state.pivot_history[-1]
@@ -213,10 +214,10 @@ def jordan_update(state: EliminationState, g: Row) -> None:
         patches = state._log[-1][3]
         for i in sorted(holders):
             old = state.rows[i]
-            mu = old.raw(col)
-            new = old.add_combination(((n, state.field.neg(mu)),), state.rows)
+            lam = state.field.neg(old.raw(col))
+            new = old.add_combination(((n, lam),), state.rows)
             state.rows[i] = new
-            patches.append((i, mu))
+            patches.append((i, lam))
             state.last_changed[i] = n
             _reindex_row(index, i, old.nums, new.nums)
     _index_row(index, n, g.nums)

@@ -6,7 +6,7 @@ import math
 from typing import Callable, List, Tuple
 
 from .rows import Row, _row, check_row
-from .scalars import RATIONAL, Field
+from .scalars import RATIONAL, Field, _lowest_terms
 
 
 class DuplicateOffset(Exception):
@@ -54,7 +54,7 @@ def make_stencil(field: Field, offsets) -> RowFiniteMatrix:
     dropped, and the band is brought over one denominator, so every row is
     its numerators, built canonical with no further check. Columns that
     would fall below zero are dropped; a row cut there over a denominator
-    other than 1 is brought to lowest terms again.
+    other than 1 is brought to lowest terms again, with one gcd.
     """
     if hasattr(offsets, "items"):
         pairs = list(offsets.items())
@@ -81,7 +81,7 @@ def make_stencil(field: Field, offsets) -> RowFiniteMatrix:
     def gen(k: int) -> Row:
         nums = tuple([(k + off, v) for off, v in band if off >= -k])
         if den != 1 and len(nums) < full:
-            return _row(field, *field.over_common_denominator(field.scaled_support(den, nums)))
+            return _row(field, *_lowest_terms(den, nums))
         return _row(field, den, nums)
 
     return RowFiniteMatrix(field, gen)

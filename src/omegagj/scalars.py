@@ -25,9 +25,11 @@ from typing import Optional
 # Packed rows are little-endian 64-bit words; array("Q") holds native ones.
 _BIG_ENDIAN = sys.byteorder == "big"
 
-# The text of a rational: 'p' or 'p/q', an optional sign and ASCII digits.
-# Fraction's own grammar also takes decimals, exponents, '_', spaces and
-# other scripts' digits, and '1e100000000' builds a hundred-million-digit int.
+# The text of an integer: an optional sign and ASCII digits; of a rational,
+# 'p' or 'p/q' with an integer p and unsigned q. int() and Fraction also take
+# '_', spaces and other scripts' digits, and Fraction decimals and exponents,
+# where '1e100000000' builds a hundred-million-digit int.
+_INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
 _RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
@@ -302,22 +304,9 @@ class RationalField(Field):
 
     def scaled_support(self, den: int, nums: tuple) -> tuple:
         """The (key, lowest-terms Fraction) pairs of (key, int numerator)
-        pairs over one positive denominator (Row.support). Over den 1
-        each distinct numerator makes one Fraction."""
-        out = []
-        append = out.append
-        if den == 1:
-            made: dict = {}
-            for c, v in nums:
-                q = made.get(v)
-                if q is None:
-                    q = made[v] = _rational(v, 1)
-                append((c, q))
-        else:
-            for c, v in nums:
-                g = gcd(v, den)
-                append((c, _rational(v // g, den // g)))
-        return tuple(out)
+        pairs over one positive denominator (Row.support), one gcd each."""
+        quotient = self.quotient
+        return tuple([(c, quotient(v, den)) for c, v in nums])
 
     def quotient(self, n: int, d: int):
         """The lowest-terms Fraction n/d of two ints, d nonzero."""
@@ -331,17 +320,8 @@ class RationalField(Field):
         numerators over den, the lcm of their denominators, the inverse of
         scaled_support. gcd(den, *numerators) is 1 already: a prime power
         that divides den exactly divides some denominator exactly, and that
-        entry's numerator is prime to it. No lcm is taken for an integral xs.
+        entry's numerator is prime to it.
         """
-        # a plain loop, not a comprehension: most rows are short and integral
-        nums = []
-        append = nums.append
-        for c, v in xs:
-            if v._denominator != 1:
-                break
-            append((c, v._numerator))
-        else:
-            return 1, tuple(nums)
         den = lcm(*[v._denominator for _, v in xs])
         return den, tuple([(c, v._numerator * (den // v._denominator)) for c, v in xs])
 
@@ -504,7 +484,11 @@ class PrimeField(Field):
         return pow(a, -1, self.p)
 
     def parse(self, text: str):
-        """Parse a residue: any integer text, reduced mod p."""
+        """Parse a residue: an optional sign and ASCII digits, reduced mod
+        p. Any other spelling, which int() might read ('1_0', other
+        scripts' digits, spaces), raises ValueError."""
+        if not _INTEGER_TEXT.fullmatch(text):
+            raise ValueError("not an integer: %r" % text)
         return int(text) % self.p
 
     def render_terms(self, ns: str, row) -> list:

@@ -299,12 +299,12 @@ def test_scaled_row_reads_like_the_row():
     zero = r.add_combination(((0, Fraction(-1)),), [r])
     assert zero.is_zero() and zero.maxs is None and (zero.den, zero.nums) == (1, ())
     assert zero == Row.zero(RATIONAL) and repr(zero) == "Row(0)"
-    # an integral row (here r + 11 * r) is plain ints over den 1, and equal
-    # values share one Fraction in its support
+    # an integral row (here r + 11 * r) is plain ints over den 1, read
+    # back as Fractions over 1
     ints = r.add_combination(((0, Fraction(11)),), [r])
     assert (ints.den, ints.nums) == (1, ((1, -2), (4, 24), (9, 9)))
     (_, a), (_, b) = mk_row(RATIONAL, {0: -1, 2: -1}).support
-    assert a == -1 and a is b
+    assert a == b == -1
     with pytest.raises(FieldMismatch):
         r == mk_row(GF7, {1: 2})
 
