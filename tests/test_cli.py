@@ -853,6 +853,78 @@ def test_gf_rhs_value_outside_ascii_digits_exits_2(tmp_path, capsys):
     assert captured.err.startswith("error: bad rhs value: ")
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("m.mat", b"field gf 7\nkind stencil\nstencil 0:1 1:\xff\n"),
+        ("rhs.txt", b"rhs explicit 1 \xff\n"),
+    ],
+    ids=["matrix", "rhs"],
+)
+def test_a_file_that_is_not_utf8_exits_2(name, text, tmp_path, capsys):
+    # files are read as UTF-8 whatever the locale; a byte that is not UTF-8
+    # is rejected input, not a traceback
+    path = tmp_path / name
+    path.write_bytes(text)
+    argv = ["reduce", str(path), "--stages", "2"]
+    if name == "rhs.txt":
+        argv = ["solve", "bidiag", "--stages", "2", "--rhs", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    kind = "matrix" if name == "m.mat" else "rhs"
+    assert captured.err.startswith("error: cannot read %s %r: " % (kind, str(path)))
+
+
+def test_a_utf8_file_is_read_under_an_ascii_locale(tmp_path):
+    # the C locale, not coerced to C.UTF-8, and UTF-8 mode off make ASCII
+    # the locale's encoding; a UTF-8 comment still reads
+    path = tmp_path / "m.mat"
+    path.write_bytes("# a band of the ω×ω matrix\n".encode() + STENCIL_TEXT.encode())
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys; sys.path.insert(0, %r); from omegagj.cli import main; sys.exit(main())" % src
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    argv = [sys.executable, "-I", "-X", "utf8=0", "-c", code, "reduce", str(path), "--stages", "2"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "# rows\n2\t1\t0\t0\n-4\t0\t1\t0\n8\t0\t0\t1\n"
+
+
+@pytest.mark.parametrize("value", ["٣", "1_0", " 3", "3 ", "0x3"])
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["stability", "bidiag", "--stages"], "--stages"),
+        (["qhf", "bidiag", "--stages", "20", "--prefix"], "--prefix"),
+        (["stability", "bidiag", "--stages", "20", "--prefix"], "--prefix"),
+        (["solve", "bidiag", "--stages", "3", "--horizon"], "--horizon"),
+    ],
+    ids=["stages", "qhf-prefix", "stability-prefix", "horizon"],
+)
+def test_integer_options_take_ascii_digits_only(argv, option, value, capsys):
+    # the integer rule of the file grammar: int() also reads '1_0', ' 3'
+    # and other scripts' digits; argparse reports them as any bad int
+    out, err, code = _exit_text(main, argv + [value], capsys)
+    assert (out, code) == ("", 2)
+    assert err.endswith("error: argument %s: invalid int value: %r\n" % (option, value))
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+def test_integer_options_keep_argparses_wording(value, capsys):
+    out, err, code = _exit_text(main, ["stability", "bidiag", "--stages", value], capsys)
+    assert (out, code) == ("", 2)
+    assert err.endswith("error: argument --stages: invalid int value: %r\n" % value)
+    assert (out, err, code) == _exit_text(
+        build_parser().parse_args, ["stability", "bidiag", "--stages", value], capsys)
+
+
+@pytest.mark.parametrize("value", ["+3", "003", "-0"])
+def test_integer_options_take_a_sign_and_leading_zeros(value, capsys):
+    assert main(["stability", "bidiag", "--stages", value]) == 0
+    stages = int(value)
+    assert capsys.readouterr().out.count("\n") == stages + 2
+
+
 def test_exit_3_on_certificate_violation(tmp_path, capsys):
     path = tmp_path / "floor.mat"
     path.write_text(BUILTIN_TEXT)
