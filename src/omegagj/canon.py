@@ -6,7 +6,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .rows import Row, dense_width
+from .rows import Row, _row, dense_width
+from .scalars import _lowest_terms
 
 
 class FormReport:
@@ -66,16 +67,21 @@ def verify_row_equivalence(passage: List[Row], matrix, out_rows: List[Row], hori
     """Does each passage row applied to the matrix reproduce the output?
 
     Checks rows 0..horizon exactly; False on the first mismatch, and False
-    when either list stops before row horizon. Each Q[i]·A is one
-    add_combination on a zero row of the matrix rows Q reaches, as they are.
+    when either list stops before row horizon. Each Q[i]·A is read off
+    Q[i]'s numerators on either field: one add_combination of the matrix
+    rows Q reaches, as they are, on a zero row is r = Q[i].den·(Q[i]·A),
+    and Q[i]·A is r's numerators over r.den·Q[i].den in lowest terms.
     """
     if min(len(passage), len(out_rows)) <= horizon:
         return False
     # Jordan patches give a passage row columns past its own index
     rows = matrix.top_submatrix(dense_width(passage[: horizon + 1]) - 1)
-    zero = Row.zero(passage[0].field)
+    F = passage[0].field
+    zero = Row.zero(F)
     for i in range(horizon + 1):
-        if zero.add_combination(passage[i].support, rows) != out_rows[i]:
+        q = passage[i]
+        r = zero.add_combination(q.nums, rows)
+        if _row(F, *_lowest_terms(r.den * q.den, r.nums)) != out_rows[i]:
             return False
     return True
 

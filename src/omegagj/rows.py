@@ -145,7 +145,7 @@ class Row:
         return self
 
     def __eq__(self, other):
-        if not isinstance(other, Row):
+        if not isinstance(other, (Row, PackedRow)):
             return NotImplemented
         check_same_field(self.field, other.field)
         return self.den == other.den and self.nums == other.nums
@@ -166,7 +166,7 @@ class Row:
         return " ".join(["%d:%s" % (i, t) for (i, _), t in zip(pairs, texts)])
 
     def __repr__(self):
-        return "Row(%s)" % (self if self.nums else "0")
+        return "%s(%s)" % (type(self).__name__, str(self) or "0")
 
 
 def _row(field: Field, den: int, nums: tuple) -> Row:
@@ -207,8 +207,9 @@ class PackedRow:
     2008). A row costs slot_bits / 8 bytes per column from lo to its last
     slot, zero or not; passage_unit builds the first one of each stage.
 
-    It reads like a Row: field, support, is_zero, maxs, str, and equality
-    with a Row, built on demand from the reduced slots.
+    It reads like a Row, through den (1) and nums built on demand from the
+    reduced slots, and takes Row's equality, entry_texts, str and repr;
+    is_zero and maxs read the slots without building pairs.
     """
 
     __slots__ = ("field", "lo", "bits", "bound")
@@ -250,12 +251,17 @@ class PackedRow:
                 y = PackedRow(F, x.lo, (y.bits << -shift) + lam * x.bits, bound)
         return y
 
+    # a residue is its own numerator over 1, as in a Row over GF(p)
+    den = 1
+
     @property
-    def support(self) -> tuple:
+    def nums(self) -> tuple:
         """The (column, residue) pairs of the nonzero slots; built, not stored."""
         r = self.canonical()
         lo = r.lo
         return tuple([(lo + i, v) for i, v in enumerate(r.field.slots(r.bits)) if v])
+
+    support = nums
 
     def is_zero(self) -> bool:
         return not self.canonical().bits
@@ -266,21 +272,8 @@ class PackedRow:
         r = self.canonical()
         return r.lo + (r.bits.bit_length() - 1) // r.field.slot_bits if r.bits else None
 
-    def __eq__(self, other):
-        if not isinstance(other, (Row, PackedRow)):
-            return NotImplemented
-        check_same_field(self.field, other.field)
-        return self.support == other.support
-
-    def entry_texts(self) -> tuple:
-        """The sorted (column, residue) pairs and the text of each residue."""
-        support = self.support
-        return support, self.field.format_values([v for _, v in support])
-
-    __str__ = Row.__str__
-
-    def __repr__(self):
-        return "PackedRow(%s)" % (str(self) or "0")
+    __eq__, entry_texts = Row.__eq__, Row.entry_texts
+    __str__, __repr__ = Row.__str__, Row.__repr__
 
 
 def passage_unit(field: Field, col: int, lam):

@@ -134,13 +134,6 @@ class Field:
             cls._gf_cache[p] = f
             return f
 
-    def format_values(self, values) -> list:
-        """The canonical text of each raw value: lowest-terms 'p/q' (or 'p'),
-        a bare residue over GF(p)."""
-        # a comprehension, not map(str, ...): CPython specialises a
-        # one-argument str(v) call, which map cannot use
-        return [str(v) for v in values]
-
     def __eq__(self, other):
         return type(other) is type(self) and self.p == other.p
 

@@ -132,7 +132,7 @@ class LinForm:
             pieces.insert(0, lead)
         constant = self.constant
         if constant or not pieces:
-            text = F.format_values((constant,))[0]
+            text = F.format_quotients(constant.denominator, ((0, constant.numerator),))[0]
             pieces.append(" - " + text[1:] if text[0] == "-" else " + " + text)
         # the first piece loses its ' + ', or its ' - ' becomes '-'
         text = "".join(pieces)
@@ -229,7 +229,7 @@ def transform_rhs(
     explicit list of field values, or a callable giving the value for index
     i. A namespace ns makes k[i] the form sum of v * ns_j over Q[i]'s
     entries, held as one Row: over the rationals Q[i] itself, with no
-    per-entry work, and over GF(p) the Row of the packed row's support. An
+    per-entry work, and over GF(p) the Row of the packed row's nums. An
     explicit rhs makes each k[i] a constant form; a value that the field
     does not accept raises TypeError naming its index. The namespace
     PARAMETER_NAMESPACE is reserved and raises ValueError; an rhs of any
@@ -241,7 +241,7 @@ def transform_rhs(
         forms = []
         for prow in passage:
             F = prow.field
-            row = prow if isinstance(prow, Row) else _row(F, 1, prow.support)
+            row = prow if isinstance(prow, Row) else _row(F, 1, prow.nums)
             forms.append(_form(F, F.zero(), {} if row.is_zero() else {rhs: row}))
         return forms
     if not (callable(rhs) or isinstance(rhs, SequenceType)):

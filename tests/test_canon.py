@@ -28,8 +28,9 @@ from oracles import (
     is_lrrf_dict,
     is_uref_dict,
     is_urrf_dict,
+    matmul_check,
 )
-from omegagj.rows import PackedRow, Row, passage_unit
+from omegagj.rows import PackedRow, Row, dense_width, passage_unit
 from util import dict_matrices, field_for, mk_row, mk_rows, random_dict_rows, rows_dicts
 
 F1 = Fraction(1)
@@ -196,6 +197,72 @@ def test_verify_row_equivalence_on_non_integral_rows(rng):
             assert not verify_row_equivalence(tampered, m, state.rows, 9)
     assert any(v.denominator != 1 for d in dicts for v in d.values())
     assert any(q.den != 1 for q in passage)
+
+
+@st.composite
+def _row_equivalence_cases(draw):
+    """(p, kind, matrix, n): over the rationals (p None) or GF(7), a
+    stencil or explicit rows, and a stage count. A rational stencil's rightmost value
+    has a numerator other than +-1, so Q[0] = e_0 / that value is over a
+    denominator other than one; explicit rational rows are non-integral
+    most of the time."""
+    p = draw(st.sampled_from([None, 7]))
+    F = field_for(p)
+    n = draw(st.integers(0, 9))
+    if p is None:
+        values = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+        lead = values.filter(lambda v: abs(v.numerator) >= 2)
+    else:
+        values = st.integers(0, p - 1)
+        lead = st.integers(1, p - 1)
+    if draw(st.booleans()):
+        offsets = draw(st.lists(st.integers(-2, 3), unique=True, max_size=3))
+        top = max(offsets, default=0) + 1
+        band = [(off, draw(values)) for off in offsets] + [(top, draw(lead))]
+        return p, "stencil", make_stencil(F, band), n
+    dicts = draw(st.lists(st.dictionaries(st.integers(0, 11), values, max_size=5),
+                          min_size=n + 1, max_size=n + 1))
+    rows = mk_rows(F, [{c: v for c, v in d.items() if v} for d in dicts])
+    return p, "explicit", make_explicit(F, rows), n
+
+
+@settings(deadline=None, max_examples=200)
+@given(_row_equivalence_cases(), st.data())
+def test_row_equivalence_of_a_tampered_entry_matches_the_dict_oracle(case, data):
+    # Q . A = H is read off Q's numerators on both fields and both passage
+    # row types; one entry of Q or of H moved by a nonzero value breaks it,
+    # unless it is a Q entry whose matrix row is zero, as the dict product
+    # of tests/oracles.py decides too
+    p, kind, m, n = case
+    F = m.field
+    rs = extended_run(m, n)
+    Q, H = rs.q_passage, rs.q_rows
+
+    def dict_product_holds(Q, H):
+        inputs = rows_dicts(m.top_submatrix(dense_width(Q) - 1))
+        return matmul_check(rows_dicts(Q), inputs, rows_dicts(H), p)
+
+    assert verify_row_equivalence(Q, m, H, n) and dict_product_holds(Q, H)
+    if p is None and kind == "stencil":
+        assert rs.base.passage[0].den != 1
+    i = data.draw(st.integers(0, n))
+    if p is None:
+        delta = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4)
+                          .filter(bool))
+    else:
+        delta = data.draw(st.integers(1, p - 1))
+    tamper_q = data.draw(st.booleans())
+    if tamper_q:
+        c = data.draw(st.integers(0, dense_width(Q)))
+        Q = list(Q)
+        Q[i] = Q[i].add_combination([(0, delta)], [passage_unit(F, c, F.one())])
+    else:
+        c = data.draw(st.integers(0, dense_width(H)))
+        H = list(H)
+        H[i] = H[i].add_combination([(0, delta)], [Row.unit(F, c)])
+    got = verify_row_equivalence(Q, m, H, n)
+    assert got == dict_product_holds(Q, H)
+    assert got == (tamper_q and m.row_at(c).is_zero())
 
 
 def test_form_predicates_agree_with_dict_oracles(rng):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegagj import RATIONAL, Field, Row, make_explicit, run_to
+from omegagj import RATIONAL, Field, FieldMismatch, Row, make_explicit, run_to
 from omegagj import cli
 from omegagj.rows import PackedRow, passage_unit
 from util import mk_row
@@ -98,6 +98,40 @@ def test_packed_row_reads_like_the_row(p):
     # r plus (p - 1) times itself cancels every column
     cancelled = r.add_combination(((0, p - 1),), [r])
     assert cancelled.is_zero() and cancelled == Row.zero(F)
+
+
+@pytest.mark.parametrize("p", [7, 2**61 - 1])
+def test_row_and_packed_row_share_one_read_interface(p):
+    # GF(2^61 - 1) slots are 192 bits wide, wider than one 64-bit word
+    F = Field.gf(p)
+    values = [3, 0, p - 1, 1]
+    packed = _packed(F, 2, [v + p for v in values])  # congruent, not reduced
+    row = mk_row(F, {2 + i: v for i, v in enumerate(values) if v})
+    assert packed.den == row.den == 1
+    assert packed.nums == row.nums == ((2, 3), (4, p - 1), (5, 1))
+    assert packed.support == packed.nums
+    assert packed == row and row == packed and not packed != row
+    assert packed.entry_texts() == row.entry_texts()
+    assert repr(packed) == "PackedRow(2:3 4:%d 5:1)" % (p - 1)
+    assert repr(row) == "Row(2:3 4:%d 5:1)" % (p - 1)
+    assert repr(Row.zero(F)) == "Row(0)"
+    # one residue changed, on either side
+    other = _packed(F, 2, [3, 0, p - 2, 1])
+    assert other != row and row != other and other != packed
+    assert row != mk_row(F, {2: 3, 4: p - 1, 5: 2})
+    assert packed != mk_row(F, {2: 3, 4: p - 1})
+
+
+def test_rows_over_different_fields_do_not_compare():
+    packed = passage_unit(Field.gf(7), 0, 1)
+    for row in (Row.unit(Field.gf(11), 0), Row.unit(RATIONAL, 0)):
+        with pytest.raises(FieldMismatch):
+            packed == row
+        with pytest.raises(FieldMismatch):
+            row == packed
+    with pytest.raises(FieldMismatch):
+        packed == passage_unit(Field.gf(11), 0, 1)
+    assert packed != "1" and packed != 1
 
 
 def test_passage_unit_is_packed_over_gf_only():

@@ -125,12 +125,12 @@ def test_modulus_at_the_exactness_bound_is_rejected():
 def test_parse_format_round_trip(field):
     for raw in [field.zero(), field.one(), field.from_int(5), field.from_int(-3)]:
         assert field.parse(format_value(raw)) == raw
-        assert field.format_values([raw]) == [format_value(raw)]
+        assert str(LinForm.const(field, raw)) == format_value(raw)
 
 
 def test_rational_parse_fraction_text():
     assert RATIONAL.parse("3/4") == Fraction(3, 4)
-    assert RATIONAL.format_values([Fraction(-2, 6)]) == ["-1/3"]
+    assert str(LinForm.const(RATIONAL, Fraction(-2, 6))) == "-1/3"
     assert GF7.parse("9") == 2
 
 
@@ -479,9 +479,9 @@ def test_cross_field_operations_raise():
 def test_scalar_truthiness_and_str():
     assert not GF7.from_int(7)
     assert GF7.from_int(8)
-    assert RATIONAL.format_values(
-        [RATIONAL.mul(RATIONAL.from_int(-2), RATIONAL.inv(Fraction(4)))]) == ["-1/2"]
-    assert GF7.format_values([GF7.from_int(-1)]) == ["6"]
+    assert str(LinForm.const(
+        RATIONAL, RATIONAL.mul(RATIONAL.from_int(-2), RATIONAL.inv(Fraction(4))))) == "-1/2"
+    assert str(LinForm.const(GF7, GF7.from_int(-1))) == "6"
 
 
 # -- linear forms -------------------------------------------------------------
@@ -749,8 +749,10 @@ def test_render_of_scaled_blocks_matches_the_fraction_reference(drawn):
                  else st.integers(0, p - 1)),
     )
 ))
-def test_format_values_is_str_of_each(p_and_values):
+def test_constant_form_text_is_str_of_the_value(p_and_values):
+    # a constant is written through format_quotients, as a row's entries are
     p, values = p_and_values
     field = RATIONAL if p is None else Field.gf(p)
-    assert field.format_values(values) == [str(v) for v in values]
-    assert field.format_values(values) == [format_value(v) for v in values]
+    texts = [str(LinForm.const(field, v)) for v in values]
+    assert texts == [str(v) for v in values]
+    assert texts == [format_value(v) for v in values]
