@@ -203,9 +203,9 @@ def test_verify_row_equivalence_on_non_integral_rows(rng):
 def _row_equivalence_cases(draw):
     """(p, kind, matrix, n): over the rationals (p None) or GF(7), a
     stencil or explicit rows, and a stage count. A rational stencil's rightmost value
-    has a numerator other than +-1, so Q[0] = e_0 / that value is over a
-    denominator other than one; explicit rational rows are non-integral
-    most of the time."""
+    sits at offset 1 or more, so row 0 keeps it, and has a numerator other
+    than +-1, so Q[0] = e_0 / that value is over a denominator other than
+    one; explicit rational rows are non-integral most of the time."""
     p = draw(st.sampled_from([None, 7]))
     F = field_for(p)
     n = draw(st.integers(0, 9))
@@ -217,7 +217,7 @@ def _row_equivalence_cases(draw):
         lead = st.integers(1, p - 1)
     if draw(st.booleans()):
         offsets = draw(st.lists(st.integers(-2, 3), unique=True, max_size=3))
-        top = max(offsets, default=0) + 1
+        top = max([0] + offsets) + 1
         band = [(off, draw(values)) for off in offsets] + [(top, draw(lead))]
         return p, "stencil", make_stencil(F, band), n
     dicts = draw(st.lists(st.dictionaries(st.integers(0, 11), values, max_size=5),
