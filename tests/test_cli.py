@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegagj import Field, RATIONAL, RationalField, Row
+from omegagj import Field, PrimeField, RATIONAL, RationalField, Row
 from omegagj.matrices import BUILTINS
 from omegagj import cli, engine
 from omegagj.rows import PackedRow, _row
@@ -667,6 +667,32 @@ def test_verify_oracle_passes_over_gf_and_lps(name, stages, strategy, tmp_path, 
     argv = ["verify", matrix, "--stages", str(stages), "--strategy", strategy]
     assert main(argv + ["--check", "oracle"]) == 0
     assert capsys.readouterr().out == "check oracle: ok\n"
+
+
+def test_verify_roweq_reduces_each_packed_passage_row_once(tmp_path, monkeypatch, capsys):
+    # an unreduced packed row is reduced again on every read of maxs or
+    # nums, so the check reads each passage row through one reduced copy,
+    # as printing Q does: both commands make the elimination's reductions
+    # plus one per unreduced row
+    path = tmp_path / "band.txt"
+    path.write_text(gf_band_text())
+    calls = []
+    reduce_slots = PrimeField.reduce_slots
+
+    def counting(self, bits):
+        calls.append(bits)
+        return reduce_slots(self, bits)
+
+    monkeypatch.setattr(PrimeField, "reduce_slots", counting)
+    counts = []
+    for argv in (["reduce", str(path), "--emit", "passage"],
+                 ["verify", str(path), "--check", "roweq"]):
+        calls.clear()
+        assert main(argv + ["--stages", "40"]) == 0
+        counts.append(len(calls))
+    capsys.readouterr()
+    assert counts[0] > 0
+    assert counts[1] == counts[0]
 
 
 @pytest.mark.parametrize("check", ["lrrf", "qhf"])
