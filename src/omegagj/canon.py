@@ -74,12 +74,14 @@ def verify_row_equivalence(passage: List[Row], matrix, out_rows: List[Row], hori
     """
     if min(len(passage), len(out_rows)) <= horizon:
         return False
+    # each row is read through one reduced copy: an unreduced packed row
+    # reduces its slots again on every read of maxs or nums
+    checked = [q.canonical() for q in passage[: horizon + 1]]
     # Jordan patches give a passage row columns past its own index
-    rows = matrix.top_submatrix(dense_width(passage[: horizon + 1]) - 1)
-    F = passage[0].field
+    rows = matrix.top_submatrix(dense_width(checked) - 1)
+    F = checked[0].field
     zero = Row.zero(F)
-    for i in range(horizon + 1):
-        q = passage[i]
+    for i, q in enumerate(checked):
         r = zero.add_combination(q.nums, rows)
         if _row(F, *_lowest_terms(r.den * q.den, r.nums)) != out_rows[i]:
             return False

@@ -290,6 +290,7 @@ def dense_width(rows: Iterable[Row]) -> int:
     """Running horizon: one past the largest rightmost index over the rows."""
     width = 0
     for r in rows:
-        if r.maxs is not None and r.maxs + 1 > width:
-            width = r.maxs + 1
+        m = r.maxs
+        if m is not None and m >= width:
+            width = m + 1
     return width

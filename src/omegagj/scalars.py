@@ -10,8 +10,9 @@ denominator is always 1 and the numerators are the residues; a prime field
 also owns the slots of rows.PackedRow. Each field writes the text of a
 symbolic form's terms (render_terms) from one row of the form
 (solver.LinForm). No floating point is used anywhere. Over the rationals
-every operation works on the numerator/denominator ints of its Fractions,
-so none goes through Fraction's operators.
+the row kernels work on int numerators and each scalar operation is one
+call of Fraction's constructor on its operands' numerators and
+denominators, so none goes through Fraction's operators.
 """
 
 from __future__ import annotations
@@ -78,23 +79,6 @@ def _check_modulus(p) -> None:
         raise ValueError("gf modulus must be an int, got %r" % (p,))
 
 
-_new_object = object.__new__
-
-
-def _rational(n: int, d: int) -> Fraction:
-    """The Fraction n/d for coprime n and d > 0, without re-normalising.
-
-    Fraction(n, d) checks types and divides out a gcd on every call; the
-    rational operations have already reduced their results, so they set
-    Fraction's two slots (_numerator, _denominator on Python 3.10-3.13)
-    directly on a bare instance.
-    """
-    f = _new_object(Fraction)
-    f._numerator = n
-    f._denominator = d
-    return f
-
-
 def _lowest_terms(den: int, nums: tuple) -> tuple:
     """(den, nums) for den over zero-free (key, int numerator) pairs, with
     their common factor divided out: one gcd, none over den 1."""
@@ -144,12 +128,13 @@ class Field:
 class RationalField(Field):
     """The rationals, with Fraction values.
 
-    Raw values are lowest-terms Fractions. The scalar operations and the
-    row kernels work on their numerator/denominator pairs in integers and
-    build each result with _rational, so they never go through Fraction's
-    operators; a plain int operand is read through Fraction, the value
-    from_int builds (mul reads an int second operand as it is), and every
-    result is a lowest-terms Fraction. A row is int numerators over the
+    Raw values are lowest-terms Fractions. Each scalar operation builds
+    its result with one call of Fraction's constructor, which divides out
+    one gcd, on the operands' public numerators and denominators, so it
+    never goes through Fraction's operators; the engine calls them once
+    per hit, patch or stage, never once per entry. A plain int operand is
+    read as the value from_int builds, and every result is a lowest-terms
+    Fraction. A row is int numerators over the
     lcm of its values' denominators, with gcd(den, *numerators) == 1 (the
     common-denominator rows of Bareiss, Math. Comp. 22, 1968): a row sum
     multiply-adds ints with one multi-argument gcd per result row, not a
@@ -173,69 +158,32 @@ class RationalField(Field):
     def one(self):
         return self._ONE
 
-    def from_int(self, n: int):
-        # n/1 is in lowest terms; a bool (or another int type) goes through
-        # Fraction, so the numerator is always a plain int
-        return _rational(n, 1) if type(n) is int else Fraction(n)
+    # each operation is one Fraction(numerator, denominator) call on the
+    # operands' numerators and denominators, which an int (or a bool) has
+    # too, so it is read as the Fraction n/1 and every result is a
+    # lowest-terms Fraction with int slots
 
-    # gcd-reduced sums and products of numerator/denominator pairs (Henrici,
-    # J. ACM 3(1), 1956): one gcd per sum, none of its cross products over
-    # one denominator, and two cross-cancelling gcds per product
+    def from_int(self, n: int):
+        return Fraction(n)
 
     def add(self, a, b):
-        if type(a) is not Fraction:
-            a = Fraction(a)
-        if type(b) is not Fraction:
-            b = Fraction(b)
-        na, da = a._numerator, a._denominator
-        nb, db = b._numerator, b._denominator
-        if not nb:
-            return a
-        if not na:
-            return b
-        if da == db:
-            n = na + nb
-            g = gcd(n, da)
-            return _rational(n // g, da // g)
-        n = na * db + nb * da
-        d = da * db
-        g = gcd(n, d)
-        return _rational(n // g, d // g)
+        return Fraction(a.numerator * b.denominator + b.numerator * a.denominator,
+                        a.denominator * b.denominator)
 
     def mul(self, a, b):
-        """a * b; a plain int b (not a bool, which goes through Fraction)
-        takes one gcd with a's denominator and builds no Fraction of its
-        own: the replay folds a pivot inverse into each int hit this way."""
-        if type(a) is not Fraction:
-            a = Fraction(a)
-        na, da = a._numerator, a._denominator
-        if type(b) is int:
-            g = gcd(b, da)
-            return _rational(na * (b // g), da // g)
-        if type(b) is not Fraction:
-            b = Fraction(b)
-        nb, db = b._numerator, b._denominator
-        g1 = gcd(na, db)
-        g2 = gcd(nb, da)
-        return _rational((na // g1) * (nb // g2), (da // g2) * (db // g1))
+        return Fraction(a.numerator * b.numerator, a.denominator * b.denominator)
 
     def neg(self, a):
-        # a lowest-terms Fraction stays one with its numerator negated
-        if type(a) is not Fraction:
-            a = Fraction(a)
-        return _rational(-a._numerator, a._denominator)
+        return Fraction(-a.numerator, a.denominator)
 
     def neg_numerator(self, v: int) -> int:
         """-v for an int numerator v of a row (Row.nums), an int too."""
         return -v
 
     def inv(self, a):
-        if type(a) is not Fraction:
-            a = Fraction(a)
-        n, d = a._numerator, a._denominator
-        if not n:
+        if not a.numerator:
             raise DivisionByZero("inverse of zero")
-        return _rational(d, n) if n > 0 else _rational(-d, -n)
+        return Fraction(a.denominator, a.numerator)
 
     def parse(self, text: str):
         """Parse the canonical text form: 'p/q' or 'p'. Any other spelling
@@ -303,10 +251,7 @@ class RationalField(Field):
 
     def quotient(self, n: int, d: int):
         """The lowest-terms Fraction n/d of two ints, d nonzero."""
-        if d < 0:
-            n, d = -n, -d
-        g = gcd(n, d)
-        return _rational(n // g, d // g)
+        return Fraction(n, d)
 
     def over_common_denominator(self, xs: tuple) -> tuple:
         """(den, nums): the (key, lowest-terms Fraction) pairs xs as int
@@ -315,8 +260,8 @@ class RationalField(Field):
         that divides den exactly divides some denominator exactly, and that
         entry's numerator is prime to it.
         """
-        den = lcm(*[v._denominator for _, v in xs])
-        return den, tuple([(c, v._numerator * (den // v._denominator)) for c, v in xs])
+        den = lcm(*[v.denominator for _, v in xs])
+        return den, tuple([(c, v.numerator * (den // v.denominator)) for c, v in xs])
 
     def normalized_support(self, den: int, nums: tuple, lead: int) -> tuple:
         """(den', nums', inv): the row nums over den divided by its entry

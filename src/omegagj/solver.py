@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence as SequenceType
+from math import lcm
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .engine import EliminationState, IndexOutOfRange, certified_floor
@@ -248,22 +249,27 @@ def transform_rhs(
         raise TypeError("rhs is a %s, not a namespace, a sequence or a callable"
                         % type(rhs).__name__)
     # an explicit rhs makes constant forms; a sequence is zero past its
-    # end, so each sorted support is cut there
+    # end, so each row's sorted numerators are cut there. k[i] is the int
+    # sum of Q[i]'s numerators times the values over their common
+    # denominator L, divided by L * Q[i].den: one quotient per row on either
+    # field, since an int value has denominator 1 and a GF(p) row den 1
     at, end = (rhs, None) if callable(rhs) else (rhs.__getitem__, (len(rhs),))
     out: List[LinForm] = []
     for prow in passage:
         F = prow.field
-        add, mul, accepts = F.add, F.mul, F.accepts
-        support = prow.support
+        accepts = F.accepts
+        nums = prow.nums
         if end is not None:
-            support = support[:bisect_left(support, end)]
-        total = F.zero()
-        for j, v in support:
+            nums = nums[:bisect_left(nums, end)]
+        xs = []
+        for j, _ in nums:
             x = at(j)
             if not accepts(x):
                 raise TypeError("rhs value %r at index %d is not a value of %r" % (x, j, F))
-            total = add(total, mul(v, x))
-        out.append(LinForm.const(F, total))
+            xs.append(x)
+        L = lcm(*[x.denominator for x in xs])
+        total = sum([v * x.numerator * (L // x.denominator) for (_, v), x in zip(nums, xs)])
+        out.append(_form(F, F.quotient(total, L * prow.den), {}))
     return out
 
 
@@ -299,9 +305,11 @@ def _solution(state: EliminationState, horizon: int, k: Sequence[LinForm]) -> Sy
         # they stay in lowest terms
         row = state.rows[i]
         t = _row(F, row.den, tuple([(param[c], neg(v)) for c, v in row.nums if c != col]))
-        h = _form(F, F.zero(), {} if t.is_zero() else {PARAMETER_NAMESPACE: t})
-        # k[i] holds no parameter, so + only joins the two block tables
-        entries[col] = k[i] + h
+        # k[i] holds no parameter, so its block table only gains t's row
+        blocks = dict(k[i].blocks)
+        if not t.is_zero():
+            blocks[PARAMETER_NAMESPACE] = t
+        entries[col] = _form(F, k[i].constant, blocks)
     return SymbolicSequence(F, entries, free, horizon, state.stage, certified_floor(state))
 
 

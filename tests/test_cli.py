@@ -494,9 +494,16 @@ _FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__",
 def test_no_command_runs_a_fraction_operator(matrix, tmp_path, monkeypatch, capsys):
     # the rational scalar operations, the row kernels and the solver work on
     # numerator/denominator ints; only canon.dense_reduce, the independent
-    # reference behind --check oracle, computes with Fraction's operators
+    # reference behind --check oracle, computes with Fraction's operators.
+    # A scalar operation builds its Fraction with the constructor, and runs
+    # once per logged operation (a hit, a Jordan patch or a stage), never
+    # once per entry: each makes at most three (a stage its pivot inverse,
+    # its passage unit and its k[i]; a patch the entry it clears and its
+    # negation; a hit its product with the inverse), plus the rhs values
     rhs = tmp_path / "rhs.txt"
     rhs.write_text("rhs explicit 1/2 -3 5/7 0 2\n")
+    log = engine.run_to(BUILTINS[matrix](), 40)._log
+    ops = sum(len(hits) + len(patches) + 1 for hits, _, _, patches in log)
     calls = []
     for name in _FRACTION_OPERATORS:
         op = getattr(Fraction, name)
@@ -506,6 +513,14 @@ def test_no_command_runs_a_fraction_operator(matrix, tmp_path, monkeypatch, caps
             return _op(*args)
 
         monkeypatch.setattr(Fraction, name, counting)
+    built = []
+    new = Fraction.__new__
+
+    def constructing(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(constructing))
     stages = ["--stages", "40"]
     for argv in (
         ["reduce", matrix, "--emit", "rows,passage,pivots"],
@@ -518,16 +533,21 @@ def test_no_command_runs_a_fraction_operator(matrix, tmp_path, monkeypatch, caps
         ["verify", matrix, "--check", "roweq"],
     ):
         # an explicit rhs is inconsistent on some matrices, which exits 1
+        built.clear()
         assert main(argv + stages) in (0, 1)
         assert calls == [], argv
+        assert len(built) <= 3 * ops + 5, argv
     capsys.readouterr()
 
 
 @pytest.mark.parametrize("matrix", ["bidiag", "pde"])
-def test_symbolic_solve_builds_no_lowest_terms_support(matrix, monkeypatch, capsys):
+def test_symbolic_solve_builds_no_lowest_terms_support(matrix, tmp_path, monkeypatch, capsys):
     # over the rationals k[i] holds the Row Q[i] itself, the homogeneous
     # block holds H[i]'s numerators, and both print from their numerators,
-    # so no Row's Fraction support is built
+    # so no Row's Fraction support is built; an explicit k[i] is summed on
+    # Q[i]'s numerators
+    rhs = tmp_path / "rhs.txt"
+    rhs.write_text("rhs explicit 1/2 -3 5/7 0 2\n")
     calls = []
     scaled_support = RationalField.scaled_support
 
@@ -540,6 +560,9 @@ def test_symbolic_solve_builds_no_lowest_terms_support(matrix, monkeypatch, caps
         argv = ["solve", matrix, "--stages", "40", "--rhs", "symbolic:c", "--format", fmt]
         assert main(argv) == 0
         assert calls == [], fmt
+    # an explicit rhs is inconsistent on pde, which exits 1
+    assert main(["solve", matrix, "--stages", "40", "--rhs", str(rhs)]) in (0, 1)
+    assert calls == []
     capsys.readouterr()
 
 

@@ -401,21 +401,22 @@ def test_rational_scalar_operations_read_ints_as_fractions():
 @example(Fraction(0), -3)
 @given(kernel_values, st.one_of(st.integers(-_BIG, _BIG), st.integers(-12, 12)))
 def test_rational_mul_by_an_int_matches_fraction_mul(a, b):
-    # the int path (one gcd with a's denominator, no Fraction of b), which
-    # the replay folds a pivot inverse into an int hit with
+    # an int b is read through its numerator and denominator 1, as the
+    # replay folds a pivot inverse into an int hit
     got = RATIONAL.mul(a, b)
     assert got == a * b == Fraction.__mul__(a, b)
     _assert_lowest_terms(got)
 
 
 def test_rational_mul_by_a_bool_goes_through_fraction():
-    # a bool is not read on the int path: its product is the Fraction
-    # product, with plain int slots, never True or False
+    # a bool is read through its numerator and denominator, which are
+    # ints: its product is the Fraction product, with plain int slots,
+    # never True or False
     for a in (Fraction(3, 4), Fraction(-2), Fraction(0)):
         for b in (True, False):
             got = RATIONAL.mul(a, b)
             assert got == a * Fraction(b)
-            assert type(got._numerator) is int and type(got._denominator) is int
+            assert type(got.numerator) is int and type(got.denominator) is int
             _assert_lowest_terms(got)
 
 
@@ -427,8 +428,8 @@ def test_rational_mul_by_a_bool_goes_through_fraction():
 @example(10**30)
 @given(st.one_of(st.booleans(), st.integers()))
 def test_rational_from_int_is_the_fraction_of_an_int(n):
-    # from_int builds n/1 without Fraction's constructor; a bool still comes
-    # out with a plain int numerator, never True or False
+    # from_int builds the Fraction n/1; a bool comes out with a plain int
+    # numerator, never True or False
     got = RATIONAL.from_int(n)
     assert got == Fraction(n)
     assert type(got) is Fraction
