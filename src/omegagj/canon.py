@@ -70,13 +70,12 @@ def verify_row_equivalence(passage: List[Row], matrix, out_rows: List[Row], hori
     when either list stops before row horizon. Each Q[i]·A is read off
     Q[i]'s numerators on either field: one add_combination of the matrix
     rows Q reaches, as they are, on a zero row is r = Q[i].den·(Q[i]·A),
-    and Q[i]·A is r's numerators over r.den·Q[i].den in lowest terms.
+    and Q[i]·A is r's numerators over r.den·Q[i].den in lowest terms. A
+    packed passage row reduces its slots itself, once, on its first read.
     """
     if min(len(passage), len(out_rows)) <= horizon:
         return False
-    # each row is read through one reduced copy: an unreduced packed row
-    # reduces its slots again on every read of maxs or nums
-    checked = [q.canonical() for q in passage[: horizon + 1]]
+    checked = passage[: horizon + 1]
     # Jordan patches give a passage row columns past its own index
     rows = matrix.top_submatrix(dense_width(checked) - 1)
     F = checked[0].field

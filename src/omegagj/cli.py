@@ -252,9 +252,9 @@ def _write_line(out, pairs, texts, width: int) -> None:
 
 
 def _write_packed_line(out, row: PackedRow, width: int) -> None:
-    """The dense line of a reduced packed row, from its slot values: columns
+    """The dense line of a packed row, from its reduced slot values: columns
     lo..lo+len(slots)-1 are the slots, the rest 0."""
-    slots = row.field.slots(row.bits)
+    slots = row.slot_values()
     lo, hi = row.lo, row.lo + len(slots)
     for start in range(0, width, _TSV_WINDOW):
         stop = min(start + _TSV_WINDOW, width)
@@ -267,7 +267,6 @@ def _write_packed_line(out, row: PackedRow, width: int) -> None:
 
 
 def _emit_rows(out, label: str, rows: List[Union[Row, PackedRow]]) -> None:
-    rows = [r.canonical() for r in rows]
     width = max(1, dense_width(rows))
     print("# %s" % label, file=out)
     for r in rows:

@@ -56,11 +56,12 @@ into each hit with one F.mul, an int times a Fraction over the rationals.
 So a run that never reads Q builds no passage row, and one that reads Q
 now and then replays only the stages since the last read. Over GF(p) the
 passage rows are rows.PackedRow, over the rationals rows.Row; the replay
-needs only canonical and add_combination from a passage row, and
-rows.passage_unit builds each stage's first one, so the field picks the
-representation and there is one replay. add_combination is the one row
-update, on H as on Q: a Jordan patch is the pair (n, lam) against the new
-row n, logged as it is applied to H and replayed as logged.
+needs only add_combination from a passage row (a packed row decides
+itself when to reduce its slots), and rows.passage_unit builds each
+stage's first one, so the field picks the representation and there is one
+replay. add_combination is the one row update, on H as on Q: a Jordan
+patch is the pair (n, lam) against the new row n, logged as it is applied
+to H and replayed as logged.
 
 step (with jordan_update) is the package's only elimination: run_to and
 reorder.extended_run both go through it. The dense dict-based
@@ -70,6 +71,7 @@ that verification compares against.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from .rows import PackedRow, Row, _row, check_row, passage_unit
@@ -155,9 +157,9 @@ def _replay(state: EliminationState) -> None:
     Stage n reduced den * c_n, so its row is (den * inv) * e_n plus the
     hits scaled by inv (F.mul on each multiplier, an int over the
     rationals), one add_combination on passage_unit(F, n, den * inv); then
-    each Jordan patch (i, lam) adds the pair (n, lam) to Q[i]. A source is
-    used reduced and written back reduced, as is the new row before it
-    patches.
+    each Jordan patch (i, lam) adds the pair (n, lam) to Q[i]. A passage
+    row keeps its own representation: a packed one reduces itself, once,
+    when it is first used as a source (rows.PackedRow).
     Each entry is dropped as it is replayed, so the log and the rows built
     from it are not held at their full sizes at once.
     """
@@ -168,16 +170,12 @@ def _replay(state: EliminationState) -> None:
     while log:
         hits, den, inv, patches = log.pop()
         n = len(q)
-        for idx, _ in hits:
-            q[idx] = q[idx].canonical()
         if inv != 1:
             hits = [(idx, F.mul(inv, h)) for idx, h in hits]
         unit = passage_unit(F, n, inv if den == 1 else F.mul(inv, den))
         q.append(unit.add_combination(hits, q))
-        if patches:
-            q[n] = q[n].canonical()
-            for i, lam in patches:
-                q[i] = q[i].add_combination(((n, lam),), q)
+        for i, lam in patches:
+            q[i] = q[i].add_combination(((n, lam),), q)
 
 
 def _index_row(index: Dict[int, Set[int]], i: int, entries: tuple) -> None:
@@ -288,6 +286,15 @@ def run_to(matrix, n: int, strategy: str = "rps") -> EliminationState:
     return state
 
 
+def _check_index(k) -> int:
+    """k as an int, read through operator.index, so a bool is one; any
+    other value, a float among them, raises TypeError naming it."""
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise TypeError("index %r is not an integer" % (k,)) from None
+
+
 def prefix_stability(state, k: int) -> int:
     """Last stage at which any of rows 0..k changed.
 
@@ -295,6 +302,7 @@ def prefix_stability(state, k: int) -> int:
     result is the empirical stage after which the prefix has stayed fixed so
     far and can only grow as later rows arrive.
     """
+    k = _check_index(k)
     if k > state.stage or k < 0:
         raise IndexOutOfRange("prefix %d exceeds stage %d" % (k, state.stage))
     return max(state.last_changed[: k + 1])
@@ -318,6 +326,7 @@ def certified_stable(state: EliminationState, k: int) -> str:
     every other pivot column from it, so a row that ends past the floor on
     its own pivot is final too.
     """
+    k = _check_index(k)
     if k > state.stage or k < 0:
         raise IndexOutOfRange("prefix %d exceeds stage %d" % (k, state.stage))
     floor = certified_floor(state)

@@ -1,8 +1,8 @@
 """Finitely supported rows: Row, one sparse row type over either field,
 int numerators over one row denominator, in which the engine holds the
 input rows, H, Q over the rationals and the rows of symbolic forms;
-PackedRow, the passage row over GF(p); and passage_unit, which picks each
-field's passage row type."""
+PackedRow, the passage row over GF(p), which reduces its own slots; and
+passage_unit, which picks each field's passage row type."""
 
 from __future__ import annotations
 
@@ -140,10 +140,6 @@ class Row:
         summed = F.combination_support(self.den, self.nums, pairs, rows)
         return self if summed is None else _row(F, *summed)
 
-    def canonical(self) -> "Row":
-        """The row itself: a Row is canonical by construction (see PackedRow)."""
-        return self
-
     def __eq__(self, other):
         if not isinstance(other, (Row, PackedRow)):
             return NotImplemented
@@ -201,15 +197,16 @@ class PackedRow:
     that is congruent to it mod p but not always reduced; bound is an
     upper bound on every slot. Its one row operation, add_combination, is
     then a few big-int operations in C per source rather than a Python loop
-    over entries. A row is reduced mod p only before a sum that could carry
-    out of a slot, and before it is used as a source (canonical): the
-    delayed modular reduction of Dumas, Giorgi and Pernet (ACM TOMS 35(3),
-    2008). A row costs slot_bits / 8 bytes per column from lo to its last
-    slot, zero or not; passage_unit builds the first one of each stage.
+    over entries. A row reduces its slots mod p in place, once, when a sum
+    could carry out of one, when it is used as a source, or when it is
+    first read (its value never changes): the delayed modular reduction of
+    Dumas, Giorgi and Pernet (ACM TOMS 35(3), 2008). A row costs slot_bits
+    / 8 bytes per column from lo to its last slot, zero or not;
+    passage_unit builds the first one of each stage.
 
     It reads like a Row, through den (1) and nums built on demand from the
     reduced slots, and takes Row's equality, entry_texts, str and repr;
-    is_zero and maxs read the slots without building pairs.
+    is_zero, maxs and slot_values read the slots without building pairs.
     """
 
     __slots__ = ("field", "lo", "bits", "bound")
@@ -220,19 +217,20 @@ class PackedRow:
         self.bits = bits
         self.bound = bound
 
-    def canonical(self) -> "PackedRow":
-        """This row with every slot reduced mod p; itself if it is already."""
+    def _reduced(self) -> int:
+        """The slots, each reduced mod p in place first if it is not yet."""
         F = self.field
-        if self.bound < F.p:
-            return self
-        return PackedRow(F, self.lo, F.reduce_slots(self.bits), F.p - 1)
+        if self.bound >= F.p:
+            self.bits = F.reduce_slots(self.bits)
+            self.bound = F.p - 1
+        return self.bits
 
     def add_combination(self, pairs, rows) -> "PackedRow":
         """This row plus the sum of lam * rows[i] over (i, lam) pairs of
         indices into packed rows and residues, one multiply-add of packed
-        ints each: a residue is nonnegative, so no slot goes negative, and
-        when a sum could carry out of a slot both rows are reduced first.
-        """
+        ints each on the reduced source: a residue is nonnegative, so no
+        slot goes negative, and the running row is reduced first when a sum
+        could carry out of a slot."""
         F = self.field
         w = F.slot_bits
         y = self
@@ -240,37 +238,41 @@ class PackedRow:
             x = rows[i]
             if x.field is not F:
                 check_same_field(F, x.field)
+            xbits = x._reduced()
             bound = y.bound + lam * x.bound
             if bound >> w:
-                y, x = y.canonical(), x.canonical()
+                y._reduced()
                 bound = y.bound + lam * x.bound
             shift = (x.lo - y.lo) * w
             if shift >= 0:
-                y = PackedRow(F, y.lo, y.bits + (lam * x.bits << shift), bound)
+                y = PackedRow(F, y.lo, y.bits + (lam * xbits << shift), bound)
             else:
-                y = PackedRow(F, x.lo, (y.bits << -shift) + lam * x.bits, bound)
+                y = PackedRow(F, x.lo, (y.bits << -shift) + lam * xbits, bound)
         return y
 
     # a residue is its own numerator over 1, as in a Row over GF(p)
     den = 1
 
+    def slot_values(self):
+        """The reduced slots from column lo on, zeros included (field.slots)."""
+        return self.field.slots(self._reduced())
+
     @property
     def nums(self) -> tuple:
         """The (column, residue) pairs of the nonzero slots; built, not stored."""
-        r = self.canonical()
-        lo = r.lo
-        return tuple([(lo + i, v) for i, v in enumerate(r.field.slots(r.bits)) if v])
+        lo = self.lo
+        return tuple([(lo + i, v) for i, v in enumerate(self.slot_values()) if v])
 
     support = nums
 
     def is_zero(self) -> bool:
-        return not self.canonical().bits
+        return not self._reduced()
 
     @property
     def maxs(self) -> Optional[int]:
         """Rightmost nonzero column; None for the zero row."""
-        r = self.canonical()
-        return r.lo + (r.bits.bit_length() - 1) // r.field.slot_bits if r.bits else None
+        bits = self._reduced()
+        return self.lo + (bits.bit_length() - 1) // self.field.slot_bits if bits else None
 
     __eq__, entry_texts = Row.__eq__, Row.entry_texts
     __str__, __repr__ = Row.__str__, Row.__repr__

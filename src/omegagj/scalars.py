@@ -34,6 +34,56 @@ _INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
 _RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
+# Python (3.11 on, and 3.10 from 3.10.7) refuses to convert between an int
+# and decimal text past sys.get_int_max_str_digits() digits (4,300 by
+# default, a process-global setting). A value that long is converted in
+# pieces of at most 640 digits, the lowest limit the setting accepts, so
+# that every piece converts whatever it is; values under the limit take
+# str() and int() directly, which only raise ValueError past it.
+_PIECE_DIGITS = 640
+
+
+def _str_of_int(n: int) -> str:
+    """str(n) for an int of any size: split on powers of ten into pieces
+    short enough for str (the approach of CPython 3.12's
+    _pylong.int_to_decimal_string), with no global setting touched."""
+    if n < 0:
+        return "-" + _str_of_int(-n)
+
+    def padded(n: int, width: int) -> str:  # the width digits of n < 10**width
+        if width <= _PIECE_DIGITS:
+            return str(n).zfill(width)
+        low = width // 2
+        hi, lo = divmod(n, 10**low)
+        return padded(hi, width - low) + padded(lo, low)
+
+    # 0.30103 > log10(2), so n < 10**width
+    return padded(n, n.bit_length() * 30103 // 100000 + 1).lstrip("0") or "0"
+
+
+def _int_of_str(text: str) -> int:
+    """int(text) for an optional sign and ASCII digits of any length, built
+    from pieces of at most _PIECE_DIGITS digits (divide and conquer)."""
+    digits = text.lstrip("+-")
+
+    def value(digits: str) -> int:
+        if len(digits) <= _PIECE_DIGITS:
+            return int(digits)
+        high = len(digits) // 2
+        return value(digits[:high]) * 10 ** (len(digits) - high) + value(digits[high:])
+
+    n = value(digits)
+    return -n if text[:1] == "-" else n
+
+
+def _quotient_text(v: int, den: int) -> str:
+    """format_quotients' text of v / den, through _str_of_int."""
+    g = gcd(v, den)
+    if g == den:
+        return _str_of_int(v // g)
+    return "%s/%s" % (_str_of_int(v // g), _str_of_int(den // g))
+
+
 class FieldMismatch(Exception):
     """Raised when two values from different fields meet in one operation."""
 
@@ -191,21 +241,32 @@ class RationalField(Field):
         bounded by the length of the text."""
         if not _RATIONAL_TEXT.fullmatch(text):
             raise ValueError("not a rational 'p' or 'p/q': %r" % text)
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ValueError:  # past the digit limit, the only error left
+            p, _, q = text.partition("/")
+            q = _int_of_str(q) if q else 1
+            if not q:  # Fraction's own message would write the numerator
+                raise ZeroDivisionError("zero denominator")
+            return Fraction(_int_of_str(p), q)
 
     def format_quotients(self, den: int, nums) -> list:
         """The canonical text of each v / den in lowest terms ('p/q' or
         'p', as str prints its Fraction) over (key, int numerator) pairs
         and one positive denominator: the text of a rows.Row's entries,
-        with one gcd per entry, none over den 1."""
-        if den == 1:
-            return [str(v) for _, v in nums]
-        texts = []
-        append = texts.append
-        for _, v in nums:
-            g = gcd(v, den)
-            append(str(v // g) if g == den else f"{v // g}/{den // g}")
-        return texts
+        with one gcd per entry, none over den 1. An int past the digit
+        limit is written through _str_of_int."""
+        try:
+            if den == 1:
+                return [str(v) for _, v in nums]
+            texts = []
+            append = texts.append
+            for _, v in nums:
+                g = gcd(v, den)
+                append(str(v // g) if g == den else f"{v // g}/{den // g}")
+            return texts
+        except ValueError:
+            return [_quotient_text(v, den) for _, v in nums]
 
     def render_terms(self, ns: str, row) -> list:
         """The text of the v * ns_i terms of a form's Row for the
@@ -219,12 +280,15 @@ class RationalField(Field):
         append = pieces.append
         den, nums = row.den, row.nums
         if den == 1:
-            for i, v in nums:
-                if v < 0:
-                    append(f" - {name}{i}" if v == -1 else f" - {-v}{star}{i}")
-                else:
-                    append(f" + {name}{i}" if v == 1 else f" + {v}{star}{i}")
-            return pieces
+            try:
+                for i, v in nums:
+                    if v < 0:
+                        append(f" - {name}{i}" if v == -1 else f" - {-v}{star}{i}")
+                    else:
+                        append(f" + {name}{i}" if v == 1 else f" + {v}{star}{i}")
+                return pieces
+            except ValueError:  # an int past the digit limit: the loop below
+                pieces.clear()
         for (i, v), text in zip(nums, self.format_quotients(den, nums)):
             sign = " + "
             if v < 0:
@@ -427,7 +491,10 @@ class PrimeField(Field):
         scripts' digits, spaces), raises ValueError."""
         if not _INTEGER_TEXT.fullmatch(text):
             raise ValueError("not an integer: %r" % text)
-        return int(text) % self.p
+        try:
+            return int(text) % self.p
+        except ValueError:  # past the digit limit, the only error left
+            return _int_of_str(text) % self.p
 
     def render_terms(self, ns: str, row) -> list:
         """The text of the v * ns_i terms of a form's Row for the namespace

@@ -8,7 +8,7 @@ from collections.abc import Sequence as SequenceType
 from math import lcm
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from .engine import EliminationState, IndexOutOfRange, certified_floor
+from .engine import EliminationState, IndexOutOfRange, certified_floor, _check_index
 from .rows import Row, _row
 from .scalars import Field, check_same_field
 
@@ -184,20 +184,22 @@ class SymbolicSequence:
         self.stage = stage
         self.floor = floor
 
-    def _check(self, j: int) -> None:
+    def _check(self, j) -> int:
+        """j as an int (engine._check_index) inside the horizon."""
+        j = _check_index(j)
         if j < 0 or j > self.horizon:
             raise IndexOutOfRange(
                 "column %d is outside the computed horizon %d" % (j, self.horizon)
             )
+        return j
 
     def entry(self, j: int) -> LinForm:
-        self._check(j)
-        return self.entries.get(j, LinForm.zero(self.field))
+        return self.entries.get(self._check(j), LinForm.zero(self.field))
 
     def provenance(self, j: int) -> str:
         """Return "certified" below the certified floor, where no later stage
         can write, and "provisional at stage N" from the floor on."""
-        self._check(j)
+        j = self._check(j)
         if self.floor is not None and j < self.floor:
             return "certified"
         return "provisional at stage %d" % self.stage

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegagj import Field, PrimeField, RATIONAL, RationalField, Row
+from omegagj import Field, PrimeField, RATIONAL, RationalField, Row, run_to
 from omegagj.matrices import BUILTINS
 from omegagj import cli, engine
 from omegagj.rows import PackedRow, _row
@@ -398,6 +398,37 @@ def test_reduce_over_a_61_bit_prime_field(tmp_path, capsys):
     assert capsys.readouterr().out == "# rows\n2305843009213693949\t1\n"
 
 
+# -- values past the int-to-text digit limit ----------------------------------
+# Python 3.11 and later refuse str() and int() of an int past
+# sys.get_int_max_str_digits() (4,300 by default) decimal digits.
+
+
+def test_entries_past_the_digit_limit_are_written_in_full(tmp_path, capsys):
+    # stencil 0:1 1:1000000 reaches entries of more than 4,300 digits by
+    # stage 760; the text of each one parses back to the row the state holds
+    path = tmp_path / "big.txt"
+    path.write_text("field rational\nkind stencil\nstencil 0:1 1:1000000\n")
+    assert main(["reduce", str(path), "--format", "json", "--stages", "760"]) == 0
+    texts = json.loads(capsys.readouterr().out)["rows"]
+    assert max(map(len, texts)) > 4300
+    got = [Row.from_pairs(RATIONAL, [(int(c), RATIONAL.parse(v))
+                                     for c, v in (t.split(":") for t in text.split())])
+           for text in texts]
+    assert got == run_to(parse_spec(path.read_text()).build(), 760).rows
+
+
+@pytest.mark.parametrize("field", ["rational", "gf 7"])
+def test_a_stencil_value_past_the_digit_limit_is_read(field, tmp_path, capsys):
+    big = "1" + "0" * 4300
+    path = tmp_path / "digits.txt"
+    path.write_text("field %s\nkind stencil\nstencil 0:%s 1:1\n" % (field, big))
+    assert main(["verify", str(path), "--stages", "5", "--check", "lrrf"]) == 0
+    assert capsys.readouterr().out == "check lrrf: ok\n"
+    assert main(["reduce", str(path), "--stages", "0"]) == 0
+    value = big if field == "rational" else str(10**4300 % 7)
+    assert capsys.readouterr().out == "# rows\n%s\t1\n" % value
+
+
 def test_reduce_gf_output_uses_residues(tmp_path, capsys):
     path = tmp_path / "g.mat"
     path.write_text("field gf 7\nkind explicit\nrow 0 0:3 1:10\ntail zero\n")
@@ -693,10 +724,10 @@ def test_verify_oracle_passes_over_gf_and_lps(name, stages, strategy, tmp_path, 
 
 
 def test_verify_roweq_reduces_each_packed_passage_row_once(tmp_path, monkeypatch, capsys):
-    # an unreduced packed row is reduced again on every read of maxs or
-    # nums, so the check reads each passage row through one reduced copy,
-    # as printing Q does: both commands make the elimination's reductions
-    # plus one per unreduced row
+    # a packed row reduces its slots in place on its first read, so the
+    # check, which reads each passage row's maxs and then its nums, makes
+    # as many reductions as printing Q: the elimination's, plus one per
+    # row left unreduced
     path = tmp_path / "band.txt"
     path.write_text(gf_band_text())
     calls = []

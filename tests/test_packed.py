@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from omegagj import RATIONAL, Field, FieldMismatch, Row, make_explicit, run_to
 from omegagj import cli
 from omegagj.rows import PackedRow, passage_unit
+from omegagj.scalars import PrimeField
 from util import mk_row
 
 # one prime per slot width, 64, 128 and 192 bits; the first two leave the
@@ -22,6 +23,10 @@ PRIMES = [2, 32003] + HEADROOM_PRIMES + [2**61 - 1, 318665857834031151167441]
 
 def _packed(F, lo, values):
     return PackedRow(F, lo, F.pack(values), max(values))
+
+
+def _copy(r):
+    return PackedRow(r.field, r.lo, r.bits, r.bound)
 
 
 def _slot_count(r):
@@ -56,10 +61,12 @@ def test_axpy_chain_past_the_headroom_matches_the_sparse_kernel(p):
         assert y.bound < 2**F.slot_bits
         reductions += y.bound < before
         ref = ref.add_combination(((0, F.neg(1)),), [Row(F, sources[k % 2].support)])
+        # a read reduces a packed row in place, so read a copy: y itself
+        # must carry its unreduced slots on to the next sum
         if k % 4096 == 0:
-            assert y == ref
+            assert _copy(y) == ref
     assert reductions >= 1
-    assert y == ref
+    assert _copy(y) == ref
     # an unreduced source whose multiple could carry out of a slot
     assert y.bound * (p - 1) >> F.slot_bits
     scaled = PackedRow(F, 0, 0, 0).add_combination(((0, p - 1),), [y])
@@ -86,8 +93,9 @@ def test_packed_row_reads_like_the_row(p):
     values = [0, p - 1, 2, 0, 1]
     r = _packed(F, 4, [v + p for v in values])  # congruent, not reduced
     row = mk_row(F, {4 + i: v for i, v in enumerate(values)})
-    assert r.bound >= p and r.canonical().bound < p
+    assert r.bound >= p
     assert r.support == row.support
+    assert r.bound < p  # the read reduced the slots in place
     assert r == row and row == r
     assert str(r) == str(row) and r.maxs == row.maxs == 8
     assert not r.is_zero()
@@ -98,6 +106,32 @@ def test_packed_row_reads_like_the_row(p):
     # r plus (p - 1) times itself cancels every column
     cancelled = r.add_combination(((0, p - 1),), [r])
     assert cancelled.is_zero() and cancelled == Row.zero(F)
+
+
+@pytest.mark.parametrize("p", [32003, 2**61 - 1])
+def test_packed_row_reduces_itself_once(p, monkeypatch):
+    # an unreduced row reduces its slots in place the first time it is used
+    # as a source or read, and never again; every read gives its value
+    F = Field.gf(p)
+    values = [3, 0, p - 1, 1]
+    r = _packed(F, 2, [v + p for v in values])  # congruent, not reduced
+    row = mk_row(F, {2 + i: v for i, v in enumerate(values) if v})
+    calls = []
+    reduce_slots = PrimeField.reduce_slots
+
+    def counting(self, bits):
+        calls.append(bits)
+        return reduce_slots(self, bits)
+
+    monkeypatch.setattr(PrimeField, "reduce_slots", counting)
+    sums = [passage_unit(F, 0, 1).add_combination(((0, lam),), [r]) for lam in (2, p - 1)]
+    assert r.nums == row.nums == ((2, 3), (4, p - 1), (5, 1))
+    assert r.maxs == row.maxs == 5 and not r.is_zero()
+    assert str(r) == str(row) == "2:3 4:%d 5:1" % (p - 1)
+    assert r == row and r.entry_texts() == row.entry_texts()
+    assert len(calls) == 1
+    for got, lam in zip(sums, (2, p - 1)):
+        assert got == Row.unit(F, 0).add_combination(((0, lam),), [row])
 
 
 @pytest.mark.parametrize("p", [7, 2**61 - 1])

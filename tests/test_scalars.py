@@ -2,6 +2,7 @@ import math
 import pickle
 import re
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -757,3 +758,71 @@ def test_constant_form_text_is_str_of_the_value(p_and_values):
     texts = [str(LinForm.const(field, v)) for v in values]
     assert texts == [str(v) for v in values]
     assert texts == [format_value(v) for v in values]
+
+
+# -- values past the int-to-text digit limit ----------------------------------
+# Python 3.11 refuses str() and int() of an int past sys.get_int_max_str_digits()
+# (default 4,300) decimal digits; Decimal holds an int exactly and writes it
+# without that conversion, so it is the reference text here.
+
+
+def _digits(n: int) -> str:
+    return str(Decimal(n))
+
+
+HUGE = [10**5000, -(10**5000) + 1, 7**20000, -(3**40000), 10**4300]
+
+
+def test_huge_values_are_written_in_full():
+    for n in HUGE:
+        assert RATIONAL.format_quotients(1, ((0, n),)) == [_digits(n)]
+        assert str(LinForm.const(RATIONAL, n)) == _digits(n)
+        # over a denominator, in lowest terms, and reduced to an integer
+        d = 2**20000
+        assert RATIONAL.format_quotients(d, ((3, 2 * n + 1),)) == [
+            "%s/%s" % (_digits(2 * n + 1), _digits(d))]
+        assert RATIONAL.format_quotients(d, ((3, n * d),)) == [_digits(n)]
+    assert str(LinForm.const(RATIONAL, 10**5000)) == "1" + "0" * 5000
+
+
+def test_huge_coefficients_render_in_full():
+    # render_terms, on an integral row and on one over a denominator
+    n = 10**5000 + 7
+    for scale, text in ((1, _digits(n)), (Fraction(1, 3), _digits(n) + "/3")):
+        form = LinForm(RATIONAL, None, {("x", 0): -n * scale, ("x", 2): 1, ("x", 4): n * scale})
+        assert str(form) == "-%s*x_0 + x_2 + %s*x_4" % (text, text)
+
+
+def test_huge_values_parse_in_full():
+    text = "9" * 4301
+    assert RATIONAL.parse(text) == 10**4301 - 1
+    assert RATIONAL.parse("-" + text + "/" + "3" * 4301) == Fraction(-(10**4301 - 1),
+                                                                    (10**4301 - 1) // 3)
+    assert GF7.parse("1" + "0" * 4300) == 10**4300 % 7
+    assert GF7.parse("-" + text) == -(10**4301 - 1) % 7
+    with pytest.raises(ZeroDivisionError):
+        RATIONAL.parse(text + "/" + "0" * 4301)
+
+
+@st.composite
+def huge_fractions(draw):
+    """A rational whose numerator and denominator each have up to about
+    20,000 digits (66,000 bits), from a drawn seed: a value that long
+    drawn digit by digit is past Hypothesis's input size. The long sizes
+    start just under the 4,300-digit limit (14,284 bits)."""
+    rng = draw(st.randoms(use_true_random=False))
+    bits = st.one_of(st.integers(1, 200), st.integers(14_000, 66_000))
+    n = rng.getrandbits(draw(bits)) * draw(st.sampled_from([1, -1]))
+    return Fraction(n, rng.getrandbits(draw(bits)) or 1)
+
+
+@settings(deadline=None, max_examples=25)
+@given(huge_fractions())
+def test_huge_values_round_trip_through_writer_and_parser(value):
+    row = Row(RATIONAL, ((0, Fraction(1, 7)), (5, value))) if value else Row.zero(RATIONAL)
+    texts = [t.split(":")[1] for t in str(row).split()]
+    assert Row.from_pairs(RATIONAL, zip([c for c, _ in row.support],
+                                        map(RATIONAL.parse, texts))) == row
+    num, den = value.numerator, value.denominator
+    want = _digits(num) if den == 1 else "%s/%s" % (_digits(num), _digits(den))
+    assert str(LinForm.const(RATIONAL, value)) == want

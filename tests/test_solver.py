@@ -1,3 +1,4 @@
+import re
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from omegagj import (
     step,
     transform_rhs,
 )
-from omegagj.engine import certified_floor
+from omegagj.engine import certified_floor, certified_stable, prefix_stability
 from omegagj.solver import SymbolicSequence
 from fixtures import (
     BIDIAG_GENERAL,
@@ -452,6 +453,22 @@ def test_provenance_certified_with_floor():
     assert wide.provenance(8) == "provisional at stage 6"
     with pytest.raises(IndexOutOfRange):
         wide.provenance(9)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "2", None, Fraction(1)])
+def test_indices_that_are_not_integers_raise_type_error(bad):
+    # a float index once answered silently (entry(1.5) the zero form,
+    # entry(2.0) x_2, certified_stable "provisional"), or failed on a slice
+    state = run_to(BUILTINS["bidiag"](), 5)
+    general = general_solution(state, transform_rhs(state.passage, "c"), 5).general
+    for read in (general.entry, general.provenance, lambda k: prefix_stability(state, k),
+                 lambda k: certified_stable(state, k)):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            read(bad)
+    # a bool is an int, and answers as one
+    assert general.entry(True) == general.entry(1) and general.provenance(False)
+    assert prefix_stability(state, True) == prefix_stability(state, 1)
+    assert certified_stable(state, True) == certified_stable(state, 1)
 
 
 # -- residual verification ----------------------------------------------------
